@@ -57,26 +57,53 @@ def _tolerances(args) -> linalg.Tolerances:
     return linalg.DEFAULT_TOL
 
 
-def _load_form(path: str, transpose: bool) -> forms.BiquadraticForm:
-    """Read either a monomial form file or an x-symmetric (d, A, B) file."""
+def _load_form(path: str, transpose: bool) -> forms.BiquadraticForm | partsym.XSymmetricData:
+    """Read either a monomial form file or an x-symmetric (d, A, B) file.
+
+    A data file read without ``transpose`` stays as its (d, A, B) data; every
+    other input becomes a dense form.
+    """
     data = forms.load_json(path)
     if not isinstance(data, dict):
         raise InvalidInput(f"{path}: expected a JSON object")
     if "terms" in data:
         form = forms.form_from_dict(data)
     elif {"m", "d", "A", "B"} <= set(data):
-        xsym = partsym.XSymmetricData(
-            int(data["m"]),
-            np.asarray(data["d"], dtype=float),
-            np.asarray(data["A"], dtype=float),
-            np.asarray(data["B"], dtype=float),
-        )
+        try:
+            m = int(data["m"])
+            if m != data["m"]:
+                raise ValueError(f"m must be an integer, got {data['m']!r}")
+            d, a, b = (np.asarray(data[key], dtype=float) for key in ("d", "A", "B"))
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"{path}: malformed x-symmetric data: {exc}") from exc
+        xsym = partsym.XSymmetricData(m, d, a, b)
+        if not transpose:
+            return xsym
         form = partsym.reconstruct(xsym)
     else:
         raise InvalidInput(f"{path}: neither a form file (terms) nor x-symmetric data (m, d, A, B)")
     if transpose:
         form = forms.transpose_xy(form)
     return form
+
+
+def _load_dense(path: str, transpose: bool) -> forms.BiquadraticForm:
+    """The dense coefficient tensor, for the commands that work on it."""
+    form = _load_form(path, transpose)
+    return partsym.reconstruct(form) if isinstance(form, partsym.XSymmetricData) else form
+
+
+def _xsym_data(source) -> partsym.XSymmetricData | None:
+    if isinstance(source, partsym.XSymmetricData):
+        return source
+    return partsym.detect_x_symmetric(source)
+
+
+def _evaluate(source, x, y) -> float:
+    """P(x, y) on the input as it was loaded."""
+    if isinstance(source, partsym.XSymmetricData):
+        return partsym.evaluate_xsym(source, x, y)
+    return forms.evaluate(source, x, y)
 
 
 def _vec(a) -> list[float]:
@@ -87,10 +114,10 @@ def _witness_payload(x, y, value) -> dict:
     return {"x": _vec(x), "y": _vec(y), "value": float(value)}
 
 
-def _cert_payload(form, reduction, cert: partsym.PSDCertificate | None, invalid) -> dict:
+def _cert_payload(source, reduction, cert: partsym.PSDCertificate | None, invalid) -> dict:
     payload = {
-        "m": form.m,
-        "n": form.n,
+        "m": source.m,
+        "n": source.n,
         "verdict": "PSD",
         "active": [],
         "d": [],
@@ -99,7 +126,7 @@ def _cert_payload(form, reduction, cert: partsym.PSDCertificate | None, invalid)
         "witness": None,
     }
     if invalid is not None:
-        value = forms.evaluate(form, invalid.x, invalid.y)
+        value = _evaluate(source, invalid.x, invalid.y)
         payload["verdict"] = "NotPSD"
         payload["witness"] = _witness_payload(invalid.x, invalid.y, value)
         payload["reason"] = invalid.reason
@@ -112,8 +139,8 @@ def _cert_payload(form, reduction, cert: partsym.PSDCertificate | None, invalid)
         if not cert.psd:
             payload["verdict"] = "NotPSD"
             x, z = cert.witness
-            y = _reduced_witness_y(reduction, z, form.n)
-            payload["witness"] = _witness_payload(x, y, forms.evaluate(form, x, y))
+            y = _reduced_witness_y(reduction, z, source.n)
+            payload["witness"] = _witness_payload(x, y, _evaluate(source, x, y))
     return payload
 
 
@@ -128,8 +155,8 @@ def _reduced_witness_y(reduction: partsym.MonicReduction, z: np.ndarray, n: int)
 
 def cmd_check_psd(args) -> CommandResult:
     tol = _tolerances(args)
-    form = _load_form(args.form, args.transpose)
-    data = partsym.detect_x_symmetric(form)
+    source = _load_form(args.form, args.transpose)
+    data = _xsym_data(source)
     if data is None:
         return CommandResult(
             "check-psd",
@@ -140,16 +167,16 @@ def cmd_check_psd(args) -> CommandResult:
         )
     reduction = partsym.reduce_general(data, tol)
     if isinstance(reduction, partsym.InvalidReduction):
-        payload = _cert_payload(form, None, None, reduction)
+        payload = _cert_payload(source, None, None, reduction)
         return CommandResult(
             "check-psd", "not-psd", payload, _EXIT_NOT_PSD,
             summary=f"NotPSD: {reduction.reason}; witness value {payload['witness']['value']:.6g}",
         )
     if not reduction.active:
-        payload = _cert_payload(form, reduction, None, None)
+        payload = _cert_payload(source, reduction, None, None)
         return CommandResult("check-psd", "ok", payload, _EXIT_OK, summary="PSD (zero form)")
     cert = partsym.check_psd_monic(reduction.monic, tol)
-    payload = _cert_payload(form, reduction, cert, None)
+    payload = _cert_payload(source, reduction, cert, None)
     if cert.psd:
         return CommandResult(
             "check-psd", "ok", payload, _EXIT_OK,
@@ -163,8 +190,8 @@ def cmd_check_psd(args) -> CommandResult:
 
 def cmd_decompose(args) -> CommandResult:
     tol = _tolerances(args)
-    form = _load_form(args.form, args.transpose)
-    data = partsym.detect_x_symmetric(form)
+    source = _load_form(args.form, args.transpose)
+    data = _xsym_data(source)
     if data is None:
         return CommandResult(
             "decompose",
@@ -176,11 +203,11 @@ def cmd_decompose(args) -> CommandResult:
     method = args.method if args.method != "auto" else "structured"
     reduction = partsym.reduce_general(data, tol)
     if isinstance(reduction, partsym.InvalidReduction):
-        payload = _cert_payload(form, None, None, reduction)
+        payload = _cert_payload(source, None, None, reduction)
         return CommandResult("decompose", "not-psd", payload, _EXIT_NOT_PSD,
                              summary=f"NotPSD: {reduction.reason}")
     if not reduction.active:
-        dec = forms.SOSDecomposition(form.m, form.n, ())
+        dec = forms.SOSDecomposition(data.m, data.n, ())
     else:
         try:
             if method == "naive":
@@ -189,11 +216,11 @@ def cmd_decompose(args) -> CommandResult:
                 monic_dec = partsym.sos_decompose_structured(reduction.monic, tol)
         except NotPSD as exc:
             cert = exc.witness
-            payload = _cert_payload(form, reduction, cert, None)
+            payload = _cert_payload(source, reduction, cert, None)
             return CommandResult("decompose", "not-psd", payload, _EXIT_NOT_PSD,
                                  summary="NotPSD: Q/R eigenvalue test failed")
-        dec = partsym.undo_reduction(reduction, monic_dec, form.m, form.n)
-    passed, resid = forms.verify_sos(form, dec, seed=args.seed)
+        dec = partsym.undo_reduction(reduction, monic_dec, data.m, data.n)
+    passed, resid = forms.verify_sos(source, dec, seed=args.seed)
     if not passed:
         raise NumericalError(f"decomposition failed re-verification: residual {resid:.3e}")
     forms.save_decomposition(dec, args.out)
@@ -233,7 +260,7 @@ def cmd_gen_simple(args) -> CommandResult:
 
 def cmd_sos_rank(args) -> CommandResult:
     tol = _tolerances(args)
-    form = _load_form(args.form, args.transpose)
+    form = _load_dense(args.form, args.transpose)
     family = gram.build_family(form)
     try:
         point, rank = gram.min_rank_search(family, restarts=args.restarts, seed=args.seed, tol=tol)
@@ -279,7 +306,7 @@ def cmd_sos_rank(args) -> CommandResult:
 
 def cmd_reduce_rank(args) -> CommandResult:
     tol = _tolerances(args)
-    form = _load_form(args.form, args.transpose)
+    form = _load_dense(args.form, args.transpose)
     family = gram.build_family(form)
     start = gram._find_psd_point(family, np.zeros(family.dim), tol)
     if start is None:
@@ -309,7 +336,7 @@ def cmd_reduce_rank(args) -> CommandResult:
 
 def cmd_meig(args) -> CommandResult:
     _ = _tolerances(args)
-    form = _load_form(args.form, args.transpose)
+    form = _load_dense(args.form, args.transpose)
     pairs = meig.meig_solve(form, restarts=args.restarts, seed=args.seed)
     payload = {
         "pairs": [

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +95,41 @@ class SOSDecomposition:
         return len(self.factors)
 
 
+@dataclass(frozen=True)
+class GroupedSOSDecomposition:
+    """Sum of squares made of Kronecker groups ``(X_g, Y_g)``.
+
+    The factors of a group are every ``outer(x, y)`` with x a row of X_g
+    (shape (a_g, m)) and y a row of Y_g (shape (b_g, n)), so a group stands
+    for ``a_g * b_g`` bilinear squares and its share of the sum at (x, y) is
+    ``|X_g x|^2 |Y_g y|^2``.  Storage is the rows, not the dense factors.
+    """
+
+    m: int
+    n: int
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def __post_init__(self):
+        groups = []
+        for xg, yg in self.groups:
+            xg = np.asarray(xg, dtype=float)
+            yg = np.asarray(yg, dtype=float)
+            if xg.ndim != 2 or xg.shape[1] != self.m or yg.ndim != 2 or yg.shape[1] != self.n:
+                raise InvalidInput(
+                    f"group has row shapes {xg.shape} and {yg.shape}, expected (_, {self.m}) and (_, {self.n})"
+                )
+            groups.append((xg, yg))
+        object.__setattr__(self, "groups", tuple(groups))
+
+    def __len__(self):
+        return sum(xg.shape[0] * yg.shape[0] for xg, yg in self.groups)
+
+    @property
+    def factors(self) -> tuple[np.ndarray, ...]:
+        """The dense m x n factors, materialised y-major within each group."""
+        return tuple(np.outer(x, y) for xg, yg in self.groups for y in yg for x in xg)
+
+
 def symmetrize(raw) -> BiquadraticForm:
     """Average a raw coefficient tensor over its symmetry orbit.
 
@@ -136,19 +170,25 @@ def evaluate_batch(form: BiquadraticForm, xs: np.ndarray, ys: np.ndarray) -> np.
     return np.einsum("si,si->s", z @ gram, z)
 
 
-def evaluate_sos(dec: SOSDecomposition, x, y) -> float:
+def evaluate_sos(dec: SOSDecomposition | GroupedSOSDecomposition, x, y) -> float:
     """sum_p (x' W_p y)^2; zero for an empty factor list."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (dec.m,) or y.shape != (dec.n,):
         raise InvalidInput(f"expected vectors of lengths {dec.m} and {dec.n}")
-    if not dec.factors:
-        return 0.0
-    vals = np.array([float(x @ w @ y) for w in dec.factors])
-    return float(np.sum(vals * vals))
+    return float(_evaluate_sos_batch(dec, x[None, :], y[None, :])[0])
 
 
-def _evaluate_sos_batch(dec: SOSDecomposition, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _evaluate_sos_batch(
+    dec: SOSDecomposition | GroupedSOSDecomposition, xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    if isinstance(dec, GroupedSOSDecomposition):
+        total = np.zeros(xs.shape[0])
+        for xg, yg in dec.groups:
+            px = xs @ xg.T
+            py = ys @ yg.T
+            total += np.einsum("sa,sa->s", px, px) * np.einsum("sb,sb->s", py, py)
+        return total
     if not dec.factors:
         return np.zeros(xs.shape[0])
     stack = np.stack(dec.factors)
@@ -157,24 +197,31 @@ def _evaluate_sos_batch(dec: SOSDecomposition, xs: np.ndarray, ys: np.ndarray) -
 
 
 def verify_sos(
-    form: BiquadraticForm,
-    dec: SOSDecomposition,
+    form,
+    dec: SOSDecomposition | GroupedSOSDecomposition,
     samples: int = 1000,
     seed: int = 0,
 ) -> tuple[bool, float]:
     """Check the decomposition against the form at random sphere points.
 
-    Passes when ``max |P - sum of squares| <= 1e-8 * (1 + max|coeff|)`` over
-    ``samples`` pairs drawn on the unit spheres; deterministic given the seed.
-    Returns (passed, max residual).
+    ``form`` is a ``BiquadraticForm`` or a structured carrier with
+    ``evaluate_batch`` and ``max_abs_coeff`` methods (``partsym.XSymmetricData``),
+    which is evaluated without a dense tensor.  Passes when
+    ``max |P - sum of squares| <= 1e-8 * max|coeff|`` over ``samples`` pairs
+    drawn on the unit spheres, so only the zero form passes with no factors;
+    deterministic given the seed.  Returns (passed, max residual).
     """
     if (form.m, form.n) != (dec.m, dec.n):
         raise InvalidInput("form and decomposition dimensions differ")
     rng = np.random.default_rng(seed)
     xs = _unit_rows(rng, samples, form.m)
     ys = _unit_rows(rng, samples, form.n)
-    resid = float(np.abs(evaluate_batch(form, xs, ys) - _evaluate_sos_batch(dec, xs, ys)).max())
-    return resid <= 1e-8 * (1.0 + max_abs_coeff(form)), resid
+    if isinstance(form, BiquadraticForm):
+        values, scale = evaluate_batch(form, xs, ys), max_abs_coeff(form)
+    else:
+        values, scale = form.evaluate_batch(xs, ys), form.max_abs_coeff()
+    resid = float(np.abs(values - _evaluate_sos_batch(dec, xs, ys)).max())
+    return resid <= 1e-8 * scale, resid
 
 
 def transpose_xy(form: BiquadraticForm) -> BiquadraticForm:
@@ -208,21 +255,58 @@ def from_terms(m: int, n: int, terms) -> BiquadraticForm:
     Indices are 1-based; non-canonical index order is accepted and
     canonicalized, duplicate monomials accumulate.
     """
+    terms = list(terms)
+    return _form_from_term_arrays(m, n, [(t.i, t.j, t.k, t.l) for t in terms], [t.c for t in terms], terms)
+
+
+def _form_from_term_arrays(m: int, n: int, index, coeff, shown: list) -> BiquadraticForm:
+    """Validate 1-based (i, j, k, l) rows and their coefficients, then build
+    the tensor; ``shown[r]`` names term r in error messages."""
     if m < 1 or n < 1:
         raise InvalidInput("m and n must be positive")
+    try:
+        index = np.array(index, dtype=np.int64).reshape(-1, 4)
+    except OverflowError as exc:
+        raise InvalidInput(f"term index out of range: {exc}") from exc
+    coeff = np.array(coeff, dtype=float)
+    i, j, k, l = index.T
+    out = (i < 1) | (i > m) | (k < 1) | (k > m) | (j < 1) | (j > n) | (l < 1) | (l > n)
+    if out.any():
+        raise InvalidInput(f"term index out of range: {shown[int(np.argmax(out))]!r}")
+    nonfinite = ~np.isfinite(coeff)
+    if nonfinite.any():
+        raise InvalidInput(f"term coefficient is not finite: {shown[int(np.argmax(nonfinite))]!r}")
+    return BiquadraticForm(m, n, _accumulate_terms(m, n, index - 1, coeff))
+
+
+def _accumulate_terms(m: int, n: int, index: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """Spread 0-based monomial coefficients over their symmetry orbits.
+
+    Each term adds c / |orbit| once to every distinct position of its orbit.
+    A tensor cell is reached by one orbit position kind only (which one
+    depends on how its x and y index pairs are ordered), and ``np.add.at``
+    accumulates in term order, so the sums are bit-identical to adding the
+    terms one at a time.
+    """
+    i, j, k, l = index.T
+    i, k = np.minimum(i, k), np.maximum(i, k)
+    j, l = np.minimum(j, l), np.maximum(j, l)
+    split_x = i < k
+    split_y = j < l
+    entry = coeff / (np.where(split_x, 2.0, 1.0) * np.where(split_y, 2.0, 1.0))
+    both = split_x & split_y
     a = np.zeros((m, n, m, n))
-    for t in terms:
-        i, j, k, l = t.i - 1, t.j - 1, t.k - 1, t.l - 1
-        if not (0 <= i < m and 0 <= k < m and 0 <= j < n and 0 <= l < n):
-            raise InvalidInput(f"term index out of range: {t}")
-        i, k = min(i, k), max(i, k)
-        j, l = min(j, l), max(j, l)
-        orbit = (2 if i < k else 1) * (2 if j < l else 1)
-        entry = t.c / orbit
-        positions = {(i, j, k, l), (i, l, k, j), (k, j, i, l), (k, l, i, j)}
-        for pos in positions:
-            a[pos] += entry
-    return BiquadraticForm(m, n, a)
+    np.add.at(
+        a,
+        (
+            np.concatenate([i, i[split_y], k[split_x], k[both]]),
+            np.concatenate([j, l[split_y], j[split_x], l[both]]),
+            np.concatenate([k, k[split_y], i[split_x], i[both]]),
+            np.concatenate([l, j[split_y], l[split_x], j[both]]),
+        ),
+        np.concatenate([entry, entry[split_y], entry[split_x], entry[both]]),
+    )
+    return a
 
 
 def form_to_dict(form: BiquadraticForm) -> dict:
@@ -240,37 +324,56 @@ def form_from_dict(data: dict) -> BiquadraticForm:
         m = int(data["m"])
         n = int(data["n"])
         raw_terms = data["terms"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed form record: {exc}") from exc
-    terms = []
+    if not isinstance(raw_terms, list):
+        raise InvalidInput("malformed form record: terms must be a list")
+    index = []
+    coeff = []
     for entry in raw_terms:
         try:
-            terms.append(
-                MonomialTerm(
-                    int(entry["i"]), int(entry["j"]), int(entry["k"]), int(entry["l"]),
-                    float(entry["c"]),
-                )
-            )
+            index.append((int(entry["i"]), int(entry["j"]), int(entry["k"]), int(entry["l"])))
+            coeff.append(float(entry["c"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed term {entry!r}: {exc}") from exc
-    return from_terms(m, n, terms)
+    return _form_from_term_arrays(m, n, index, coeff, raw_terms)
 
 
-def decomposition_to_dict(dec: SOSDecomposition) -> dict:
+DECOMPOSITION_FORMAT = 2  # the version tag of the grouped decomposition record
+
+
+def decomposition_to_dict(dec: SOSDecomposition | GroupedSOSDecomposition) -> dict:
+    """Grouped decompositions keep their groups (a versioned record); dense
+    ones list every factor row-major (the unversioned record)."""
+    if isinstance(dec, GroupedSOSDecomposition):
+        return {
+            "format": DECOMPOSITION_FORMAT,
+            "m": dec.m,
+            "n": dec.n,
+            "groups": [{"x": xg.tolist(), "y": yg.tolist()} for xg, yg in dec.groups],
+        }
     return {
         "m": dec.m,
         "n": dec.n,
-        "factors": [[float(v) for v in w.ravel()] for w in dec.factors],
+        "factors": [w.ravel().tolist() for w in dec.factors],
     }
 
 
-def decomposition_from_dict(data: dict) -> SOSDecomposition:
+def decomposition_from_dict(data: dict) -> SOSDecomposition | GroupedSOSDecomposition:
     try:
         m = int(data["m"])
         n = int(data["n"])
-        flat = data["factors"]
-    except (KeyError, TypeError) as exc:
+        version = data.get("format")
+        if version == DECOMPOSITION_FORMAT:
+            groups = tuple((_rows(group["x"], m), _rows(group["y"], n)) for group in data["groups"])
+        elif version is None:
+            flat = data["factors"]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed decomposition record: {exc}") from exc
+    if version == DECOMPOSITION_FORMAT:
+        return GroupedSOSDecomposition(m, n, groups)
+    if version is not None:
+        raise InvalidInput(f"unknown decomposition format {version!r}")
     factors = []
     for row in flat:
         w = np.asarray(row, dtype=float)
@@ -280,11 +383,20 @@ def decomposition_from_dict(data: dict) -> SOSDecomposition:
     return SOSDecomposition(m, n, tuple(factors))
 
 
+def _rows(rows: list, width: int) -> np.ndarray:
+    return np.asarray(rows, dtype=float).reshape(len(rows), width)
+
+
 def dump_json(data: dict, path: str) -> None:
-    """Write JSON atomically with a stable key order."""
+    """Write JSON atomically with a stable key order.
+
+    The temporary file is created with mode 0o666 so the kernel applies the
+    process umask, as it would to a plain ``open``; the rename keeps it.
+    """
     text = json.dumps(data, indent=2, sort_keys=True)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text + "\n")
@@ -308,9 +420,9 @@ def load_form(path: str) -> BiquadraticForm:
     return form_from_dict(load_json(path))
 
 
-def save_decomposition(dec: SOSDecomposition, path: str) -> None:
+def save_decomposition(dec: SOSDecomposition | GroupedSOSDecomposition, path: str) -> None:
     dump_json(decomposition_to_dict(dec), path)
 
 
-def load_decomposition(path: str) -> SOSDecomposition:
+def load_decomposition(path: str) -> SOSDecomposition | GroupedSOSDecomposition:
     return decomposition_from_dict(load_json(path))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInput, NotPSD
-from .forms import BiquadraticForm, SOSDecomposition, evaluate
+from .forms import BiquadraticForm, GroupedSOSDecomposition, SOSDecomposition
 from .linalg import DEFAULT_TOL, Tolerances
 
 _MONIC_ATOL = 1e-12
@@ -47,8 +47,12 @@ class XSymmetricData:
         n = d.shape[0] if d.ndim == 1 else -1
         if n < 0:
             raise InvalidInput("d must be a vector")
-        a = linalg.as_sym_matrix(self.A) if n > 0 else np.zeros((0, 0))
-        b = linalg.as_sym_matrix(self.B) if n > 0 else np.zeros((0, 0))
+        a = np.asarray(self.A, dtype=float)
+        b = np.asarray(self.B, dtype=float)
+        if not (np.isfinite(d).all() and np.isfinite(a).all() and np.isfinite(b).all()):
+            raise InvalidInput("coefficients d, A and B must be finite")
+        a = linalg.as_sym_matrix(a) if n > 0 else np.zeros((0, 0))
+        b = linalg.as_sym_matrix(b) if n > 0 else np.zeros((0, 0))
         if a.shape != (n, n) or b.shape != (n, n):
             raise InvalidInput("A and B must be n x n with n = len(d)")
         if n > 0 and np.abs(np.diag(b)).max() > 0.0:
@@ -65,6 +69,27 @@ class XSymmetricData:
     @property
     def is_monic(self) -> bool:
         return self.n > 0 and bool(np.allclose(self.d, 1.0, rtol=0.0, atol=_MONIC_ATOL))
+
+    def evaluate_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """P at many points, xs (s, m) and ys (s, n), through the identity
+        P = (x'x)(y' diag(d) y) + ((1'x)^2 - x'x)(y'Ay) + (x'x)(y'By):
+        O(m + n^2) per point, no dense tensor."""
+        xx = np.einsum("si,si->s", xs, xs)
+        ones_x = xs.sum(axis=1)
+        y_d = (ys * ys) @ self.d
+        y_a = np.einsum("sj,sj->s", ys @ self.A, ys)
+        y_b = np.einsum("sj,sj->s", ys @ self.B, ys)
+        return xx * y_d + (ones_x * ones_x - xx) * y_a + xx * y_b
+
+    def max_abs_coeff(self) -> float:
+        """max|coeff| of the dense tensor, read off (d, A, B); A only enters
+        the polynomial when m >= 2."""
+        if self.n == 0:
+            return 0.0
+        parts = [np.abs(self.d).max(), np.abs(self.B).max()]
+        if self.m >= 2:
+            parts.append(np.abs(self.A).max())
+        return float(max(parts))
 
 
 @dataclass(frozen=True)
@@ -130,13 +155,7 @@ def evaluate_xsym(data: XSymmetricData, x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != (data.m,) or y.shape != (data.n,):
         raise InvalidInput("vector lengths do not match the form")
-    xx = float(x @ x)
-    ones_x = float(x.sum())
-    return float(
-        xx * (y * y) @ data.d
-        + (ones_x * ones_x - xx) * (y @ data.A @ y)
-        + xx * (y @ data.B @ y)
-    )
+    return float(data.evaluate_batch(x[None, :], y[None, :])[0])
 
 
 def reconstruct(data: XSymmetricData) -> BiquadraticForm:
@@ -246,43 +265,34 @@ def sos_decompose_naive(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> 
     return SOSDecomposition(data.m, data.n, factors)
 
 
-def sos_decompose_structured(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> SOSDecomposition:
+def sos_decompose_structured(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> GroupedSOSDecomposition:
     """SOS decomposition from the n x n spectra of Q and R alone.
 
-    Emits one factor (1/sqrt(m)) 1_m (sqrt(mu) u)' per positive eigenpair
-    (mu, u) of R, then m-1 factors v_k (sqrt(lam) u)' per positive eigenpair
-    of Q, where v_k runs over an orthonormal basis of the all-ones
-    complement.  The factor count is exactly rank(R) + (m-1) rank(Q) and the
-    summed Gram matrix equals the one the direct route factors, so both
-    routes decompose the same form; the big matrix is never built.
+    Returns two Kronecker groups: the row (1/sqrt(m)) 1_m paired with
+    sqrt(mu) u for every positive eigenpair (mu, u) of R, and the rows of an
+    orthonormal basis of the all-ones complement paired with sqrt(lam) u for
+    every positive eigenpair of Q.  The factor count is exactly
+    rank(R) + (m-1) rank(Q) and the summed Gram matrix equals the one the
+    direct route factors, so both routes decompose the same form; neither
+    the big matrix nor the dense factors are built.
     """
     cert = check_psd_monic(data, tol)
     if not cert.psd:
         raise NotPSD("form is not PSD", witness=cert)
     pair = qr_pair(data)
     m = data.m
-    factors: list[np.ndarray] = []
-
-    r_dec = linalg.sym_eig(pair.R, tol)
-    lead = np.full(m, 1.0 / math.sqrt(m))
-    cutoff_r = tol.eps_rank * max(1.0, float(r_dec.eigenvalues[0]))
-    for mu, u in zip(r_dec.eigenvalues, r_dec.eigenvectors.T):
-        if mu <= cutoff_r:
-            continue
-        factors.append(np.outer(lead, math.sqrt(mu) * u))
-
+    groups = [(np.full((1, m), 1.0 / math.sqrt(m)), _scaled_eigenvectors(pair.R, tol))]
     if m >= 2:
-        q_dec = linalg.sym_eig(pair.Q, tol)
-        basis = helmert_basis(m)
-        cutoff_q = tol.eps_rank * max(1.0, float(q_dec.eigenvalues[0]))
-        for lam, u in zip(q_dec.eigenvalues, q_dec.eigenvectors.T):
-            if lam <= cutoff_q:
-                continue
-            scaled = math.sqrt(lam) * u
-            for k in range(m - 1):
-                factors.append(np.outer(basis[:, k], scaled))
+        groups.append((helmert_basis(m).T, _scaled_eigenvectors(pair.Q, tol)))
+    return GroupedSOSDecomposition(m, data.n, tuple(groups))
 
-    return SOSDecomposition(m, data.n, tuple(factors))
+
+def _scaled_eigenvectors(s: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Rows sqrt(lam) u over the eigenpairs above the rank cutoff, in
+    descending eigenvalue order."""
+    dec = linalg.sym_eig(s, tol)
+    keep = dec.eigenvalues > tol.eps_rank * max(1.0, float(dec.eigenvalues[0]))
+    return np.sqrt(dec.eigenvalues[keep])[:, None] * dec.eigenvectors[:, keep].T
 
 
 def rank_bound(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -397,23 +407,29 @@ def reduce_general(
 
 
 def undo_reduction(
-    reduction: MonicReduction, monic_dec: SOSDecomposition, m: int, n: int
-) -> SOSDecomposition:
+    reduction: MonicReduction, monic_dec: SOSDecomposition | GroupedSOSDecomposition, m: int, n: int
+) -> SOSDecomposition | GroupedSOSDecomposition:
     """Map factors of the reduced monic form back to the original variables:
-    active columns pick up sqrt(d_j), dropped indices become zero columns."""
+    active y columns pick up sqrt(d_j), dropped indices become zero columns.
+    Grouped decompositions only rescale and scatter their Y rows."""
     if not reduction.active:
         return SOSDecomposition(m, n, ())
     idx = np.asarray(reduction.active)
     col_scale = reduction.scale[idx]
-    factors = []
-    for w in monic_dec.factors:
-        full = np.zeros((m, n))
-        full[:, idx] = w * col_scale[None, :]
-        factors.append(full)
-    return SOSDecomposition(m, n, tuple(factors))
+
+    def scatter(w: np.ndarray) -> np.ndarray:
+        full = np.zeros(w.shape[:-1] + (n,))
+        full[..., idx] = w * col_scale
+        return full
+
+    if isinstance(monic_dec, GroupedSOSDecomposition):
+        return GroupedSOSDecomposition(m, n, tuple((xg, scatter(yg)) for xg, yg in monic_dec.groups))
+    return SOSDecomposition(m, n, tuple(scatter(w) for w in monic_dec.factors))
 
 
-def sos_decompose_general(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> SOSDecomposition:
+def sos_decompose_general(
+    data: XSymmetricData, tol: Tolerances = DEFAULT_TOL
+) -> SOSDecomposition | GroupedSOSDecomposition:
     """Reduce to monic, decompose with the structured route, undo the scaling.
 
     The result verifies against the original form.

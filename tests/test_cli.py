@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from biquad import forms
+from biquad import forms, partsym
 from biquad.cli import main
+from biquad.partsym import XSymmetricData, random_psd_instance, reconstruct
 from biquad.simple import gen_simple, to_form
 
 
@@ -254,3 +255,116 @@ class TestTolerancePlumbing:
         )
         code, _ = run_json(capsys, ["check-psd", path, "--tol", "1e-3"])
         assert code == 0
+
+
+def data_record(data):
+    return {"m": data.m, "d": data.d.tolist(), "A": data.A.tolist(), "B": data.B.tolist()}
+
+
+def scaled_psd(seed, m, n):
+    """Non-monic PSD data with weight 0 on the last y index."""
+    rng = np.random.default_rng(seed)
+    base = random_psd_instance(m, n - 1, rng, rank_q=n - 2)
+    roots = np.sqrt(rng.uniform(0.5, 2.0, n - 1))
+    d, a, b = np.zeros(n), np.zeros((n, n)), np.zeros((n, n))
+    d[:-1] = roots * roots
+    a[:-1, :-1] = base.A * np.outer(roots, roots)
+    b[:-1, :-1] = base.B * np.outer(roots, roots)
+    np.fill_diagonal(b, 0.0)
+    return XSymmetricData(m, d, a, b)
+
+
+SWAP = [[0.0, 1.0], [1.0, 0.0]]
+# One input per outcome the x-symmetric route can reach.  With A = a I and
+# m = 3, Q = (1 - a) I + B and R = (1 + 2a) I + B, so a picks which fails.
+KINDS = {
+    "psd": lambda: scaled_psd(20, 5, 4),
+    "fail-q": lambda: XSymmetricData(3, np.array([1.0, 2.0]), 1.5 * np.eye(2), 0.1 * np.array(SWAP)),
+    "fail-r": lambda: XSymmetricData(3, np.array([2.0, 1.0]), -1.0 * np.eye(2), 0.1 * np.array(SWAP)),
+    "zero-violation": lambda: XSymmetricData(2, np.array([1.0, 0.0]), np.zeros((2, 2)), np.array(SWAP)),
+    "m1": lambda: XSymmetricData(1, np.array([1.0, 2.0]), np.array([[5.0, 0.0], [0.0, -3.0]]),
+                                 0.5 * np.array(SWAP)),
+}
+
+
+class TestStructureNative:
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("command", ["check-psd", "decompose"])
+    def test_data_and_terms_files_agree(self, capsys, tmp_path, kind, command):
+        data = KINDS[kind]()
+        dense = reconstruct(data)
+        data_path = write(tmp_path / "data.json", data_record(data))
+        terms_path = tmp_path / "terms.json"
+        forms.save_form(dense, str(terms_path))
+        results = []
+        for path in (data_path, str(terms_path)):
+            argv = [command, path] + ([str(tmp_path / "dec.json")] if command == "decompose" else [])
+            results.append(run_json(capsys, argv))
+        (code_data, out_data), (code_terms, out_terms) = results
+        assert code_data == code_terms == (0 if kind in ("psd", "m1") else 2)
+        p_data, p_terms = out_data["payload"], out_terms["payload"]
+        assert p_data.get("verdict") == p_terms.get("verdict")
+        assert p_data.get("factor_count") == p_terms.get("factor_count")
+        if code_data == 2:
+            for payload in (p_data, p_terms):
+                w = payload["witness"]
+                assert forms.evaluate(dense, np.array(w["x"]), np.array(w["y"])) < 0.0
+
+    def test_data_file_with_transpose_keeps_dense_route(self, capsys, tmp_path):
+        plain = write(tmp_path / "plain.json", {"m": 2, "d": [1, 1], "A": [[0, 0], [0, 0]], "B": [[0, 0], [0, 0]]})
+        skew = write(tmp_path / "skew.json", {"m": 3, "d": [1, 2], "A": [[0, 0.3], [0.3, 0]], "B": [[0, 0], [0, 0]]})
+        out = str(tmp_path / "dec.json")
+        assert run_json(capsys, ["check-psd", plain, "--transpose"])[0] == 0
+        assert run_json(capsys, ["decompose", plain, out, "--transpose"])[0] == 0
+        assert run_json(capsys, ["check-psd", skew, "--transpose"])[0] == 3
+        assert run_json(capsys, ["decompose", skew, out, "--transpose"])[0] == 3
+
+    def test_output_format_follows_method(self, capsys, tmp_path):
+        data = scaled_psd(21, 4, 3)
+        path = write(tmp_path / "data.json", data_record(data))
+        for method, fmt in (("structured", 2), ("naive", None)):
+            out = tmp_path / f"{method}.json"
+            code, payload = run_json(capsys, ["decompose", path, str(out), "--method", method])
+            assert code == 0
+            assert json.loads(out.read_text()).get("format") == fmt
+            dec = forms.load_decomposition(str(out))
+            assert len(dec) == payload["payload"]["factor_count"]
+            assert forms.verify_sos(reconstruct(data), dec)[0]
+
+    def test_data_file_never_builds_a_dense_tensor(self, capsys, monkeypatch, tmp_path):
+        def densified(*args, **kwargs):
+            raise AssertionError("dense tensor built for a data file")
+
+        monkeypatch.setattr(partsym, "reconstruct", densified)
+        monkeypatch.setattr(forms.BiquadraticForm, "__post_init__", densified)
+        path = write(tmp_path / "data.json", data_record(scaled_psd(22, 6, 4)))
+        assert run_json(capsys, ["check-psd", path])[0] == 0
+        code, out = run_json(capsys, ["decompose", path, str(tmp_path / "dec.json")])
+        assert code == 0 and out["payload"]["factor_count"] > 0
+        bad = write(tmp_path / "bad.json", data_record(KINDS["fail-q"]()))
+        assert run_json(capsys, ["decompose", bad, str(tmp_path / "bad-dec.json")])[0] == 2
+
+
+class TestMalformedDataFiles:
+    @pytest.mark.parametrize("record, message", [
+        ({"m": "abc", "d": [1, 1], "A": [[0, 0], [0, 0]], "B": [[0, 0], [0, 0]]}, "malformed"),
+        ({"m": None, "d": [1, 1], "A": [[0, 0], [0, 0]], "B": [[0, 0], [0, 0]]}, "malformed"),
+        ({"m": 2.5, "d": [1, 1], "A": [[0, 0], [0, 0]], "B": [[0, 0], [0, 0]]}, "malformed"),
+        ({"m": 2, "d": [1, 1], "A": [[0, 0], [0]], "B": [[0, 0], [0, 0]]}, "malformed"),
+        ({"m": 2, "d": ["one", 1], "A": [[0, 0], [0, 0]], "B": [[0, 0], [0, 0]]}, "malformed"),
+        ({"m": 2, "d": [1, 1], "A": [[0, 0], [0, 0]], "B": {"x": 1}}, "malformed"),
+        ({"m": 2, "d": [1, float("nan")], "A": [[0, 0], [0, 0]], "B": [[0, 0], [0, 0]]}, "finite"),
+        ({"m": 2, "d": [1, 1], "A": [[0, float("inf")], [float("inf"), 0]], "B": [[0, 0], [0, 0]]}, "finite"),
+    ])
+    @pytest.mark.parametrize("command", ["check-psd", "decompose", "sos-rank"])
+    def test_exit_1_with_envelope(self, capsys, tmp_path, record, message, command):
+        path = write(tmp_path / "bad.json", record)
+        argv = [command, path] + ([str(tmp_path / "dec.json")] if command == "decompose" else [])
+        code, out = run_json(capsys, argv)
+        assert code == 1
+        assert out["status"] == "error" and message in out["payload"]["error"]
+
+    def test_non_finite_term(self, capsys, tmp_path):
+        path = write(tmp_path / "nan.json", {"m": 1, "n": 1, "terms": [{"i": 1, "j": 1, "k": 1, "l": 1, "c": float("nan")}]})
+        code, out = run_json(capsys, ["check-psd", path])
+        assert code == 1 and "not finite" in out["payload"]["error"]

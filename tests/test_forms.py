@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from biquad.forms import (
     BiquadraticForm,
     MonomialTerm,
     SOSDecomposition,
+    dump_json,
     evaluate,
     evaluate_sos,
     form_from_dict,
@@ -140,6 +144,20 @@ class TestVerifySos:
         dec = SOSDecomposition(2, 2, (np.eye(2),))
         assert verify_sos(p, dec, seed=7) == verify_sos(p, dec, seed=7)
 
+    def test_bound_is_relative_to_coefficients(self):
+        # An absolute floor would let the empty decomposition match a tiny
+        # form, negated (not PSD) or not; the relative bound does not.
+        for sign in (1.0, -1.0):
+            p = symmetrize(np.full((1, 1, 1, 1), sign * 1e-9))
+            ok, _ = verify_sos(p, SOSDecomposition(1, 1, ()))
+            assert not ok
+        tiny = symmetrize(np.full((1, 1, 1, 1), 1e-9))
+        assert verify_sos(tiny, SOSDecomposition(1, 1, (np.array([[np.sqrt(1e-9)]]),)))[0]
+
+    def test_zero_form_without_factors_passes(self):
+        p = symmetrize(np.zeros((2, 2, 2, 2)))
+        assert verify_sos(p, SOSDecomposition(2, 2, ())) == (True, 0.0)
+
 
 class TestTransposeXY:
     def test_involution(self):
@@ -207,10 +225,69 @@ class TestSerialization:
         with pytest.raises(InvalidInput):
             from_terms(2, 2, [MonomialTerm(3, 1, 1, 1, 1.0)])
 
+    def test_non_finite_coefficient_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(InvalidInput, match="not finite"):
+                from_terms(2, 2, [MonomialTerm(1, 1, 1, 1, 1.0), MonomialTerm(1, 2, 2, 1, bad)])
+            with pytest.raises(InvalidInput, match="not finite"):
+                form_from_dict({"m": 1, "n": 1, "terms": [{"i": 1, "j": 1, "k": 1, "l": 1, "c": bad}]})
+
+    def test_from_terms_matches_term_by_term_loop(self):
+        # Many random terms per cell: duplicates, every index order, mixed
+        # magnitudes, so any change in summation order would show.
+        rng = np.random.default_rng(10)
+        for m, n, count in ((1, 1, 20), (2, 3, 200), (3, 4, 600), (4, 2, 300)):
+            terms = [
+                MonomialTerm(
+                    int(rng.integers(1, m + 1)), int(rng.integers(1, n + 1)),
+                    int(rng.integers(1, m + 1)), int(rng.integers(1, n + 1)),
+                    float(rng.standard_normal() * 10.0 ** rng.integers(-8, 8)),
+                )
+                for _ in range(count)
+            ]
+            expected = _from_terms_loop(m, n, terms)
+            np.testing.assert_array_equal(from_terms(m, n, terms).coeffs, expected)
+            record = {"m": m, "n": n, "terms": [{"i": t.i, "j": t.j, "k": t.k, "l": t.l, "c": t.c} for t in terms]}
+            np.testing.assert_array_equal(form_from_dict(record).coeffs, expected)
+
     def test_dict_round_trip(self):
         p = to_form(gen_simple(3, 3, 6))
         q = form_from_dict(form_to_dict(p))
         np.testing.assert_array_equal(q.coeffs, p.coeffs)
+
+
+def _from_terms_loop(m, n, terms):
+    """Reference for from_terms: add each term to its orbit one at a time."""
+    a = np.zeros((m, n, m, n))
+    for t in terms:
+        i, j, k, l = t.i - 1, t.j - 1, t.k - 1, t.l - 1
+        i, k = min(i, k), max(i, k)
+        j, l = min(j, l), max(j, l)
+        orbit = (2 if i < k else 1) * (2 if j < l else 1)
+        for pos in {(i, j, k, l), (i, l, k, j), (k, j, i, l), (k, l, i, j)}:
+            a[pos] += t.c / orbit
+    return a
+
+
+class TestDumpJson:
+    def test_honours_umask(self, tmp_path):
+        previous = os.umask(0o022)
+        try:
+            dump_json({"a": 1}, str(tmp_path / "open.json"))
+            os.umask(0o077)
+            dump_json({"a": 1}, str(tmp_path / "private.json"))
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(os.stat(tmp_path / "open.json").st_mode) == 0o644
+        assert stat.S_IMODE(os.stat(tmp_path / "private.json").st_mode) == 0o600
+        assert sorted(os.listdir(tmp_path)) == ["open.json", "private.json"]
+
+    def test_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        dump_json({"a": 1}, str(path))
+        dump_json({"a": 2}, str(path))
+        assert path.read_text() == '{\n  "a": 2\n}\n'
+        assert os.listdir(tmp_path) == ["out.json"]
 
 
 class TestConstruction:

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from biquad import forms, linalg
 from biquad.errors import InvalidInput, NotPSD
-from biquad.forms import evaluate, verify_sos
+from biquad.forms import GroupedSOSDecomposition, SOSDecomposition, evaluate, verify_sos
 from biquad.partsym import (
     InvalidReduction,
     MonicReduction,
@@ -90,6 +92,26 @@ class TestDetectReconstruct:
     def test_b_diagonal_enforced(self):
         with pytest.raises(InvalidInput):
             XSymmetricData(2, np.ones(2), Z2, np.eye(2))
+
+    def test_non_finite_coefficients_rejected(self):
+        nan = np.array([[0.0, np.nan], [np.nan, 0.0]])
+        for d, a, b in ((np.array([1.0, np.inf]), Z2, Z2), (np.ones(2), nan, Z2), (np.ones(2), Z2, nan)):
+            with pytest.raises(InvalidInput, match="finite"):
+                XSymmetricData(2, d, a, b)
+
+    def test_batch_evaluation_and_scale_match_dense(self):
+        rng = np.random.default_rng(12)
+        for m, n in ((1, 3), (2, 2), (4, 3), (5, 1)):
+            data = XSymmetricData(m, rng.uniform(-2.0, 2.0, n), 3.0 * sym_uniform(rng, n),
+                                  sym_uniform(rng, n, zero_diag=True))
+            p = reconstruct(data)
+            xs = rng.standard_normal((50, m))
+            ys = rng.standard_normal((50, n))
+            np.testing.assert_allclose(data.evaluate_batch(xs, ys), forms.evaluate_batch(p, xs, ys),
+                                       rtol=1e-12, atol=1e-12)
+            assert data.max_abs_coeff() == forms.max_abs_coeff(p)
+        empty = XSymmetricData(3, np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)))
+        assert empty.max_abs_coeff() == 0.0
 
 
 class TestCheckPsdMonic:
@@ -343,3 +365,102 @@ class TestDecomposeGeneral:
         red = reduce_general(data)
         dec = undo_reduction(red, sos_decompose_naive(red.monic), 2, 2)
         assert verify_sos(reconstruct(data), dec)[0]
+
+
+def scaled_with_zero(rng, m, n):
+    """PSD, non-monic, with weight 0 on the last y index."""
+    base = random_psd_instance(m, n - 1, rng, rank_q=max(1, n - 2))
+    roots = np.sqrt(rng.uniform(0.3, 3.0, n - 1))
+    d, a, b = np.zeros(n), np.zeros((n, n)), np.zeros((n, n))
+    d[:-1] = roots * roots
+    a[:-1, :-1] = base.A * np.outer(roots, roots)
+    b[:-1, :-1] = base.B * np.outer(roots, roots)
+    np.fill_diagonal(b, 0.0)
+    return XSymmetricData(m, d, a, b)
+
+
+class TestGroupedDecomposition:
+    def test_two_kronecker_groups(self):
+        rng = np.random.default_rng(13)
+        data = random_psd_instance(5, 3, rng, rank_q=2, rank_r=3)
+        dec = sos_decompose_structured(data)
+        assert isinstance(dec, GroupedSOSDecomposition)
+        (x_r, y_r), (x_q, y_q) = dec.groups
+        assert x_r.shape == (1, 5) and y_r.shape == (3, 3)
+        np.testing.assert_array_equal(x_q, helmert_basis(5).T)
+        assert y_q.shape == (2, 3)
+        assert len(dec) == len(dec.factors) == rank_bound(data)
+
+    def test_m1_has_only_the_r_group(self):
+        data = XSymmetricData(1, np.ones(2), Z2, 0.5 * SWAP)
+        dec = sos_decompose_structured(data)
+        assert len(dec.groups) == 1 and len(dec) == 2
+        assert verify_sos(data, dec)[0]
+
+    def test_undo_scatters_y_rows_only(self):
+        rng = np.random.default_rng(14)
+        data = scaled_with_zero(rng, 4, 3)
+        red = reduce_general(data)
+        monic_dec = sos_decompose_structured(red.monic)
+        dec = undo_reduction(red, monic_dec, 4, 3)
+        for (x0, y0), (x1, y1) in zip(monic_dec.groups, dec.groups):
+            assert x1 is x0
+            np.testing.assert_array_equal(y1[:, :2], y0 * red.scale[:2])
+            np.testing.assert_array_equal(y1[:, 2], 0.0)
+        dense = undo_reduction(red, SOSDecomposition(4, 2, monic_dec.factors), 4, 3)
+        for w_grouped, w_dense in zip(dec.factors, dense.factors, strict=True):
+            np.testing.assert_allclose(w_grouped, w_dense, rtol=1e-15, atol=0.0)
+
+    def test_format_2_round_trip(self, tmp_path):
+        rng = np.random.default_rng(15)
+        dec = sos_decompose_general(scaled_with_zero(rng, 6, 4))
+        path = tmp_path / "dec.json"
+        forms.save_decomposition(dec, str(path))
+        record = json.loads(path.read_text())
+        assert record["format"] == 2 and set(record) == {"format", "m", "n", "groups"}
+        assert [set(g) for g in record["groups"]] == [{"x", "y"}, {"x", "y"}]
+        loaded = forms.load_decomposition(str(path))
+        assert isinstance(loaded, GroupedSOSDecomposition) and len(loaded) == len(dec)
+        for w_loaded, w in zip(loaded.factors, dec.factors, strict=True):
+            np.testing.assert_array_equal(w_loaded, w)
+
+    def test_dense_format_still_loads(self, tmp_path):
+        rng = np.random.default_rng(16)
+        data = random_psd_instance(3, 2, rng)
+        dense = sos_decompose_naive(data)
+        path = tmp_path / "dense.json"
+        forms.save_decomposition(dense, str(path))
+        assert "format" not in json.loads(path.read_text())
+        loaded = forms.load_decomposition(str(path))
+        assert isinstance(loaded, SOSDecomposition)
+        for w_loaded, w in zip(loaded.factors, dense.factors, strict=True):
+            np.testing.assert_array_equal(w_loaded, w)
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(InvalidInput):
+            forms.decomposition_from_dict({"format": 3, "m": 1, "n": 1, "groups": []})
+        with pytest.raises(InvalidInput):
+            forms.decomposition_from_dict({"format": 2, "m": 2, "n": 1, "groups": [{"x": [[1.0]], "y": [[1.0]]}]})
+
+    def test_grouped_and_dense_verification_agree(self):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            m, n = int(rng.integers(1, 7)), int(rng.integers(2, 6))
+            data = scaled_with_zero(rng, m, n)
+            dec = sos_decompose_general(data)
+            dense_dec = SOSDecomposition(m, n, dec.factors)
+            wrong = GroupedSOSDecomposition(m, n, tuple((x, 1.001 * y) for x, y in dec.groups))
+            bound = 1e-12 * data.max_abs_coeff()
+            for candidate in (dec, wrong):
+                results = [
+                    verify_sos(data, candidate, seed=3),
+                    verify_sos(reconstruct(data), candidate, seed=3),
+                    verify_sos(reconstruct(data), SOSDecomposition(m, n, candidate.factors), seed=3),
+                ]
+                assert len({ok for ok, _ in results}) == 1
+                resids = [r for _, r in results]
+                assert max(resids) - min(resids) <= bound
+            assert verify_sos(data, dec, seed=3)[0]
+            assert not verify_sos(data, wrong, seed=3)[0]
+            assert forms.evaluate_sos(dec, np.ones(m), np.ones(n)) == pytest.approx(
+                forms.evaluate_sos(dense_dec, np.ones(m), np.ones(n)), rel=1e-12)
