@@ -26,6 +26,7 @@ from .gram import (
     factor_gram,
     gram_at,
     min_rank_search,
+    psd_point,
     reduce_to_boundary,
 )
 from .linalg import (

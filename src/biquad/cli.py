@@ -70,11 +70,9 @@ def _load_form(path: str, transpose: bool) -> forms.BiquadraticForm | partsym.XS
         form = forms.form_from_dict(data)
     elif {"m", "d", "A", "B"} <= set(data):
         try:
-            m = int(data["m"])
-            if m != data["m"]:
-                raise ValueError(f"m must be an integer, got {data['m']!r}")
+            m = forms.integer_field(data["m"], "m")
             d, a, b = (np.asarray(data[key], dtype=float) for key in ("d", "A", "B"))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidInput(f"{path}: malformed x-symmetric data: {exc}") from exc
         xsym = partsym.XSymmetricData(m, d, a, b)
         if not transpose:
@@ -269,7 +267,7 @@ def cmd_sos_rank(args) -> CommandResult:
             "sos-rank",
             "inconclusive",
             {"seed": args.seed, "restarts": args.restarts,
-             "note": "no PSD Gram point found; the form may be PSD but not SOS, or more restarts are needed"},
+             "note": "no PSD Gram point found; the form may be PSD but not SOS, or another seed may find one"},
             _EXIT_INCONCLUSIVE,
             summary="inconclusive: no PSD Gram point found",
         )
@@ -308,7 +306,7 @@ def cmd_reduce_rank(args) -> CommandResult:
     tol = _tolerances(args)
     form = _load_dense(args.form, args.transpose)
     family = gram.build_family(form)
-    start = gram._find_psd_point(family, np.zeros(family.dim), tol)
+    start = gram.psd_point(family, seed=args.seed, tol=tol)
     if start is None:
         return CommandResult(
             "reduce-rank",
@@ -335,9 +333,10 @@ def cmd_reduce_rank(args) -> CommandResult:
 
 
 def cmd_meig(args) -> CommandResult:
-    _ = _tolerances(args)
+    _tolerances(args)  # rejects a bad --tol or BIQUAD_TOL value
     form = _load_dense(args.form, args.transpose)
-    pairs = meig.meig_solve(form, restarts=args.restarts, seed=args.seed)
+    residual_tol = {} if args.tol is None else {"tol": args.tol}
+    pairs = meig.meig_solve(form, restarts=args.restarts, seed=args.seed, **residual_tol)
     payload = {
         "pairs": [
             {
@@ -401,7 +400,7 @@ def _add_common(sub, tol=True, seed=True, transpose=False, restarts=None):
                          help="swap the roles of x and y before analyzing")
     if restarts is not None:
         sub.add_argument("--restarts", type=int, default=restarts,
-                         help=f"number of seeded restarts (default {restarts})")
+                         help=f"seeded starts (sos-rank: per square count), at least 1 (default {restarts})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,30 +456,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Failures a command may end in: exception types -> (status, exit code,
+# message prefix).  The first matching row wins, so subclasses come first.
+_FAILURES = (
+    ((NotPSD,), "not-psd", _EXIT_NOT_PSD, ""),
+    ((json.JSONDecodeError,), "error", _EXIT_ERROR, "parse failure: "),
+    ((InvalidInput, OSError, ValueError, CannotReduce, NumericalError), "error", _EXIT_ERROR, ""),
+)
+_CAUGHT = tuple(kind for kinds, *_ in _FAILURES for kind in kinds)
+
+
+def _check_counts(args) -> None:
+    for name in ("restarts", "trials"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise InvalidInput(f"--{name} must be at least 1, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
+        _check_counts(args)
         result = args.handler(args)
-    except InvalidInput as exc:
-        result = CommandResult(args.command, "error", {"error": str(exc)}, _EXIT_ERROR,
-                               summary=f"error: {exc}")
-    except FileNotFoundError as exc:
-        result = CommandResult(args.command, "error", {"error": str(exc)}, _EXIT_ERROR,
-                               summary=f"error: {exc}")
-    except json.JSONDecodeError as exc:
-        result = CommandResult(args.command, "error", {"error": f"parse failure: {exc}"}, _EXIT_ERROR,
-                               summary=f"error: parse failure: {exc}")
-    except NotPSD as exc:
-        result = CommandResult(args.command, "not-psd", {"error": str(exc)}, _EXIT_NOT_PSD,
-                               summary=f"not PSD: {exc}")
-    except CannotReduce as exc:
-        result = CommandResult(args.command, "error", {"error": str(exc)}, _EXIT_ERROR,
-                               summary=f"error: {exc}")
-    except NumericalError as exc:
-        result = CommandResult(args.command, "error", {"error": str(exc)}, _EXIT_ERROR,
-                               summary=f"error: {exc}")
+    except _CAUGHT as exc:
+        status, code, prefix = next(row[1:] for row in _FAILURES if isinstance(exc, row[0]))
+        message = prefix + str(exc)
+        head = "not PSD" if status == "not-psd" else "error"
+        result = CommandResult(args.command, status, {"error": message}, code, summary=f"{head}: {message}")
     result.timing_ms = (time.perf_counter() - t0) * 1e3
     if args.json:
         envelope = {"command": result.command, "status": result.status, "payload": result.payload}

@@ -319,12 +319,21 @@ def form_to_dict(form: BiquadraticForm) -> dict:
     }
 
 
+def integer_field(value, name: str) -> int:
+    """A record's integer field; ValueError (or OverflowError) unless the
+    value is integral, so 2.5 is rejected rather than truncated."""
+    number = int(value)
+    if number != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return number
+
+
 def form_from_dict(data: dict) -> BiquadraticForm:
     try:
-        m = int(data["m"])
-        n = int(data["n"])
+        m = integer_field(data["m"], "m")
+        n = integer_field(data["n"], "n")
         raw_terms = data["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed form record: {exc}") from exc
     if not isinstance(raw_terms, list):
         raise InvalidInput("malformed form record: terms must be a list")
@@ -332,9 +341,13 @@ def form_from_dict(data: dict) -> BiquadraticForm:
     coeff = []
     for entry in raw_terms:
         try:
-            index.append((int(entry["i"]), int(entry["j"]), int(entry["k"]), int(entry["l"])))
+            raw = (entry["i"], entry["j"], entry["k"], entry["l"])
+            row = (int(raw[0]), int(raw[1]), int(raw[2]), int(raw[3]))
+            if row != raw:
+                raise ValueError("indices must be integers")
+            index.append(row)
             coeff.append(float(entry["c"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInput(f"malformed term {entry!r}: {exc}") from exc
     return _form_from_term_arrays(m, n, index, coeff, raw_terms)
 

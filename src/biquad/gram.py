@@ -10,9 +10,13 @@ so the family sweeps out all symmetric representations of P.
 
 The SOS rank of an SOS form equals the minimum rank over the PSD members of
 this family.  ``reduce_to_boundary`` walks a line inside the PSD cone to its
-boundary (rank <= mn - 1); ``min_rank_search`` is a seeded heuristic
-upper-bounder combining boundary walks, rank-deficient face steps, and a
-smoothed-rank Nelder-Mead polish.
+boundary (rank <= mn - 1).  ``psd_point`` and ``min_rank_search`` search the
+factors instead (Burer and Monteiro, 2003): a Gram matrix F'F of r stacked
+m x n factors W_p represents P exactly when sum_p (x'W_p y)^2 = P, so one
+seeded least-squares fit of the W_p to the coefficients either yields a PSD
+member of rank <= r or fails.  ``min_rank_search`` lowers r one square at a
+time until no start fits; its rank is a verified upper bound, never a claim
+of exactness.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+# ``minimize`` is unused here; the benchmark's tracer wraps ``gram.minimize``.
+from scipy.optimize import least_squares, minimize  # noqa: F401
 
 from . import linalg
 from .errors import CannotReduce, InvalidInput, NoPSDPointFound, NotPSD
@@ -29,6 +34,9 @@ from .linalg import DEFAULT_TOL, Tolerances
 
 _BOUNDARY_TOL = 1e-10
 _BRACKET_CAP = 1e9
+# Accepted fit residual, relative to max|c|.  The fitted Gram matrix lies
+# twice this far from the family, which must stay inside gamma_of's 1e-9.
+_FIT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -83,10 +91,6 @@ class GramFamily:
         delta[self._rows_minus[t], self._cols_minus[t]] = -1.0
         delta[self._cols_minus[t], self._rows_minus[t]] = -1.0
         return delta
-
-    @property
-    def directions(self) -> list[np.ndarray]:
-        return [self.direction(t) for t in range(self.dim)]
 
     def combine(self, coeffs: np.ndarray) -> np.ndarray:
         """Dense matrix sum_t coeffs[t] * direction(t)."""
@@ -150,10 +154,6 @@ def factor_gram(point: GramPoint, tol: Tolerances = DEFAULT_TOL) -> SOSDecomposi
     return SOSDecomposition(family.m, family.n, factors)
 
 
-def _eigvals(matrix: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(matrix)
-
-
 def _boundary_target(w: np.ndarray, tol: Tolerances) -> float:
     return min(_BOUNDARY_TOL, 0.5 * tol.eps_rank) * max(1.0, float(w[-1]))
 
@@ -163,14 +163,12 @@ def _hit_boundary(
     gamma0: np.ndarray,
     coeffs: np.ndarray,
     tol: Tolerances,
-    kernel: int = 0,
-    cap: float = _BRACKET_CAP,
     max_bisect: int = 200,
 ) -> float | None:
     """Largest safe step along gamma0 + t * coeffs, t >= 0.
 
-    Tracks the (kernel+1)-th smallest eigenvalue f(t); assumes f(0) > 0.
-    Doubles t until f goes negative (bounded by ``cap``), then bisects until
+    Tracks the smallest eigenvalue f(t); assumes f(0) > 0.  Doubles t
+    until f goes negative (bounded by _BRACKET_CAP), then bisects until
     the PSD-side value drops below the boundary target, so the returned point
     is PSD with one more eigenvalue inside the rank cutoff.  Returns None if
     no sign change is found before the cap.
@@ -179,12 +177,12 @@ def _hit_boundary(
     delta = family.combine(coeffs)
 
     def spectrum(t: float) -> np.ndarray:
-        return _eigvals(m0 + t * delta)
+        return np.linalg.eigvalsh(m0 + t * delta)
 
     lo, hi = 0.0, None
     t = 1.0
-    while t <= cap:
-        if spectrum(t)[kernel] < 0.0:
+    while t <= _BRACKET_CAP:
+        if spectrum(t)[0] < 0.0:
             hi = t
             break
         lo = t
@@ -194,17 +192,17 @@ def _hit_boundary(
     w_lo = spectrum(lo)
     for _ in range(max_bisect):
         # Accept tiny negatives too: an exact-zero crossing computes as +-eps.
-        if abs(w_lo[kernel]) <= _boundary_target(w_lo, tol):
+        if abs(w_lo[0]) <= _boundary_target(w_lo, tol):
             return lo
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
         w_mid = spectrum(mid)
-        if w_mid[kernel] >= 0.0:
+        if w_mid[0] >= 0.0:
             lo, w_lo = mid, w_mid
         else:
             hi = mid
-    if abs(w_lo[kernel]) <= _boundary_target(w_lo, tol):
+    if abs(w_lo[0]) <= _boundary_target(w_lo, tol):
         return lo
     return None
 
@@ -249,153 +247,77 @@ def reduce_to_boundary(
     raise CannotReduce("no boundary hit found within the retry budget")
 
 
-def _find_psd_point(
-    family: GramFamily, gamma0: np.ndarray, tol: Tolerances
-) -> GramPoint | None:
-    """gamma0 itself when PSD, else a Nelder-Mead climb of the smallest
-    eigenvalue; None when the climb ends outside the cone."""
+def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> GramPoint | None:
+    """Least-squares fit of r bilinear squares sum_p (x'W_p y)^2 to the form.
 
-    def lam_min(g: np.ndarray) -> float:
-        return float(_eigvals(family.matrix_at(g))[0])
-
-    def feasible(g: np.ndarray) -> bool:
-        w = _eigvals(family.matrix_at(g))
-        return w[0] >= -tol.eps_psd * max(1.0, abs(float(w[-1])))
-
-    if feasible(gamma0):
-        return gram_at(family, gamma0)
-    if family.dim == 0:
-        return None
-
-    def objective(g: np.ndarray) -> float:
-        return -lam_min(g)
-
-    def stop_when_inside(g: np.ndarray) -> None:
-        if lam_min(g) > 0.0:
-            raise StopIteration
-
-    result = minimize(
-        objective,
-        gamma0,
-        method="Nelder-Mead",
-        callback=stop_when_inside,
-        options={"maxiter": 60 * (family.dim + 1), "xatol": 1e-12, "fatol": 1e-12},
-    )
-    if feasible(result.x):
-        return gram_at(family, result.x)
-    return None
-
-
-def _face_step(
-    family: GramFamily, point: GramPoint, rng: np.random.Generator, tol: Tolerances
-) -> GramPoint | None:
-    """One rank-reducing move inside the face of the PSD cone.
-
-    Looks for a direction that annihilates the current kernel (so the walk
-    stays PSD) and pushes the smallest active eigenvalue to zero.  Returns
-    the lower-rank point, or None when the kernel pins every direction.
+    ``start`` holds the r initial m x n factors.  The residual is
+    symmetrize(sum_p W_p (x) W_p) - coeffs, taken once per symmetry orbit
+    and weighted by the square root of the orbit size, so its sum of squares
+    is that over the whole tensor; the Jacobian is in closed form.  Returns
+    the PSD Gram point of the fitted factors when every coefficient is
+    matched to _FIT_RTOL * max|c|, else None.
     """
-    if family.dim == 0:
-        return None
-    w, u = np.linalg.eigh(point.matrix)
-    cutoff = tol.eps_rank * max(1.0, float(w[-1]))
-    k0 = int(np.count_nonzero(np.abs(w) <= cutoff))
-    mn = family.m * family.n
-    rank = mn - k0
-    if rank <= 0 or k0 == 0:
-        return None
-    kernel = u[:, :k0]
+    m, n = family.m, family.n
+    r = start.shape[0]
+    xi, xk = np.triu_indices(m)
+    yj, yl = np.triu_indices(n)
+    i, k = np.repeat(xi, yj.size), np.repeat(xk, yj.size)
+    j, l = np.tile(yj, xi.size), np.tile(yl, xi.size)
+    # Entry (i, j, k, l) averages the Gram entries at (ij, kl) and (il, kj).
+    a, b, c, d = i * n + j, k * n + l, i * n + l, k * n + j
+    weight = np.sqrt(np.where(i < k, 2.0, 1.0) * np.where(j < l, 2.0, 1.0))
+    target = family.base[a, b]
+    rows = np.arange(target.size)
 
-    constraints = np.empty((mn * k0, family.dim))
-    for t in range(family.dim):
-        col = np.zeros((mn, k0))
-        col[family._rows_plus[t]] += kernel[family._cols_plus[t]]
-        col[family._cols_plus[t]] += kernel[family._rows_plus[t]]
-        col[family._rows_minus[t]] -= kernel[family._cols_minus[t]]
-        col[family._cols_minus[t]] -= kernel[family._rows_minus[t]]
-        constraints[:, t] = col.ravel()
-    _, sigma, vt = np.linalg.svd(constraints, full_matrices=True)
-    top = sigma[0] if sigma.size else 0.0
-    null_rank = int(np.count_nonzero(sigma > max(top, 1.0) * 1e-10))
-    null_basis = vt[null_rank:]
-    if null_basis.shape[0] == 0:
-        return None
+    def residual(v: np.ndarray) -> np.ndarray:
+        w = v.reshape(r, m * n)
+        return weight * (0.5 * ((w[:, a] * w[:, b]).sum(axis=0) + (w[:, c] * w[:, d]).sum(axis=0)) - target)
 
-    mix = rng.standard_normal(null_basis.shape[0])
-    coeffs = null_basis.T @ mix
-    norm = np.linalg.norm(coeffs)
-    if norm < 1e-12:
-        coeffs = null_basis[0]
-        norm = np.linalg.norm(coeffs)
-    coeffs /= norm
+    def jacobian(v: np.ndarray) -> np.ndarray:
+        w = v.reshape(r, m * n)
+        jac = np.zeros((rows.size, r, m * n))
+        for entry, partner in ((a, b), (b, a), (c, d), (d, c)):
+            jac[rows, :, entry] += (0.5 * weight)[:, None] * w[:, partner].T
+        return jac.reshape(rows.size, r * m * n)
 
-    for sign in (1.0, -1.0):
-        t_star = _hit_boundary(family, point.gamma, sign * coeffs, tol, kernel=k0, cap=1e6)
-        if t_star is None:
-            continue
-        candidate = gram_at(family, point.gamma + t_star * sign * coeffs)
-        ok, _ = linalg.is_psd(candidate.matrix, tol)
-        if ok and linalg.numerical_rank(candidate.matrix, tol) < rank:
-            return candidate
-    return None
-
-
-def _collapse(
-    family: GramFamily, point: GramPoint, rng: np.random.Generator, tol: Tolerances
-) -> GramPoint:
-    mn = family.m * family.n
-    if family.dim > 0 and linalg.numerical_rank(point.matrix, tol) == mn:
-        for _ in range(3):
-            coeffs = rng.standard_normal(family.dim)
-            norm = np.linalg.norm(coeffs)
-            if norm < 1e-12:
-                continue
-            coeffs /= norm
-            moved = None
-            for sign in (1.0, -1.0):
-                t = _hit_boundary(family, point.gamma, sign * coeffs, tol)
-                if t is None:
-                    continue
-                candidate = gram_at(family, point.gamma + t * sign * coeffs)
-                ok, _ = linalg.is_psd(candidate.matrix, tol)
-                if ok and linalg.numerical_rank(candidate.matrix, tol) < mn:
-                    moved = candidate
-                    break
-            if moved is not None:
-                point = moved
-                break
-    while True:
-        step = _face_step(family, point, rng, tol)
-        if step is None:
-            return point
-        point = step
-
-
-def _surrogate_start(
-    family: GramFamily, gamma: np.ndarray, target_rank: int, tol: Tolerances
-) -> np.ndarray | None:
-    """Nelder-Mead descent of a smoothed rank surrogate: the summed magnitude
-    of the mn - target_rank smallest eigenvalues, with negative eigenvalues
-    penalized.  Returns the suggested gamma (a restart point, not yet PSD or
-    rank-certified)."""
-    if family.dim == 0 or target_rank < 0:
-        return None
-    mn = family.m * family.n
-    k_zero = mn - target_rank
-
-    def objective(g: np.ndarray) -> float:
-        w = _eigvals(family.matrix_at(g))
-        small = float(np.sort(np.abs(w))[:k_zero].sum())
-        negative = float(-np.minimum(w, 0.0).sum())
-        return small + 50.0 * negative
-
-    result = minimize(
-        objective,
-        gamma,
-        method="Nelder-Mead",
-        options={"maxiter": 120 * (family.dim + 1), "xatol": 1e-12, "fatol": 1e-14},
+    # trf, not lm: MINPACK's iterates depend on array allocation, which would
+    # break byte-identical output for identical inputs and seeds.
+    result = least_squares(
+        residual, start.ravel(), jac=jacobian, method="trf",
+        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=100 * r * m * n,
     )
-    return np.asarray(result.x, dtype=float)
+    if not np.abs(result.fun / weight).max() <= _FIT_RTOL * float(np.abs(target).max()):
+        return None
+    w = result.x.reshape(r, m * n)
+    point = gram_at(family, gamma_of(family, w.T @ w))
+    return point if linalg.is_psd(point.matrix, tol)[0] else None
+
+
+def _random_start(family: GramFamily, r: int, rng: np.random.Generator) -> np.ndarray:
+    """r random m x n factors whose squares sum to about the form's scale."""
+    scale = float(np.abs(family.base).max())
+    return rng.standard_normal((r, family.m, family.n)) * np.sqrt(scale / r)
+
+
+def _factors(point: GramPoint, tol: Tolerances) -> np.ndarray:
+    return np.reshape(factor_gram(point, tol).factors, (-1, point.family.m, point.family.n))
+
+
+def psd_point(family: GramFamily, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> GramPoint | None:
+    """A PSD member of the family, or None when none was found.
+
+    The base itself when it is PSD; otherwise the Gram matrix of the first
+    r = 1, 2, ..., mn bilinear squares that fit the form from one seeded
+    random start each.
+    """
+    base = gram_at(family, np.zeros(family.dim))
+    if linalg.is_psd(base.matrix, tol)[0]:
+        return base
+    for r in range(1, family.m * family.n + 1):
+        point = _fit(family, _random_start(family, r, np.random.default_rng([seed, r])), tol)
+        if point is not None:
+            return point
+    return None
 
 
 def min_rank_search(
@@ -404,53 +326,38 @@ def min_rank_search(
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[GramPoint, int]:
-    """Seeded heuristic minimization of rank over the PSD slice of the family.
+    """Seeded top-down search for a low-rank PSD member of the family.
 
-    Each restart finds a PSD point (the base first, seeded random gammas
-    after), collapses it with boundary and face steps, then alternates
-    smoothed-rank descent with further collapsing while the rank improves.
-    The returned rank is an upper bound on the SOS rank, never a claim of
-    exactness.  Results merge deterministically by (rank, lexicographic
-    gamma).
+    Starts from the spectral factors of ``psd_point`` and repeatedly tries
+    one square fewer: the current factors without the smallest-norm one
+    first, then ``restarts - 1`` seeded random starts.  The search stops at
+    the first square count that no start fits.  The returned rank is an
+    upper bound on the SOS rank, carried by a verified Gram point, never a
+    claim of exactness.
 
     Raises:
-        NoPSDPointFound: no restart located a PSD member; the form may still
-            be PSD (or even SOS) - this outcome is inconclusive.
+        NoPSDPointFound: no PSD member was found; the form may still be PSD
+            (or even SOS) - this outcome is inconclusive.
     """
-    best_key: tuple | None = None
-    best_point: GramPoint | None = None
-    found = False
-    for ridx in range(max(1, restarts)):
-        rng = np.random.default_rng([seed, ridx])
-        if ridx == 0:
-            gamma0 = np.zeros(family.dim)
-        else:
-            spread = (0.5, 1.0, 2.0)[ridx % 3]
-            gamma0 = rng.standard_normal(family.dim) * spread
-        point = _find_psd_point(family, gamma0, tol)
-        if point is None:
-            continue
-        found = True
-        point = _collapse(family, point, rng, tol)
-        while True:
-            rank = linalg.numerical_rank(point.matrix, tol)
-            if rank == 0:
-                break
-            suggestion = _surrogate_start(family, point.gamma, rank - 1, tol)
-            if suggestion is None:
-                break
-            candidate = _find_psd_point(family, suggestion, tol)
-            if candidate is None:
-                break
-            candidate = _collapse(family, candidate, rng, tol)
-            if linalg.numerical_rank(candidate.matrix, tol) < rank:
-                point = candidate
-            else:
-                break
-        rank = linalg.numerical_rank(point.matrix, tol)
-        key = (rank, tuple(point.gamma.tolist()))
-        if best_key is None or key < best_key:
-            best_key, best_point = key, point
-    if not found:
+    point = psd_point(family, seed, tol)
+    if point is None:
         raise NoPSDPointFound("no PSD representation found; result inconclusive")
-    return best_point, best_key[0]
+    factors = _factors(point, tol)
+    # A nonzero PSD Gram matrix represents a nonzero form, so one square is the floor.
+    while len(factors) > 1:
+        r = len(factors) - 1
+        weakest = int(np.argmin(np.linalg.norm(factors.reshape(r + 1, -1), axis=1)))
+        fitted = None
+        for attempt in range(max(1, restarts)):
+            if attempt == 0:
+                start = np.delete(factors, weakest, axis=0)
+            else:
+                start = _random_start(family, r, np.random.default_rng([seed, r, attempt]))
+            fitted = _fit(family, start, tol)
+            if fitted is not None:
+                break
+        if fitted is None:
+            break
+        point = fitted
+        factors = _factors(point, tol)
+    return point, linalg.numerical_rank(point.matrix, tol)

@@ -39,23 +39,25 @@ class MEigenpair:
     residual_y: float
 
 
-def contract_x(form: BiquadraticForm, x, y) -> np.ndarray:
-    """Vector with components sum_jkl a_ijkl y_j x_k y_l; contracting it
-    against x recovers P(x, y)."""
+def _check_lengths(form: BiquadraticForm, x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (form.m,) or y.shape != (form.n,):
         raise InvalidInput("vector lengths do not match the form")
-    return np.einsum("ijkl,j,k,l->i", form.coeffs, y, x, y, optimize=True)
+    return x, y
+
+
+def contract_x(form: BiquadraticForm, x, y) -> np.ndarray:
+    """Vector with components sum_jkl a_ijkl y_j x_k y_l; contracting it
+    against x recovers P(x, y)."""
+    x, y = _check_lengths(form, x, y)
+    return _Contractor(form).x_matrix(y) @ x
 
 
 def contract_y(form: BiquadraticForm, x, y) -> np.ndarray:
     """Vector with components sum_ikl a_ijkl x_i x_k y_l."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (form.m,) or y.shape != (form.n,):
-        raise InvalidInput("vector lengths do not match the form")
-    return np.einsum("ijkl,i,k,l->j", form.coeffs, x, x, y, optimize=True)
+    x, y = _check_lengths(form, x, y)
+    return _Contractor(form).y_matrix(x) @ y
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -81,24 +83,30 @@ class _Contractor:
         return 0.5 * (h + h.T)
 
 
+def _eigenstep(contractor: _Contractor, g: np.ndarray, pick: int):
+    """One alternating step from g = G(y): x is the picked eigenvector of g,
+    then y that of H(x).  Returns x, y, H(x) and G(y) for the new y."""
+    x = _canonical_sign(np.linalg.eigh(g)[1][:, pick])
+    h = contractor.y_matrix(x)
+    y = _canonical_sign(np.linalg.eigh(h)[1][:, pick])
+    return x, y, h, contractor.x_matrix(y)
+
+
 def _alternate(
-    form: BiquadraticForm,
     contractor: _Contractor,
-    x: np.ndarray,
     y: np.ndarray,
     want_max: bool,
     tol_abs: float,
     max_iter: int,
 ) -> MEigenpair | None:
     pick = -1 if want_max else 0
+    g = contractor.x_matrix(y)
     for _ in range(max_iter):
-        gw, gu = np.linalg.eigh(contractor.x_matrix(y))
-        x = _canonical_sign(gu[:, pick])
-        hw, hu = np.linalg.eigh(contractor.y_matrix(x))
-        y = _canonical_sign(hu[:, pick])
-        lam = float(x @ contractor.x_matrix(y) @ x)
-        rx = float(np.linalg.norm(contract_x(form, x, y) - lam * x))
-        ry = float(np.linalg.norm(contract_y(form, x, y) - lam * y))
+        x, y, h, g = _eigenstep(contractor, g, pick)
+        gx, hy = g @ x, h @ y
+        lam = float(x @ gx)
+        rx = float(np.linalg.norm(gx - lam * x))
+        ry = float(np.linalg.norm(hy - lam * y))
         if rx <= tol_abs and ry <= tol_abs:
             return MEigenpair(lam, x.copy(), y.copy(), rx, ry)
     return None
@@ -127,10 +135,10 @@ def meig_solve(
     pairs: list[MEigenpair] = []
     for ridx in range(max(1, restarts)):
         rng = np.random.default_rng([seed, ridx])
-        x0 = _unit_rows(rng, 1, form.m)[0]
+        _unit_rows(rng, 1, form.m)  # keeps the seeded y0; the first eigenstep sets x
         y0 = _unit_rows(rng, 1, form.n)[0]
         for want_max in (False, True):
-            pair = _alternate(form, contractor, x0.copy(), y0.copy(), want_max, tol_abs, max_iter)
+            pair = _alternate(contractor, y0, want_max, tol_abs, max_iter)
             if pair is None:
                 logger.debug("meig start %d (%s) did not converge", ridx, "max" if want_max else "min")
                 continue
@@ -188,14 +196,11 @@ def psd_sample_check(
         remaining -= take
 
     contractor = _Contractor(form)
-    x, y = best_x.copy(), best_y.copy()
+    g = contractor.x_matrix(best_y)
     for _ in range(polish_steps):
-        gw, gu = np.linalg.eigh(contractor.x_matrix(y))
-        x = gu[:, 0]
-        hw, hu = np.linalg.eigh(contractor.y_matrix(x))
-        y = hu[:, 0]
-        val = float(x @ contractor.x_matrix(y) @ x)
+        x, y, _, g = _eigenstep(contractor, g, 0)
+        val = float(x @ g @ x)
         if val < best_val:
             best_val = val
-            best_x, best_y = x.copy(), y.copy()
+            best_x, best_y = x, y
     return best_val, (best_x, best_y)

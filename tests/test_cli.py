@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from biquad import forms, partsym
+from biquad import forms, meig, partsym
 from biquad.cli import main
 from biquad.partsym import XSymmetricData, random_psd_instance, reconstruct
 from biquad.simple import gen_simple, to_form
@@ -169,6 +169,12 @@ class TestSosRank:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_zero_form_rank_zero(self, capsys, tmp_path):
+        path = write(tmp_path / "zero.json", {"m": 2, "n": 3, "terms": []})
+        code, data = run_json(capsys, ["sos-rank", path])
+        assert code == 0
+        assert data["payload"]["upper_bound"] == 0
+
     def test_inconclusive_exit_4(self, capsys, tmp_path):
         # no PSD Gram representation exists for x1^2 y1 y2
         raw = np.zeros((1, 2, 1, 2))
@@ -206,6 +212,14 @@ class TestMeigCommand:
         values = [p["lambda"] for p in data["payload"]["pairs"]]
         assert values == sorted(values)
         assert min(values) == pytest.approx(0.0, abs=1e-9)
+
+    def test_tol_reaches_the_solver(self, capsys, monkeypatch, p223_file):
+        seen = []
+        monkeypatch.setattr(meig, "meig_solve", lambda form, **kwargs: seen.append(kwargs) or [])
+        run_json(capsys, ["meig", p223_file])
+        run_json(capsys, ["meig", p223_file, "--tol", "1e-6"])
+        assert "tol" not in seen[0]
+        assert seen[1]["tol"] == 1e-6
 
     def test_cap_exceeded(self, capsys, tmp_path):
         raw = np.zeros((9, 1, 9, 1))
@@ -368,3 +382,37 @@ class TestMalformedDataFiles:
         path = write(tmp_path / "nan.json", {"m": 1, "n": 1, "terms": [{"i": 1, "j": 1, "k": 1, "l": 1, "c": float("nan")}]})
         code, out = run_json(capsys, ["check-psd", path])
         assert code == 1 and "not finite" in out["payload"]["error"]
+
+
+class TestFailureTable:
+    def test_directory_is_exit_1(self, capsys, tmp_path):
+        code, out = run_json(capsys, ["check-psd", str(tmp_path)])
+        assert code == 1 and out["status"] == "error"
+
+    def test_non_utf8_file_is_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"m": 1, "n": 1, "terms": [], "note": "\xe9"}')
+        code, out = run_json(capsys, ["check-psd", str(path)])
+        assert code == 1 and out["status"] == "error"
+
+    def test_parse_failure_prefix(self, capsys, tmp_path):
+        path = tmp_path / "garbage.json"
+        path.write_text("{not json")
+        code, out = run_json(capsys, ["sos-rank", str(path)])
+        assert code == 1 and out["payload"]["error"].startswith("parse failure:")
+
+    @pytest.mark.parametrize("argv", [
+        ["sos-rank", "FORM", "--restarts", "-5"],
+        ["sos-rank", "FORM", "--restarts", "0"],
+        ["meig", "FORM", "--restarts", "0"],
+        ["bench", "--trials", "0"],
+    ])
+    def test_counts_below_one_rejected(self, capsys, p224_file, argv):
+        code, out = run_json(capsys, [p224_file if a == "FORM" else a for a in argv])
+        assert code == 1
+        assert out["status"] == "error" and "at least 1" in out["payload"]["error"]
+
+    def test_non_integral_term_index(self, capsys, tmp_path):
+        path = write(tmp_path / "frac.json", {"m": 2, "n": 2, "terms": [{"i": 1.7, "j": 1, "k": 1, "l": 1, "c": 1.0}]})
+        code, out = run_json(capsys, ["check-psd", path])
+        assert code == 1 and "integer" in out["payload"]["error"]

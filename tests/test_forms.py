@@ -232,6 +232,14 @@ class TestSerialization:
             with pytest.raises(InvalidInput, match="not finite"):
                 form_from_dict({"m": 1, "n": 1, "terms": [{"i": 1, "j": 1, "k": 1, "l": 1, "c": bad}]})
 
+    @pytest.mark.parametrize("bad", [1.5, float("inf")])
+    @pytest.mark.parametrize("field", ["m", "n", "i", "j", "k", "l"])
+    def test_non_integral_field_rejected(self, field, bad):
+        record = {"m": 2, "n": 2, "terms": [{"i": 1, "j": 2, "k": 2, "l": 1, "c": 1.0}]}
+        (record if field in ("m", "n") else record["terms"][0])[field] = bad
+        with pytest.raises(InvalidInput, match="integer"):
+            form_from_dict(record)
+
     def test_from_terms_matches_term_by_term_loop(self):
         # Many random terms per cell: duplicates, every index order, mixed
         # magnitudes, so any change in summation order would show.

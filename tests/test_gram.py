@@ -10,6 +10,7 @@ from biquad.gram import (
     gamma_of,
     gram_at,
     min_rank_search,
+    psd_point,
     reduce_to_boundary,
 )
 from biquad.partsym import assemble_m_matrix, random_psd_instance, reconstruct
@@ -18,6 +19,12 @@ from biquad.simple import gen_simple, to_form
 
 def f_224():
     return build_family(to_form(gen_simple(2, 2, 4)))
+
+
+def planted_form(m, n, r, seed):
+    """Sum of r random bilinear squares: SOS rank at most r."""
+    w = np.random.default_rng(seed).standard_normal((r, m, n))
+    return symmetrize(np.einsum("pij,pkl->ijkl", w, w))
 
 
 def sphere(rng, k):
@@ -217,6 +224,44 @@ class TestMinRankSearch:
         fam = build_family(symmetrize(raw))
         with pytest.raises(NoPSDPointFound):
             min_rank_search(fam, restarts=2, seed=0)
+
+
+class TestFactorSearch:
+    @pytest.mark.parametrize("m, n, r", [(3, 3, 3), (4, 3, 4), (3, 3, 6)])
+    def test_recovers_planted_rank(self, m, n, r):
+        form = planted_form(m, n, r, seed=[m, n, r])
+        point, rank = min_rank_search(build_family(form), seed=0)
+        assert rank == r
+        dec = factor_gram(point)
+        assert len(dec) == r
+        assert verify_sos(form, dec)[0]
+
+    def test_bit_identical_across_repeats(self):
+        family = build_family(planted_form(3, 2, 3, seed=2026))
+        gammas = set()
+        ballast = []
+        for t in range(6):
+            ballast.append(np.ones(997 * (t + 1)))
+            point, rank = min_rank_search(family, restarts=5, seed=0)
+            gammas.add((rank, point.gamma.tobytes()))
+        assert len(gammas) == 1
+
+    def test_psd_point_is_base_when_base_is_psd(self):
+        fam = f_224()
+        np.testing.assert_array_equal(psd_point(fam).matrix, fam.base)
+
+    def test_psd_point_fits_when_base_is_not_psd(self):
+        form = planted_form(3, 3, 3, seed=7)
+        fam = build_family(form)
+        assert not linalg.is_psd(fam.base)[0]
+        point = psd_point(fam, seed=0)
+        assert linalg.is_psd(point.matrix)[0]
+        assert verify_sos(form, factor_gram(point))[0]
+
+    def test_psd_point_none_without_psd_member(self):
+        raw = np.zeros((1, 2, 1, 2))
+        raw[0, 0, 0, 1] = 1.0
+        assert psd_point(build_family(symmetrize(raw))) is None
 
 
 class TestFactorGram:

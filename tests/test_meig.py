@@ -67,6 +67,15 @@ class TestContractions:
         with pytest.raises(InvalidInput):
             contract_x(form, [1.0, 2.0, 3.0], [1.0, 1.0])
 
+    def test_matches_einsum_reference(self):
+        rng = np.random.default_rng(3)
+        form = symmetrize(rng.standard_normal((3, 4, 3, 4)))
+        x, y = rng.standard_normal(3), rng.standard_normal(4)
+        np.testing.assert_allclose(
+            contract_x(form, x, y), np.einsum("ijkl,j,k,l->i", form.coeffs, y, x, y), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            contract_y(form, x, y), np.einsum("ijkl,i,k,l->j", form.coeffs, x, x, y), rtol=1e-12, atol=1e-12)
+
 
 class TestMeigSolve:
     def test_all_squares_single_eigenvalue(self):
