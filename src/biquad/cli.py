@@ -259,9 +259,17 @@ def cmd_gen_simple(args) -> CommandResult:
 def cmd_sos_rank(args) -> CommandResult:
     tol = _tolerances(args)
     form = _load_dense(args.form, args.transpose)
+    support = simple.detect_simple(form)
+    lower = None
+    if support is not None:
+        cert = simple.lower_bound_certificate(support)
+        if cert.applicable:
+            lower = cert.bound
     family = gram.build_family(form)
     try:
-        point, rank = gram.min_rank_search(family, restarts=args.restarts, seed=args.seed, tol=tol)
+        point, rank = gram.min_rank_search(
+            family, restarts=args.restarts, seed=args.seed, tol=tol, floor=lower or 1
+        )
     except NoPSDPointFound:
         return CommandResult(
             "sos-rank",
@@ -275,12 +283,6 @@ def cmd_sos_rank(args) -> CommandResult:
     passed, resid = forms.verify_sos(form, dec, seed=args.seed)
     if not passed:
         raise NumericalError(f"Gram factorization failed re-verification: residual {resid:.3e}")
-    support = simple.detect_simple(form)
-    lower = None
-    if support is not None:
-        cert = simple.lower_bound_certificate(support)
-        if cert.applicable:
-            lower = cert.bound
     mn = form.m * form.n
     universal = mn - 1 if form.m >= 2 and form.n >= 2 else mn
     payload = {
@@ -457,11 +459,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Failures a command may end in: exception types -> (status, exit code,
-# message prefix).  The first matching row wins, so subclasses come first.
+# message prefix, formatted with the exception's type name as {kind}).  The
+# first matching row wins, so subclasses come first; the last row turns any
+# other failure into exit 1 with the envelope instead of a traceback.
 _FAILURES = (
     ((NotPSD,), "not-psd", _EXIT_NOT_PSD, ""),
     ((json.JSONDecodeError,), "error", _EXIT_ERROR, "parse failure: "),
     ((InvalidInput, OSError, ValueError, CannotReduce, NumericalError), "error", _EXIT_ERROR, ""),
+    ((Exception,), "error", _EXIT_ERROR, "internal error: {kind}: "),
 )
 _CAUGHT = tuple(kind for kinds, *_ in _FAILURES for kind in kinds)
 
@@ -482,7 +487,7 @@ def main(argv=None) -> int:
         result = args.handler(args)
     except _CAUGHT as exc:
         status, code, prefix = next(row[1:] for row in _FAILURES if isinstance(exc, row[0]))
-        message = prefix + str(exc)
+        message = prefix.format(kind=type(exc).__name__) + str(exc)
         head = "not PSD" if status == "not-psd" else "error"
         result = CommandResult(args.command, status, {"error": message}, code, summary=f"{head}: {message}")
     result.timing_ms = (time.perf_counter() - t0) * 1e3

@@ -14,9 +14,11 @@ boundary (rank <= mn - 1).  ``psd_point`` and ``min_rank_search`` search the
 factors instead (Burer and Monteiro, 2003): a Gram matrix F'F of r stacked
 m x n factors W_p represents P exactly when sum_p (x'W_p y)^2 = P, so one
 seeded least-squares fit of the W_p to the coefficients either yields a PSD
-member of rank <= r or fails.  ``min_rank_search`` lowers r one square at a
-time until no start fits; its rank is a verified upper bound, never a claim
-of exactness.
+member of rank <= r or fails.  The fit runs on ``_lm``, a Levenberg-Marquardt
+loop in numpy, so this module (and the ``biquad`` command) never imports
+scipy.optimize.  ``min_rank_search`` lowers r one square at a time until no
+start fits or a proven lower bound is reached; its rank is a verified upper
+bound, never a claim of exactness.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-# ``minimize`` is unused here; the benchmark's tracer wraps ``gram.minimize``.
-from scipy.optimize import least_squares, minimize  # noqa: F401
 
 from . import linalg
 from .errors import CannotReduce, InvalidInput, NoPSDPointFound, NotPSD
@@ -37,6 +37,17 @@ _BRACKET_CAP = 1e9
 # Accepted fit residual, relative to max|c|.  The fitted Gram matrix lies
 # twice this far from the family, which must stay inside gamma_of's 1e-9.
 _FIT_RTOL = 1e-10
+
+
+def __getattr__(name: str):
+    # The benchmark's tracer wraps ``gram.minimize``, which no code here
+    # calls; it is resolved on request so that importing gram does not load
+    # scipy.optimize.  This shim goes once the tracer wraps ``gram._fit``.
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -247,18 +258,68 @@ def reduce_to_boundary(
     raise CannotReduce("no boundary hit found within the retry budget")
 
 
+def _lm(residual, jacobian, x: np.ndarray, max_nfev: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levenberg-Marquardt minimization of |residual(x)|^2 / 2 from x.
+
+    Each step solves (J'J + mu I) h = -J'f, and mu follows Nielsen's
+    gain-ratio rule (Madsen, Nielsen and Tingleff, 2004, Algorithm 3.16).
+    The stopping rules are trf's: a step lowering the cost by less than
+    1e-15 of it with gain ratio above 1/4, a step shorter than 1e-15 |x|, or
+    max_nfev residual evaluations.  Returns the last accepted x and its
+    residual.
+    """
+    f = residual(x)
+    cost = 0.5 * (f @ f)
+    jac = jacobian(x)
+    normal, grad = jac.T @ jac, jac.T @ f
+    mu, nu = 1e-3 * normal.diagonal().max(), 2.0
+    diagonal = np.diag_indices_from(normal)
+    for _ in range(max_nfev - 1):
+        damped = normal.copy()
+        damped[diagonal] += mu
+        try:
+            step = np.linalg.solve(damped, -grad)
+        except np.linalg.LinAlgError:
+            # mu fell below the rounding of a singular J'J: damp harder.
+            mu *= nu
+            nu *= 2.0
+            continue
+        x_new = x + step
+        f_new = residual(x_new)
+        cost_new = 0.5 * (f_new @ f_new)
+        decrease = cost - cost_new
+        predicted = 0.5 * (step @ (mu * step - grad))
+        gain = decrease / predicted if predicted > 0.0 else 0.0
+        stalled = (decrease < 1e-15 * cost and gain > 0.25) or (
+            np.linalg.norm(step) < 1e-15 * (1e-15 + np.linalg.norm(x))
+        )
+        if decrease > 0.0:
+            x, f, cost = x_new, f_new, cost_new
+            jac = jacobian(x)
+            normal, grad = jac.T @ jac, jac.T @ f
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+        if stalled:
+            break
+    return x, f
+
+
 def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> GramPoint | None:
     """Least-squares fit of r bilinear squares sum_p (x'W_p y)^2 to the form.
 
     ``start`` holds the r initial m x n factors.  The residual is
     symmetrize(sum_p W_p (x) W_p) - coeffs, taken once per symmetry orbit
     and weighted by the square root of the orbit size, so its sum of squares
-    is that over the whole tensor; the Jacobian is in closed form.  Returns
-    the PSD Gram point of the fitted factors when every coefficient is
-    matched to _FIT_RTOL * max|c|, else None.
+    is that over the whole tensor; ``_lm`` minimizes it with the Jacobian in
+    closed form.  Returns the PSD Gram point of the fitted factors when
+    every coefficient is matched to _FIT_RTOL * max|c|, else None.
     """
     m, n = family.m, family.n
     r = start.shape[0]
+    mn = m * n
     xi, xk = np.triu_indices(m)
     yj, yl = np.triu_indices(n)
     i, k = np.repeat(xi, yj.size), np.repeat(xk, yj.size)
@@ -267,28 +328,28 @@ def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> GramPoint | 
     a, b, c, d = i * n + j, k * n + l, i * n + l, k * n + j
     weight = np.sqrt(np.where(i < k, 2.0, 1.0) * np.where(j < l, 2.0, 1.0))
     target = family.base[a, b]
-    rows = np.arange(target.size)
+    rows = target.size
+    # d residual[e] / d W[p, entry] = weight[e] / 2 * W[p, partner]: the
+    # Jacobian, laid out (row e, factor p, column entry), is one bincount
+    # of these products at positions fixed for the whole fit.
+    entry = np.stack([a, b, c, d], axis=1)
+    partner = np.stack([b, a, d, c], axis=1)
+    slot = (np.arange(rows)[:, None, None] * (r * mn) + np.arange(r)[None, None, :] * mn
+            + entry[:, :, None]).ravel()
+    half_weight = (0.5 * weight)[:, None, None]
 
     def residual(v: np.ndarray) -> np.ndarray:
-        w = v.reshape(r, m * n)
+        w = v.reshape(r, mn)
         return weight * (0.5 * ((w[:, a] * w[:, b]).sum(axis=0) + (w[:, c] * w[:, d]).sum(axis=0)) - target)
 
     def jacobian(v: np.ndarray) -> np.ndarray:
-        w = v.reshape(r, m * n)
-        jac = np.zeros((rows.size, r, m * n))
-        for entry, partner in ((a, b), (b, a), (c, d), (d, c)):
-            jac[rows, :, entry] += (0.5 * weight)[:, None] * w[:, partner].T
-        return jac.reshape(rows.size, r * m * n)
+        values = half_weight * v.reshape(r, mn).T[partner]
+        return np.bincount(slot, values.ravel(), minlength=rows * r * mn).reshape(rows, r * mn)
 
-    # trf, not lm: MINPACK's iterates depend on array allocation, which would
-    # break byte-identical output for identical inputs and seeds.
-    result = least_squares(
-        residual, start.ravel(), jac=jacobian, method="trf",
-        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=100 * r * m * n,
-    )
-    if not np.abs(result.fun / weight).max() <= _FIT_RTOL * float(np.abs(target).max()):
+    x, f = _lm(residual, jacobian, start.ravel(), max_nfev=100 * r * mn)
+    if not np.abs(f / weight).max() <= _FIT_RTOL * float(np.abs(target).max()):
         return None
-    w = result.x.reshape(r, m * n)
+    w = x.reshape(r, mn)
     point = gram_at(family, gamma_of(family, w.T @ w))
     return point if linalg.is_psd(point.matrix, tol)[0] else None
 
@@ -325,13 +386,16 @@ def min_rank_search(
     restarts: int = 20,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
+    floor: int = 1,
 ) -> tuple[GramPoint, int]:
     """Seeded top-down search for a low-rank PSD member of the family.
 
     Starts from the spectral factors of ``psd_point`` and repeatedly tries
     one square fewer: the current factors without the smallest-norm one
     first, then ``restarts - 1`` seeded random starts.  The search stops at
-    the first square count that no start fits.  The returned rank is an
+    the first square count that no start fits, or at ``floor`` squares: a
+    proven lower bound on the SOS rank (a nonzero form needs one square,
+    the default), below which no fit can succeed.  The returned rank is an
     upper bound on the SOS rank, carried by a verified Gram point, never a
     claim of exactness.
 
@@ -343,8 +407,7 @@ def min_rank_search(
     if point is None:
         raise NoPSDPointFound("no PSD representation found; result inconclusive")
     factors = _factors(point, tol)
-    # A nonzero PSD Gram matrix represents a nonzero form, so one square is the floor.
-    while len(factors) > 1:
+    while len(factors) > floor:
         r = len(factors) - 1
         weakest = int(np.argmin(np.linalg.norm(factors.reshape(r + 1, -1), axis=1)))
         fitted = None

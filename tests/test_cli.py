@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from biquad import forms, meig, partsym
+import biquad
+from biquad import cli, forms, meig, partsym
 from biquad.cli import main
 from biquad.partsym import XSymmetricData, random_psd_instance, reconstruct
 from biquad.simple import gen_simple, to_form
@@ -416,3 +420,33 @@ class TestFailureTable:
         path = write(tmp_path / "frac.json", {"m": 2, "n": 2, "terms": [{"i": 1.7, "j": 1, "k": 1, "l": 1, "c": 1.0}]})
         code, out = run_json(capsys, ["check-psd", path])
         assert code == 1 and "integer" in out["payload"]["error"]
+
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_unexpected_exception_is_exit_1(self, capsys, monkeypatch, tmp_path, as_json):
+        def broken(args):
+            raise KeyError("missing")
+
+        monkeypatch.setattr(cli, "cmd_gen_simple", broken)
+        argv = ["gen-simple", "2", "2", "3", str(tmp_path / "form.json")]
+        code = main(argv + ["--json"] * as_json)
+        out = capsys.readouterr().out
+        assert code == 1 and "Traceback" not in out
+        if as_json:
+            data = json.loads(out)
+            assert data["status"] == "error"
+            assert data["payload"]["error"] == "internal error: KeyError: 'missing'"
+        else:
+            assert "error: internal error: KeyError: 'missing'" in out
+
+
+class TestImportGraph:
+    def test_cli_does_not_load_scipy_optimize(self):
+        src = os.path.dirname(os.path.dirname(biquad.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys, biquad.cli, biquad.gram\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'\n"
+            "import scipy.optimize\n"
+            "assert biquad.gram.minimize is scipy.optimize.minimize\n"
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

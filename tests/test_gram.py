@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biquad import linalg
+from biquad import gram, linalg
 from biquad.errors import CannotReduce, InvalidInput, NoPSDPointFound, NotPSD
 from biquad.forms import symmetrize, evaluate, verify_sos
 from biquad.gram import (
@@ -227,7 +227,7 @@ class TestMinRankSearch:
 
 
 class TestFactorSearch:
-    @pytest.mark.parametrize("m, n, r", [(3, 3, 3), (4, 3, 4), (3, 3, 6)])
+    @pytest.mark.parametrize("m, n, r", [(3, 3, 3), (4, 3, 4), (3, 3, 6), (4, 4, 5), (3, 2, 4), (6, 2, 7)])
     def test_recovers_planted_rank(self, m, n, r):
         form = planted_form(m, n, r, seed=[m, n, r])
         point, rank = min_rank_search(build_family(form), seed=0)
@@ -245,6 +245,48 @@ class TestFactorSearch:
             point, rank = min_rank_search(family, restarts=5, seed=0)
             gammas.add((rank, point.gamma.tobytes()))
         assert len(gammas) == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_failing_fit_stops_on_stall(self, monkeypatch, seed):
+        # P_(3,3,5) is rectangle-free, so its SOS rank is exactly 5: four
+        # squares cannot fit, and the fit must give up long before max_nfev.
+        family = build_family(to_form(gen_simple(3, 3, 5)))
+        runs = []
+        lm = gram._lm
+
+        def counting_lm(residual, jacobian, x, max_nfev):
+            count = [0]
+
+            def counted(v):
+                count[0] += 1
+                return residual(v)
+
+            result = lm(counted, jacobian, x, max_nfev)
+            runs.append((count[0], max_nfev))
+            return result
+
+        monkeypatch.setattr(gram, "_lm", counting_lm)
+        start = np.random.default_rng(seed).standard_normal((4, 3, 3))
+        assert gram._fit(family, start, linalg.DEFAULT_TOL) is None
+        [(nfev, max_nfev)] = runs
+        assert nfev <= max_nfev // 10
+
+    def test_floor_skips_fits_below_it(self, monkeypatch):
+        family = build_family(to_form(gen_simple(3, 3, 5)))
+        squares = []
+        fit = gram._fit
+
+        def recording_fit(family, start, tol):
+            squares.append(start.shape[0])
+            return fit(family, start, tol)
+
+        monkeypatch.setattr(gram, "_fit", recording_fit)
+        point, rank = min_rank_search(family, seed=0, floor=5)
+        assert rank == 5 and 4 not in squares
+        squares.clear()
+        unfloored, _ = min_rank_search(family, seed=0)
+        assert squares.count(4) == 20
+        assert unfloored.gamma.tobytes() == point.gamma.tobytes()
 
     def test_psd_point_is_base_when_base_is_psd(self):
         fam = f_224()
