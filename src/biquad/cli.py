@@ -137,18 +137,9 @@ def _cert_payload(source, reduction, cert: partsym.PSDCertificate | None, invali
         if not cert.psd:
             payload["verdict"] = "NotPSD"
             x, z = cert.witness
-            y = _reduced_witness_y(reduction, z, source.n)
+            y = partsym.lift_witness(reduction, z, source.n)
             payload["witness"] = _witness_payload(x, y, _evaluate(source, x, y))
     return payload
-
-
-def _reduced_witness_y(reduction: partsym.MonicReduction, z: np.ndarray, n: int) -> np.ndarray:
-    """Map a witness y-vector of the reduced monic form back to the original
-    variables via y_j = z_j / sqrt(d_j) on active indices."""
-    y = np.zeros(n)
-    idx = np.asarray(reduction.active)
-    y[idx] = z / reduction.scale[idx]
-    return y
 
 
 def cmd_check_psd(args) -> CommandResult:

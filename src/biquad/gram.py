@@ -9,12 +9,14 @@ linearly independent and count C(m,2) * C(n,2), the full kernel dimension,
 so the family sweeps out all symmetric representations of P.
 
 The SOS rank of an SOS form equals the minimum rank over the PSD members of
-this family.  ``reduce_to_boundary`` walks a line inside the PSD cone to its
-boundary (rank <= mn - 1).  ``psd_point`` and ``min_rank_search`` search the
-factors instead (Burer and Monteiro, 2003): a Gram matrix F'F of r stacked
-m x n factors W_p represents P exactly when sum_p (x'W_p y)^2 = P, so one
-seeded least-squares fit of the W_p to the coefficients either yields a PSD
-member of rank <= r or fails.  The fit runs on ``_lm``, a Levenberg-Marquardt
+this family.  ``reduce_to_boundary`` moves along a line from a positive
+definite member to the PSD-cone boundary (rank <= mn - 1) in one step, whose
+length is computed in closed form as an eigenvalue of a symmetric-definite
+pencil.  ``psd_point`` and ``min_rank_search`` search the factors instead
+(Burer and Monteiro, 2003): a Gram matrix F'F of r stacked m x n factors
+W_p represents P exactly when sum_p (x'W_p y)^2 = P, so one seeded
+least-squares fit of the W_p to the coefficients either yields a PSD member
+of rank <= r or fails.  The fit runs on ``_lm``, a Levenberg-Marquardt
 loop in numpy, so this module (and the ``biquad`` command) never imports
 scipy.optimize.  ``min_rank_search`` lowers r one square at a time until no
 start fits or a proven lower bound is reached; its rank is a verified upper
@@ -32,8 +34,6 @@ from .errors import CannotReduce, InvalidInput, NoPSDPointFound, NotPSD
 from .forms import BiquadraticForm, SOSDecomposition
 from .linalg import DEFAULT_TOL, Tolerances
 
-_BOUNDARY_TOL = 1e-10
-_BRACKET_CAP = 1e9
 # Accepted fit residual, relative to max|c|.  The fitted Gram matrix lies
 # twice this far from the family, which must stay inside gamma_of's 1e-9.
 _FIT_RTOL = 1e-10
@@ -165,57 +165,17 @@ def factor_gram(point: GramPoint, tol: Tolerances = DEFAULT_TOL) -> SOSDecomposi
     return SOSDecomposition(family.m, family.n, factors)
 
 
-def _boundary_target(w: np.ndarray, tol: Tolerances) -> float:
-    return min(_BOUNDARY_TOL, 0.5 * tol.eps_rank) * max(1.0, float(w[-1]))
+def _boundary_step(m0: np.ndarray, delta: np.ndarray) -> float:
+    """Largest t with m0 + t * delta PSD, for positive definite m0.
 
-
-def _hit_boundary(
-    family: GramFamily,
-    gamma0: np.ndarray,
-    coeffs: np.ndarray,
-    tol: Tolerances,
-    max_bisect: int = 200,
-) -> float | None:
-    """Largest safe step along gamma0 + t * coeffs, t >= 0.
-
-    Tracks the smallest eigenvalue f(t); assumes f(0) > 0.  Doubles t
-    until f goes negative (bounded by _BRACKET_CAP), then bisects until
-    the PSD-side value drops below the boundary target, so the returned point
-    is PSD with one more eigenvalue inside the rank cutoff.  Returns None if
-    no sign change is found before the cap.
+    With m0 = LL', m0 + t delta = L (I + t S) L' where S = L^-1 delta L^-T,
+    so the cone is left where I + tS turns singular: t = -1 / lambda_min(S)
+    (Golub and Van Loan, Matrix Computations, 8.7).  S shares the inertia
+    of delta, so an indefinite delta gives a finite step.
     """
-    m0 = family.matrix_at(gamma0)
-    delta = family.combine(coeffs)
-
-    def spectrum(t: float) -> np.ndarray:
-        return np.linalg.eigvalsh(m0 + t * delta)
-
-    lo, hi = 0.0, None
-    t = 1.0
-    while t <= _BRACKET_CAP:
-        if spectrum(t)[0] < 0.0:
-            hi = t
-            break
-        lo = t
-        t *= 2.0
-    if hi is None:
-        return None
-    w_lo = spectrum(lo)
-    for _ in range(max_bisect):
-        # Accept tiny negatives too: an exact-zero crossing computes as +-eps.
-        if abs(w_lo[0]) <= _boundary_target(w_lo, tol):
-            return lo
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        w_mid = spectrum(mid)
-        if w_mid[0] >= 0.0:
-            lo, w_lo = mid, w_mid
-        else:
-            hi = mid
-    if abs(w_lo[0]) <= _boundary_target(w_lo, tol):
-        return lo
-    return None
+    chol = np.linalg.cholesky(m0)
+    half = np.linalg.solve(chol, delta)
+    return -1.0 / float(np.linalg.eigvalsh(np.linalg.solve(chol, half.T))[0])
 
 
 def reduce_to_boundary(
@@ -225,12 +185,14 @@ def reduce_to_boundary(
     tol: Tolerances = DEFAULT_TOL,
     retries: int = 3,
 ) -> GramPoint:
-    """Walk from a PSD point to the PSD-cone boundary: rank <= mn - 1.
+    """Step from a PSD point to the PSD-cone boundary: rank <= mn - 1.
 
-    Rank-deficient input is returned unchanged.  Directions are seeded random
-    combinations of the family basis, tried in both signs; a direction whose
-    line stays definite past the bracketing cap is abandoned and redrawn
-    (up to ``retries`` draws).
+    Rank-deficient input is returned unchanged.  The direction is a seeded
+    random combination of the family basis; it has a zero diagonal, so it is
+    traceless and indefinite, and the boundary step along it is computed in
+    closed form by ``_boundary_step``.  A new direction is drawn (up to
+    ``retries`` draws) only when rounding leaves the end point failing the
+    PSD or rank check.
     """
     ok, witness = linalg.is_psd(point.matrix, tol)
     if not ok:
@@ -243,19 +205,12 @@ def reduce_to_boundary(
     rng = np.random.default_rng(seed)
     for _ in range(max(1, retries)):
         coeffs = rng.standard_normal(family.dim)
-        norm = np.linalg.norm(coeffs)
-        if norm < 1e-12:
-            continue
-        coeffs /= norm
-        for sign in (1.0, -1.0):
-            t = _hit_boundary(family, point.gamma, sign * coeffs, tol)
-            if t is None:
-                continue
-            candidate = gram_at(family, point.gamma + t * sign * coeffs)
-            ok, _ = linalg.is_psd(candidate.matrix, tol)
-            if ok and linalg.numerical_rank(candidate.matrix, tol) <= mn - 1:
-                return candidate
-    raise CannotReduce("no boundary hit found within the retry budget")
+        t = _boundary_step(point.matrix, family.combine(coeffs))
+        candidate = gram_at(family, point.gamma + t * coeffs)
+        ok, _ = linalg.is_psd(candidate.matrix, tol)
+        if ok and linalg.numerical_rank(candidate.matrix, tol) <= mn - 1:
+            return candidate
+    raise CannotReduce("no boundary point passed the PSD and rank checks within the retry budget")
 
 
 def _lm(residual, jacobian, x: np.ndarray, max_nfev: int) -> tuple[np.ndarray, np.ndarray]:

@@ -133,19 +133,19 @@ def numerical_rank(s, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 def is_psd(s, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, np.ndarray | None]:
-    """PSD test with a negativity witness.
+    """PSD test with a negativity witness; see ``psd_from_decomposition``."""
+    return psd_from_decomposition(sym_eig(s, tol), tol)
+
+
+def psd_from_decomposition(
+    dec: SpectralDecomposition, tol: Tolerances
+) -> tuple[bool, np.ndarray | None]:
+    """PSD test on a spectrum already computed by ``sym_eig``.
 
     Returns ``(True, None)`` when ``lam_min >= -eps_psd * max(1, |lam_max|)``,
     else ``(False, v)`` where v is the unit eigenvector of the most negative
     eigenvalue, so ``v' S v < 0``.
     """
-    dec = sym_eig(s, tol)
-    return _psd_from_decomposition(dec, tol)
-
-
-def _psd_from_decomposition(
-    dec: SpectralDecomposition, tol: Tolerances
-) -> tuple[bool, np.ndarray | None]:
     w = dec.eigenvalues
     if w[-1] >= -tol.eps_psd * max(1.0, abs(float(w[0]))):
         return True, None
@@ -164,7 +164,7 @@ def psd_factor(s, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
     """
     s = as_sym_matrix(s)
     dec = sym_eig(s, tol)
-    ok, witness = _psd_from_decomposition(dec, tol)
+    ok, witness = psd_from_decomposition(dec, tol)
     if not ok:
         raise NotPSD("matrix has a significant negative eigenvalue", witness=witness)
     cutoff = tol.eps_rank * max(1.0, float(dec.eigenvalues[0]))

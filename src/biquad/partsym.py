@@ -210,8 +210,8 @@ def check_psd_monic(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> PSDC
     pair = qr_pair(data)
     q_dec = linalg.sym_eig(pair.Q, tol)
     r_dec = linalg.sym_eig(pair.R, tol)
-    q_ok, q_wit = linalg._psd_from_decomposition(q_dec, tol)
-    r_ok, r_wit = linalg._psd_from_decomposition(r_dec, tol)
+    q_ok, q_wit = linalg.psd_from_decomposition(q_dec, tol)
+    r_ok, r_wit = linalg.psd_from_decomposition(r_dec, tol)
     m = data.m
     if m == 1:
         # With a single x variable the cross terms vanish and A never enters
@@ -427,19 +427,38 @@ def undo_reduction(
     return SOSDecomposition(m, n, tuple(scatter(w) for w in monic_dec.factors))
 
 
+def lift_witness(reduction: MonicReduction, z: np.ndarray, n: int) -> np.ndarray:
+    """Map a witness y-vector of the reduced monic form back to the original
+    variables: y_j = z_j / sqrt(d_j) on active indices, 0 on dropped ones,
+    so P(x, y) equals the monic form's value at (x, z)."""
+    y = np.zeros(n)
+    idx = np.asarray(reduction.active)
+    y[idx] = z / reduction.scale[idx]
+    return y
+
+
 def sos_decompose_general(
     data: XSymmetricData, tol: Tolerances = DEFAULT_TOL
 ) -> SOSDecomposition | GroupedSOSDecomposition:
     """Reduce to monic, decompose with the structured route, undo the scaling.
 
-    The result verifies against the original form.
+    The result verifies against the original form.  A form that is not PSD
+    raises NotPSD whose witness is an InvalidReduction in the original
+    variables, with ``value = P(x, y) < 0``.
     """
     reduction = reduce_general(data, tol)
     if isinstance(reduction, InvalidReduction):
         raise NotPSD(f"form is not PSD: {reduction.reason}", witness=reduction)
     if not reduction.active:
         return SOSDecomposition(data.m, data.n, ())
-    monic_dec = sos_decompose_structured(reduction.monic, tol)
+    try:
+        monic_dec = sos_decompose_structured(reduction.monic, tol)
+    except NotPSD as exc:
+        x, z = exc.witness.witness
+        y = lift_witness(reduction, z, data.n)
+        reason = "Q/R eigenvalue test failed"
+        witness = InvalidReduction(x, y, evaluate_xsym(data, x, y), reason)
+        raise NotPSD(f"form is not PSD: {reason}", witness=witness) from None
     return undo_reduction(reduction, monic_dec, data.m, data.n)
 
 

@@ -208,6 +208,27 @@ class TestReduceRank:
         code, data = run_json(capsys, ["reduce-rank", str(path)])
         assert code == 1
 
+    @pytest.mark.parametrize("scale", [1e-3, 1e-6])
+    def test_small_scale_full_rank_start(self, capsys, tmp_path, scale):
+        # All nine x_i^2 y_j^2 start from the identity Gram matrix, so the
+        # step to the boundary runs; its end point must verify at small scales.
+        form = to_form(gen_simple(3, 3, 9))
+        path = tmp_path / "p339.json"
+        forms.save_form(forms.BiquadraticForm(3, 3, scale * form.coeffs), str(path))
+        code, data = run_json(capsys, ["reduce-rank", str(path)])
+        assert code == 0
+        assert data["payload"]["rank"] == 8
+
+    def test_full_rank_start_is_byte_identical(self, capsys, tmp_path):
+        path = tmp_path / "p339.json"
+        forms.save_form(to_form(gen_simple(3, 3, 9)), str(path))
+        out = tmp_path / "point.json"
+        runs = []
+        for _ in range(2):
+            assert main(["reduce-rank", str(path), "--out", str(out), "--json"]) == 0
+            runs.append((capsys.readouterr().out, out.read_bytes()))
+        assert runs[0] == runs[1]
+
 
 class TestMeigCommand:
     def test_p223(self, capsys, p223_file):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from biquad import gram, linalg
 from biquad.errors import CannotReduce, InvalidInput, NoPSDPointFound, NotPSD
@@ -153,6 +155,31 @@ class TestReduceToBoundary:
         ok, _ = linalg.is_psd(out.matrix)
         assert ok
         assert linalg.numerical_rank(out.matrix) <= 8
+        assert verify_sos(form, factor_gram(out))[0]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        m=st.integers(2, 4),
+        n=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+        log_cond=st.floats(0.0, 7.0),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_pd_start_lands_on_verified_boundary(self, m, n, seed, log_cond, log_scale):
+        # Ill-conditioned and small- or large-scale positive definite starts:
+        # the end point must be PSD, rank-deficient and factor into squares
+        # that verify against the form.
+        mn = m * n
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((mn, mn)))
+        m0 = (q * (10.0**log_scale * np.logspace(0.0, -log_cond, mn))) @ q.T
+        m0 = 0.5 * (m0 + m0.T)
+        form = symmetrize(m0.reshape(m, n, m, n))
+        fam = build_family(form)
+        point = gram_at(fam, gamma_of(fam, m0))
+        assume(linalg.numerical_rank(point.matrix) == mn)
+        out = reduce_to_boundary(fam, point, seed=0)
+        assert linalg.is_psd(out.matrix)[0]
+        assert linalg.numerical_rank(out.matrix) <= mn - 1
         assert verify_sos(form, factor_gram(out))[0]
 
     def test_not_psd_start_rejected(self):

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biquad import forms, linalg
+from biquad.cli import main
 from biquad.errors import InvalidInput, NotPSD
 from biquad.forms import GroupedSOSDecomposition, SOSDecomposition, evaluate, verify_sos
 from biquad.partsym import (
@@ -464,3 +469,43 @@ class TestGroupedDecomposition:
             assert not verify_sos(data, wrong, seed=3)[0]
             assert forms.evaluate_sos(dec, np.ones(m), np.ones(n)) == pytest.approx(
                 forms.evaluate_sos(dense_dec, np.ones(m), np.ones(n)), rel=1e-12)
+
+
+class TestWitnessProperty:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(
+        m=st.integers(1, 4),
+        n=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+        zero=st.lists(st.booleans(), min_size=4, max_size=4),
+        clean=st.booleans(),
+        coupling=st.floats(0.05, 2.0),
+    )
+    def test_not_psd_witness_in_original_variables(self, tmp_path_factory, m, n, seed, zero, clean, coupling):
+        # Non-monic (m, d, A, B) with some zero weights; the reduced monic
+        # form has coupling-scaled standard normal A and B.  When ``clean``,
+        # the zero-weight rows of A and B vanish too, so the reduction drops
+        # them and the Q/R test of the reduced form decides the verdict.
+        rng = np.random.default_rng(seed)
+        dropped = np.asarray(zero[:n])
+        d = np.where(dropped, 0.0, rng.uniform(0.01, 100.0, n))
+        root = np.sqrt(np.where(dropped & (not clean), 1.0, d))
+        a = coupling * np.outer(root, root) * rng.standard_normal((n, n))
+        b = coupling * np.outer(root, root) * rng.standard_normal((n, n))
+        np.fill_diagonal(b, 0.0)
+        data = XSymmetricData(m, d, 0.5 * (a + a.T), 0.5 * (b + b.T))
+        try:
+            sos_decompose_general(data)
+            verdict = "PSD"
+        except NotPSD as exc:
+            verdict = "NotPSD"
+            witness = exc.witness
+            assert isinstance(witness, InvalidReduction)
+            assert witness.x.shape == (m,) and witness.y.shape == (n,)
+            assert evaluate(reconstruct(data), witness.x, witness.y) < 0.0
+        path = tmp_path_factory.getbasetemp() / "witness-property.json"
+        path.write_text(json.dumps({"m": m, "d": data.d.tolist(), "A": data.A.tolist(), "B": data.B.tolist()}))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["check-psd", str(path), "--json"])
+        assert json.loads(out.getvalue())["payload"]["verdict"] == verdict
+        assert code == (0 if verdict == "PSD" else 2)
