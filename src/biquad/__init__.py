@@ -38,7 +38,7 @@ from .linalg import (
     psd_factor,
     sym_eig,
 )
-from .meig import MEigenpair, contract_x, contract_y, meig_solve, psd_sample_check
+from .meig import MEigenpair, contract_x, contract_y, meig_solve, min_probe, psd_sample_check
 from .partsym import (
     PSDCertificate,
     QRPair,

@@ -247,6 +247,29 @@ def cmd_gen_simple(args) -> CommandResult:
     return CommandResult("gen-simple", "ok", payload, _EXIT_OK, summary=summary + f" -> {args.out}")
 
 
+def _universal_bound(m: int, n: int) -> int:
+    """Known SOS-rank bound of every SOS m x n form: 4 for 3 x 2 and 2 x 3
+    (tight by the paper's m x 2 example with m + 1 squares), otherwise mn - 1
+    when both sides are at least 2 (the paper's universal bound), else mn."""
+    if sorted((m, n)) == [2, 3]:
+        return 4
+    return m * n - 1 if m >= 2 and n >= 2 else m * n
+
+
+def _negativity_probe(command: str, form, tol, seed: int, restarts: int = 20) -> CommandResult | None:
+    """Exit 2 with a witness, in check-psd's NotPSD envelope, when the
+    min-seeking M-eigen starts reach P(x, y) < -eps_psd * max|c|; else None."""
+    _, (x, y) = meig.min_probe(form, restarts=restarts, seed=seed)
+    value = forms.evaluate(form, x, y)
+    if not value < -tol.eps_psd * forms.max_abs_coeff(form):
+        return None
+    invalid = partsym.InvalidReduction(x, y, value, "min-seeking M-eigen starts found P(x, y) < 0")
+    return CommandResult(
+        command, "not-psd", _cert_payload(form, None, None, invalid), _EXIT_NOT_PSD,
+        summary=f"NotPSD: {invalid.reason}; witness value {value:.6g}",
+    )
+
+
 def cmd_sos_rank(args) -> CommandResult:
     tol = _tolerances(args)
     form = _load_dense(args.form, args.transpose)
@@ -262,7 +285,7 @@ def cmd_sos_rank(args) -> CommandResult:
             family, restarts=args.restarts, seed=args.seed, tol=tol, floor=lower or 1
         )
     except NoPSDPointFound:
-        return CommandResult(
+        return _negativity_probe("sos-rank", form, tol, args.seed, args.restarts) or CommandResult(
             "sos-rank",
             "inconclusive",
             {"seed": args.seed, "restarts": args.restarts,
@@ -274,8 +297,7 @@ def cmd_sos_rank(args) -> CommandResult:
     passed, resid = forms.verify_sos(form, dec, seed=args.seed)
     if not passed:
         raise NumericalError(f"Gram factorization failed re-verification: residual {resid:.3e}")
-    mn = form.m * form.n
-    universal = mn - 1 if form.m >= 2 and form.n >= 2 else mn
+    universal = _universal_bound(form.m, form.n)
     payload = {
         "upper_bound": rank,
         "gram_point": {"gamma": _vec(point.gamma), "rank": rank},
@@ -301,7 +323,7 @@ def cmd_reduce_rank(args) -> CommandResult:
     family = gram.build_family(form)
     start = gram.psd_point(family, seed=args.seed, tol=tol)
     if start is None:
-        return CommandResult(
+        return _negativity_probe("reduce-rank", form, tol, args.seed) or CommandResult(
             "reduce-rank",
             "inconclusive",
             {"seed": args.seed, "note": "no PSD Gram point found to start from"},

@@ -157,7 +157,7 @@ def evaluate(form: BiquadraticForm, x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != (form.m,) or y.shape != (form.n,):
         raise InvalidInput(f"expected vectors of lengths {form.m} and {form.n}")
-    return float(np.einsum("ijkl,i,j,k,l->", form.coeffs, x, y, x, y, optimize=True))
+    return float(evaluate_batch(form, x[None], y[None])[0])
 
 
 def evaluate_batch(form: BiquadraticForm, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -5,11 +5,15 @@ A pair of unit vectors (x, y) with
     sum_jkl a_ijkl y_j x_k y_l = lambda x_i,   sum_ikl a_ijkl x_i x_k y_l = lambda y_j
 
 is an M-eigenpair; lambda then equals P(x, y), and the form is PSD exactly
-when no M-eigenvalue is negative.  There is no direct algorithm here: the
-solver alternates symmetric eigensteps on the two contracted matrices
-G(y)_ik = sum_jl a_ijkl y_j y_l and H(x)_jl = sum_ik a_ijkl x_i x_k from
-seeded random starts, targeting the extreme eigenpairs.  It can miss pairs,
-so it serves as a cross-check oracle, never as a PSD decision procedure.
+when no M-eigenvalue is negative (Qi, Dai and Han 2009).  There is no direct
+algorithm here.  The solver runs all seeded starts as one stack: a few
+alternating symmetric eigensteps on the contracted matrices
+G(y)_ik = sum_jl a_ijkl y_j y_l and H(x)_jl = sum_ik a_ijkl x_i x_k, each
+start targeting the smallest or the largest eigenpair, then Newton steps on
+the M-eigen system for the starts still open.  Every pair it returns is the
+targeted extreme eigenpair of both G(y) and H(x), that is, a fixed point of
+the extreme-targeting alternation.  It can miss pairs, so it serves as a
+cross-check oracle, never as a PSD decision procedure.
 """
 
 from __future__ import annotations
@@ -25,6 +29,11 @@ from .forms import BiquadraticForm, _unit_rows, evaluate_batch, max_abs_coeff
 logger = logging.getLogger(__name__)
 
 _DEDUP_TOL = 1e-6
+# Alternating eigensteps before the Newton polish takes over.
+_ALTERNATIONS = 15
+# Newton's residual need not fall at every step, but a start whose residual
+# norm is not below this share of its norm two steps earlier has stalled.
+_NEWTON_DECAY = 0.5
 DEFAULT_SIZE_CAP = 8
 
 
@@ -51,65 +60,185 @@ def contract_x(form: BiquadraticForm, x, y) -> np.ndarray:
     """Vector with components sum_jkl a_ijkl y_j x_k y_l; contracting it
     against x recovers P(x, y)."""
     x, y = _check_lengths(form, x, y)
-    return _Contractor(form).x_matrix(y) @ x
+    return _Contractor(form.coeffs).x_matrices(y[None])[0] @ x
 
 
 def contract_y(form: BiquadraticForm, x, y) -> np.ndarray:
     """Vector with components sum_ikl a_ijkl x_i x_k y_l."""
     x, y = _check_lengths(form, x, y)
-    return _Contractor(form).y_matrix(x) @ y
+    return _Contractor(form.coeffs).y_matrices(x[None])[0] @ y
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    pivot = int(np.argmax(np.abs(v)))
-    return -v if v[pivot] < 0.0 else v
+    """Flip each row of v so that its largest-magnitude entry is positive."""
+    pivot = np.abs(v).argmax(axis=1)
+    return v * np.where(v[np.arange(len(v)), pivot] < 0.0, -1.0, 1.0)[:, None]
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.transpose(0, 2, 1))
+
+
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (u[:, :, None] * v[:, None, :]).reshape(len(u), -1)
 
 
 class _Contractor:
-    """Precomputed unfoldings so the alternating loop is two mat-vecs."""
+    """Unfoldings of an (m, n, m, n) tensor, so that contracting a stack of
+    starts is one matmul."""
 
-    def __init__(self, form: BiquadraticForm):
-        m, n = form.m, form.n
+    def __init__(self, coeffs: np.ndarray):
+        m, n = coeffs.shape[:2]
         self.m, self.n = m, n
-        self.x_unfold = form.coeffs.transpose(0, 2, 1, 3).reshape(m * m, n * n)
-        self.y_unfold = form.coeffs.transpose(1, 3, 0, 2).reshape(n * n, m * m)
+        self.x_unfold = coeffs.transpose(0, 2, 1, 3).reshape(m * m, n * n)
+        self.y_unfold = coeffs.transpose(1, 3, 0, 2).reshape(n * n, m * m)
+        self.gram = coeffs.reshape(m * n, m * n)
 
-    def x_matrix(self, y: np.ndarray) -> np.ndarray:
-        g = (self.x_unfold @ np.outer(y, y).ravel()).reshape(self.m, self.m)
-        return 0.5 * (g + g.T)
+    def x_matrices(self, y: np.ndarray) -> np.ndarray:
+        """G(y) for each row of y: (b, n) -> (b, m, m)."""
+        return _sym((_outer(y, y) @ self.x_unfold.T).reshape(-1, self.m, self.m))
 
-    def y_matrix(self, x: np.ndarray) -> np.ndarray:
-        h = (self.y_unfold @ np.outer(x, x).ravel()).reshape(self.n, self.n)
-        return 0.5 * (h + h.T)
+    def y_matrices(self, x: np.ndarray) -> np.ndarray:
+        """H(x) for each row of x: (b, m) -> (b, n, n)."""
+        return _sym((_outer(x, x) @ self.y_unfold.T).reshape(-1, self.n, self.n))
+
+    def cross(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """C_ij = sum_kl a_ijkl x_k y_l for each row pair: (b, m, n)."""
+        return (_outer(x, y) @ self.gram).reshape(-1, self.m, self.n)
 
 
-def _eigenstep(contractor: _Contractor, g: np.ndarray, pick: int):
-    """One alternating step from g = G(y): x is the picked eigenvector of g,
+def _eigenstep(contractor: _Contractor, g: np.ndarray, pick: np.ndarray):
+    """One alternating step for a stack of starts from g = G(y): x is the
+    picked eigenvector of each G(y) (pick 0 the smallest, -1 the largest),
     then y that of H(x).  Returns x, y, H(x) and G(y) for the new y."""
-    x = _canonical_sign(np.linalg.eigh(g)[1][:, pick])
-    h = contractor.y_matrix(x)
-    y = _canonical_sign(np.linalg.eigh(h)[1][:, pick])
-    return x, y, h, contractor.x_matrix(y)
+    rows = np.arange(len(pick))
+    x = _canonical_sign(np.linalg.eigh(g)[1][rows, :, pick])
+    h = contractor.y_matrices(x)
+    y = _canonical_sign(np.linalg.eigh(h)[1][rows, :, pick])
+    return x, y, h, contractor.x_matrices(y)
 
 
-def _alternate(
-    contractor: _Contractor,
-    y: np.ndarray,
-    want_max: bool,
-    tol_abs: float,
-    max_iter: int,
-) -> MEigenpair | None:
-    pick = -1 if want_max else 0
-    g = contractor.x_matrix(y)
-    for _ in range(max_iter):
-        x, y, h, g = _eigenstep(contractor, g, pick)
-        gx, hy = g @ x, h @ y
-        lam = float(x @ gx)
-        rx = float(np.linalg.norm(gx - lam * x))
-        ry = float(np.linalg.norm(hy - lam * y))
-        if rx <= tol_abs and ry <= tol_abs:
-            return MEigenpair(lam, x.copy(), y.copy(), rx, ry)
-    return None
+def _residuals(x, y, g, h):
+    """lambda = P(x, y) and the residual vectors of G(y)x = lambda x and
+    H(x)y = lambda y, for each row."""
+    gx = np.einsum("bik,bk->bi", g, x)
+    hy = np.einsum("bjl,bl->bj", h, y)
+    lam = np.einsum("bi,bi->b", x, gx)
+    return lam, gx - lam[:, None] * x, hy - lam[:, None] * y
+
+
+class _Starts:
+    """State of a stack of starts: the last iterate of each and whether it
+    passed the residual test ``|G(y)x - lam x|, |H(x)y - lam y| <= tol``."""
+
+    def __init__(self, y0: np.ndarray, m: int):
+        count = len(y0)
+        self.x, self.y = np.zeros((count, m)), y0.copy()
+        self.lam, self.rx, self.ry = np.full(count, np.inf), np.full(count, np.inf), np.full(count, np.inf)
+        self.converged = np.zeros(count, dtype=bool)
+
+    def record(self, idx, x, y, lam, fx, fy, tol) -> np.ndarray:
+        """Store the iterates of starts ``idx``; return which converged."""
+        rx, ry = np.linalg.norm(fx, axis=1), np.linalg.norm(fy, axis=1)
+        self.x[idx], self.y[idx], self.lam[idx], self.rx[idx], self.ry[idx] = x, y, lam, rx, ry
+        done = (rx <= tol) & (ry <= tol)
+        self.converged[idx[done]] = True
+        return done
+
+
+def _search(contractor: _Contractor, y0: np.ndarray, pick: np.ndarray, tol: float, max_iter: int = 200) -> _Starts:
+    """Run every start: alternating eigensteps, then Newton steps for the
+    ones still open, at most ``max_iter`` steps in all.  Thresholds are in the
+    units of the contractor's tensor."""
+    starts = _Starts(y0, contractor.m)
+    idx = np.arange(len(y0))
+    g = contractor.x_matrices(y0)
+    alternations = min(_ALTERNATIONS, max_iter)
+    for _ in range(alternations):
+        x, y, h, g = _eigenstep(contractor, g, pick[idx])
+        done = starts.record(idx, x, y, *_residuals(x, y, g, h), tol)
+        idx, g = idx[~done], g[~done]
+        if not len(idx):
+            return starts
+    _polish(contractor, starts, idx, pick, tol, max_iter - alternations)
+    return starts
+
+
+def _polish(contractor: _Contractor, starts: _Starts, idx, pick, tol: float, steps: int) -> None:
+    """Newton steps on G(y)x = lam x, H(x)y = mu y, |x| = |y| = 1 for the
+    open starts ``idx``, all systems in one stacked solve.
+
+    The Jacobian in (x, y, lam, mu) is
+    [[G - lam I, 2C, -x, 0], [2C', H - mu I, 0, -y], [x', 0, 0, 0], [0, y', 0, 0]]
+    with C_ij = sum_kl a_ijkl x_k y_l.  Each iterate is renormalized and takes
+    lam = mu = P(x, y).  A start is dropped when its system is singular or
+    its residual norm is not below half of what it was two steps earlier.
+    A converged start is kept only if lam is also the targeted extreme
+    eigenvalue of G(y) and H(x).
+    """
+    m, n = contractor.m, contractor.n
+    x, y = starts.x[idx], starts.y[idx]
+    earlier = np.full((2, len(idx)), np.inf)  # residual norms one and two steps back
+    polished = []
+    for _ in range(steps):
+        if not len(idx):
+            break
+        g, h = contractor.x_matrices(y), contractor.y_matrices(x)
+        lam, fx, fy = _residuals(x, y, g, h)
+        done = starts.record(idx, x, y, lam, fx, fy, tol)
+        polished.append(idx[done])
+        norm = np.hypot(np.linalg.norm(fx, axis=1), np.linalg.norm(fy, axis=1))
+        jac = np.zeros((len(idx), m + n + 2, m + n + 2))
+        c2 = 2.0 * contractor.cross(x, y)
+        jac[:, :m, :m] = g - lam[:, None, None] * np.eye(m)
+        jac[:, :m, m:m + n] = c2
+        jac[:, :m, m + n] = -x
+        jac[:, m:m + n, :m] = c2.transpose(0, 2, 1)
+        jac[:, m:m + n, m:m + n] = h - lam[:, None, None] * np.eye(n)
+        jac[:, m:m + n, m + n + 1] = -y
+        jac[:, m + n, :m] = x
+        jac[:, m + n + 1, m:m + n] = y
+        keep = ~done & (norm < _NEWTON_DECAY * earlier[1]) & np.isfinite(np.linalg.slogdet(jac)[1])
+        idx, x, y = idx[keep], x[keep], y[keep]
+        earlier = np.stack([norm[keep], earlier[0, keep]])
+        rhs = -np.concatenate([fx[keep], fy[keep], np.zeros((len(idx), 2))], axis=1)
+        step = np.linalg.solve(jac[keep], rhs[:, :, None])[:, :, 0]
+        # the border rows make each step orthogonal to x and y, so no norm
+        # falls below 1
+        x = _canonical_sign(_unit(x + step[:, :m]))
+        y = _canonical_sign(_unit(y + step[:, m:m + n]))
+    polished = np.concatenate(polished) if polished else np.zeros(0, dtype=int)
+    if len(polished):
+        g_eigs = np.linalg.eigvalsh(contractor.x_matrices(starts.y[polished]))
+        h_eigs = np.linalg.eigvalsh(contractor.y_matrices(starts.x[polished]))
+        lam = starts.lam[polished]
+        extreme = np.where(
+            pick[polished] == -1,
+            (lam >= g_eigs[:, -1] - tol) & (lam >= h_eigs[:, -1] - tol),
+            (lam <= g_eigs[:, 0] + tol) & (lam <= h_eigs[:, 0] + tol),
+        )
+        starts.converged[polished[~extreme]] = False
+
+
+def _seeded_starts(form: BiquadraticForm, restarts: int, seed: int) -> np.ndarray:
+    """The y0 of each restart, one per row, drawn from ``default_rng([seed, r])``."""
+    y0 = np.empty((max(1, restarts), form.n))
+    for ridx in range(len(y0)):
+        rng = np.random.default_rng([seed, ridx])
+        _unit_rows(rng, 1, form.m)  # keeps the seeded y0; the first eigenstep sets x
+        y0[ridx] = _unit_rows(rng, 1, form.n)[0]
+    return y0
+
+
+def _normalized(form: BiquadraticForm) -> tuple[_Contractor, float]:
+    """Contractor of coeffs / max|c| (guarded by the smallest normal float),
+    so that every threshold of the search is relative to max|c|."""
+    scale = max(max_abs_coeff(form), np.finfo(float).tiny)
+    return _Contractor(form.coeffs / scale), scale
 
 
 def meig_solve(
@@ -120,37 +249,44 @@ def meig_solve(
     size_cap: int = DEFAULT_SIZE_CAP,
     max_iter: int = 200,
 ) -> list[MEigenpair]:
-    """Alternating eigenstep search for M-eigenpairs, sorted by eigenvalue.
+    """M-eigenpairs from seeded starts, sorted by eigenvalue.
 
-    Runs ``restarts`` seeded random starts, each driven toward the largest
-    and the smallest eigenpair; non-convergent starts are dropped (debug
-    log).  Duplicates agree on lambda and on (x, y) up to simultaneous sign
+    Each of the ``restarts`` seeded y0 starts twice, once driven toward the
+    smallest and once toward the largest eigenpair, and all starts run as one
+    stack: up to 15 alternating eigensteps, then Newton steps on the M-eigen
+    system for the starts still open, ``max_iter`` steps in all.  A pair is
+    returned when both residuals ``|G(y)x - lam x|`` and ``|H(x)y - lam y|``
+    are at most ``tol * max|c|``; a polished pair must also have lam as the
+    targeted extreme eigenvalue of G(y) and H(x).  Starts that stall or
+    whose Newton system is singular are dropped (debug log).  Duplicates agree
+    on lambda within ``1e-6 * max|c|`` and on (x, y) up to simultaneous sign
     flips within 1e-6.  The smallest value returned is an upper bound on the
     true minimum M-eigenvalue; the list is not guaranteed complete.
     """
     if form.m > size_cap or form.n > size_cap:
         raise InvalidInput(f"form size {form.m} x {form.n} exceeds the cap {size_cap}")
-    contractor = _Contractor(form)
-    tol_abs = tol * max(1.0, max_abs_coeff(form))
+    contractor, scale = _normalized(form)
+    y0 = _seeded_starts(form, restarts, seed)
+    pick = np.tile([0, -1], len(y0))
+    starts = _search(contractor, np.repeat(y0, 2, axis=0), pick, tol, max_iter)
     pairs: list[MEigenpair] = []
-    for ridx in range(max(1, restarts)):
-        rng = np.random.default_rng([seed, ridx])
-        _unit_rows(rng, 1, form.m)  # keeps the seeded y0; the first eigenstep sets x
-        y0 = _unit_rows(rng, 1, form.n)[0]
-        for want_max in (False, True):
-            pair = _alternate(contractor, y0, want_max, tol_abs, max_iter)
-            if pair is None:
-                logger.debug("meig start %d (%s) did not converge", ridx, "max" if want_max else "min")
-                continue
-            if not _is_duplicate(pair, pairs):
-                pairs.append(pair)
+    for b in range(len(pick)):
+        if not starts.converged[b]:
+            logger.debug("meig start %d (%s) did not converge", b // 2, "max" if pick[b] else "min")
+            continue
+        pair = MEigenpair(
+            float(scale * starts.lam[b]), starts.x[b].copy(), starts.y[b].copy(),
+            float(scale * starts.rx[b]), float(scale * starts.ry[b]),
+        )
+        if not _is_duplicate(pair, pairs, _DEDUP_TOL * scale):
+            pairs.append(pair)
     pairs.sort(key=lambda p: p.eigenvalue)
     return pairs
 
 
-def _is_duplicate(pair: MEigenpair, known: list[MEigenpair]) -> bool:
+def _is_duplicate(pair: MEigenpair, known: list[MEigenpair], lam_tol: float) -> bool:
     for other in known:
-        if abs(pair.eigenvalue - other.eigenvalue) > _DEDUP_TOL:
+        if abs(pair.eigenvalue - other.eigenvalue) > lam_tol:
             continue
         # Vectors are sign-canonicalized, but compare both orientations in
         # case the pivot entry is near zero.
@@ -165,6 +301,20 @@ def _is_duplicate(pair: MEigenpair, known: list[MEigenpair]) -> bool:
         if x_match <= _DEDUP_TOL and y_match <= _DEDUP_TOL:
             return True
     return False
+
+
+def min_probe(
+    form: BiquadraticForm, restarts: int = 20, seed: int = 0, tol: float = 1e-10
+) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """Negativity probe: the smallest P(x, y) over the last iterates of
+    ``restarts`` min-seeking starts of the ``meig_solve`` search (the same
+    seeded y0), converged or not, with its unit (x, y).  No size cap; like
+    ``psd_sample_check``, it can show a form is not PSD but never that it is."""
+    contractor, scale = _normalized(form)
+    y0 = _seeded_starts(form, restarts, seed)
+    starts = _search(contractor, y0, np.zeros(len(y0), dtype=int), tol)
+    best = int(np.argmin(starts.lam))
+    return float(scale * starts.lam[best]), (starts.x[best].copy(), starts.y[best].copy())
 
 
 def psd_sample_check(
@@ -195,12 +345,13 @@ def psd_sample_check(
             best_x, best_y = xs[idx].copy(), ys[idx].copy()
         remaining -= take
 
-    contractor = _Contractor(form)
-    g = contractor.x_matrix(best_y)
+    contractor = _Contractor(form.coeffs)
+    g = contractor.x_matrices(best_y[None])
+    pick = np.zeros(1, dtype=int)
     for _ in range(polish_steps):
-        x, y, _, g = _eigenstep(contractor, g, 0)
-        val = float(x @ g @ x)
+        x, y, _, g = _eigenstep(contractor, g, pick)
+        val = float(x[0] @ g[0] @ x[0])
         if val < best_val:
             best_val = val
-            best_x, best_y = x, y
+            best_x, best_y = x[0], y[0]
     return best_val, (best_x, best_y)

@@ -47,6 +47,42 @@ def p224_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def x1sq_y1y2_file(tmp_path):
+    # x1^2 y1 y2: no PSD Gram matrix, and P = -1/2 at x = 1, y = (1, -1)/sqrt(2)
+    raw = np.zeros((1, 2, 1, 2))
+    raw[0, 0, 0, 1] = 1.0
+    path = tmp_path / "nopsd.json"
+    forms.save_form(forms.symmetrize(raw), str(path))
+    return str(path)
+
+
+@pytest.fixture
+def choi_file(tmp_path):
+    # Choi's PSD form that is not a sum of squares of bilinear forms
+    raw = np.zeros((3, 3, 3, 3))
+    for i in range(3):
+        j = (i + 1) % 3
+        raw[i, i, i, i] = 1.0
+        raw[i, j, i, j] = 2.0
+        raw[i, i, j, j] = -2.0
+    path = tmp_path / "choi.json"
+    forms.save_form(forms.symmetrize(raw), str(path))
+    return str(path)
+
+
+def assert_not_psd_envelope(data, path):
+    """check-psd's NotPSD envelope, with a witness negative on the form."""
+    assert data["status"] == "not-psd"
+    payload = data["payload"]
+    assert payload["verdict"] == "NotPSD"
+    assert {"m", "n", "active", "d", "q_eigenvalues", "r_eigenvalues", "reason"} <= set(payload)
+    witness = payload["witness"]
+    form = forms.load_form(path)
+    value = forms.evaluate(form, np.array(witness["x"]), np.array(witness["y"]))
+    assert value == witness["value"] < 0.0
+
+
 def run_json(capsys, argv):
     code = main(argv + ["--json"])
     out = capsys.readouterr().out
@@ -179,15 +215,27 @@ class TestSosRank:
         assert code == 0
         assert data["payload"]["upper_bound"] == 0
 
-    def test_inconclusive_exit_4(self, capsys, tmp_path):
-        # no PSD Gram representation exists for x1^2 y1 y2
-        raw = np.zeros((1, 2, 1, 2))
-        raw[0, 0, 0, 1] = 1.0
-        path = tmp_path / "nopsd.json"
-        forms.save_form(forms.symmetrize(raw), str(path))
-        code, data = run_json(capsys, ["sos-rank", str(path), "--restarts", "2"])
+    def test_inconclusive_exit_4(self, capsys, choi_file):
+        # PSD but not SOS: no Gram point exists and no negative value either
+        code, data = run_json(capsys, ["sos-rank", choi_file, "--restarts", "2"])
         assert code == 4
         assert data["status"] == "inconclusive"
+
+    def test_not_psd_exit_2_with_witness(self, capsys, x1sq_y1y2_file):
+        code, data = run_json(capsys, ["sos-rank", x1sq_y1y2_file, "--restarts", "2"])
+        assert_not_psd_envelope(data, x1sq_y1y2_file)
+        assert code == 2
+
+    def test_universal_bound_3x2_and_2x3(self, capsys, tmp_path):
+        # 3 x 2 and 2 x 3 PSD forms are sums of 4 squares, not mn - 1 = 5
+        w = np.random.default_rng(2026).standard_normal((3, 3, 2))
+        path = tmp_path / "planted32.json"
+        forms.save_form(forms.symmetrize(np.einsum("pij,pkl->ijkl", w, w)), str(path))
+        for extra in ([], ["--transpose"]):
+            code, data = run_json(capsys, ["sos-rank", str(path), "--restarts", "5"] + extra)
+            assert code == 0
+            assert data["payload"]["universal_bound"] == 4
+            assert data["payload"]["upper_bound"] <= 4
 
 
 class TestReduceRank:
@@ -218,6 +266,16 @@ class TestReduceRank:
         code, data = run_json(capsys, ["reduce-rank", str(path)])
         assert code == 0
         assert data["payload"]["rank"] == 8
+
+    def test_not_psd_exit_2_with_witness(self, capsys, x1sq_y1y2_file):
+        code, data = run_json(capsys, ["reduce-rank", x1sq_y1y2_file])
+        assert_not_psd_envelope(data, x1sq_y1y2_file)
+        assert code == 2
+
+    def test_inconclusive_exit_4(self, capsys, choi_file):
+        code, data = run_json(capsys, ["reduce-rank", choi_file])
+        assert code == 4
+        assert data["status"] == "inconclusive"
 
     def test_full_rank_start_is_byte_identical(self, capsys, tmp_path):
         path = tmp_path / "p339.json"

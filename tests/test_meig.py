@@ -1,15 +1,33 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from biquad import meig
 from biquad.errors import InvalidInput
-from biquad.forms import evaluate, symmetrize
-from biquad.meig import contract_x, contract_y, meig_solve, psd_sample_check
+from biquad.forms import evaluate, max_abs_coeff, symmetrize
+from biquad.meig import contract_x, contract_y, meig_solve, min_probe, psd_sample_check
 from biquad.partsym import XSymmetricData, check_psd_monic, qr_pair, random_psd_instance, reconstruct
 from biquad.simple import SupportSet, gen_simple, to_form
 from conftest import random_monic
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z2 = np.zeros((2, 2))
+
+
+def planted_form(m, n, r, seed, scale=1.0):
+    """Sum of r random bilinear squares, times scale."""
+    w = np.random.default_rng(seed).standard_normal((r, m, n))
+    return symmetrize(scale * np.einsum("pij,pkl->ijkl", w, w))
+
+
+def benchmark_planted_3x2():
+    """The planted 3 x 2 r = 3 form of the general-rank benchmark workload:
+    the third draw from default_rng(2026), after a 2 x 2 r = 2 and r = 3."""
+    rng = np.random.default_rng(2026)
+    for m, n, r in ((2, 2, 2), (2, 2, 3), (3, 2, 3)):
+        w = rng.standard_normal((r, m, n))
+    return symmetrize(np.einsum("pij,pkl->ijkl", w, w))
 
 
 def num_grad_x(form, x, y, h=1e-6):
@@ -139,6 +157,113 @@ class TestMeigSolve:
         form = reconstruct(random_monic(rng, 3, 2))
         values = [p.eigenvalue for p in meig_solve(form, restarts=8, seed=2)]
         assert values == sorted(values)
+
+
+class TestBatchedSolve:
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        m=st.integers(2, 4),
+        n=st.integers(2, 4),
+        planted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    )
+    def test_pairs_are_extreme_fixed_points(self, m, n, planted, seed, scale):
+        if planted:
+            form = planted_form(m, n, int(np.random.default_rng(seed).integers(1, m * n)), seed, scale)
+        else:
+            form = symmetrize(scale * np.random.default_rng(seed).standard_normal((m, n, m, n)))
+        c = max_abs_coeff(form)
+        tol = 1e-10
+        pairs = meig_solve(form, restarts=6, seed=seed % 1000, tol=tol)
+        assert pairs
+        for p in pairs:
+            assert abs(np.linalg.norm(p.x) - 1.0) <= 1e-10
+            assert abs(np.linalg.norm(p.y) - 1.0) <= 1e-10
+            assert p.residual_x <= tol * c and p.residual_y <= tol * c
+            assert np.linalg.norm(contract_x(form, p.x, p.y) - p.eigenvalue * p.x) <= 2 * tol * c
+            assert np.linalg.norm(contract_y(form, p.x, p.y) - p.eigenvalue * p.y) <= 2 * tol * c
+            assert abs(evaluate(form, p.x, p.y) - p.eigenvalue) <= 1e-8 * c
+            g = np.linalg.eigvalsh(np.einsum("ijkl,j,l->ik", form.coeffs, p.y, p.y))
+            h = np.linalg.eigvalsh(np.einsum("ijkl,i,k->jl", form.coeffs, p.x, p.x))
+            lowest = p.eigenvalue <= g[0] + 1e-8 * c and p.eigenvalue <= h[0] + 1e-8 * c
+            highest = p.eigenvalue >= g[-1] - 1e-8 * c and p.eigenvalue >= h[-1] - 1e-8 * c
+            assert lowest or highest
+            if planted:
+                assert p.eigenvalue >= -1e-8 * c
+
+    def test_planted_3x2_real_zero_found(self):
+        # P has a real zero, so its least M-eigenvalue is 0; alternating
+        # eigensteps alone approach it too slowly to converge
+        form = benchmark_planted_3x2()
+        pairs = meig_solve(form, restarts=20, seed=0)
+        assert abs(pairs[0].eigenvalue) <= 1e-8 * max_abs_coeff(form)
+
+    def test_bit_identical_across_repeats(self):
+        form = planted_form(4, 3, 5, seed=2026)
+        runs, ballast = set(), []
+        for t in range(4):
+            ballast.append(np.ones(997 * (t + 1)))
+            pairs = meig_solve(form, restarts=10, seed=3)
+            runs.add(tuple((p.eigenvalue, p.x.tobytes(), p.y.tobytes(), p.residual_x, p.residual_y) for p in pairs))
+        assert len(runs) == 1
+
+    def test_eigen_solves_are_batched(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+        meig_solve(benchmark_planted_3x2(), restarts=20, seed=0)
+        assert 0 < len(calls) <= 64
+
+    def test_polish_rejects_a_pair_that_is_not_extreme(self):
+        # P = x1^2 y1^2 + 2 x1^2 y2^2 + 5 x2^2 y2^2: (e1, e1) is an M-eigenpair
+        # with lambda = 1, the largest eigenvalue of G(e1) = diag(1, 0) but
+        # the smallest of H(e1) = diag(1, 2), so neither targeted map fixes it
+        raw = np.zeros((2, 2, 2, 2))
+        for (i, j), a in np.ndenumerate(np.array([[1.0, 2.0], [0.0, 5.0]])):
+            raw[i, j, i, j] = a
+        near = np.array([[0.999, 0.03], [0.999, 0.03]])
+        starts = meig._Starts(near, 2)
+        starts.x[:] = near
+        meig._polish(meig._Contractor(raw), starts, np.arange(2), np.array([0, -1]), 1e-10, 20)
+        np.testing.assert_allclose(starts.lam, 1.0, atol=1e-12)
+        assert (starts.rx <= 1e-10).all() and (starts.ry <= 1e-10).all()
+        assert not starts.converged.any()
+
+    def test_polish_drops_a_singular_system(self):
+        # P = -x1^2 y1^2 + x2^2 y1 y2 at x = e2, y = e1: H(x)y - lambda y = (0, 1/2),
+        # and the Newton system there is exactly singular
+        raw = np.zeros((2, 2, 2, 2))
+        raw[0, 0, 0, 0], raw[1, 1, 1, 0] = -1.0, 1.0
+        starts = meig._Starts(np.array([[1.0, 0.0]]), 2)
+        starts.x[:] = [0.0, 1.0]
+        meig._polish(meig._Contractor(symmetrize(raw).coeffs), starts, np.arange(1), np.array([0]), 1e-10, 20)
+        assert starts.ry[0] == pytest.approx(0.5)
+        assert not starts.converged[0]
+
+    def test_pair_count_is_scale_invariant(self):
+        base = planted_form(3, 2, 3, seed=2026)
+        reference = [p.eigenvalue for p in meig_solve(base)]
+        for scale in (1e-12, 1e-6, 1e6, 1e12):
+            values = [p.eigenvalue / scale for p in meig_solve(symmetrize(scale * base.coeffs))]
+            assert len(values) == len(reference)
+            np.testing.assert_allclose(values, reference, rtol=0, atol=1e-8 * max_abs_coeff(base))
+
+
+class TestMinProbe:
+    def test_finds_negative_value(self):
+        raw = np.zeros((1, 2, 1, 2))
+        raw[0, 0, 0, 1] = 1.0
+        form = symmetrize(raw)
+        value, (x, y) = min_probe(form, restarts=2, seed=0)
+        assert value == pytest.approx(-0.5, abs=1e-12)
+        assert evaluate(form, x, y) == pytest.approx(value, abs=1e-12)
+
+    def test_psd_form_stays_nonnegative(self):
+        form = planted_form(3, 3, 4, seed=1)
+        value, _ = min_probe(form, restarts=5, seed=0)
+        assert value >= -1e-12 * max_abs_coeff(form)
 
 
 class TestPsdSampleCheck:
