@@ -256,10 +256,11 @@ def _universal_bound(m: int, n: int) -> int:
     return m * n - 1 if m >= 2 and n >= 2 else m * n
 
 
-def _negativity_probe(command: str, form, tol, seed: int, restarts: int = 20) -> CommandResult | None:
+def _negativity_probe(command: str, form, tol, seed: int, **probe_args) -> CommandResult | None:
     """Exit 2 with a witness, in check-psd's NotPSD envelope, when the
-    min-seeking M-eigen starts reach P(x, y) < -eps_psd * max|c|; else None."""
-    _, (x, y) = meig.min_probe(form, restarts=restarts, seed=seed)
+    min-seeking M-eigen starts of ``meig.min_probe`` (given ``probe_args``,
+    else its defaults) reach P(x, y) < -eps_psd * max|c|; else None."""
+    _, (x, y) = meig.min_probe(form, seed=seed, **probe_args)
     value = forms.evaluate(form, x, y)
     if not value < -tol.eps_psd * forms.max_abs_coeff(form):
         return None
@@ -285,7 +286,7 @@ def cmd_sos_rank(args) -> CommandResult:
             family, restarts=args.restarts, seed=args.seed, tol=tol, floor=lower or 1
         )
     except NoPSDPointFound:
-        return _negativity_probe("sos-rank", form, tol, args.seed, args.restarts) or CommandResult(
+        return _negativity_probe("sos-rank", form, tol, args.seed, restarts=args.restarts) or CommandResult(
             "sos-rank",
             "inconclusive",
             {"seed": args.seed, "restarts": args.restarts,

@@ -28,6 +28,8 @@ from .forms import BiquadraticForm, _unit_rows, evaluate_batch, max_abs_coeff
 
 logger = logging.getLogger(__name__)
 
+# Default residual bound of meig_solve and min_probe, relative to max|c|.
+_TOL = 1e-10
 _DEDUP_TOL = 1e-6
 # Alternating eigensteps before the Newton polish takes over.
 _ALTERNATIONS = 15
@@ -245,7 +247,7 @@ def meig_solve(
     form: BiquadraticForm,
     restarts: int = 20,
     seed: int = 0,
-    tol: float = 1e-10,
+    tol: float = _TOL,
     size_cap: int = DEFAULT_SIZE_CAP,
     max_iter: int = 200,
 ) -> list[MEigenpair]:
@@ -304,7 +306,7 @@ def _is_duplicate(pair: MEigenpair, known: list[MEigenpair], lam_tol: float) -> 
 
 
 def min_probe(
-    form: BiquadraticForm, restarts: int = 20, seed: int = 0, tol: float = 1e-10
+    form: BiquadraticForm, restarts: int = 20, seed: int = 0
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Negativity probe: the smallest P(x, y) over the last iterates of
     ``restarts`` min-seeking starts of the ``meig_solve`` search (the same
@@ -312,7 +314,7 @@ def min_probe(
     ``psd_sample_check``, it can show a form is not PSD but never that it is."""
     contractor, scale = _normalized(form)
     y0 = _seeded_starts(form, restarts, seed)
-    starts = _search(contractor, y0, np.zeros(len(y0), dtype=int), tol)
+    starts = _search(contractor, y0, np.zeros(len(y0), dtype=int), _TOL)
     best = int(np.argmin(starts.lam))
     return float(scale * starts.lam[best]), (starts.x[best].copy(), starts.y[best].copy())
 
