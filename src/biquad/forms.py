@@ -11,8 +11,10 @@ views lives here.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -95,6 +97,29 @@ class SOSDecomposition:
         return len(self.factors)
 
 
+ONES = "ones"  # X tag of a group: the single row 1_m / sqrt(m)
+HELMERT = "helmert"  # X tag of a group: the m - 1 rows of helmert_basis(m).T
+X_TAGS = (ONES, HELMERT)
+
+
+def helmert_basis(m: int) -> np.ndarray:
+    """Deterministic orthonormal basis of the hyperplane orthogonal to the
+    all-ones vector, as columns of an m x (m-1) matrix."""
+    v = np.zeros((m, m - 1))
+    for k in range(2, m + 1):
+        scale = 1.0 / math.sqrt(k * (k - 1))
+        v[: k - 1, k - 2] = scale
+        v[k - 1, k - 2] = -(k - 1) * scale
+    return v
+
+
+def x_rows(xg: np.ndarray | str, m: int) -> np.ndarray:
+    """The X rows of a group; a tagged basis is rebuilt from m."""
+    if isinstance(xg, np.ndarray):
+        return xg
+    return np.full((1, m), 1.0 / math.sqrt(m)) if xg == ONES else helmert_basis(m).T
+
+
 @dataclass(frozen=True)
 class GroupedSOSDecomposition:
     """Sum of squares made of Kronecker groups ``(X_g, Y_g)``.
@@ -102,32 +127,43 @@ class GroupedSOSDecomposition:
     The factors of a group are every ``outer(x, y)`` with x a row of X_g
     (shape (a_g, m)) and y a row of Y_g (shape (b_g, n)), so a group stands
     for ``a_g * b_g`` bilinear squares and its share of the sum at (x, y) is
-    ``|X_g x|^2 |Y_g y|^2``.  Storage is the rows, not the dense factors.
+    ``|X_g x|^2 |Y_g y|^2``.  X_g is an array of rows or a tag naming a fixed
+    basis (``ONES``, ``HELMERT``), which is rebuilt only for ``factors``.
+    Storage is the rows, not the dense factors.
     """
 
     m: int
     n: int
-    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    groups: tuple[tuple[np.ndarray | str, np.ndarray], ...]
 
     def __post_init__(self):
         groups = []
         for xg, yg in self.groups:
-            xg = np.asarray(xg, dtype=float)
+            if not isinstance(xg, str):
+                xg = np.asarray(xg, dtype=float)
+            elif xg not in X_TAGS:
+                raise InvalidInput(f"unknown group basis {xg!r}, expected one of {X_TAGS}")
             yg = np.asarray(yg, dtype=float)
-            if xg.ndim != 2 or xg.shape[1] != self.m or yg.ndim != 2 or yg.shape[1] != self.n:
+            x_ok = isinstance(xg, str) or (xg.ndim == 2 and xg.shape[1] == self.m)
+            if not (x_ok and yg.ndim == 2 and yg.shape[1] == self.n):
                 raise InvalidInput(
-                    f"group has row shapes {xg.shape} and {yg.shape}, expected (_, {self.m}) and (_, {self.n})"
+                    f"group has row shapes {np.shape(xg)} and {yg.shape}, expected (_, {self.m}) and (_, {self.n})"
                 )
             groups.append((xg, yg))
         object.__setattr__(self, "groups", tuple(groups))
 
+    def _x_count(self, xg) -> int:
+        if isinstance(xg, np.ndarray):
+            return xg.shape[0]
+        return 1 if xg == ONES else self.m - 1
+
     def __len__(self):
-        return sum(xg.shape[0] * yg.shape[0] for xg, yg in self.groups)
+        return sum(self._x_count(xg) * yg.shape[0] for xg, yg in self.groups)
 
     @property
     def factors(self) -> tuple[np.ndarray, ...]:
         """The dense m x n factors, materialised y-major within each group."""
-        return tuple(np.outer(x, y) for xg, yg in self.groups for y in yg for x in xg)
+        return tuple(np.outer(x, y) for xg, yg in self.groups for y in yg for x in x_rows(xg, self.m))
 
 
 def symmetrize(raw) -> BiquadraticForm:
@@ -185,15 +221,25 @@ def _evaluate_sos_batch(
     if isinstance(dec, GroupedSOSDecomposition):
         total = np.zeros(xs.shape[0])
         for xg, yg in dec.groups:
-            px = xs @ xg.T
             py = ys @ yg.T
-            total += np.einsum("sa,sa->s", px, px) * np.einsum("sb,sb->s", py, py)
+            total += _x_norms2(xg, xs) * np.einsum("sb,sb->s", py, py)
         return total
     if not dec.factors:
         return np.zeros(xs.shape[0])
     stack = np.stack(dec.factors)
     t = np.einsum("pij,si,sj->sp", stack, xs, ys, optimize=True)
     return np.einsum("sp,sp->s", t, t)
+
+
+def _x_norms2(xg: np.ndarray | str, xs: np.ndarray) -> np.ndarray:
+    """|X_g x|^2 for every row x of xs; the tagged bases use
+    |x / sqrt(m)|^2 = (1'x)^2 / m and |Hx|^2 = |x|^2 - (1'x)^2 / m."""
+    if isinstance(xg, np.ndarray):
+        px = xs @ xg.T
+        return np.einsum("sa,sa->s", px, px)
+    ones = xs.sum(axis=1)
+    mean_part = ones * ones / xs.shape[1]
+    return mean_part if xg == ONES else np.einsum("si,si->s", xs, xs) - mean_part
 
 
 def verify_sos(
@@ -233,20 +279,25 @@ def transpose_xy(form: BiquadraticForm) -> BiquadraticForm:
 # polynomial-coefficient view and JSON serialization
 # ---------------------------------------------------------------------------
 
+_TERM_FIELDS = ("i", "j", "k", "l", "c")
+
+
+def _term_columns(form: BiquadraticForm) -> tuple[np.ndarray, ...]:
+    """1-based i, j, k, l and the polynomial coefficient c of every nonzero
+    monomial, sorted by (i, k, j, l)."""
+    i, k = np.triu_indices(form.m)
+    j, l = np.triu_indices(form.n)
+    orbit = np.where(i < k, 2.0, 1.0)[:, None] * np.where(j < l, 2.0, 1.0)
+    c = (orbit * form.coeffs[i[:, None], j, k[:, None], l]).ravel()
+    keep = np.flatnonzero(c)
+    x_pair, y_pair = np.divmod(keep, len(j))
+    return i[x_pair] + 1, j[y_pair] + 1, k[x_pair] + 1, l[y_pair] + 1, c[keep]
+
+
 def to_terms(form: BiquadraticForm) -> list[MonomialTerm]:
     """Distinct monomials with their polynomial coefficients, sorted by
     (i, k, j, l); zero coefficients are omitted."""
-    terms = []
-    a = form.coeffs
-    for i in range(form.m):
-        for k in range(i, form.m):
-            for j in range(form.n):
-                for l in range(j, form.n):
-                    orbit = (2 if i < k else 1) * (2 if j < l else 1)
-                    c = orbit * a[i, j, k, l]
-                    if c != 0.0:
-                        terms.append(MonomialTerm(i + 1, j + 1, k + 1, l + 1, float(c)))
-    return terms
+    return [MonomialTerm(*row) for row in zip(*(col.tolist() for col in _term_columns(form)))]
 
 
 def from_terms(m: int, n: int, terms) -> BiquadraticForm:
@@ -255,68 +306,102 @@ def from_terms(m: int, n: int, terms) -> BiquadraticForm:
     Indices are 1-based; non-canonical index order is accepted and
     canonicalized, duplicate monomials accumulate.
     """
-    terms = list(terms)
-    return _form_from_term_arrays(m, n, [(t.i, t.j, t.k, t.l) for t in terms], [t.c for t in terms], terms)
+    records = [{"i": t.i, "j": t.j, "k": t.k, "l": t.l, "c": t.c} for t in terms]
+    return form_from_dict({"m": m, "n": n, "terms": records})
 
 
-def _form_from_term_arrays(m: int, n: int, index, coeff, shown: list) -> BiquadraticForm:
-    """Validate 1-based (i, j, k, l) rows and their coefficients, then build
-    the tensor; ``shown[r]`` names term r in error messages."""
-    if m < 1 or n < 1:
-        raise InvalidInput("m and n must be positive")
+def _term_arrays(m: int, n: int, terms: list) -> tuple[np.ndarray, ...] | None:
+    """0-based i, j, k, l and float c of a term list, checked column by
+    column; None unless every term is well formed, in range and finite."""
     try:
-        index = np.array(index, dtype=np.int64).reshape(-1, 4)
-    except OverflowError as exc:
-        raise InvalidInput(f"term index out of range: {exc}") from exc
-    coeff = np.array(coeff, dtype=float)
-    i, j, k, l = index.T
-    out = (i < 1) | (i > m) | (k < 1) | (k > m) | (j < 1) | (j > n) | (l < 1) | (l > n)
-    if out.any():
-        raise InvalidInput(f"term index out of range: {shown[int(np.argmax(out))]!r}")
-    nonfinite = ~np.isfinite(coeff)
-    if nonfinite.any():
-        raise InvalidInput(f"term coefficient is not finite: {shown[int(np.argmax(nonfinite))]!r}")
-    return BiquadraticForm(m, n, _accumulate_terms(m, n, index - 1, coeff))
+        columns = [np.array(list(map(itemgetter(field), terms))) for field in _TERM_FIELDS]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    if any(col.shape != (len(terms),) for col in columns):
+        return None
+    *index, coeff = columns
+    if not all(_integral(col) for col in index):
+        return None
+    i, j, k, l = index
+    if ((i < 1) | (i > m) | (k < 1) | (k > m) | (j < 1) | (j > n) | (l < 1) | (l > n)).any():
+        return None
+    if coeff.dtype.kind not in "biuf":
+        # Numbers only reach an object column as ints beyond 64 bits.
+        if not all(isinstance(c, (int, float)) for c in coeff):
+            return None
+        try:
+            coeff = coeff.astype(float)
+        except OverflowError:
+            return None
+    coeff = coeff.astype(float, copy=False)
+    if not np.isfinite(coeff).all():
+        return None
+    return (*(col.astype(np.intp) - 1 for col in index), coeff)
 
 
-def _accumulate_terms(m: int, n: int, index: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+def _integral(col: np.ndarray) -> bool:
+    """Integer or bool dtype, or finite integral floats."""
+    if col.dtype.kind in "biu":
+        return True
+    return col.dtype.kind == "f" and bool((np.isfinite(col) & (col == np.trunc(col))).all())
+
+
+def _term_error(m: int, n: int, terms: list) -> InvalidInput:
+    """The error naming the first bad term: the first malformed one, else the
+    first out of range, else the first with a non-finite coefficient.  Only
+    built once ``_term_arrays`` has rejected the list."""
+    rows = []
+    for entry in terms:
+        try:
+            raw = (entry["i"], entry["j"], entry["k"], entry["l"])
+            if tuple(map(int, raw)) != raw:
+                raise ValueError("indices must be integers")
+            c = entry["c"]
+            if not isinstance(c, (int, float)):
+                raise TypeError(f"coefficient must be a number, got {c!r}")
+            rows.append((raw, float(c)))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return InvalidInput(f"malformed term {entry!r}: {exc}")
+    for entry, ((i, j, k, l), _) in zip(terms, rows):
+        if not (1 <= i <= m and 1 <= k <= m and 1 <= j <= n and 1 <= l <= n):
+            return InvalidInput(f"term index out of range: {entry!r}")
+    for entry, (_, c) in zip(terms, rows):
+        if not math.isfinite(c):
+            return InvalidInput(f"term coefficient is not finite: {entry!r}")
+    return InvalidInput("malformed term list")
+
+
+def _accumulate_terms(m: int, n: int, i, j, k, l, coeff: np.ndarray) -> np.ndarray:
     """Spread 0-based monomial coefficients over their symmetry orbits.
 
     Each term adds c / |orbit| once to every distinct position of its orbit.
     A tensor cell is reached by one orbit position kind only (which one
-    depends on how its x and y index pairs are ordered), and ``np.add.at``
-    accumulates in term order, so the sums are bit-identical to adding the
-    terms one at a time.
+    depends on how its x and y index pairs are ordered), and ``np.bincount``
+    adds the weights of a cell in term order from 0.0, so the sums are
+    bit-identical to adding the terms one at a time.
     """
-    i, j, k, l = index.T
     i, k = np.minimum(i, k), np.maximum(i, k)
     j, l = np.minimum(j, l), np.maximum(j, l)
     split_x = i < k
     split_y = j < l
     entry = coeff / (np.where(split_x, 2.0, 1.0) * np.where(split_y, 2.0, 1.0))
     both = split_x & split_y
-    a = np.zeros((m, n, m, n))
-    np.add.at(
-        a,
+    cells = np.ravel_multi_index(
         (
             np.concatenate([i, i[split_y], k[split_x], k[both]]),
             np.concatenate([j, l[split_y], j[split_x], l[both]]),
             np.concatenate([k, k[split_y], i[split_x], i[both]]),
             np.concatenate([l, j[split_y], l[split_x], j[both]]),
         ),
-        np.concatenate([entry, entry[split_y], entry[split_x], entry[both]]),
+        (m, n, m, n),
     )
-    return a
+    weights = np.concatenate([entry, entry[split_y], entry[split_x], entry[both]])
+    return np.bincount(cells, weights=weights, minlength=m * n * m * n).reshape(m, n, m, n)
 
 
 def form_to_dict(form: BiquadraticForm) -> dict:
-    return {
-        "m": form.m,
-        "n": form.n,
-        "terms": [
-            {"i": t.i, "k": t.k, "j": t.j, "l": t.l, "c": t.c} for t in to_terms(form)
-        ],
-    }
+    rows = zip(*(col.tolist() for col in _term_columns(form)))
+    return {"m": form.m, "n": form.n, "terms": [dict(zip(_TERM_FIELDS, row)) for row in rows]}
 
 
 def integer_field(value, name: str) -> int:
@@ -329,6 +414,8 @@ def integer_field(value, name: str) -> int:
 
 
 def form_from_dict(data: dict) -> BiquadraticForm:
+    """Parse a form record.  Terms are read column by column; a rejected
+    list is walked entry by entry only to name its first bad term."""
     try:
         m = integer_field(data["m"], "m")
         n = integer_field(data["n"], "n")
@@ -337,33 +424,29 @@ def form_from_dict(data: dict) -> BiquadraticForm:
         raise InvalidInput(f"malformed form record: {exc}") from exc
     if not isinstance(raw_terms, list):
         raise InvalidInput("malformed form record: terms must be a list")
-    index = []
-    coeff = []
-    for entry in raw_terms:
-        try:
-            raw = (entry["i"], entry["j"], entry["k"], entry["l"])
-            row = (int(raw[0]), int(raw[1]), int(raw[2]), int(raw[3]))
-            if row != raw:
-                raise ValueError("indices must be integers")
-            index.append(row)
-            coeff.append(float(entry["c"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInput(f"malformed term {entry!r}: {exc}") from exc
-    return _form_from_term_arrays(m, n, index, coeff, raw_terms)
+    if m < 1 or n < 1:
+        raise InvalidInput("m and n must be positive")
+    columns = _term_arrays(m, n, raw_terms)
+    if columns is None:
+        raise _term_error(m, n, raw_terms)
+    return BiquadraticForm(m, n, _accumulate_terms(m, n, *columns))
 
 
 DECOMPOSITION_FORMAT = 2  # the version tag of the grouped decomposition record
 
 
 def decomposition_to_dict(dec: SOSDecomposition | GroupedSOSDecomposition) -> dict:
-    """Grouped decompositions keep their groups (a versioned record); dense
-    ones list every factor row-major (the unversioned record)."""
+    """Grouped decompositions keep their groups (a versioned record, with a
+    tagged X written as its tag); dense ones list every factor row-major
+    (the unversioned record)."""
     if isinstance(dec, GroupedSOSDecomposition):
         return {
             "format": DECOMPOSITION_FORMAT,
             "m": dec.m,
             "n": dec.n,
-            "groups": [{"x": xg.tolist(), "y": yg.tolist()} for xg, yg in dec.groups],
+            "groups": [
+                {"x": xg if isinstance(xg, str) else xg.tolist(), "y": yg.tolist()} for xg, yg in dec.groups
+            ],
         }
     return {
         "m": dec.m,
@@ -374,14 +457,14 @@ def decomposition_to_dict(dec: SOSDecomposition | GroupedSOSDecomposition) -> di
 
 def decomposition_from_dict(data: dict) -> SOSDecomposition | GroupedSOSDecomposition:
     try:
-        m = int(data["m"])
-        n = int(data["n"])
+        m = integer_field(data["m"], "m")
+        n = integer_field(data["n"], "n")
         version = data.get("format")
         if version == DECOMPOSITION_FORMAT:
-            groups = tuple((_rows(group["x"], m), _rows(group["y"], n)) for group in data["groups"])
+            groups = tuple((_x_field(group["x"], m), _rows(group["y"], n)) for group in data["groups"])
         elif version is None:
             flat = data["factors"]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed decomposition record: {exc}") from exc
     if version == DECOMPOSITION_FORMAT:
         return GroupedSOSDecomposition(m, n, groups)
@@ -396,17 +479,23 @@ def decomposition_from_dict(data: dict) -> SOSDecomposition | GroupedSOSDecompos
     return SOSDecomposition(m, n, tuple(factors))
 
 
+def _x_field(x, m: int) -> np.ndarray | str:
+    """A group's X: a basis tag, or explicit rows as files before the tags held."""
+    return x if isinstance(x, str) else _rows(x, m)
+
+
 def _rows(rows: list, width: int) -> np.ndarray:
     return np.asarray(rows, dtype=float).reshape(len(rows), width)
 
 
 def dump_json(data: dict, path: str) -> None:
-    """Write JSON atomically with a stable key order.
+    """Write compact JSON atomically with a stable key order.
 
-    The temporary file is created with mode 0o666 so the kernel applies the
-    process umask, as it would to a plain ``open``; the rename keeps it.
+    No indent, so ``json.dumps`` runs its C encoder.  The temporary file is
+    created with mode 0o666 so the kernel applies the process umask, as it
+    would to a plain ``open``; the rename keeps it.
     """
-    text = json.dumps(data, indent=2, sort_keys=True)
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

@@ -25,7 +25,14 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInput, NotPSD
-from .forms import BiquadraticForm, GroupedSOSDecomposition, SOSDecomposition
+from .forms import (  # helmert_basis is re-exported for callers of partsym
+    HELMERT,
+    ONES,
+    BiquadraticForm,
+    GroupedSOSDecomposition,
+    SOSDecomposition,
+    helmert_basis,
+)
 from .linalg import DEFAULT_TOL, Tolerances
 
 _MONIC_ATOL = 1e-12
@@ -243,17 +250,6 @@ def assemble_m_matrix(data: XSymmetricData) -> np.ndarray:
     return np.kron(np.eye(m), pair.Q) + np.kron(np.full((m, m), 1.0 / m), pair.R - pair.Q)
 
 
-def helmert_basis(m: int) -> np.ndarray:
-    """Deterministic orthonormal basis of the hyperplane orthogonal to the
-    all-ones vector, as columns of an m x (m-1) matrix."""
-    v = np.zeros((m, m - 1))
-    for k in range(2, m + 1):
-        scale = 1.0 / math.sqrt(k * (k - 1))
-        v[: k - 1, k - 2] = scale
-        v[k - 1, k - 2] = -(k - 1) * scale
-    return v
-
-
 def sos_decompose_naive(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> SOSDecomposition:
     """SOS decomposition via the full Gram matrix: assemble M, factor it,
     reshape each factor vector into an m x n matrix (m blocks of length n)."""
@@ -268,10 +264,11 @@ def sos_decompose_naive(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> 
 def sos_decompose_structured(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> GroupedSOSDecomposition:
     """SOS decomposition from the n x n spectra of Q and R alone.
 
-    Returns two Kronecker groups: the row (1/sqrt(m)) 1_m paired with
-    sqrt(mu) u for every positive eigenpair (mu, u) of R, and the rows of an
-    orthonormal basis of the all-ones complement paired with sqrt(lam) u for
-    every positive eigenpair of Q.  The factor count is exactly
+    Returns two Kronecker groups: the row (1/sqrt(m)) 1_m (tag ``ONES``)
+    paired with sqrt(mu) u for every positive eigenpair (mu, u) of R, and the
+    Helmert rows, an orthonormal basis of the all-ones complement (tag
+    ``HELMERT``), paired with sqrt(lam) u for every positive eigenpair of Q.
+    Both X bases are named, not built.  The factor count is exactly
     rank(R) + (m-1) rank(Q) and the summed Gram matrix equals the one the
     direct route factors, so both routes decompose the same form; neither
     the big matrix nor the dense factors are built.
@@ -281,9 +278,9 @@ def sos_decompose_structured(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL
         raise NotPSD("form is not PSD", witness=cert)
     pair = qr_pair(data)
     m = data.m
-    groups = [(np.full((1, m), 1.0 / math.sqrt(m)), _scaled_eigenvectors(pair.R, tol))]
+    groups = [(ONES, _scaled_eigenvectors(pair.R, tol))]
     if m >= 2:
-        groups.append((helmert_basis(m).T, _scaled_eigenvectors(pair.Q, tol)))
+        groups.append((HELMERT, _scaled_eigenvectors(pair.Q, tol)))
     return GroupedSOSDecomposition(m, data.n, tuple(groups))
 
 

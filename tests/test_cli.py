@@ -152,6 +152,20 @@ class TestDecompose:
         code, _ = run_json(capsys, ["decompose", p223_file, str(tmp_path / "x.json")])
         assert code == 3
 
+    def test_large_m_writes_tags_not_rows(self, capsys, tmp_path, monkeypatch):
+        def no_rows(m):
+            raise AssertionError("the Helmert rows were built")
+
+        monkeypatch.setattr(forms, "helmert_basis", no_rows)
+        monkeypatch.setattr(partsym, "helmert_basis", no_rows)
+        data = random_psd_instance(300, 20, np.random.default_rng(31))
+        path = write(tmp_path / "data.json", data_record(data))
+        out = tmp_path / "dec.json"
+        code, envelope = run_json(capsys, ["decompose", path, str(out)])
+        assert code == 0 and envelope["payload"]["factor_count"] == 20 + 299 * 20
+        assert out.stat().st_size < 50_000
+        assert [g["x"] for g in json.loads(out.read_text())["groups"]] == ["ones", "helmert"]
+
 
 class TestGenSimple:
     def test_writes_form_and_reports_exact_rank(self, capsys, tmp_path):

@@ -1,8 +1,11 @@
+import math
 import os
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biquad.errors import InvalidInput
 from biquad.forms import (
@@ -277,6 +280,109 @@ def _from_terms_loop(m, n, terms):
     return a
 
 
+def _parse_terms_loop(record):
+    """Reference for form_from_dict: check each term on its own, then add the
+    terms one at a time.  Indices must be ints (bools count) or finite
+    integral floats, coefficients ints or floats; then every index must be
+    in range and every coefficient finite."""
+    m, n = record["m"], record["n"]
+    terms = []
+    for entry in record["terms"]:
+        if not isinstance(entry, dict) or any(field not in entry for field in "ijklc"):
+            raise InvalidInput(f"malformed term {entry!r}")
+        index = [entry[field] for field in "ijkl"]
+        if not all(isinstance(v, int) or (isinstance(v, float) and math.isfinite(v) and v.is_integer())
+                   for v in index):
+            raise InvalidInput(f"non-integral index in {entry!r}")
+        if not isinstance(entry["c"], (int, float)):
+            raise InvalidInput(f"coefficient is not a number in {entry!r}")
+        try:
+            c = float(entry["c"])
+        except OverflowError as exc:
+            raise InvalidInput(str(exc)) from exc
+        terms.append(MonomialTerm(*(int(v) for v in index), c))
+    if not all(1 <= t.i <= m and 1 <= t.k <= m and 1 <= t.j <= n and 1 <= t.l <= n for t in terms):
+        raise InvalidInput("index out of range")
+    if not all(math.isfinite(t.c) for t in terms):
+        raise InvalidInput("coefficient not finite")
+    return _from_terms_loop(m, n, terms)
+
+
+def _to_terms_loop(form):
+    """Reference for to_terms: every canonical monomial in (i, k, j, l) order."""
+    terms = []
+    for i in range(form.m):
+        for k in range(i, form.m):
+            for j in range(form.n):
+                for l in range(j, form.n):
+                    c = (2 if i < k else 1) * (2 if j < l else 1) * form.coeffs[i, j, k, l]
+                    if c != 0.0:
+                        terms.append(MonomialTerm(i + 1, j + 1, k + 1, l + 1, float(c)))
+    return terms
+
+
+# Values injected into a term field: each is malformed, out of range, non-finite
+# or a valid spelling (True and 1.0 are the index 1, 2**70 a valid coefficient).
+_INJECTED = ["1", None, True, 1.0, 1.5, math.inf, -math.inf, math.nan, 2**70, 0, 5]
+_MISSING, _NOT_A_DICT = "missing key", "not a dict"
+
+
+@st.composite
+def term_records(draw):
+    """Form records with duplicates, every index order, int and float
+    coefficients of mixed magnitude, and up to three injected faults; in a
+    quarter of them the indices run one past each end of their range."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pad = int(draw(st.integers(0, 3)) == 0)
+    x_index, y_index = st.integers(1 - pad, m + pad), st.integers(1 - pad, n + pad)
+    coeff = st.one_of(st.integers(-5, 5), st.floats(-1e6, 1e6, allow_nan=False), st.floats(-1e-6, 1e-6))
+    term = st.fixed_dictionaries({"i": x_index, "j": y_index, "k": x_index, "l": y_index, "c": coeff})
+    terms = draw(st.lists(term, max_size=30))
+    for _ in range(draw(st.integers(0, 3)) if terms else 0):
+        at = draw(st.integers(0, len(terms) - 1))
+        fault = draw(st.sampled_from(_INJECTED + [_MISSING, _NOT_A_DICT]))
+        if fault == _NOT_A_DICT:
+            terms[at] = draw(st.sampled_from([None, "term", [1, 1, 1, 1, 1.0]]))
+        elif isinstance(terms[at], dict):
+            entry = dict(terms[at])
+            field = draw(st.sampled_from("ijklcccc"))  # half the faults hit c
+            if fault == _MISSING:
+                entry.pop(field, None)
+            else:
+                entry[field] = fault
+            terms[at] = entry
+    return {"m": m, "n": n, "terms": terms}
+
+
+@st.composite
+def sparse_forms(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    value = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False), st.floats(-1e-9, 1e-9))
+    raw = draw(st.lists(value, min_size=(m * n) ** 2, max_size=(m * n) ** 2))
+    return symmetrize(np.reshape(raw, (m, n, m, n)))
+
+
+class TestTermsProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(sparse_forms())
+    def test_dict_round_trip_bit_equal(self, p):
+        assert to_terms(p) == _to_terms_loop(p)
+        q = form_from_dict(form_to_dict(p))
+        # to_terms omits zeros, so a -0.0 entry comes back as 0.0.
+        assert q.coeffs.tobytes() == (p.coeffs + 0.0).tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(term_records())
+    def test_parser_matches_reference(self, record):
+        try:
+            expected = _parse_terms_loop(record)
+        except InvalidInput:
+            with pytest.raises(InvalidInput):
+                form_from_dict(record)
+            return
+        assert form_from_dict(record).coeffs.tobytes() == expected.tobytes()
+
+
 class TestDumpJson:
     def test_honours_umask(self, tmp_path):
         previous = os.umask(0o022)
@@ -294,7 +400,7 @@ class TestDumpJson:
         path = tmp_path / "out.json"
         dump_json({"a": 1}, str(path))
         dump_json({"a": 2}, str(path))
-        assert path.read_text() == '{\n  "a": 2\n}\n'
+        assert path.read_text() == '{"a":2}\n'
         assert os.listdir(tmp_path) == ["out.json"]
 
 

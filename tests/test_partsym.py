@@ -391,8 +391,10 @@ class TestGroupedDecomposition:
         dec = sos_decompose_structured(data)
         assert isinstance(dec, GroupedSOSDecomposition)
         (x_r, y_r), (x_q, y_q) = dec.groups
-        assert x_r.shape == (1, 5) and y_r.shape == (3, 3)
-        np.testing.assert_array_equal(x_q, helmert_basis(5).T)
+        assert (x_r, x_q) == (forms.ONES, forms.HELMERT)
+        np.testing.assert_array_equal(forms.x_rows(x_r, 5), np.full((1, 5), 1.0 / np.sqrt(5)))
+        assert y_r.shape == (3, 3)
+        np.testing.assert_array_equal(forms.x_rows(x_q, 5), helmert_basis(5).T)
         assert y_q.shape == (2, 3)
         assert len(dec) == len(dec.factors) == rank_bound(data)
 
@@ -424,6 +426,7 @@ class TestGroupedDecomposition:
         record = json.loads(path.read_text())
         assert record["format"] == 2 and set(record) == {"format", "m", "n", "groups"}
         assert [set(g) for g in record["groups"]] == [{"x", "y"}, {"x", "y"}]
+        assert [g["x"] for g in record["groups"]] == ["ones", "helmert"]
         loaded = forms.load_decomposition(str(path))
         assert isinstance(loaded, GroupedSOSDecomposition) and len(loaded) == len(dec)
         for w_loaded, w in zip(loaded.factors, dec.factors, strict=True):
@@ -446,6 +449,54 @@ class TestGroupedDecomposition:
             forms.decomposition_from_dict({"format": 3, "m": 1, "n": 1, "groups": []})
         with pytest.raises(InvalidInput):
             forms.decomposition_from_dict({"format": 2, "m": 2, "n": 1, "groups": [{"x": [[1.0]], "y": [[1.0]]}]})
+        with pytest.raises(InvalidInput, match="unknown group basis"):
+            forms.decomposition_from_dict({"format": 2, "m": 2, "n": 1, "groups": [{"x": "ones!", "y": [[1.0]]}]})
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"m": 2.5, "n": 1, "factors": [[1.0, 2.0]]},
+            {"m": 1, "n": float("inf"), "factors": [[1.0]]},
+            {"format": 2, "m": 2.5, "n": 1, "groups": [{"x": [[1.0, 2.0]], "y": [[1.0]]}]},
+            {"format": 2, "m": 2, "n": 1.5, "groups": [{"x": "helmert", "y": [[1.0]]}]},
+        ],
+    )
+    def test_non_integral_dimensions_rejected(self, record):
+        with pytest.raises(InvalidInput, match="integer"):
+            forms.decomposition_from_dict(record)
+
+    def test_explicit_helmert_rows_still_load(self, tmp_path):
+        # Format-2 files written before the X tags spell out both bases, indented.
+        m, n = 5, 3
+        data = scaled_with_zero(np.random.default_rng(18), m, n)
+        dec = sos_decompose_general(data)
+        (_, y_r), (_, y_q) = dec.groups
+        rows = [np.full((1, m), 1.0 / np.sqrt(m)), helmert_basis(m).T]
+        record = {
+            "format": 2, "m": m, "n": n,
+            "groups": [{"x": x.tolist(), "y": y.tolist()} for x, y in zip(rows, (y_r, y_q))],
+        }
+        path = tmp_path / "explicit.json"
+        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        loaded = forms.load_decomposition(str(path))
+        assert len(loaded) == len(dec)
+        for w_loaded, w in zip(loaded.factors, dec.factors, strict=True):
+            np.testing.assert_array_equal(w_loaded, w)
+        assert verify_sos(data, loaded)[0]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(m=st.integers(1, 9), n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_tagged_file_round_trip(self, tmp_path_factory, m, n, seed):
+        data = scaled_with_zero(np.random.default_rng(seed), m, n)
+        dec = sos_decompose_general(data)
+        path = tmp_path_factory.getbasetemp() / "tagged.json"
+        forms.save_decomposition(dec, str(path))
+        assert [g["x"] for g in json.loads(path.read_text())["groups"]] == ["ones", "helmert"][: min(m, 2)]
+        loaded = forms.load_decomposition(str(path))
+        for w_loaded, w in zip(loaded.factors, dec.factors, strict=True):
+            assert w_loaded.tobytes() == w.tobytes()
+        assert verify_sos(data, loaded) == verify_sos(data, dec)
+        assert verify_sos(data, loaded)[0]
 
     def test_grouped_and_dense_verification_agree(self):
         rng = np.random.default_rng(17)
