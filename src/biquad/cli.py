@@ -26,6 +26,7 @@ from .errors import (
     NoPSDPointFound,
     NotPSD,
     NumericalError,
+    require_count,
 )
 
 _EXIT_OK = 0
@@ -488,8 +489,8 @@ _CAUGHT = tuple(kind for kinds, *_ in _FAILURES for kind in kinds)
 def _check_counts(args) -> None:
     for name in ("restarts", "trials"):
         value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise InvalidInput(f"--{name} must be at least 1, got {value}")
+        if value is not None:
+            require_count(f"--{name}", value)
 
 
 def main(argv=None) -> int:

@@ -5,6 +5,12 @@ class InvalidInput(ValueError):
     """Malformed or dimensionally inconsistent input."""
 
 
+def require_count(name: str, value: int) -> None:
+    """Raise InvalidInput unless a count of starts or trials is at least 1."""
+    if value < 1:
+        raise InvalidInput(f"{name} must be at least 1, got {value}")
+
+
 class NotPSD(RuntimeError):
     """Raised when an operation requires a positive semidefinite input.
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, require_count
 from .forms import BiquadraticForm, _unit_rows, evaluate_batch, max_abs_coeff
 
 logger = logging.getLogger(__name__)
@@ -227,8 +227,12 @@ def _polish(contractor: _Contractor, starts: _Starts, idx, pick, tol: float, ste
 
 
 def _seeded_starts(form: BiquadraticForm, restarts: int, seed: int) -> np.ndarray:
-    """The y0 of each restart, one per row, drawn from ``default_rng([seed, r])``."""
-    y0 = np.empty((max(1, restarts), form.n))
+    """The y0 of each restart, one per row, drawn from ``default_rng([seed, r])``.
+
+    Raises InvalidInput when ``restarts`` is below 1.
+    """
+    require_count("restarts", restarts)
+    y0 = np.empty((restarts, form.n))
     for ridx in range(len(y0)):
         rng = np.random.default_rng([seed, ridx])
         _unit_rows(rng, 1, form.m)  # keeps the seeded y0; the first eigenstep sets x

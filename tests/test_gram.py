@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -244,6 +246,12 @@ class TestMinRankSearch:
         assert r1 == r2
         np.testing.assert_array_equal(p1.gamma, p2.gamma)
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_fewer_than_one_restart_rejected(self, restarts):
+        family = build_family(to_form(gen_simple(3, 3, 5)))
+        with pytest.raises(InvalidInput, match=f"restarts must be at least 1, got {restarts}"):
+            min_rank_search(family, restarts=restarts, seed=0)
+
     def test_no_psd_point(self):
         # x1^2 y1 y2 alone cannot be PSD; its 1-d family has no PSD member
         raw = np.zeros((1, 2, 1, 2))
@@ -273,30 +281,87 @@ class TestFactorSearch:
             gammas.add((rank, point.gamma.tobytes()))
         assert len(gammas) == 1
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_failing_fit_stops_on_stall(self, monkeypatch, seed):
-        # P_(3,3,5) is rectangle-free, so its SOS rank is exactly 5: four
-        # squares cannot fit, and the fit must give up long before max_nfev.
+    @staticmethod
+    def _failing_fit(monkeypatch, seed):
+        """Fit four squares to P_(3,3,5) from a seeded start, recording each
+        _lm run as (residual evaluations, max_nfev, fits, jacobian, x, f)."""
         family = build_family(to_form(gen_simple(3, 3, 5)))
         runs = []
         lm = gram._lm
 
-        def counting_lm(residual, jacobian, x, max_nfev):
+        def counting_lm(residual, jacobian, x, max_nfev, fits):
             count = [0]
 
             def counted(v):
                 count[0] += 1
                 return residual(v)
 
-            result = lm(counted, jacobian, x, max_nfev)
-            runs.append((count[0], max_nfev))
-            return result
+            x_end, f_end = lm(counted, jacobian, x, max_nfev, fits)
+            runs.append((count[0], max_nfev, fits, jacobian, x_end, f_end))
+            return x_end, f_end
 
-        monkeypatch.setattr(gram, "_lm", counting_lm)
         start = np.random.default_rng(seed).standard_normal((4, 3, 3))
-        assert gram._fit(family, start, linalg.DEFAULT_TOL) is None
-        [(nfev, max_nfev)] = runs
+        with monkeypatch.context() as patch:
+            patch.setattr(gram, "_lm", counting_lm)
+            assert gram._fit(family, start, linalg.DEFAULT_TOL) is None
+        [run] = runs
+        return run
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_failing_fit_stops_on_stall(self, monkeypatch, seed):
+        # P_(3,3,5) is rectangle-free, so its SOS rank is exactly 5: four
+        # squares cannot fit, and the fit must give up long before max_nfev.
+        # trf's relative-decrease rule alone takes 32-34 evaluations here.
+        nfev, max_nfev, *_ = self._failing_fit(monkeypatch, seed)
+        assert nfev <= 25
         assert nfev <= max_nfev // 10
+
+    @pytest.mark.parametrize("seed, trf_nfev", [(0, 32), (1, 34), (2, 33)])
+    def test_failing_fit_ends_on_gradient_stop(self, monkeypatch, seed, trf_nfev):
+        # At the stop the residual misses the bound and is orthogonal to the
+        # Jacobian's columns to within _GTOL: MINPACK's gradient test fired.
+        nfev, _, fits, jacobian, x, f = self._failing_fit(monkeypatch, seed)
+        jac = jacobian(x)
+        assert not fits(f)
+        assert (np.abs(jac.T @ f) / np.linalg.norm(jac, axis=0)).max() / np.linalg.norm(f) < gram._GTOL
+        # Without the gradient test only trf's rules stop the fit, which then
+        # takes as many residual evaluations as before the test existed.
+        monkeypatch.setattr(gram, "_GTOL", 0.0)
+        assert self._failing_fit(monkeypatch, seed)[0] == trf_nfev > nfev
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(
+        shape=st.tuples(st.integers(2, 4), st.integers(2, 4)).flatmap(
+            lambda mn: st.tuples(st.just(mn[0]), st.just(mn[1]), st.integers(1, mn[0] * mn[1] - 1))
+        ),
+        planted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-6.0, 6.0),
+    )
+    def test_gradient_stop_never_changes_a_result(self, shape, planted, seed, log_scale):
+        # The gradient test only ends fits that would fail anyway, so the
+        # search's rank and gamma, and psd_point's gamma, are bit-identical
+        # without it, at every scale.
+        m, n, r = shape
+        if planted:
+            raw = planted_form(m, n, r, seed).coeffs
+        else:
+            m, n = max(m, n), min(m, n)
+            raw = to_form(gen_simple(m, n, r + 1)).coeffs
+        family = build_family(symmetrize(10.0**log_scale * raw))
+
+        def outcomes():
+            try:
+                point, rank = min_rank_search(family, restarts=5, seed=0)
+                found = (rank, point.gamma.tobytes())
+            except NoPSDPointFound:
+                found = None
+            start = psd_point(family, seed=1)
+            return found, None if start is None else start.gamma.tobytes()
+
+        shipped = outcomes()
+        with mock.patch.object(gram, "_GTOL", 0.0):
+            assert outcomes() == shipped
 
     def test_floor_skips_fits_below_it(self, monkeypatch):
         family = build_family(to_form(gen_simple(3, 3, 5)))

@@ -152,6 +152,11 @@ class TestMeigSolve:
         with pytest.raises(InvalidInput):
             meig_solve(form, restarts=1, seed=0)
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_fewer_than_one_restart_rejected(self, restarts):
+        with pytest.raises(InvalidInput, match=f"restarts must be at least 1, got {restarts}"):
+            meig_solve(to_form(gen_simple(3, 3, 5)), restarts=restarts, seed=0)
+
     def test_sorted_output(self):
         rng = np.random.default_rng(7)
         form = reconstruct(random_monic(rng, 3, 2))
@@ -264,6 +269,11 @@ class TestMinProbe:
         form = planted_form(3, 3, 4, seed=1)
         value, _ = min_probe(form, restarts=5, seed=0)
         assert value >= -1e-12 * max_abs_coeff(form)
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_fewer_than_one_restart_rejected(self, restarts):
+        with pytest.raises(InvalidInput, match=f"restarts must be at least 1, got {restarts}"):
+            min_probe(to_form(gen_simple(3, 3, 5)), restarts=restarts, seed=0)
 
 
 class TestPsdSampleCheck:
