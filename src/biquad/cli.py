@@ -1,6 +1,6 @@
 """Command-line front end: certificates and decompositions as JSON.
 
-Exit codes: 0 ok, 1 error (bad input, internal failure), 2 not PSD,
+Exit codes: 0 ok, 1 error (usage error, bad input, internal failure), 2 not PSD,
 3 not x-symmetric, 4 inconclusive.  Human-readable summaries go to stdout;
 with --json the machine payload is printed instead, byte-identical for
 identical inputs and seeds (timings never enter the JSON).  Every emitted
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -47,15 +46,7 @@ class CommandResult:
 
 
 def _tolerances(args) -> linalg.Tolerances:
-    if getattr(args, "tol", None) is not None:
-        return linalg.Tolerances.uniform(args.tol)
-    env = os.environ.get("BIQUAD_TOL")
-    if env:
-        try:
-            return linalg.Tolerances.uniform(float(env))
-        except (ValueError, InvalidInput) as exc:
-            raise InvalidInput(f"bad BIQUAD_TOL value {env!r}: {exc}") from exc
-    return linalg.DEFAULT_TOL
+    return linalg.DEFAULT_TOL if args.tol is None else linalg.Tolerances.uniform(args.tol)
 
 
 def _load_form(path: str, transpose: bool) -> forms.BiquadraticForm | partsym.XSymmetricData:
@@ -90,12 +81,6 @@ def _load_dense(path: str, transpose: bool) -> forms.BiquadraticForm:
     """The dense coefficient tensor, for the commands that work on it."""
     form = _load_form(path, transpose)
     return partsym.reconstruct(form) if isinstance(form, partsym.XSymmetricData) else form
-
-
-def _xsym_data(source) -> partsym.XSymmetricData | None:
-    if isinstance(source, partsym.XSymmetricData):
-        return source
-    return partsym.detect_x_symmetric(source)
 
 
 def _evaluate(source, x, y) -> float:
@@ -143,13 +128,20 @@ def _cert_payload(source, reduction, cert: partsym.PSDCertificate | None, invali
     return payload
 
 
-def cmd_check_psd(args) -> CommandResult:
+def _xsym_reduction(command: str, args):
+    """The steps check-psd and decompose share: load the input, detect
+    x-symmetry and reduce the form to a monic one.
+
+    Returns ``(tol, source, reduction)``, or the CommandResult that ends the
+    command: exit 3 when the form is not x-symmetric, exit 2 with a witness
+    when the reduction finds P(x, y) < 0.
+    """
     tol = _tolerances(args)
     source = _load_form(args.form, args.transpose)
-    data = _xsym_data(source)
+    data = source if isinstance(source, partsym.XSymmetricData) else partsym.detect_x_symmetric(source)
     if data is None:
         return CommandResult(
-            "check-psd",
+            command,
             "error",
             {"error": "form is not x-symmetric; use 'sos-rank' for general forms"},
             _EXIT_NOT_XSYM,
@@ -159,9 +151,17 @@ def cmd_check_psd(args) -> CommandResult:
     if isinstance(reduction, partsym.InvalidReduction):
         payload = _cert_payload(source, None, None, reduction)
         return CommandResult(
-            "check-psd", "not-psd", payload, _EXIT_NOT_PSD,
+            command, "not-psd", payload, _EXIT_NOT_PSD,
             summary=f"NotPSD: {reduction.reason}; witness value {payload['witness']['value']:.6g}",
         )
+    return tol, source, reduction
+
+
+def cmd_check_psd(args) -> CommandResult:
+    prefix = _xsym_reduction("check-psd", args)
+    if isinstance(prefix, CommandResult):
+        return prefix
+    tol, source, reduction = prefix
     if not reduction.active:
         payload = _cert_payload(source, reduction, None, None)
         return CommandResult("check-psd", "ok", payload, _EXIT_OK, summary="PSD (zero form)")
@@ -179,50 +179,28 @@ def cmd_check_psd(args) -> CommandResult:
 
 
 def cmd_decompose(args) -> CommandResult:
-    tol = _tolerances(args)
-    source = _load_form(args.form, args.transpose)
-    data = _xsym_data(source)
-    if data is None:
-        return CommandResult(
-            "decompose",
-            "error",
-            {"error": "form is not x-symmetric; use 'sos-rank' for general forms"},
-            _EXIT_NOT_XSYM,
-            summary="not x-symmetric",
-        )
-    method = args.method if args.method != "auto" else "structured"
-    reduction = partsym.reduce_general(data, tol)
-    if isinstance(reduction, partsym.InvalidReduction):
-        payload = _cert_payload(source, None, None, reduction)
-        return CommandResult("decompose", "not-psd", payload, _EXIT_NOT_PSD,
-                             summary=f"NotPSD: {reduction.reason}")
+    prefix = _xsym_reduction("decompose", args)
+    if isinstance(prefix, CommandResult):
+        return prefix
+    tol, source, reduction = prefix
     if not reduction.active:
-        dec = forms.SOSDecomposition(data.m, data.n, ())
+        dec = forms.SOSDecomposition(source.m, source.n, ())
     else:
         try:
-            if method == "naive":
-                monic_dec = partsym.sos_decompose_naive(reduction.monic, tol)
-            else:
-                monic_dec = partsym.sos_decompose_structured(reduction.monic, tol)
+            monic_dec = partsym.sos_decompose_structured(reduction.monic, tol)
         except NotPSD as exc:
-            cert = exc.witness
-            payload = _cert_payload(source, reduction, cert, None)
+            payload = _cert_payload(source, reduction, exc.witness, None)
             return CommandResult("decompose", "not-psd", payload, _EXIT_NOT_PSD,
                                  summary="NotPSD: Q/R eigenvalue test failed")
-        dec = partsym.undo_reduction(reduction, monic_dec, data.m, data.n)
+        dec = partsym.undo_reduction(reduction, monic_dec, source.m, source.n)
     passed, resid = forms.verify_sos(source, dec, seed=args.seed)
     if not passed:
         raise NumericalError(f"decomposition failed re-verification: residual {resid:.3e}")
     forms.save_decomposition(dec, args.out)
-    payload = {
-        "factor_count": len(dec),
-        "max_residual": resid,
-        "method": method,
-        "out": args.out,
-    }
+    payload = {"factor_count": len(dec), "max_residual": resid, "out": args.out}
     return CommandResult(
         "decompose", "ok", payload, _EXIT_OK,
-        summary=f"{len(dec)} bilinear squares ({method}); max residual {resid:.3e} -> {args.out}",
+        summary=f"{len(dec)} bilinear squares; max residual {resid:.3e} -> {args.out}",
     )
 
 
@@ -350,7 +328,7 @@ def cmd_reduce_rank(args) -> CommandResult:
 
 
 def cmd_meig(args) -> CommandResult:
-    _tolerances(args)  # rejects a bad --tol or BIQUAD_TOL value
+    _tolerances(args)  # rejects a non-positive --tol
     form = _load_dense(args.form, args.transpose)
     residual_tol = {} if args.tol is None else {"tol": args.tol}
     pairs = meig.meig_solve(form, restarts=args.restarts, seed=args.seed, **residual_tol)
@@ -375,41 +353,11 @@ def cmd_meig(args) -> CommandResult:
     )
 
 
-def cmd_bench(args) -> CommandResult:
-    tol = _tolerances(args)
-    rng = np.random.default_rng(args.seed)
-    naive_ms, structured_ms = [], []
-    for _ in range(args.trials):
-        data = partsym.random_psd_instance(args.m, args.n, rng)
-        t0 = time.perf_counter()
-        dec_naive = partsym.sos_decompose_naive(data, tol)
-        t1 = time.perf_counter()
-        dec_structured = partsym.sos_decompose_structured(data, tol)
-        t2 = time.perf_counter()
-        naive_ms.append((t1 - t0) * 1e3)
-        structured_ms.append((t2 - t1) * 1e3)
-        del dec_naive, dec_structured
-    speedups = [n / s if s > 0 else float("inf") for n, s in zip(naive_ms, structured_ms)]
-    payload = {
-        "m": args.m,
-        "n": args.n,
-        "trials": args.trials,
-        "seed": args.seed,
-        "naive_ms": naive_ms,
-        "structured_ms": structured_ms,
-    }
-    lines = [f"{'trial':>5}  {'naive_ms':>12}  {'structured_ms':>14}  {'speedup':>8}"]
-    for idx, (nv, st, sp) in enumerate(zip(naive_ms, structured_ms, speedups)):
-        lines.append(f"{idx:>5}  {nv:>12.3f}  {st:>14.3f}  {sp:>8.1f}")
-    summary = "\n".join(lines) + f"\nseed {args.seed}"
-    return CommandResult("bench", "ok", payload, _EXIT_OK, summary=summary)
-
-
 def _add_common(sub, tol=True, seed=True, transpose=False, restarts=None):
     sub.add_argument("--json", action="store_true", help="print the JSON payload instead of a summary")
     if tol:
         sub.add_argument("--tol", type=float, default=None,
-                         help="rank/PSD tolerance (default: BIQUAD_TOL env var or 1e-9)")
+                         help="rank/PSD tolerance (default 1e-9)")
     if seed:
         sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     if transpose:
@@ -420,8 +368,17 @@ def _add_common(sub, tol=True, seed=True, transpose=False, restarts=None):
                          help=f"seeded starts (sos-rank: per square count), at least 1 (default {restarts})")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit 1: argparse's own exit 2 is the
+    CLI's "not PSD"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(_EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="biquad",
         description="Certificates, SOS decompositions and rank bounds for biquadratic forms.",
     )
@@ -429,13 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("check-psd", help="PSD test for an x-symmetric form")
     p.add_argument("form", help="form file (terms) or x-symmetric data file (m, d, A, B)")
-    _add_common(p, transpose=True)
+    _add_common(p, seed=False, transpose=True)
     p.set_defaults(handler=cmd_check_psd)
 
     p = subs.add_parser("decompose", help="write an SOS decomposition of an x-symmetric PSD form")
     p.add_argument("form")
     p.add_argument("out", help="output decomposition file")
-    p.add_argument("--method", choices=("naive", "structured", "auto"), default="auto")
     _add_common(p, transpose=True)
     p.set_defaults(handler=cmd_decompose)
 
@@ -463,13 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, transpose=True, restarts=20)
     p.set_defaults(handler=cmd_meig)
 
-    p = subs.add_parser("bench", help="time the naive vs structured decomposition paths")
-    p.add_argument("--m", type=int, default=200)
-    p.add_argument("--n", type=int, default=20)
-    p.add_argument("--trials", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(handler=cmd_bench)
-
     return parser
 
 
@@ -487,10 +436,8 @@ _CAUGHT = tuple(kind for kinds, *_ in _FAILURES for kind in kinds)
 
 
 def _check_counts(args) -> None:
-    for name in ("restarts", "trials"):
-        value = getattr(args, name, None)
-        if value is not None:
-            require_count(f"--{name}", value)
+    if getattr(args, "restarts", None) is not None:
+        require_count("--restarts", args.restarts)
 
 
 def main(argv=None) -> int:

@@ -6,7 +6,7 @@ class InvalidInput(ValueError):
 
 
 def require_count(name: str, value: int) -> None:
-    """Raise InvalidInput unless a count of starts or trials is at least 1."""
+    """Raise InvalidInput unless a count of starts or draws is at least 1."""
     if value < 1:
         raise InvalidInput(f"{name} must be at least 1, got {value}")
 

@@ -201,8 +201,9 @@ def reduce_to_boundary(
     traceless and indefinite, and the boundary step along it is computed in
     closed form by ``_boundary_step``.  A new direction is drawn (up to
     ``retries`` draws) only when rounding leaves the end point failing the
-    PSD or rank check.
+    PSD or rank check.  Raises InvalidInput when ``retries`` is below 1.
     """
+    require_count("retries", retries)
     ok, witness = linalg.is_psd(point.matrix, tol)
     if not ok:
         raise NotPSD("starting Gram point is not PSD", witness=witness)
@@ -212,7 +213,7 @@ def reduce_to_boundary(
     if family.dim == 0:
         raise CannotReduce("family has no free directions; need m >= 2 and n >= 2")
     rng = np.random.default_rng(seed)
-    for _ in range(max(1, retries)):
+    for _ in range(retries):
         coeffs = rng.standard_normal(family.dim)
         t = _boundary_step(point.matrix, family.combine(coeffs))
         candidate = gram_at(family, point.gamma + t * coeffs)

@@ -31,12 +31,17 @@ logger = logging.getLogger(__name__)
 # Default residual bound of meig_solve and min_probe, relative to max|c|.
 _TOL = 1e-10
 _DEDUP_TOL = 1e-6
-# Alternating eigensteps before the Newton polish takes over.
+# Alternating eigensteps before the Newton polish takes over, and the cap
+# on all steps of a start.
 _ALTERNATIONS = 15
+_MAX_ITER = 200
 # Newton's residual need not fall at every step, but a start whose residual
 # norm is not below this share of its norm two steps earlier has stalled.
 _NEWTON_DECAY = 0.5
-DEFAULT_SIZE_CAP = 8
+# meig_solve rejects forms with m or n above this.
+_SIZE_CAP = 8
+# Min-seeking eigensteps psd_sample_check takes from its best sample.
+_POLISH_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -152,21 +157,20 @@ class _Starts:
         return done
 
 
-def _search(contractor: _Contractor, y0: np.ndarray, pick: np.ndarray, tol: float, max_iter: int = 200) -> _Starts:
-    """Run every start: alternating eigensteps, then Newton steps for the
-    ones still open, at most ``max_iter`` steps in all.  Thresholds are in the
-    units of the contractor's tensor."""
+def _search(contractor: _Contractor, y0: np.ndarray, pick: np.ndarray, tol: float) -> _Starts:
+    """Run every start: ``_ALTERNATIONS`` alternating eigensteps, then Newton
+    steps for the ones still open, at most ``_MAX_ITER`` steps in all.
+    Thresholds are in the units of the contractor's tensor."""
     starts = _Starts(y0, contractor.m)
     idx = np.arange(len(y0))
     g = contractor.x_matrices(y0)
-    alternations = min(_ALTERNATIONS, max_iter)
-    for _ in range(alternations):
+    for _ in range(_ALTERNATIONS):
         x, y, h, g = _eigenstep(contractor, g, pick[idx])
         done = starts.record(idx, x, y, *_residuals(x, y, g, h), tol)
         idx, g = idx[~done], g[~done]
         if not len(idx):
             return starts
-    _polish(contractor, starts, idx, pick, tol, max_iter - alternations)
+    _polish(contractor, starts, idx, pick, tol, _MAX_ITER - _ALTERNATIONS)
     return starts
 
 
@@ -247,34 +251,28 @@ def _normalized(form: BiquadraticForm) -> tuple[_Contractor, float]:
     return _Contractor(form.coeffs / scale), scale
 
 
-def meig_solve(
-    form: BiquadraticForm,
-    restarts: int = 20,
-    seed: int = 0,
-    tol: float = _TOL,
-    size_cap: int = DEFAULT_SIZE_CAP,
-    max_iter: int = 200,
-) -> list[MEigenpair]:
+def meig_solve(form: BiquadraticForm, restarts: int = 20, seed: int = 0, tol: float = _TOL) -> list[MEigenpair]:
     """M-eigenpairs from seeded starts, sorted by eigenvalue.
 
-    Each of the ``restarts`` seeded y0 starts twice, once driven toward the
-    smallest and once toward the largest eigenpair, and all starts run as one
-    stack: up to 15 alternating eigensteps, then Newton steps on the M-eigen
-    system for the starts still open, ``max_iter`` steps in all.  A pair is
-    returned when both residuals ``|G(y)x - lam x|`` and ``|H(x)y - lam y|``
-    are at most ``tol * max|c|``; a polished pair must also have lam as the
-    targeted extreme eigenvalue of G(y) and H(x).  Starts that stall or
+    Forms with m or n above 8 are rejected.  Each of the ``restarts`` seeded
+    y0 starts twice, once driven toward the smallest and once toward the
+    largest eigenpair, and all starts run as one stack: up to 15 alternating
+    eigensteps, then Newton steps on the M-eigen system for the starts still
+    open, 200 steps in all.  A pair is returned when both residuals
+    ``|G(y)x - lam x|`` and ``|H(x)y - lam y|`` are at most
+    ``tol * max|c|``; a polished pair must also have lam as the targeted
+    extreme eigenvalue of G(y) and H(x).  Starts that stall or
     whose Newton system is singular are dropped (debug log).  Duplicates agree
     on lambda within ``1e-6 * max|c|`` and on (x, y) up to simultaneous sign
     flips within 1e-6.  The smallest value returned is an upper bound on the
     true minimum M-eigenvalue; the list is not guaranteed complete.
     """
-    if form.m > size_cap or form.n > size_cap:
-        raise InvalidInput(f"form size {form.m} x {form.n} exceeds the cap {size_cap}")
+    if form.m > _SIZE_CAP or form.n > _SIZE_CAP:
+        raise InvalidInput(f"form size {form.m} x {form.n} exceeds the cap {_SIZE_CAP}")
     contractor, scale = _normalized(form)
     y0 = _seeded_starts(form, restarts, seed)
     pick = np.tile([0, -1], len(y0))
-    starts = _search(contractor, np.repeat(y0, 2, axis=0), pick, tol, max_iter)
+    starts = _search(contractor, np.repeat(y0, 2, axis=0), pick, tol)
     pairs: list[MEigenpair] = []
     for b in range(len(pick)):
         if not starts.converged[b]:
@@ -324,10 +322,7 @@ def min_probe(
 
 
 def psd_sample_check(
-    form: BiquadraticForm,
-    samples: int = 100_000,
-    seed: int = 0,
-    polish_steps: int = 10,
+    form: BiquadraticForm, samples: int = 100_000, seed: int = 0
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Monte Carlo negativity probe: minimum of P over seeded sphere pairs,
     sharpened by a few min-seeking alternating eigensteps from the best
@@ -354,7 +349,7 @@ def psd_sample_check(
     contractor = _Contractor(form.coeffs)
     g = contractor.x_matrices(best_y[None])
     pick = np.zeros(1, dtype=int)
-    for _ in range(polish_steps):
+    for _ in range(_POLISH_STEPS):
         x, y, _, g = _eigenstep(contractor, g, pick)
         val = float(x[0] @ g[0] @ x[0])
         if val < best_val:

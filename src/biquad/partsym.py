@@ -36,6 +36,8 @@ from .forms import (  # helmert_basis is re-exported for callers of partsym
 from .linalg import DEFAULT_TOL, Tolerances
 
 _MONIC_ATOL = 1e-12
+# detect_x_symmetric's match tolerance, relative to max(1, max|coeff|).
+_DETECT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -176,11 +178,11 @@ def reconstruct(data: XSymmetricData) -> BiquadraticForm:
     return BiquadraticForm(m, n, a)
 
 
-def detect_x_symmetric(form: BiquadraticForm, tol: float = 1e-10) -> XSymmetricData | None:
+def detect_x_symmetric(form: BiquadraticForm) -> XSymmetricData | None:
     """Recognize an x-symmetric coefficient pattern.
 
     Returns the (d, A, B) data when the tensor matches within
-    ``tol * max(1, max|coeff|)``, else None.  On exactly x-symmetric input
+    ``1e-10 * max(1, max|coeff|)``, else None.  On exactly x-symmetric input
     the round trip ``reconstruct(detect_x_symmetric(P)) == P`` is exact,
     because representative entries are taken verbatim.
     """
@@ -197,7 +199,7 @@ def detect_x_symmetric(form: BiquadraticForm, tol: float = 1e-10) -> XSymmetricD
         candidate = XSymmetricData(m, d, 0.5 * (A + A.T), B)
     except InvalidInput:
         return None
-    atol = tol * max(1.0, float(np.abs(a).max()))
+    atol = _DETECT_TOL * max(1.0, float(np.abs(a).max()))
     if np.allclose(reconstruct(candidate).coeffs, a, rtol=0.0, atol=atol):
         return candidate
     return None
@@ -322,26 +324,23 @@ def _line_witness(data: XSymmetricData, x0, y0, dx, dy) -> tuple[np.ndarray, np.
     return x, y, evaluate_xsym(data, x, y)
 
 
-def reduce_general(
-    data: XSymmetricData,
-    tol: Tolerances = DEFAULT_TOL,
-    eps_d: float | None = None,
-) -> MonicReduction | InvalidReduction:
+def reduce_general(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> MonicReduction | InvalidReduction:
     """Scale a general x-symmetric form to a monic one, or certify it is not PSD.
 
-    Positive weights are absorbed by y_j -> y_j / sqrt(d_j).  A (numerically)
-    zero weight d_j0 forces, for a PSD form, B[:, j0] = 0, A[j0, j0] = 0 and
-    A[:, j0] = 0; when those vanishing conditions hold the index is dropped,
-    otherwise the violated first-order condition yields an explicit descent
-    direction on which the form goes strictly negative, returned as an
-    InvalidReduction.  A strictly negative weight is itself a witness.
+    Positive weights are absorbed by y_j -> y_j / sqrt(d_j).  A weight at
+    most ``1e-12 * max(0, max d)`` counts as zero.  A zero weight d_j0
+    forces, for a PSD form, B[:, j0] = 0, A[j0, j0] = 0 and A[:, j0] = 0;
+    when those vanishing conditions hold the index is dropped, otherwise the
+    violated first-order condition yields an explicit descent direction on
+    which the form goes strictly negative, returned as an InvalidReduction.
+    A weight below ``-1e-12 * max(1, max d, max|A|, max|B|)`` is itself a
+    witness.
     """
     d = data.d
     n = data.n
     m = data.m
     d_max = float(d.max()) if n else 0.0
-    if eps_d is None:
-        eps_d = 1e-12 * max(d_max, 0.0)
+    eps_d = 1e-12 * max(d_max, 0.0)
     coeff_scale = 1e-12 * max(
         1.0,
         d_max,
@@ -350,14 +349,14 @@ def reduce_general(
     )
 
     for j0 in range(n):
-        if d[j0] < -max(eps_d, coeff_scale):
+        if d[j0] < -coeff_scale:
             x = np.zeros(m)
             x[0] = 1.0
             y = np.zeros(n)
             y[j0] = 1.0
             return InvalidReduction(x, y, float(d[j0]), f"negative square coefficient d[{j0}]")
 
-    zero = [j for j in range(n) if d[j] <= max(eps_d, 0.0)]
+    zero = [j for j in range(n) if d[j] <= eps_d]
     for j0 in zero:
         # First-order conditions at the vanishing square term.
         if np.abs(data.B[:, j0]).max() > coeff_scale:

@@ -126,7 +126,7 @@ def exact_sos_rank_simple(support: SupportSet) -> int | UpperBoundOnly:
     return UpperBoundOnly(len(support))
 
 
-def detect_simple(form: BiquadraticForm, tol: float = _DETECT_ATOL) -> SupportSet | None:
+def detect_simple(form: BiquadraticForm) -> SupportSet | None:
     """Recognize a form with positive x_i^2 y_j^2 terms and nothing else.
 
     Coefficient magnitudes are irrelevant to the support argument, so any
@@ -134,7 +134,7 @@ def detect_simple(form: BiquadraticForm, tol: float = _DETECT_ATOL) -> SupportSe
     monomial is present (or a diagonal term is negative).
     """
     a = form.coeffs
-    atol = tol * max(1.0, float(np.abs(a).max()))
+    atol = _DETECT_ATOL * max(1.0, float(np.abs(a).max()))
     mask = np.zeros_like(a, dtype=bool)
     idx_m = np.arange(form.m)
     idx_n = np.arange(form.n)

@@ -138,12 +138,6 @@ class TestDecompose:
         dec = forms.load_decomposition(str(out))
         assert len(dec) == 2
 
-    def test_method_naive(self, capsys, coupled_xsym, tmp_path):
-        out = tmp_path / "dec.json"
-        code, data = run_json(capsys, ["decompose", coupled_xsym, str(out), "--method", "naive"])
-        assert code == 0
-        assert data["payload"]["method"] == "naive"
-
     def test_not_psd_exit_2(self, capsys, indefinite_xsym, tmp_path):
         code, _ = run_json(capsys, ["decompose", indefinite_xsym, str(tmp_path / "x.json")])
         assert code == 2
@@ -328,26 +322,8 @@ class TestMeigCommand:
         assert code == 1
 
 
-class TestBench:
-    def test_small_instance(self, capsys):
-        code, data = run_json(capsys, ["bench", "--m", "3", "--n", "2", "--trials", "2"])
-        assert code == 0
-        assert len(data["payload"]["naive_ms"]) == 2
-
-    def test_human_table(self, capsys):
-        code = main(["bench", "--m", "2", "--n", "2", "--trials", "1"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "structured_ms" in out
-
-
 class TestTolerancePlumbing:
-    def test_bad_env_value(self, capsys, monkeypatch, plain_xsym):
-        monkeypatch.setenv("BIQUAD_TOL", "banana")
-        code, data = run_json(capsys, ["check-psd", plain_xsym])
-        assert code == 1
-
-    def test_env_tolerance_applies(self, capsys, monkeypatch, tmp_path):
+    def test_default_tol_rejects_the_edge(self, capsys, tmp_path):
         # a matrix with eigenvalue -1e-7 passes only under a loose tolerance
         path = write(
             tmp_path / "edge.json",
@@ -355,9 +331,11 @@ class TestTolerancePlumbing:
         )
         code, _ = run_json(capsys, ["check-psd", path])
         assert code == 2
-        monkeypatch.setenv("BIQUAD_TOL", "1e-3")
-        code, _ = run_json(capsys, ["check-psd", path])
-        assert code == 0
+
+    @pytest.mark.parametrize("command", ["check-psd", "sos-rank", "meig"])
+    def test_non_positive_tol_rejected(self, capsys, plain_xsym, command):
+        code, out = run_json(capsys, [command, plain_xsym, "--tol", "0"])
+        assert code == 1 and "strictly positive" in out["payload"]["error"]
 
     def test_tol_flag_overrides(self, capsys, tmp_path):
         path = write(
@@ -433,14 +411,29 @@ class TestStructureNative:
     def test_output_format_follows_method(self, capsys, tmp_path):
         data = scaled_psd(21, 4, 3)
         path = write(tmp_path / "data.json", data_record(data))
-        for method, fmt in (("structured", 2), ("naive", None)):
-            out = tmp_path / f"{method}.json"
-            code, payload = run_json(capsys, ["decompose", path, str(out), "--method", method])
-            assert code == 0
-            assert json.loads(out.read_text()).get("format") == fmt
-            dec = forms.load_decomposition(str(out))
-            assert len(dec) == payload["payload"]["factor_count"]
-            assert forms.verify_sos(reconstruct(data), dec)[0]
+        out = tmp_path / "structured.json"
+        code, payload = run_json(capsys, ["decompose", path, str(out)])
+        assert code == 0
+        assert json.loads(out.read_text()).get("format") == 2
+        dec = forms.load_decomposition(str(out))
+        assert len(dec) == payload["payload"]["factor_count"]
+        assert forms.verify_sos(reconstruct(data), dec)[0]
+
+    @pytest.mark.parametrize("record", [
+        {"m": 2, "d": [1, -0.5], "A": [[0, 0], [0, 0]], "B": [[0, 0], [0, 0]]},
+        {"m": 2, "d": [1, 0], "A": [[0, 0], [0, 0]], "B": SWAP},
+        data_record(KINDS["fail-q"]()),
+        "not-x-symmetric",
+    ], ids=["negative-weight", "zero-weight-violation", "fail-q", "not-x-symmetric"])
+    def test_check_psd_and_decompose_agree_before_decomposing(self, capsys, tmp_path, p223_file, record):
+        # Both commands run the same load, x-symmetry and reduction steps, so
+        # every input that ends there gives the same envelope.
+        path = p223_file if record == "not-x-symmetric" else write(tmp_path / "data.json", record)
+        code_check, check = run_json(capsys, ["check-psd", path])
+        code_dec, dec = run_json(capsys, ["decompose", path, str(tmp_path / "dec.json")])
+        assert code_check == code_dec in (2, 3)
+        assert check["status"] == dec["status"]
+        assert check["payload"] == dec["payload"]
 
     def test_data_file_never_builds_a_dense_tensor(self, capsys, monkeypatch, tmp_path):
         def densified(*args, **kwargs):
@@ -502,12 +495,35 @@ class TestFailureTable:
         ["sos-rank", "FORM", "--restarts", "-5"],
         ["sos-rank", "FORM", "--restarts", "0"],
         ["meig", "FORM", "--restarts", "0"],
-        ["bench", "--trials", "0"],
     ])
     def test_counts_below_one_rejected(self, capsys, p224_file, argv):
         code, out = run_json(capsys, [p224_file if a == "FORM" else a for a in argv])
         assert code == 1
         assert out["status"] == "error" and "at least 1" in out["payload"]["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sos-rank", "FORM", "--restarts", "abc"],
+        ["sos-rank", "FORM", "--bogus"],
+        ["decompose", "FORM", "OUT", "--method", "naive"],
+        ["check-psd", "FORM", "--seed", "3"],
+        ["bench", "--trials", "1"],
+        [],
+    ])
+    def test_usage_error_is_exit_1(self, capsys, p224_file, tmp_path, argv):
+        # argparse's own code for a usage error, 2, is the CLI's "not PSD"
+        argv = [{"FORM": p224_file, "OUT": str(tmp_path / "dec.json")}.get(a, a) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--json"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "dec.json").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sos-rank", "--help"]])
+    def test_help_is_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: biquad" in capsys.readouterr().out
 
     def test_non_integral_term_index(self, capsys, tmp_path):
         path = write(tmp_path / "frac.json", {"m": 2, "n": 2, "terms": [{"i": 1.7, "j": 1, "k": 1, "l": 1, "c": 1.0}]})

@@ -189,6 +189,12 @@ class TestReduceToBoundary:
         with pytest.raises(NotPSD):
             reduce_to_boundary(fam, gram_at(fam, [2.0]), seed=0)
 
+    @pytest.mark.parametrize("retries", [0, -2])
+    def test_fewer_than_one_retry_rejected(self, retries):
+        fam = f_224()
+        with pytest.raises(InvalidInput, match=f"retries must be at least 1, got {retries}"):
+            reduce_to_boundary(fam, gram_at(fam, [0.0]), seed=0, retries=retries)
+
     def test_no_directions_cannot_reduce(self):
         raw = np.zeros((1, 2, 1, 2))
         raw[0, 0, 0, 0] = 1.0
