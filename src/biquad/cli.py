@@ -118,8 +118,8 @@ def _cert_payload(source, reduction, cert: partsym.PSDCertificate | None, invali
     payload["active"] = [j + 1 for j in reduction.active]
     payload["d"] = _vec(np.asarray(reduction.scale) ** 2)
     if cert is not None:
-        payload["q_eigenvalues"] = _vec(cert.q_eigenvalues)
-        payload["r_eigenvalues"] = _vec(cert.r_eigenvalues)
+        payload["q_eigenvalues"] = _vec(cert.q.eigenvalues)
+        payload["r_eigenvalues"] = _vec(cert.r.eigenvalues)
         if not cert.psd:
             payload["verdict"] = "NotPSD"
             x, z = cert.witness
@@ -170,7 +170,7 @@ def cmd_check_psd(args) -> CommandResult:
     if cert.psd:
         return CommandResult(
             "check-psd", "ok", payload, _EXIT_OK,
-            summary=f"PSD: min eig(Q) = {min(cert.q_eigenvalues):.6g}, min eig(R) = {min(cert.r_eigenvalues):.6g}",
+            summary=f"PSD: min eig(Q) = {min(cert.q.eigenvalues):.6g}, min eig(R) = {min(cert.r.eigenvalues):.6g}",
         )
     return CommandResult(
         "check-psd", "not-psd", payload, _EXIT_NOT_PSD,
@@ -368,13 +368,18 @@ def _add_common(sub, tol=True, seed=True, transpose=False, restarts=None):
                          help=f"seeded starts (sos-rank: per square count), at least 1 (default {restarts})")
 
 
+class _UsageError(Exception):
+    """A command line that argparse rejected; its usage is on stderr."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors on exit 1: argparse's own exit 2 is the
-    CLI's "not PSD"."""
+    """argparse whose usage errors reach ``main``, which exits 1: argparse's
+    own exit 2 is the CLI's "not PSD"."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(_EXIT_ERROR, f"{self.prog}: error: {message}\n")
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise _UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,9 +445,20 @@ def _check_counts(args) -> None:
         require_count("--restarts", args.restarts)
 
 
+def _write_envelope(result: CommandResult) -> None:
+    envelope = {"command": result.command, "status": result.status, "payload": result.payload}
+    sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        if "--json" in argv:
+            command = argv[0] if not argv[0].startswith("-") else None
+            _write_envelope(CommandResult(command, "error", {"error": f"usage error: {exc}"}, _EXIT_ERROR))
+        return _EXIT_ERROR
     t0 = time.perf_counter()
     try:
         _check_counts(args)
@@ -454,8 +470,7 @@ def main(argv=None) -> int:
         result = CommandResult(args.command, status, {"error": message}, code, summary=f"{head}: {message}")
     result.timing_ms = (time.perf_counter() - t0) * 1e3
     if args.json:
-        envelope = {"command": result.command, "status": result.status, "payload": result.payload}
-        sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+        _write_envelope(result)
     else:
         sys.stdout.write(f"[{result.command}] {result.status} ({result.timing_ms:.1f} ms)\n")
         if result.summary:

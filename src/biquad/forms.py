@@ -19,8 +19,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import InvalidInput
-
-_SYM_ATOL = 1e-12
+from .linalg import COEFF_TOL
 
 
 def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -50,10 +49,12 @@ class BiquadraticForm:
             raise InvalidInput("m and n must be positive")
         if a.shape != (self.m, self.n, self.m, self.n):
             raise InvalidInput(f"coefficient tensor has shape {a.shape}, expected {(self.m, self.n, self.m, self.n)}")
-        scale = max(1.0, float(np.abs(a).max()))
+        if not np.isfinite(a).all():
+            raise InvalidInput("coefficients must be finite")
+        atol = COEFF_TOL * float(np.abs(a).max())
         if not (
-            np.allclose(a, a.transpose(2, 1, 0, 3), rtol=0.0, atol=_SYM_ATOL * scale)
-            and np.allclose(a, a.transpose(2, 3, 0, 1), rtol=0.0, atol=_SYM_ATOL * scale)
+            np.allclose(a, a.transpose(2, 1, 0, 3), rtol=0.0, atol=atol)
+            and np.allclose(a, a.transpose(2, 3, 0, 1), rtol=0.0, atol=atol)
         ):
             raise InvalidInput("tensor is not partially symmetric; use symmetrize() on raw coefficients")
         a = a.copy()

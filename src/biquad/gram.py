@@ -160,8 +160,7 @@ def gamma_of(family: GramFamily, matrix) -> np.ndarray:
     matrix = linalg.as_sym_matrix(matrix)
     gamma = matrix[family._rows_plus, family._cols_plus] - family.base[family._rows_plus, family._cols_plus]
     rebuilt = family.matrix_at(gamma)
-    scale = max(1.0, float(np.abs(matrix).max()))
-    if not np.allclose(rebuilt, matrix, rtol=0.0, atol=1e-9 * scale):
+    if not np.allclose(rebuilt, matrix, rtol=0.0, atol=1e-9 * float(np.abs(matrix).max())):
         raise InvalidInput("matrix does not represent the family's form")
     return gamma
 

@@ -3,7 +3,7 @@
 Matrices are plain float ndarrays.  Every entry point validates symmetry and
 mirrors the upper triangle, so downstream code never sees an asymmetric
 matrix.  All rank / definiteness decisions go through a single ``Tolerances``
-record; nothing in the package hard-codes a cutoff.
+record, and every cutoff is relative to the matrix it judges.
 """
 
 from __future__ import annotations
@@ -14,18 +14,21 @@ import numpy as np
 
 from .errors import InvalidInput, NotPSD, NumericalError
 
-_SYM_ATOL = 1e-12
+# Coefficients and matrix entries that differ by at most this much of the
+# largest magnitude present count as equal.
+COEFF_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Dimensionless relative thresholds used by all numeric decisions.
+    """Dimensionless thresholds used by all numeric decisions, each relative
+    to the matrix it judges, so S and s*S get one verdict for every s > 0.
 
     Attributes:
-        eps_rank: eigenvalues with ``|lam| <= eps_rank * max(1, lam_max)``
-            count as zero when ranks are taken.
+        eps_rank: eigenvalues with ``|lam| <= eps_rank * max|lam|`` count as
+            zero when ranks are taken (see ``rank_cutoff``).
         eps_psd: a matrix passes the PSD test when
-            ``lam_min >= -eps_psd * max(1, |lam_max|)``.
+            ``lam_min >= -eps_psd * |lam_max|``.
         tol_recon: bound on ``||U diag(w) U' - S||_F / ||S||_F`` for any
             eigendecomposition or PSD factorization handed out.
         tol_orth: bound on ``||U'U - I||_F``.
@@ -61,8 +64,9 @@ def as_sym_matrix(entries) -> np.ndarray:
     s = np.asarray(entries, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
         raise InvalidInput(f"expected a square matrix of order >= 1, got shape {s.shape}")
-    scale = float(np.abs(s).max()) if s.size else 0.0
-    if not np.allclose(s, s.T, rtol=0.0, atol=_SYM_ATOL * max(1.0, scale)):
+    if not np.isfinite(s).all():
+        raise InvalidInput("matrix has non-finite entries")
+    if not np.allclose(s, s.T, rtol=0.0, atol=COEFF_TOL * float(np.abs(s).max())):
         raise InvalidInput("matrix is not symmetric")
     upper = np.triu(s)
     return upper + np.triu(s, 1).T
@@ -90,8 +94,6 @@ def sym_eig(s, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
             (should not happen for well-scaled finite input).
     """
     s = as_sym_matrix(s)
-    if not np.isfinite(s).all():
-        raise InvalidInput("matrix has non-finite entries")
     w, u = np.linalg.eigh(s)
     w = w[::-1].copy()
     u = np.ascontiguousarray(u[:, ::-1])
@@ -118,17 +120,19 @@ def _check_invariants(s: np.ndarray, dec: SpectralDecomposition, tol: Tolerances
         raise NumericalError(f"eigendecomposition residual {recon:.3e} exceeds {tol.tol_recon:.3e} * ||S||")
 
 
+def rank_cutoff(eigenvalues, tol: Tolerances) -> float:
+    """Magnitude at or below which an eigenvalue counts as zero:
+    ``eps_rank`` times the largest eigenvalue magnitude."""
+    return tol.eps_rank * float(np.abs(eigenvalues).max(initial=0.0))
+
+
 def rank_from_eigenvalues(eigenvalues, tol: Tolerances = DEFAULT_TOL) -> int:
     """Numerical rank given a full symmetric spectrum."""
-    w = np.asarray(eigenvalues, dtype=float)
-    if w.size == 0:
-        return 0
-    cutoff = tol.eps_rank * max(1.0, float(w.max()))
-    return int(np.count_nonzero(np.abs(w) > cutoff))
+    return int(np.count_nonzero(np.abs(eigenvalues) > rank_cutoff(eigenvalues, tol)))
 
 
 def numerical_rank(s, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Count of eigenvalues with ``|lam| > eps_rank * max(1, lam_max)``."""
+    """Count of eigenvalues above ``rank_cutoff`` in magnitude."""
     return rank_from_eigenvalues(sym_eig(s, tol).eigenvalues, tol)
 
 
@@ -142,14 +146,21 @@ def psd_from_decomposition(
 ) -> tuple[bool, np.ndarray | None]:
     """PSD test on a spectrum already computed by ``sym_eig``.
 
-    Returns ``(True, None)`` when ``lam_min >= -eps_psd * max(1, |lam_max|)``,
+    Returns ``(True, None)`` when ``lam_min >= -eps_psd * |lam_max|``,
     else ``(False, v)`` where v is the unit eigenvector of the most negative
     eigenvalue, so ``v' S v < 0``.
     """
     w = dec.eigenvalues
-    if w[-1] >= -tol.eps_psd * max(1.0, abs(float(w[0]))):
+    if w[-1] >= -tol.eps_psd * abs(float(w[0])):
         return True, None
     return False, dec.eigenvectors[:, -1].copy()
+
+
+def factor_from_decomposition(dec: SpectralDecomposition, tol: Tolerances) -> np.ndarray:
+    """Rows ``sqrt(lam) u`` over the eigenpairs above ``rank_cutoff``, in
+    descending eigenvalue order, of a spectrum that passed the PSD test."""
+    keep = dec.eigenvalues > rank_cutoff(dec.eigenvalues, tol)
+    return np.sqrt(dec.eigenvalues[keep])[:, None] * dec.eigenvectors[:, keep].T
 
 
 def psd_factor(s, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
@@ -167,21 +178,8 @@ def psd_factor(s, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
     ok, witness = psd_from_decomposition(dec, tol)
     if not ok:
         raise NotPSD("matrix has a significant negative eigenvalue", witness=witness)
-    cutoff = tol.eps_rank * max(1.0, float(dec.eigenvalues[0]))
-    keep = dec.eigenvalues > cutoff
-    vectors = [
-        np.sqrt(lam) * dec.eigenvectors[:, p]
-        for p, lam in enumerate(dec.eigenvalues)
-        if keep[p]
-    ]
-    scale = np.linalg.norm(s)
-    if vectors:
-        stack = np.stack(vectors)
-        recon = np.linalg.norm(stack.T @ stack - s)
-    else:
-        recon = scale
-    # The rank cutoff is floored at an absolute eps_rank, so the dropped tail
-    # is bounded relative to max(1, ||S||), not ||S|| alone.
-    if recon > tol.tol_recon * max(scale, 1.0):
+    rows = factor_from_decomposition(dec, tol)
+    recon = np.linalg.norm(rows.T @ rows - s)
+    if recon > tol.tol_recon * np.linalg.norm(s):
         raise NumericalError(f"PSD factorization residual {recon:.3e} exceeds {tol.tol_recon:.3e} * ||S||")
-    return vectors
+    return list(rows)

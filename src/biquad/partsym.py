@@ -33,10 +33,10 @@ from .forms import (  # helmert_basis is re-exported for callers of partsym
     SOSDecomposition,
     helmert_basis,
 )
-from .linalg import DEFAULT_TOL, Tolerances
+from .linalg import COEFF_TOL, DEFAULT_TOL, SpectralDecomposition, Tolerances
 
 _MONIC_ATOL = 1e-12
-# detect_x_symmetric's match tolerance, relative to max(1, max|coeff|).
+# detect_x_symmetric's match tolerance, relative to max|coeff|.
 _DETECT_TOL = 1e-10
 
 
@@ -114,13 +114,14 @@ class QRPair:
 class PSDCertificate:
     """Re-verifiable outcome of the PSD test.
 
-    When ``psd`` is False, ``witness`` is an (x, y) pair of unit vectors with
+    ``q`` and ``r`` are the spectra of Q and R.  When ``psd`` is False,
+    ``witness`` is an (x, y) pair of unit vectors with
     ``witness_value = P(x, y) < 0``.
     """
 
     psd: bool
-    q_eigenvalues: np.ndarray
-    r_eigenvalues: np.ndarray
+    q: SpectralDecomposition
+    r: SpectralDecomposition
     witness: tuple[np.ndarray, np.ndarray] | None = None
     witness_value: float | None = None
 
@@ -182,7 +183,7 @@ def detect_x_symmetric(form: BiquadraticForm) -> XSymmetricData | None:
     """Recognize an x-symmetric coefficient pattern.
 
     Returns the (d, A, B) data when the tensor matches within
-    ``1e-10 * max(1, max|coeff|)``, else None.  On exactly x-symmetric input
+    ``1e-10 * max|coeff|``, else None.  On exactly x-symmetric input
     the round trip ``reconstruct(detect_x_symmetric(P)) == P`` is exact,
     because representative entries are taken verbatim.
     """
@@ -199,7 +200,7 @@ def detect_x_symmetric(form: BiquadraticForm) -> XSymmetricData | None:
         candidate = XSymmetricData(m, d, 0.5 * (A + A.T), B)
     except InvalidInput:
         return None
-    atol = _DETECT_TOL * max(1.0, float(np.abs(a).max()))
+    atol = _DETECT_TOL * float(np.abs(a).max())
     if np.allclose(reconstruct(candidate).coeffs, a, rtol=0.0, atol=atol):
         return candidate
     return None
@@ -228,7 +229,7 @@ def check_psd_monic(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> PSDC
         q_ok, q_wit = True, None
 
     if q_ok and r_ok:
-        return PSDCertificate(True, q_dec.eigenvalues, r_dec.eigenvalues)
+        return PSDCertificate(True, q_dec, r_dec)
 
     if not q_ok:
         x = np.zeros(m)
@@ -241,7 +242,7 @@ def check_psd_monic(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> PSDC
     value = evaluate_xsym(data, x, y)
     if not value < 0.0:
         raise linalg.NumericalError(f"PSD witness failed to evaluate negative: {value!r}")
-    return PSDCertificate(False, q_dec.eigenvalues, r_dec.eigenvalues, (x, y), value)
+    return PSDCertificate(False, q_dec, r_dec, (x, y), value)
 
 
 def assemble_m_matrix(data: XSymmetricData) -> np.ndarray:
@@ -273,25 +274,16 @@ def sos_decompose_structured(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL
     Both X bases are named, not built.  The factor count is exactly
     rank(R) + (m-1) rank(Q) and the summed Gram matrix equals the one the
     direct route factors, so both routes decompose the same form; neither
-    the big matrix nor the dense factors are built.
+    the big matrix nor the dense factors are built.  Q and R are
+    eigen-solved once, by the PSD test.
     """
     cert = check_psd_monic(data, tol)
     if not cert.psd:
         raise NotPSD("form is not PSD", witness=cert)
-    pair = qr_pair(data)
-    m = data.m
-    groups = [(ONES, _scaled_eigenvectors(pair.R, tol))]
-    if m >= 2:
-        groups.append((HELMERT, _scaled_eigenvectors(pair.Q, tol)))
-    return GroupedSOSDecomposition(m, data.n, tuple(groups))
-
-
-def _scaled_eigenvectors(s: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Rows sqrt(lam) u over the eigenpairs above the rank cutoff, in
-    descending eigenvalue order."""
-    dec = linalg.sym_eig(s, tol)
-    keep = dec.eigenvalues > tol.eps_rank * max(1.0, float(dec.eigenvalues[0]))
-    return np.sqrt(dec.eigenvalues[keep])[:, None] * dec.eigenvectors[:, keep].T
+    groups = [(ONES, linalg.factor_from_decomposition(cert.r, tol))]
+    if data.m >= 2:
+        groups.append((HELMERT, linalg.factor_from_decomposition(cert.q, tol)))
+    return GroupedSOSDecomposition(data.m, data.n, tuple(groups))
 
 
 def rank_bound(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -300,8 +292,8 @@ def rank_bound(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> int:
     cert = check_psd_monic(data, tol)
     if not cert.psd:
         raise NotPSD("form is not PSD", witness=cert)
-    rank_r = linalg.rank_from_eigenvalues(cert.r_eigenvalues, tol)
-    rank_q = linalg.rank_from_eigenvalues(cert.q_eigenvalues, tol)
+    rank_r = linalg.rank_from_eigenvalues(cert.r.eigenvalues, tol)
+    rank_q = linalg.rank_from_eigenvalues(cert.q.eigenvalues, tol)
     return rank_r + (data.m - 1) * rank_q
 
 
@@ -329,24 +321,18 @@ def reduce_general(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> Monic
 
     Positive weights are absorbed by y_j -> y_j / sqrt(d_j).  A weight at
     most ``1e-12 * max(0, max d)`` counts as zero.  A zero weight d_j0
-    forces, for a PSD form, B[:, j0] = 0, A[j0, j0] = 0 and A[:, j0] = 0;
-    when those vanishing conditions hold the index is dropped, otherwise the
-    violated first-order condition yields an explicit descent direction on
-    which the form goes strictly negative, returned as an InvalidReduction.
-    A weight below ``-1e-12 * max(1, max d, max|A|, max|B|)`` is itself a
-    witness.
+    forces, for a PSD form, B[:, j0] = 0, A[j0, j0] = 0 and A[:, j0] = 0,
+    each up to ``1e-12 * max|coeff|``; when those vanishing conditions hold
+    the index is dropped, otherwise the violated first-order condition
+    yields an explicit descent direction on which the form goes strictly
+    negative, returned as an InvalidReduction.  A weight below
+    ``-1e-12 * max|coeff|`` is itself a witness.
     """
     d = data.d
     n = data.n
     m = data.m
-    d_max = float(d.max()) if n else 0.0
-    eps_d = 1e-12 * max(d_max, 0.0)
-    coeff_scale = 1e-12 * max(
-        1.0,
-        d_max,
-        float(np.abs(data.A).max()) if n else 0.0,
-        float(np.abs(data.B).max()) if n else 0.0,
-    )
+    eps_d = COEFF_TOL * float(d.max(initial=0.0))
+    coeff_scale = COEFF_TOL * data.max_abs_coeff()
 
     for j0 in range(n):
         if d[j0] < -coeff_scale:

@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .forms import BiquadraticForm
-
-_DETECT_ATOL = 1e-12
+from .linalg import COEFF_TOL
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def detect_simple(form: BiquadraticForm) -> SupportSet | None:
     monomial is present (or a diagonal term is negative).
     """
     a = form.coeffs
-    atol = _DETECT_ATOL * max(1.0, float(np.abs(a).max()))
+    atol = COEFF_TOL * float(np.abs(a).max())
     mask = np.zeros_like(a, dtype=bool)
     idx_m = np.arange(form.m)
     idx_n = np.arange(form.n)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import biquad
-from biquad import cli, forms, meig, partsym
+from biquad import cli, forms, linalg, meig, partsym
 from biquad.cli import main
 from biquad.partsym import XSymmetricData, random_psd_instance, reconstruct
 from biquad.simple import gen_simple, to_form
@@ -145,6 +145,21 @@ class TestDecompose:
     def test_not_x_symmetric(self, capsys, p223_file, tmp_path):
         code, _ = run_json(capsys, ["decompose", p223_file, str(tmp_path / "x.json")])
         assert code == 3
+
+    def test_eigen_solves_q_and_r_once(self, capsys, tmp_path, monkeypatch):
+        shapes = []
+        sym_eig = linalg.sym_eig
+
+        def counting(s, tol=linalg.DEFAULT_TOL):
+            shapes.append(np.shape(s))
+            return sym_eig(s, tol)
+
+        monkeypatch.setattr(linalg, "sym_eig", counting)
+        data = random_psd_instance(5, 4, np.random.default_rng(8))
+        path = write(tmp_path / "data.json", data_record(data))
+        code, envelope = run_json(capsys, ["decompose", path, str(tmp_path / "dec.json")])
+        assert code == 0 and envelope["payload"]["factor_count"] == 4 + 4 * 4
+        assert shapes == [(4, 4), (4, 4)]
 
     def test_large_m_writes_tags_not_rows(self, capsys, tmp_path, monkeypatch):
         def no_rows(m):
@@ -512,11 +527,21 @@ class TestFailureTable:
     def test_usage_error_is_exit_1(self, capsys, p224_file, tmp_path, argv):
         # argparse's own code for a usage error, 2, is the CLI's "not PSD"
         argv = [{"FORM": p224_file, "OUT": str(tmp_path / "dec.json")}.get(a, a) for a in argv]
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--json"])
-        assert exc.value.code == 1
-        assert capsys.readouterr().out == ""
+        assert main(argv + ["--json"]) == 1
+        captured = capsys.readouterr()
+        envelope = json.loads(captured.out)
+        assert envelope["command"] == (argv[0] if argv else None)
+        assert envelope["status"] == "error"
+        assert envelope["payload"]["error"].startswith("usage error: ")
+        assert "usage: biquad" in captured.err
         assert not (tmp_path / "dec.json").exists()
+
+    def test_usage_error_without_json_keeps_stdout_empty(self, capsys, p224_file):
+        assert main(["sos-rank", p224_file, "--restarts", "abc"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: biquad sos-rank" in captured.err
+        assert "invalid int value: 'abc'" in captured.err
 
     @pytest.mark.parametrize("argv", [["--help"], ["sos-rank", "--help"]])
     def test_help_is_exit_0(self, capsys, argv):

@@ -411,6 +411,20 @@ class TestConstruction:
         with pytest.raises(InvalidInput):
             BiquadraticForm(2, 2, bad)
 
+    @pytest.mark.parametrize("scale", [1e-13, 1e13])
+    def test_asymmetry_judged_relative_to_scale(self, scale):
+        bad = np.zeros((2, 2, 2, 2))
+        bad[0, 0, 1, 1] = scale
+        with pytest.raises(InvalidInput, match="partially symmetric"):
+            BiquadraticForm(2, 2, bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, value):
+        coeffs = np.zeros((2, 2, 2, 2))
+        coeffs[0, 0, 0, 0] = value
+        with pytest.raises(InvalidInput, match="finite"):
+            BiquadraticForm(2, 2, coeffs)
+
     def test_coeffs_read_only(self):
         p = to_form(gen_simple(2, 2, 2))
         with pytest.raises(ValueError):

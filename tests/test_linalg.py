@@ -52,6 +52,15 @@ class TestSymEig:
         with pytest.raises(InvalidInput):
             sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_rejected_before_symmetry_test(self, value):
+        with pytest.raises(InvalidInput, match="non-finite"):
+            as_sym_matrix(np.array([[value, 0.0], [0.0, 1.0]]))
+
+    def test_tiny_asymmetry_is_relative(self):
+        with pytest.raises(InvalidInput, match="not symmetric"):
+            as_sym_matrix(1e-13 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+
     def test_trace_equals_eigenvalue_sum(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -72,6 +81,13 @@ class TestNumericalRank:
     def test_identity(self, n):
         assert numerical_rank(np.eye(n)) == n
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_scale_invariant(self, scale):
+        s = scale * np.diag([1.0, 1e-6, 1e-11, 0.0])
+        assert numerical_rank(s) == 2
+        assert len(psd_factor(s)) == 2
+        assert numerical_rank(-s) == 2
+
     def test_invariant_under_orthogonal_conjugation(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
@@ -85,6 +101,11 @@ class TestIsPsd:
     def test_identity(self):
         ok, witness = is_psd(np.eye(3))
         assert ok and witness is None
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_verdict_scale_invariant(self, scale):
+        assert not is_psd(scale * np.diag([1.0, -1e-6]))[0]
+        assert is_psd(scale * np.diag([1.0, -1e-12]))[0]
 
     def test_indefinite_with_witness(self):
         s = np.array([[0.0, 2.0], [2.0, 0.0]])

@@ -123,14 +123,14 @@ class TestCheckPsdMonic:
     def test_plain_squares(self):
         cert = check_psd_monic(XSymmetricData(2, np.ones(2), Z2, Z2))
         assert cert.psd
-        np.testing.assert_allclose(cert.q_eigenvalues, [1.0, 1.0])
-        np.testing.assert_allclose(cert.r_eigenvalues, [1.0, 1.0])
+        np.testing.assert_allclose(cert.q.eigenvalues, [1.0, 1.0])
+        np.testing.assert_allclose(cert.r.eigenvalues, [1.0, 1.0])
 
     def test_swap_coupling_is_psd(self):
         cert = check_psd_monic(monic(2, SWAP))
         assert cert.psd
-        np.testing.assert_allclose(cert.q_eigenvalues, [2.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(cert.r_eigenvalues, [2.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(cert.q.eigenvalues, [2.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(cert.r.eigenvalues, [2.0, 0.0], atol=1e-14)
 
     def test_strong_coupling_not_psd(self):
         data = monic(2, 2.0 * SWAP)
