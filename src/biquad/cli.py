@@ -374,7 +374,11 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse whose usage errors reach ``main``, which exits 1: argparse's
-    own exit 2 is the CLI's "not PSD"."""
+    own exit 2 is the CLI's "not PSD".  Options must be spelled in full, so
+    ``main`` sees ``--json`` in argv exactly when argparse would."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -28,7 +28,7 @@ class Tolerances:
         eps_rank: eigenvalues with ``|lam| <= eps_rank * max|lam|`` count as
             zero when ranks are taken (see ``rank_cutoff``).
         eps_psd: a matrix passes the PSD test when
-            ``lam_min >= -eps_psd * |lam_max|``.
+            ``lam_min >= -eps_psd * max|lam|``.
         tol_recon: bound on ``||U diag(w) U' - S||_F / ||S||_F`` for any
             eigendecomposition or PSD factorization handed out.
         tol_orth: bound on ``||U'U - I||_F``.
@@ -120,15 +120,23 @@ def _check_invariants(s: np.ndarray, dec: SpectralDecomposition, tol: Tolerances
         raise NumericalError(f"eigendecomposition residual {recon:.3e} exceeds {tol.tol_recon:.3e} * ||S||")
 
 
-def rank_cutoff(eigenvalues, tol: Tolerances) -> float:
+def spectral_scale(*spectra) -> float:
+    """Largest eigenvalue magnitude over one or more spectra: the magnitude
+    the rank and PSD cutoffs are relative to."""
+    return max(float(np.abs(w).max(initial=0.0)) for w in spectra)
+
+
+def rank_cutoff(eigenvalues, tol: Tolerances, scale: float | None = None) -> float:
     """Magnitude at or below which an eigenvalue counts as zero:
-    ``eps_rank`` times the largest eigenvalue magnitude."""
-    return tol.eps_rank * float(np.abs(eigenvalues).max(initial=0.0))
+    ``eps_rank * scale``.  ``scale`` defaults to ``spectral_scale`` of
+    ``eigenvalues``; a matrix judged as one part of a larger object passes
+    that object's scale, so a part that is zero up to rounding has rank 0."""
+    return tol.eps_rank * (spectral_scale(eigenvalues) if scale is None else scale)
 
 
-def rank_from_eigenvalues(eigenvalues, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Numerical rank given a full symmetric spectrum."""
-    return int(np.count_nonzero(np.abs(eigenvalues) > rank_cutoff(eigenvalues, tol)))
+def rank_from_eigenvalues(eigenvalues, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -> int:
+    """Numerical rank given a full symmetric spectrum; see ``rank_cutoff``."""
+    return int(np.count_nonzero(np.abs(eigenvalues) > rank_cutoff(eigenvalues, tol, scale)))
 
 
 def numerical_rank(s, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -142,24 +150,26 @@ def is_psd(s, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, np.ndarray | None]:
 
 
 def psd_from_decomposition(
-    dec: SpectralDecomposition, tol: Tolerances
+    dec: SpectralDecomposition, tol: Tolerances, scale: float | None = None
 ) -> tuple[bool, np.ndarray | None]:
     """PSD test on a spectrum already computed by ``sym_eig``.
 
-    Returns ``(True, None)`` when ``lam_min >= -eps_psd * |lam_max|``,
-    else ``(False, v)`` where v is the unit eigenvector of the most negative
-    eigenvalue, so ``v' S v < 0``.
+    Returns ``(True, None)`` when ``lam_min >= -eps_psd * scale``, else
+    ``(False, v)`` where v is the unit eigenvector of the most negative
+    eigenvalue, so ``v' S v < 0``.  ``scale`` is as in ``rank_cutoff``.
     """
     w = dec.eigenvalues
-    if w[-1] >= -tol.eps_psd * abs(float(w[0])):
+    if w[-1] >= -tol.eps_psd * (spectral_scale(w) if scale is None else scale):
         return True, None
     return False, dec.eigenvectors[:, -1].copy()
 
 
-def factor_from_decomposition(dec: SpectralDecomposition, tol: Tolerances) -> np.ndarray:
+def factor_from_decomposition(
+    dec: SpectralDecomposition, tol: Tolerances, scale: float | None = None
+) -> np.ndarray:
     """Rows ``sqrt(lam) u`` over the eigenpairs above ``rank_cutoff``, in
     descending eigenvalue order, of a spectrum that passed the PSD test."""
-    keep = dec.eigenvalues > rank_cutoff(dec.eigenvalues, tol)
+    keep = dec.eigenvalues > rank_cutoff(dec.eigenvalues, tol, scale)
     return np.sqrt(dec.eigenvalues[keep])[:, None] * dec.eigenvectors[:, keep].T
 
 

@@ -114,14 +114,17 @@ class QRPair:
 class PSDCertificate:
     """Re-verifiable outcome of the PSD test.
 
-    ``q`` and ``r`` are the spectra of Q and R.  When ``psd`` is False,
-    ``witness`` is an (x, y) pair of unit vectors with
+    ``q`` and ``r`` are the spectra of Q and R.  Both are parts of one form,
+    so every cutoff on either is relative to ``scale``, the largest
+    eigenvalue magnitude of the two (of R alone when m = 1).  When ``psd``
+    is False, ``witness`` is an (x, y) pair of unit vectors with
     ``witness_value = P(x, y) < 0``.
     """
 
     psd: bool
     q: SpectralDecomposition
     r: SpectralDecomposition
+    scale: float
     witness: tuple[np.ndarray, np.ndarray] | None = None
     witness_value: float | None = None
 
@@ -197,7 +200,7 @@ def detect_x_symmetric(form: BiquadraticForm) -> XSymmetricData | None:
     B = a[0, :, 0, :].copy()
     np.fill_diagonal(B, 0.0)
     try:
-        candidate = XSymmetricData(m, d, 0.5 * (A + A.T), B)
+        candidate = XSymmetricData(m, d, 0.5 * (A + A.T), 0.5 * (B + B.T))
     except InvalidInput:
         return None
     atol = _DETECT_TOL * float(np.abs(a).max())
@@ -220,16 +223,15 @@ def check_psd_monic(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> PSDC
     pair = qr_pair(data)
     q_dec = linalg.sym_eig(pair.Q, tol)
     r_dec = linalg.sym_eig(pair.R, tol)
-    q_ok, q_wit = linalg.psd_from_decomposition(q_dec, tol)
-    r_ok, r_wit = linalg.psd_from_decomposition(r_dec, tol)
     m = data.m
-    if m == 1:
-        # With a single x variable the cross terms vanish and A never enters
-        # the polynomial, so only R = I + B is decisive.
-        q_ok, q_wit = True, None
+    # With a single x variable the cross terms vanish and A never enters the
+    # polynomial, so only R = I + B is decisive.
+    scale = linalg.spectral_scale(r_dec.eigenvalues, q_dec.eigenvalues if m >= 2 else ())
+    q_ok, q_wit = linalg.psd_from_decomposition(q_dec, tol, scale) if m >= 2 else (True, None)
+    r_ok, r_wit = linalg.psd_from_decomposition(r_dec, tol, scale)
 
     if q_ok and r_ok:
-        return PSDCertificate(True, q_dec, r_dec)
+        return PSDCertificate(True, q_dec, r_dec, scale)
 
     if not q_ok:
         x = np.zeros(m)
@@ -242,7 +244,7 @@ def check_psd_monic(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> PSDC
     value = evaluate_xsym(data, x, y)
     if not value < 0.0:
         raise linalg.NumericalError(f"PSD witness failed to evaluate negative: {value!r}")
-    return PSDCertificate(False, q_dec, r_dec, (x, y), value)
+    return PSDCertificate(False, q_dec, r_dec, scale, (x, y), value)
 
 
 def assemble_m_matrix(data: XSymmetricData) -> np.ndarray:
@@ -280,9 +282,9 @@ def sos_decompose_structured(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL
     cert = check_psd_monic(data, tol)
     if not cert.psd:
         raise NotPSD("form is not PSD", witness=cert)
-    groups = [(ONES, linalg.factor_from_decomposition(cert.r, tol))]
+    groups = [(ONES, linalg.factor_from_decomposition(cert.r, tol, cert.scale))]
     if data.m >= 2:
-        groups.append((HELMERT, linalg.factor_from_decomposition(cert.q, tol)))
+        groups.append((HELMERT, linalg.factor_from_decomposition(cert.q, tol, cert.scale)))
     return GroupedSOSDecomposition(data.m, data.n, tuple(groups))
 
 
@@ -292,8 +294,8 @@ def rank_bound(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> int:
     cert = check_psd_monic(data, tol)
     if not cert.psd:
         raise NotPSD("form is not PSD", witness=cert)
-    rank_r = linalg.rank_from_eigenvalues(cert.r.eigenvalues, tol)
-    rank_q = linalg.rank_from_eigenvalues(cert.q.eigenvalues, tol)
+    rank_r = linalg.rank_from_eigenvalues(cert.r.eigenvalues, tol, cert.scale)
+    rank_q = linalg.rank_from_eigenvalues(cert.q.eigenvalues, tol, cert.scale)
     return rank_r + (data.m - 1) * rank_q
 
 
@@ -334,43 +336,28 @@ def reduce_general(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> Monic
     eps_d = COEFF_TOL * float(d.max(initial=0.0))
     coeff_scale = COEFF_TOL * data.max_abs_coeff()
 
+    e1 = np.eye(m)[0]
     for j0 in range(n):
         if d[j0] < -coeff_scale:
-            x = np.zeros(m)
-            x[0] = 1.0
-            y = np.zeros(n)
-            y[j0] = 1.0
-            return InvalidReduction(x, y, float(d[j0]), f"negative square coefficient d[{j0}]")
+            return InvalidReduction(e1, np.eye(n)[j0], float(d[j0]), f"negative square coefficient d[{j0}]")
 
     zero = [j for j in range(n) if d[j] <= eps_d]
     for j0 in zero:
-        # First-order conditions at the vanishing square term.
-        if np.abs(data.B[:, j0]).max() > coeff_scale:
-            x0 = np.zeros(m)
-            x0[0] = 1.0
-            e = np.zeros(n)
-            e[j0] = 1.0
-            grad = 2.0 * (d * e + data.B @ e)
-            x, y, value = _line_witness(data, x0, e, np.zeros(m), -grad)
-            if value < 0.0:
-                return InvalidReduction(x, y, value, f"B[:, {j0}] does not vanish with d[{j0}] = 0")
-        if m >= 2 and abs(data.A[j0, j0]) > coeff_scale:
-            e = np.zeros(n)
-            e[j0] = 1.0
-            x0 = np.zeros(m)
-            x0[0] = 1.0
-            dx = np.ones(m) - x0
-            x, y, value = _line_witness(data, x0, e, dx, np.zeros(n))
-            if value < 0.0:
-                return InvalidReduction(x, y, value, f"A[{j0}, {j0}] does not vanish with d[{j0}] = 0")
-        if m >= 2 and np.abs(data.A[:, j0]).max() > coeff_scale:
-            x0 = np.full(m, 1.0 / math.sqrt(m))
-            e = np.zeros(n)
-            e[j0] = 1.0
-            grad = 2.0 * (d * e + (m - 1) * (data.A @ e) + data.B @ e)
-            x, y, value = _line_witness(data, x0, e, np.zeros(m), -grad)
-            if value < 0.0:
-                return InvalidReduction(x, y, value, f"A[:, {j0}] does not vanish with d[{j0}] = 0")
+        # First-order conditions at the vanishing square term: each one that
+        # fails gives a line through (x0, e) on which P goes negative.
+        e = np.eye(n)[j0]
+        checks = [(data.B[:, j0], f"B[:, {j0}]", e1, np.zeros(m), -2.0 * (d * e + data.B @ e))]
+        if m >= 2:
+            grad_a = 2.0 * (d * e + (m - 1) * (data.A @ e) + data.B @ e)
+            checks += [
+                (data.A[j0, j0], f"A[{j0}, {j0}]", e1, np.ones(m) - e1, np.zeros(n)),
+                (data.A[:, j0], f"A[:, {j0}]", np.full(m, 1.0 / math.sqrt(m)), np.zeros(m), -grad_a),
+            ]
+        for coeffs, name, x0, dx, dy in checks:
+            if np.abs(coeffs).max() > coeff_scale:
+                x, y, value = _line_witness(data, x0, e, dx, dy)
+                if value < 0.0:
+                    return InvalidReduction(x, y, value, f"{name} does not vanish with d[{j0}] = 0")
 
     active = tuple(j for j in range(n) if j not in set(zero))
     scale = np.zeros(n)

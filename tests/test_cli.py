@@ -543,6 +543,14 @@ class TestFailureTable:
         assert "usage: biquad sos-rank" in captured.err
         assert "invalid int value: 'abc'" in captured.err
 
+    @pytest.mark.parametrize("extra", [["--js"], ["--js", "--restarts", "abc"]])
+    def test_abbreviated_json_is_not_json(self, capsys, p224_file, extra):
+        # Options are matched in full, so "--js" is a usage error, not "--json".
+        assert main(["sos-rank", p224_file] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: biquad" in captured.err
+
     @pytest.mark.parametrize("argv", [["--help"], ["sos-rank", "--help"]])
     def test_help_is_exit_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

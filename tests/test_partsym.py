@@ -94,6 +94,17 @@ class TestDetectReconstruct:
         recovered = detect_x_symmetric(reconstruct(data))
         np.testing.assert_array_equal(recovered.d, [1.0, 0.0])
 
+    def test_small_b_with_form_level_asymmetry(self):
+        # The form accepts asymmetry up to 1e-12 * max|c|; B, much smaller
+        # than max|c|, must not be judged asymmetric against its own scale.
+        b = np.zeros((3, 3))
+        b[0, 1] = b[1, 0] = 1e-3
+        a = reconstruct(XSymmetricData(2, np.ones(3), np.zeros((3, 3)), b)).coeffs.copy()
+        a[0, 0, 0, 1] += 1e-14
+        recovered = detect_x_symmetric(forms.BiquadraticForm(2, 3, a))
+        assert recovered is not None
+        np.testing.assert_allclose(recovered.B, b, rtol=0.0, atol=1e-14)
+
     def test_b_diagonal_enforced(self):
         with pytest.raises(InvalidInput):
             XSymmetricData(2, np.ones(2), Z2, np.eye(2))
@@ -199,6 +210,21 @@ class TestDecompositions:
         dec = sos_decompose_structured(data)
         assert len(dec) == 3 + 4 * 2
         assert len(dec) == rank_bound(data)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("d", [2.0, 3.0])
+    def test_rounding_zero_q_or_r_has_rank_0(self, d, sign):
+        # Reducing d (x1 +- x2)^2 y^2 leaves Q (sign 1) or R (sign -1) at
+        # +-2.2e-16 instead of 0; judged against the pair's scale it is PSD
+        # with rank 0.
+        data = XSymmetricData(2, np.array([d]), np.array([[sign * d]]), np.zeros((1, 1)))
+        monic_data = reduce_general(data).monic
+        cert = check_psd_monic(monic_data)
+        assert cert.psd and cert.scale == pytest.approx(2.0)
+        assert rank_bound(monic_data) == 1
+        assert len(sos_decompose_structured(monic_data)) == 1
+        dec = sos_decompose_general(data)
+        assert len(dec) == 1 and verify_sos(reconstruct(data), dec)[0]
 
     def test_not_psd_raises(self):
         data = monic(2, 2.0 * SWAP)

@@ -21,7 +21,8 @@ from biquad.partsym import XSymmetricData, qr_pair, random_psd_instance, reconst
 from biquad.simple import gen_simple, to_form
 
 scales = st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e)
-KINDS = ("psd", "fail-q", "fail-r", "zero-violation")
+PSD_KINDS = ("psd", "q-zero", "r-zero")
+KINDS = PSD_KINDS + ("fail-q", "fail-r", "zero-violation")
 
 
 def run(argv):
@@ -73,10 +74,19 @@ def unscaled_answers(name, directory):
 
 
 def xsym_data(seed, m, n, kind):
-    """Non-monic x-symmetric data of the given kind: PSD, Q indefinite, R
-    indefinite, or a zero weight whose vanishing condition fails."""
+    """Non-monic x-symmetric data of the given kind: PSD, PSD with Q = 0
+    (P depends on x only through 1'x) or R = 0 (P vanishes at x = 1), Q
+    indefinite, R indefinite, or a zero weight whose vanishing condition
+    fails."""
     rng = np.random.default_rng(seed)
-    base = random_psd_instance(m, n, rng, rank_q=int(rng.integers(1, n + 1)))
+    if kind in ("q-zero", "r-zero"):
+        # A unit-diagonal PSD C; Q = 0, R = mC or R = 0, Q = m/(m-1) C.
+        f = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+        c = f @ f.T
+        c /= np.sqrt(np.outer(np.diag(c), np.diag(c)))
+        base = XSymmetricData(m, np.ones(n), c if kind == "q-zero" else -c / (m - 1), c - np.diag(np.diag(c)))
+    else:
+        base = random_psd_instance(m, n, rng, rank_q=int(rng.integers(1, n + 1)))
     a = base.A.copy()
     pair = qr_pair(base)
     if kind == "fail-q":
@@ -138,7 +148,7 @@ class TestScaleInvariance:
         directory = tmp_path_factory.getbasetemp()
         data = xsym_data(seed, m, n, kind)
         reference = xsym_answers(directory, "unscaled", data)
-        assert [code for code, *_ in reference] == ([0, 0] if kind == "psd" else [2, 2])
+        assert [code for code, *_ in reference] == ([0, 0] if kind in PSD_KINDS else [2, 2])
         assert xsym_answers(directory, "scaled", scaled(data, s)) == reference
 
 
@@ -158,6 +168,16 @@ class TestSmallScales:
         small = run(["reduce-rank", write_form(tmp_path, "small", 1e-9 * coeffs)])
         assert unit[0] == small[0] == 0
         assert small[1]["rank"] == unit[1]["rank"]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("d", [2.0, 3.0])
+    def test_single_square_through_reduction(self, tmp_path, d, sign):
+        # d (x1 + x2)^2 y^2 (sign 1) or d (x1 - x2)^2 y^2 (sign -1): one of
+        # the reduced Q, R is zero up to rounding, and is judged against the
+        # other, not against its own rounding noise.
+        data = XSymmetricData(2, np.array([d]), np.array([[sign * d]]), np.zeros((1, 1)))
+        answers = xsym_answers(tmp_path, "single-square", data)
+        assert answers == [(0, "PSD", None), (0, None, 1)]
 
     def test_zero_violation_at_1e_12_is_not_psd(self, tmp_path):
         # d_2 = 0 with B[0, 2] != 0: P(x, y) < 0 along y_0 y_2.
