@@ -185,10 +185,13 @@ def reconstruct(data: XSymmetricData) -> BiquadraticForm:
 def detect_x_symmetric(form: BiquadraticForm) -> XSymmetricData | None:
     """Recognize an x-symmetric coefficient pattern.
 
-    Returns the (d, A, B) data when the tensor matches within
-    ``1e-10 * max|coeff|``, else None.  On exactly x-symmetric input
-    the round trip ``reconstruct(detect_x_symmetric(P)) == P`` is exact,
-    because representative entries are taken verbatim.
+    Returns the (d, A, B) data when every off-diagonal block ``P[i, :, k, :]``
+    (i != k) is within ``1e-10 * max|coeff|`` of A and every diagonal block
+    ``P[i, :, i, :]`` within it of ``B + diag(d)``, else None.  The blocks are
+    compared by broadcasting, without building the dense tensor of the
+    candidate.  On exactly x-symmetric input the round trip
+    ``reconstruct(detect_x_symmetric(P)) == P`` is exact, because
+    representative entries are taken verbatim.
     """
     m, n = form.m, form.n
     a = form.coeffs
@@ -203,8 +206,10 @@ def detect_x_symmetric(form: BiquadraticForm) -> XSymmetricData | None:
         candidate = XSymmetricData(m, d, 0.5 * (A + A.T), 0.5 * (B + B.T))
     except InvalidInput:
         return None
-    atol = _DETECT_TOL * float(np.abs(a).max())
-    if np.allclose(reconstruct(candidate).coeffs, a, rtol=0.0, atol=atol):
+    diff = a - candidate.A[None, :, None, :]
+    idx = np.arange(m)
+    diff[idx, :, idx, :] = a[idx, :, idx, :] - (candidate.B + np.diag(candidate.d))
+    if np.abs(diff, out=diff).max() <= _DETECT_TOL * float(np.abs(a).max()):
         return candidate
     return None
 

@@ -489,6 +489,37 @@ class TestMalformedDataFiles:
         assert code == 1 and "not finite" in out["payload"]["error"]
 
 
+class TestDecoder:
+    def test_utf8_bom_is_json_parse_failure(self, capsys, tmp_path):
+        text = '\ufeff{"m": 1, "n": 1, "terms": []}'
+        path = tmp_path / "bom.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(text)
+        code, out = run_json(capsys, ["check-psd", str(path)])
+        assert code == 1
+        assert out["payload"]["error"] == f"parse failure: {expected.value}"
+
+    def test_written_files_skip_the_stdlib_decoder(self, tmp_path, monkeypatch):
+        data = random_psd_instance(4, 3, np.random.default_rng(1))
+        terms = str(tmp_path / "terms.json")
+        forms.save_form(reconstruct(data), terms)
+        xsym = write(tmp_path / "xsym.json", data_record(data))
+        dense = str(tmp_path / "dense.json")
+        forms.save_decomposition(forms.SOSDecomposition(2, 2, (np.eye(2),)), dense)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.load called")
+
+        monkeypatch.setattr(json, "load", refuse)
+        for path in (terms, xsym):
+            out = str(tmp_path / "dec.json")
+            assert main(["check-psd", path]) == 0
+            assert main(["decompose", path, out]) == 0
+            assert isinstance(forms.load_decomposition(out), forms.GroupedSOSDecomposition)
+        assert len(forms.load_decomposition(dense)) == 1
+
+
 class TestFailureTable:
     def test_directory_is_exit_1(self, capsys, tmp_path):
         code, out = run_json(capsys, ["check-psd", str(tmp_path)])
@@ -581,14 +612,31 @@ class TestFailureTable:
             assert "error: internal error: KeyError: 'missing'" in out
 
 
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(biquad.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestImportGraph:
     def test_cli_does_not_load_scipy_optimize(self):
-        src = os.path.dirname(os.path.dirname(biquad.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = (
             "import sys, biquad.cli, biquad.gram\n"
+            "assert 'orjson' in sys.modules, 'orjson not loaded'\n"
             "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'\n"
             "import scipy.optimize\n"
             "assert biquad.gram.minimize is scipy.optimize.minimize\n"
         )
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+        subprocess.run([sys.executable, "-c", code], env=_fresh_env(), check=True, timeout=120)
+
+    def test_module_entry_point_checks_terms_file(self, tmp_path):
+        path = str(tmp_path / "terms.json")
+        forms.save_form(reconstruct(random_psd_instance(4, 3, np.random.default_rng(0))), path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "biquad.cli", "check-psd", path, "--json"],
+            env=_fresh_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        envelope = json.loads(proc.stdout)
+        assert envelope["command"] == "check-psd" and envelope["status"] == "ok"
+        assert envelope["payload"]["verdict"] == "PSD"

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import stat
@@ -30,6 +31,65 @@ from biquad.simple import gen_simple, to_form
 
 def random_form(rng, m, n):
     return symmetrize(rng.standard_normal((m, n, m, n)))
+
+
+# Values injected into a term field: each is malformed, out of range, non-finite
+# or a valid spelling (True and 1.0 are the index 1, 2**70 a valid coefficient).
+_INJECTED = ["1", None, True, 1.0, 1.5, math.inf, -math.inf, math.nan, 2**70, 0, 5]
+_MISSING, _NOT_A_DICT = "missing key", "not a dict"
+
+
+@st.composite
+def term_records(draw):
+    """Form records with duplicates, every index order, int and float
+    coefficients of mixed magnitude, and up to three injected faults; in a
+    quarter of them the indices run one past each end of their range."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pad = int(draw(st.integers(0, 3)) == 0)
+    x_index, y_index = st.integers(1 - pad, m + pad), st.integers(1 - pad, n + pad)
+    coeff = st.one_of(st.integers(-5, 5), st.floats(-1e6, 1e6, allow_nan=False), st.floats(-1e-6, 1e-6))
+    term = st.fixed_dictionaries({"i": x_index, "j": y_index, "k": x_index, "l": y_index, "c": coeff})
+    terms = draw(st.lists(term, max_size=30))
+    for _ in range(draw(st.integers(0, 3)) if terms else 0):
+        at = draw(st.integers(0, len(terms) - 1))
+        fault = draw(st.sampled_from(_INJECTED + [_MISSING, _NOT_A_DICT]))
+        if fault == _NOT_A_DICT:
+            terms[at] = draw(st.sampled_from([None, "term", [1, 1, 1, 1, 1.0]]))
+        elif isinstance(terms[at], dict):
+            entry = dict(terms[at])
+            field = draw(st.sampled_from("ijklcccc"))  # half the faults hit c
+            if fault == _MISSING:
+                entry.pop(field, None)
+            else:
+                entry[field] = fault
+            terms[at] = entry
+    return {"m": m, "n": n, "terms": terms}
+
+
+@st.composite
+def sparse_forms(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    value = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False), st.floats(-1e-9, 1e-9))
+    raw = draw(st.lists(value, min_size=(m * n) ** 2, max_size=(m * n) ** 2))
+    return symmetrize(np.reshape(raw, (m, n, m, n)))
+
+
+@st.composite
+def forms_and_points(draw):
+    """A sparse form with a point (x, y) of matching lengths."""
+    p = draw(sparse_forms())
+    coord = st.floats(-10.0, 10.0)
+    x = np.array(draw(st.lists(coord, min_size=p.m, max_size=p.m)))
+    y = np.array(draw(st.lists(coord, min_size=p.n, max_size=p.n)))
+    return p, x, y
+
+
+def _rounding_bound(p, x, y):
+    """Room for the rounding of two evaluations of P at (x, y) in different
+    summation orders: each of the (mn)^2 products is at most
+    max|c| |x_i y_j| |x_k y_l|, and those sum to at most mn |x|^2 |y|^2."""
+    mn = p.m * p.n
+    return 1e-12 * mn * float(np.abs(p.coeffs).max()) * float(x @ x) * float(y @ y)
 
 
 class TestSymmetrize:
@@ -86,12 +146,12 @@ class TestEvaluate:
         p = to_form(gen_simple(2, 2, 3))
         assert evaluate(p, [1.0, 1.0], [1.0, 1.0]) == pytest.approx(3.0)
 
-    def test_bihomogeneous(self):
-        rng = np.random.default_rng(4)
-        p = random_form(rng, 3, 2)
-        x = rng.standard_normal(3)
-        y = rng.standard_normal(2)
-        assert evaluate(p, 2.0 * x, -3.0 * y) == pytest.approx(36.0 * evaluate(p, x, y), rel=1e-12)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(forms_and_points(), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+    def test_bihomogeneous(self, case, s, t):
+        p, x, y = case
+        bound = _rounding_bound(p, x, y) * (s * t) ** 2
+        assert abs(evaluate(p, s * x, t * y) - (s * t) ** 2 * evaluate(p, x, y)) <= bound
 
     def test_dimension_mismatch(self):
         p = to_form(gen_simple(2, 2, 3))
@@ -163,10 +223,14 @@ class TestVerifySos:
 
 
 class TestTransposeXY:
-    def test_involution(self):
-        rng = np.random.default_rng(6)
-        p = random_form(rng, 3, 2)
-        np.testing.assert_array_equal(transpose_xy(transpose_xy(p)).coeffs, p.coeffs)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(forms_and_points())
+    def test_involution(self, case):
+        p, x, y = case
+        twice = transpose_xy(transpose_xy(p))
+        assert (twice.m, twice.n) == (p.m, p.n)
+        assert twice.coeffs.tobytes() == p.coeffs.tobytes()
+        assert abs(evaluate(transpose_xy(p), y, x) - evaluate(p, x, y)) <= _rounding_bound(p, x, y)
 
     def test_single_monomial_swap(self):
         raw = np.zeros((1, 2, 1, 2))
@@ -321,47 +385,6 @@ def _to_terms_loop(form):
     return terms
 
 
-# Values injected into a term field: each is malformed, out of range, non-finite
-# or a valid spelling (True and 1.0 are the index 1, 2**70 a valid coefficient).
-_INJECTED = ["1", None, True, 1.0, 1.5, math.inf, -math.inf, math.nan, 2**70, 0, 5]
-_MISSING, _NOT_A_DICT = "missing key", "not a dict"
-
-
-@st.composite
-def term_records(draw):
-    """Form records with duplicates, every index order, int and float
-    coefficients of mixed magnitude, and up to three injected faults; in a
-    quarter of them the indices run one past each end of their range."""
-    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    pad = int(draw(st.integers(0, 3)) == 0)
-    x_index, y_index = st.integers(1 - pad, m + pad), st.integers(1 - pad, n + pad)
-    coeff = st.one_of(st.integers(-5, 5), st.floats(-1e6, 1e6, allow_nan=False), st.floats(-1e-6, 1e-6))
-    term = st.fixed_dictionaries({"i": x_index, "j": y_index, "k": x_index, "l": y_index, "c": coeff})
-    terms = draw(st.lists(term, max_size=30))
-    for _ in range(draw(st.integers(0, 3)) if terms else 0):
-        at = draw(st.integers(0, len(terms) - 1))
-        fault = draw(st.sampled_from(_INJECTED + [_MISSING, _NOT_A_DICT]))
-        if fault == _NOT_A_DICT:
-            terms[at] = draw(st.sampled_from([None, "term", [1, 1, 1, 1, 1.0]]))
-        elif isinstance(terms[at], dict):
-            entry = dict(terms[at])
-            field = draw(st.sampled_from("ijklcccc"))  # half the faults hit c
-            if fault == _MISSING:
-                entry.pop(field, None)
-            else:
-                entry[field] = fault
-            terms[at] = entry
-    return {"m": m, "n": n, "terms": terms}
-
-
-@st.composite
-def sparse_forms(draw):
-    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    value = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False), st.floats(-1e-9, 1e-9))
-    raw = draw(st.lists(value, min_size=(m * n) ** 2, max_size=(m * n) ** 2))
-    return symmetrize(np.reshape(raw, (m, n, m, n)))
-
-
 class TestTermsProperties:
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(sparse_forms())
@@ -381,6 +404,42 @@ class TestTermsProperties:
                 form_from_dict(record)
             return
         assert form_from_dict(record).coeffs.tobytes() == expected.tobytes()
+
+
+def _ints_within_64_bits(obj) -> bool:
+    """True when every int in obj lies in [-2**63, 2**64), the range orjson
+    reads as an int rather than as the nearest float."""
+    if isinstance(obj, dict):
+        return all(map(_ints_within_64_bits, obj.values()))
+    if isinstance(obj, list):
+        return all(map(_ints_within_64_bits, obj))
+    return not isinstance(obj, int) or -(2**63) <= obj < 2**64
+
+
+class TestLoadJson:
+    """Reading a file gives what ``json.loads`` of its text gives."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(record=term_records())
+    def test_file_matches_json_loads(self, tmp_path_factory, record):
+        text = json.dumps(record)  # writes NaN and Infinity, keeps 2**70 an int
+        path = tmp_path_factory.getbasetemp() / "decoder.json"
+        path.write_text(text)
+        try:
+            expected = form_from_dict(json.loads(text))
+        except InvalidInput as exc:
+            with pytest.raises(InvalidInput) as caught:
+                load_form(str(path))
+            if _ints_within_64_bits(record):
+                assert str(caught.value) == str(exc)
+            return
+        assert load_form(str(path)).coeffs.tobytes() == expected.coeffs.tobytes()
+
+    def test_integer_beyond_64_bits(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"m": 1, "n": 2, "terms": [{"i": 1, "j": 1, "k": 1, "l": 2, "c": %d}]}' % 2**70)
+        expected = from_terms(1, 2, [MonomialTerm(1, 1, 1, 2, 2**70)])
+        assert load_form(str(path)).coeffs.tobytes() == expected.coeffs.tobytes()
 
 
 class TestDumpJson:

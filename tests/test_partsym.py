@@ -105,6 +105,19 @@ class TestDetectReconstruct:
         assert recovered is not None
         np.testing.assert_allclose(recovered.B, b, rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("block", ["off-diagonal", "diagonal"])
+    @pytest.mark.parametrize("ratio, detected", [(1.5, False), (0.5, True)])
+    def test_perturbed_block_against_tolerance(self, block, ratio, detected):
+        # One monomial of block (0, 2) or (1, 1), away from the blocks
+        # (0, 1) and (0, 0) that A and B are read from, moves by ratio times
+        # the match tolerance; its orbit keeps the tensor partially symmetric.
+        a = reconstruct(random_monic(np.random.default_rng(3), 3, 3)).coeffs.copy()
+        delta = ratio * 1e-10 * np.abs(a).max()
+        i, k = (0, 2) if block == "off-diagonal" else (1, 1)
+        for p, q, r, s in {(i, 0, k, 1), (i, 1, k, 0), (k, 0, i, 1), (k, 1, i, 0)}:
+            a[p, q, r, s] += delta
+        assert (detect_x_symmetric(forms.BiquadraticForm(3, 3, a)) is not None) == detected
+
     def test_b_diagonal_enforced(self):
         with pytest.raises(InvalidInput):
             XSymmetricData(2, np.ones(2), Z2, np.eye(2))
@@ -245,6 +258,17 @@ class TestDecompositions:
             assert np.linalg.norm(g_naive - g_struct) <= 1e-9 * max(scale, 1.0)
             # both equal the assembled matrix
             assert np.linalg.norm(g_struct - assemble_m_matrix(data)) <= 1e-9 * max(scale, 1.0)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.integers(1, 6), st.integers(1, 5), st.data())
+    def test_structured_gram_equals_assembled(self, m, n, data):
+        rank_q, rank_r = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        instance = random_psd_instance(m, n, np.random.default_rng(seed), rank_q, rank_r)
+        dec = sos_decompose_structured(instance)
+        gram = sum(np.kron(forms.x_rows(xg, m).T @ forms.x_rows(xg, m), yg.T @ yg) for xg, yg in dec.groups)
+        expected = assemble_m_matrix(instance)
+        assert np.abs(gram - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_factor_ordering_deterministic(self):
         rng = np.random.default_rng(6)
