@@ -47,7 +47,6 @@ from .partsym import (
     detect_x_symmetric,
     rank_bound,
     reconstruct,
-    reduce_general,
     sos_decompose_general,
     sos_decompose_naive,
     sos_decompose_structured,

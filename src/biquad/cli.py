@@ -46,7 +46,7 @@ class CommandResult:
 
 
 def _tolerances(args) -> linalg.Tolerances:
-    return linalg.DEFAULT_TOL if args.tol is None else linalg.Tolerances.uniform(args.tol)
+    return linalg.DEFAULT_TOL if args.tol is None else linalg.Tolerances(args.tol)
 
 
 def _load_form(path: str, transpose: bool) -> forms.BiquadraticForm | partsym.XSymmetricData:
@@ -98,43 +98,30 @@ def _witness_payload(x, y, value) -> dict:
     return {"x": _vec(x), "y": _vec(y), "value": float(value)}
 
 
-def _cert_payload(source, reduction, cert: partsym.PSDCertificate | None, invalid) -> dict:
+def _cert_payload(source, q=(), r=(), invalid: partsym.InvalidReduction | None = None) -> dict:
+    """The verdict payload: the spectra ``q`` and ``r`` of the scaled Q and
+    R, and for a NotPSD verdict the witness and the reason it holds."""
     payload = {
         "m": source.m,
         "n": source.n,
         "verdict": "PSD",
-        "active": [],
-        "d": [],
-        "q_eigenvalues": [],
-        "r_eigenvalues": [],
+        "q_eigenvalues": _vec(q),
+        "r_eigenvalues": _vec(r),
         "witness": None,
     }
     if invalid is not None:
-        value = _evaluate(source, invalid.x, invalid.y)
         payload["verdict"] = "NotPSD"
-        payload["witness"] = _witness_payload(invalid.x, invalid.y, value)
+        payload["witness"] = _witness_payload(invalid.x, invalid.y, _evaluate(source, invalid.x, invalid.y))
         payload["reason"] = invalid.reason
-        return payload
-    payload["active"] = [j + 1 for j in reduction.active]
-    payload["d"] = _vec(np.asarray(reduction.scale) ** 2)
-    if cert is not None:
-        payload["q_eigenvalues"] = _vec(cert.q.eigenvalues)
-        payload["r_eigenvalues"] = _vec(cert.r.eigenvalues)
-        if not cert.psd:
-            payload["verdict"] = "NotPSD"
-            x, z = cert.witness
-            y = partsym.lift_witness(reduction, z, source.n)
-            payload["witness"] = _witness_payload(x, y, _evaluate(source, x, y))
     return payload
 
 
-def _xsym_reduction(command: str, args):
-    """The steps check-psd and decompose share: load the input, detect
-    x-symmetry and reduce the form to a monic one.
+def _xsym_data(command: str, args):
+    """The steps check-psd and decompose share: load the input and detect
+    x-symmetry.
 
-    Returns ``(tol, source, reduction)``, or the CommandResult that ends the
-    command: exit 3 when the form is not x-symmetric, exit 2 with a witness
-    when the reduction finds P(x, y) < 0.
+    Returns ``(tol, source, data)``, or the CommandResult that ends the
+    command with exit 3 when the form is not x-symmetric.
     """
     tol = _tolerances(args)
     source = _load_form(args.form, args.transpose)
@@ -147,53 +134,42 @@ def _xsym_reduction(command: str, args):
             _EXIT_NOT_XSYM,
             summary="not x-symmetric (try 'biquad sos-rank')",
         )
-    reduction = partsym.reduce_general(data, tol)
-    if isinstance(reduction, partsym.InvalidReduction):
-        payload = _cert_payload(source, None, None, reduction)
-        return CommandResult(
-            command, "not-psd", payload, _EXIT_NOT_PSD,
-            summary=f"NotPSD: {reduction.reason}; witness value {payload['witness']['value']:.6g}",
-        )
-    return tol, source, reduction
+    return tol, source, data
 
 
-def cmd_check_psd(args) -> CommandResult:
-    prefix = _xsym_reduction("check-psd", args)
-    if isinstance(prefix, CommandResult):
-        return prefix
-    tol, source, reduction = prefix
-    if not reduction.active:
-        payload = _cert_payload(source, reduction, None, None)
-        return CommandResult("check-psd", "ok", payload, _EXIT_OK, summary="PSD (zero form)")
-    cert = partsym.check_psd_monic(reduction.monic, tol)
-    payload = _cert_payload(source, reduction, cert, None)
+def _verdict(command: str, source, cert: partsym.PSDCertificate) -> CommandResult:
+    """check-psd's result for a certificate, and decompose's for one that fails."""
+    payload = _cert_payload(source, cert.q.eigenvalues, cert.r.eigenvalues, cert.evidence)
     if cert.psd:
         return CommandResult(
-            "check-psd", "ok", payload, _EXIT_OK,
-            summary=f"PSD: min eig(Q) = {min(cert.q.eigenvalues):.6g}, min eig(R) = {min(cert.r.eigenvalues):.6g}",
+            command, "ok", payload, _EXIT_OK,
+            summary=f"PSD: min eig(Q) = {min(cert.q.eigenvalues, default=0.0):.6g}, "
+                    f"min eig(R) = {min(cert.r.eigenvalues, default=0.0):.6g}",
         )
     return CommandResult(
-        "check-psd", "not-psd", payload, _EXIT_NOT_PSD,
-        summary=f"NotPSD: witness value {payload['witness']['value']:.6g}",
+        command, "not-psd", payload, _EXIT_NOT_PSD,
+        summary=f"NotPSD: {cert.reason}; witness value {payload['witness']['value']:.6g}",
     )
 
 
-def cmd_decompose(args) -> CommandResult:
-    prefix = _xsym_reduction("decompose", args)
+def cmd_check_psd(args) -> CommandResult:
+    prefix = _xsym_data("check-psd", args)
     if isinstance(prefix, CommandResult):
         return prefix
-    tol, source, reduction = prefix
-    if not reduction.active:
-        dec = forms.SOSDecomposition(source.m, source.n, ())
-    else:
-        try:
-            monic_dec = partsym.sos_decompose_structured(reduction.monic, tol)
-        except NotPSD as exc:
-            payload = _cert_payload(source, reduction, exc.witness, None)
-            return CommandResult("decompose", "not-psd", payload, _EXIT_NOT_PSD,
-                                 summary="NotPSD: Q/R eigenvalue test failed")
-        dec = partsym.undo_reduction(reduction, monic_dec, source.m, source.n)
-    passed, resid = forms.verify_sos(source, dec, seed=args.seed)
+    tol, source, data = prefix
+    return _verdict("check-psd", source, partsym.check_psd_monic(data, tol))
+
+
+def cmd_decompose(args) -> CommandResult:
+    prefix = _xsym_data("decompose", args)
+    if isinstance(prefix, CommandResult):
+        return prefix
+    tol, source, data = prefix
+    try:
+        dec = partsym.sos_decompose_structured(data, tol)
+    except NotPSD as exc:
+        return _verdict("decompose", source, exc.witness)
+    passed, resid = forms.verify_sos(source, dec)
     if not passed:
         raise NumericalError(f"decomposition failed re-verification: residual {resid:.3e}")
     forms.save_decomposition(dec, args.out)
@@ -238,14 +214,14 @@ def _universal_bound(m: int, n: int) -> int:
 def _negativity_probe(command: str, form, tol, seed: int, **probe_args) -> CommandResult | None:
     """Exit 2 with a witness, in check-psd's NotPSD envelope, when the
     min-seeking M-eigen starts of ``meig.min_probe`` (given ``probe_args``,
-    else its defaults) reach P(x, y) < -eps_psd * max|c|; else None."""
+    else its defaults) reach P(x, y) < -eps * max|c|; else None."""
     _, (x, y) = meig.min_probe(form, seed=seed, **probe_args)
     value = forms.evaluate(form, x, y)
-    if not value < -tol.eps_psd * forms.max_abs_coeff(form):
+    if not value < -tol.eps * forms.max_abs_coeff(form):
         return None
     invalid = partsym.InvalidReduction(x, y, value, "min-seeking M-eigen starts found P(x, y) < 0")
     return CommandResult(
-        command, "not-psd", _cert_payload(form, None, None, invalid), _EXIT_NOT_PSD,
+        command, "not-psd", _cert_payload(form, invalid=invalid), _EXIT_NOT_PSD,
         summary=f"NotPSD: {invalid.reason}; witness value {value:.6g}",
     )
 
@@ -401,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("decompose", help="write an SOS decomposition of an x-symmetric PSD form")
     p.add_argument("form")
     p.add_argument("out", help="output decomposition file")
-    _add_common(p, transpose=True)
+    _add_common(p, seed=False, transpose=True)
     p.set_defaults(handler=cmd_decompose)
 
     p = subs.add_parser("gen-simple", help="generate a simple form of the diagonal-walk series")

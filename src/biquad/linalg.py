@@ -17,42 +17,28 @@ from .errors import InvalidInput, NotPSD, NumericalError
 # Coefficients and matrix entries that differ by at most this much of the
 # largest magnitude present count as equal.
 COEFF_TOL = 1e-12
+# Bounds on the residuals of every eigendecomposition and PSD factorization
+# handed out: ``||U diag(w) U' - S||_F / ||S||_F`` and ``||U'U - I||_F``.
+RECON_TOL = 1e-9
+ORTH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Dimensionless thresholds used by all numeric decisions, each relative
-    to the matrix it judges, so S and s*S get one verdict for every s > 0.
+    """The one decision cutoff callers set, relative to the matrix it
+    judges, so S and s*S get one verdict for every s > 0.
 
     Attributes:
-        eps_rank: eigenvalues with ``|lam| <= eps_rank * max|lam|`` count as
-            zero when ranks are taken (see ``rank_cutoff``).
-        eps_psd: a matrix passes the PSD test when
-            ``lam_min >= -eps_psd * max|lam|``.
-        tol_recon: bound on ``||U diag(w) U' - S||_F / ||S||_F`` for any
-            eigendecomposition or PSD factorization handed out.
-        tol_orth: bound on ``||U'U - I||_F``.
+        eps: eigenvalues with ``|lam| <= eps * max|lam|`` count as zero when
+            ranks are taken (see ``rank_cutoff``), and a matrix passes the
+            PSD test when ``lam_min >= -eps * max|lam|``.
     """
 
-    eps_rank: float = 1e-9
-    eps_psd: float = 1e-9
-    tol_recon: float = 1e-9
-    tol_orth: float = 1e-9
+    eps: float = 1e-9
 
     def __post_init__(self):
-        for name in ("eps_rank", "eps_psd", "tol_recon", "tol_orth"):
-            value = getattr(self, name)
-            if not (value > 0.0):
-                raise InvalidInput(f"{name} must be strictly positive, got {value!r}")
-
-    @classmethod
-    def uniform(cls, eps: float) -> "Tolerances":
-        """Tolerances with both decision cutoffs set to ``eps``.
-
-        The residual bounds keep their defaults; they guard internal
-        consistency, not user-facing decisions.
-        """
-        return cls(eps_rank=eps, eps_psd=eps)
+        if not (self.eps > 0.0):
+            raise InvalidInput(f"eps must be strictly positive, got {self.eps!r}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -85,7 +71,7 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-def sym_eig(s, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
+def sym_eig(s) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
     Raises:
@@ -104,20 +90,20 @@ def sym_eig(s, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     u[:, u[pivots, cols] < 0.0] *= -1.0
 
     dec = SpectralDecomposition(w, u)
-    _check_invariants(s, dec, tol)
+    _check_invariants(s, dec)
     return dec
 
 
-def _check_invariants(s: np.ndarray, dec: SpectralDecomposition, tol: Tolerances) -> None:
+def _check_invariants(s: np.ndarray, dec: SpectralDecomposition) -> None:
     u, w = dec.eigenvectors, dec.eigenvalues
     n = s.shape[0]
     orth = np.linalg.norm(u.T @ u - np.eye(n))
-    if orth > tol.tol_orth:
-        raise NumericalError(f"eigenvector orthogonality residual {orth:.3e} exceeds {tol.tol_orth:.3e}")
+    if orth > ORTH_TOL:
+        raise NumericalError(f"eigenvector orthogonality residual {orth:.3e} exceeds {ORTH_TOL:.3e}")
     scale = np.linalg.norm(s)
     recon = np.linalg.norm((u * w) @ u.T - s)
-    if recon > tol.tol_recon * max(scale, np.finfo(float).tiny):
-        raise NumericalError(f"eigendecomposition residual {recon:.3e} exceeds {tol.tol_recon:.3e} * ||S||")
+    if recon > RECON_TOL * max(scale, np.finfo(float).tiny):
+        raise NumericalError(f"eigendecomposition residual {recon:.3e} exceeds {RECON_TOL:.3e} * ||S||")
 
 
 def spectral_scale(*spectra) -> float:
@@ -128,10 +114,10 @@ def spectral_scale(*spectra) -> float:
 
 def rank_cutoff(eigenvalues, tol: Tolerances, scale: float | None = None) -> float:
     """Magnitude at or below which an eigenvalue counts as zero:
-    ``eps_rank * scale``.  ``scale`` defaults to ``spectral_scale`` of
+    ``eps * scale``.  ``scale`` defaults to ``spectral_scale`` of
     ``eigenvalues``; a matrix judged as one part of a larger object passes
     that object's scale, so a part that is zero up to rounding has rank 0."""
-    return tol.eps_rank * (spectral_scale(eigenvalues) if scale is None else scale)
+    return tol.eps * (spectral_scale(eigenvalues) if scale is None else scale)
 
 
 def rank_from_eigenvalues(eigenvalues, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -> int:
@@ -141,12 +127,12 @@ def rank_from_eigenvalues(eigenvalues, tol: Tolerances = DEFAULT_TOL, scale: flo
 
 def numerical_rank(s, tol: Tolerances = DEFAULT_TOL) -> int:
     """Count of eigenvalues above ``rank_cutoff`` in magnitude."""
-    return rank_from_eigenvalues(sym_eig(s, tol).eigenvalues, tol)
+    return rank_from_eigenvalues(sym_eig(s).eigenvalues, tol)
 
 
 def is_psd(s, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, np.ndarray | None]:
     """PSD test with a negativity witness; see ``psd_from_decomposition``."""
-    return psd_from_decomposition(sym_eig(s, tol), tol)
+    return psd_from_decomposition(sym_eig(s), tol)
 
 
 def psd_from_decomposition(
@@ -154,12 +140,12 @@ def psd_from_decomposition(
 ) -> tuple[bool, np.ndarray | None]:
     """PSD test on a spectrum already computed by ``sym_eig``.
 
-    Returns ``(True, None)`` when ``lam_min >= -eps_psd * scale``, else
+    Returns ``(True, None)`` when ``lam_min >= -eps * scale``, else
     ``(False, v)`` where v is the unit eigenvector of the most negative
     eigenvalue, so ``v' S v < 0``.  ``scale`` is as in ``rank_cutoff``.
     """
     w = dec.eigenvalues
-    if w[-1] >= -tol.eps_psd * (spectral_scale(w) if scale is None else scale):
+    if w[-1] >= -tol.eps * (spectral_scale(w) if scale is None else scale):
         return True, None
     return False, dec.eigenvectors[:, -1].copy()
 
@@ -184,12 +170,12 @@ def psd_factor(s, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
         NotPSD: with the negativity witness vector when S fails the PSD test.
     """
     s = as_sym_matrix(s)
-    dec = sym_eig(s, tol)
+    dec = sym_eig(s)
     ok, witness = psd_from_decomposition(dec, tol)
     if not ok:
         raise NotPSD("matrix has a significant negative eigenvalue", witness=witness)
     rows = factor_from_decomposition(dec, tol)
     recon = np.linalg.norm(rows.T @ rows - s)
-    if recon > tol.tol_recon * np.linalg.norm(s):
-        raise NumericalError(f"PSD factorization residual {recon:.3e} exceeds {tol.tol_recon:.3e} * ||S||")
+    if recon > RECON_TOL * np.linalg.norm(s):
+        raise NumericalError(f"PSD factorization residual {recon:.3e} exceeds {RECON_TOL:.3e} * ||S||")
     return list(rows)

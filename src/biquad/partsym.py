@@ -8,12 +8,17 @@ vector d and two n x n symmetric matrices A, B (B with zero diagonal):
             + sum_i sum_{j != l} B[j,l] x_i^2 y_j y_l
             = (x'x) (y' diag(d) y) + ((1'x)^2 - x'x) (y'Ay) + (x'x) (y'By).
 
-In the monic case (d = 1) positive semidefiniteness is equivalent to the two
-matrix inequalities Q = I + B - A >= 0 and R = I + B + (m-1)A >= 0, and every
-PSD form of this class decomposes as a sum of rank(R) + (m-1) rank(Q)
-bilinear squares.  Both the direct route (assemble the mn x mn Gram matrix
-and factor it) and the structured route (work on the n x n spectra of Q and
-R only) are implemented; the structured route never forms the big matrix.
+With x_perp = x - mean(x) 1 the form splits as
+
+    P(x, y) = |x_perp|^2 y'Qy + (1'x)^2 / m * y'Ry,
+    Q = D + B - A,  R = D + B + (m-1) A,  D = diag(d),
+
+so for any weights it is PSD exactly when Q >= 0 (for m >= 2) and R >= 0,
+and every PSD form of this class decomposes as a sum of
+rank(R) + (m-1) rank(Q) bilinear squares.  Both the direct route (assemble
+the mn x mn Gram matrix and factor it) and the structured route (work on
+the n x n spectra of Q and R only) are implemented; the structured route
+never forms the big matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .forms import (  # helmert_basis is re-exported for callers of partsym
 )
 from .linalg import COEFF_TOL, DEFAULT_TOL, SpectralDecomposition, Tolerances
 
-_MONIC_ATOL = 1e-12
 # detect_x_symmetric's match tolerance, relative to max|coeff|.
 _DETECT_TOL = 1e-10
 
@@ -75,10 +79,6 @@ class XSymmetricData:
     def n(self) -> int:
         return int(self.d.shape[0])
 
-    @property
-    def is_monic(self) -> bool:
-        return self.n > 0 and bool(np.allclose(self.d, 1.0, rtol=0.0, atol=_MONIC_ATOL))
-
     def evaluate_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """P at many points, xs (s, m) and ys (s, n), through the identity
         P = (x'x)(y' diag(d) y) + ((1'x)^2 - x'x)(y'Ay) + (x'x)(y'By):
@@ -103,53 +103,17 @@ class XSymmetricData:
 
 @dataclass(frozen=True)
 class QRPair:
-    """The two symmetric criterion matrices Q = I + B - A and
-    R = I + B + (m-1) A."""
+    """The two symmetric criterion matrices Q = D + B - A and
+    R = D + B + (m-1) A, D = diag(d)."""
 
     Q: np.ndarray
     R: np.ndarray
 
 
 @dataclass(frozen=True)
-class PSDCertificate:
-    """Re-verifiable outcome of the PSD test.
-
-    ``q`` and ``r`` are the spectra of Q and R.  Both are parts of one form,
-    so every cutoff on either is relative to ``scale``, the largest
-    eigenvalue magnitude of the two (of R alone when m = 1).  When ``psd``
-    is False, ``witness`` is an (x, y) pair of unit vectors with
-    ``witness_value = P(x, y) < 0``.
-    """
-
-    psd: bool
-    q: SpectralDecomposition
-    r: SpectralDecomposition
-    scale: float
-    witness: tuple[np.ndarray, np.ndarray] | None = None
-    witness_value: float | None = None
-
-    @property
-    def verdict(self) -> str:
-        return "PSD" if self.psd else "NotPSD"
-
-
-@dataclass(frozen=True)
-class MonicReduction:
-    """Outcome of scaling a general x-symmetric form down to a monic one.
-
-    ``scale[j]`` is sqrt(d_j) for active indices and 0 for dropped ones;
-    ``active`` lists the surviving y indices in order.  The monic data has
-    order ``len(active)``.
-    """
-
-    monic: XSymmetricData
-    scale: np.ndarray
-    active: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class InvalidReduction:
-    """Negativity evidence found while reducing: P(x, y) = value < 0."""
+    """Negativity evidence in the form's own variables: P(x, y) = value < 0,
+    and which of Q and R fails."""
 
     x: np.ndarray
     y: np.ndarray
@@ -157,9 +121,45 @@ class InvalidReduction:
     reason: str
 
 
+@dataclass(frozen=True)
+class PSDCertificate:
+    """Re-verifiable outcome of the PSD test.
+
+    ``q`` and ``r`` are the spectra of S Q S and S R S restricted to the
+    ``kept`` y indices, where S = diag(``jacobi``) on those indices (see
+    ``check_psd_monic``).  Both are parts of one form, so every cutoff on
+    either is relative to ``scale``, the largest eigenvalue magnitude of the
+    two (of R alone when m = 1).  When ``psd`` is False, ``witness`` is an
+    (x, y) pair with ``witness_value = P(x, y) < 0`` and ``reason`` names the
+    matrix that fails.
+    """
+
+    psd: bool
+    q: SpectralDecomposition
+    r: SpectralDecomposition
+    scale: float
+    kept: np.ndarray
+    jacobi: np.ndarray
+    witness: tuple[np.ndarray, np.ndarray] | None = None
+    witness_value: float | None = None
+    reason: str | None = None
+
+    @property
+    def verdict(self) -> str:
+        return "PSD" if self.psd else "NotPSD"
+
+    @property
+    def evidence(self) -> InvalidReduction | None:
+        """The witness of a failing test as an InvalidReduction, else None."""
+        if self.psd:
+            return None
+        x, y = self.witness
+        return InvalidReduction(x, y, self.witness_value, self.reason)
+
+
 def qr_pair(data: XSymmetricData) -> QRPair:
-    eye = np.eye(data.n)
-    return QRPair(Q=eye + data.B - data.A, R=eye + data.B + (data.m - 1) * data.A)
+    base = np.diag(data.d) + data.B
+    return QRPair(Q=base - data.A, R=base + (data.m - 1) * data.A)
 
 
 def evaluate_xsym(data: XSymmetricData, x, y) -> float:
@@ -214,42 +214,64 @@ def detect_x_symmetric(form: BiquadraticForm) -> XSymmetricData | None:
     return None
 
 
-def check_psd_monic(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> PSDCertificate:
-    """PSD test for a monic form via the Q / R matrix inequalities.
+def _jacobi_scaling(d: np.ndarray) -> np.ndarray:
+    """s_j = 1/sqrt|d_j| where |d_j| > COEFF_TOL * max|d|, and 1/sqrt(max|d|)
+    for the other weights (1 when every weight is 0)."""
+    size = np.abs(d)
+    top = float(size.max(initial=0.0))
+    return 1.0 / np.sqrt(np.where(size > COEFF_TOL * top, size, top or 1.0))
 
+
+def check_psd_monic(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> PSDCertificate:
+    """PSD test for any x-symmetric form via the Q / R matrix inequalities.
+
+    Q and R are judged as S Q S and S R S with S = ``_jacobi_scaling(d)``, a
+    congruence that keeps their inertia, after dropping every y index whose
+    row of both scaled matrices (of R alone when m = 1) is exactly zero.
     A failing verdict carries a concrete witness: if Q has a negative
     eigenvalue with eigenvector u, then x orthogonal to the all-ones vector
-    and y = u give P(x, y) = u'Qu < 0; if only R fails, x = 1/sqrt(m) and
-    y = the offending eigenvector work the same way.  Witnesses are verified
-    numerically before being returned.
+    and y = S u give P(x, y) = u'SQSu < 0; if only R fails, x = 1/sqrt(m)
+    and y = S times the offending eigenvector work the same way.  Witnesses
+    are verified numerically before being returned.
     """
-    if not data.is_monic:
-        raise InvalidInput("form is not monic; apply reduce_general first")
+    m, n = data.m, data.n
+    s = _jacobi_scaling(data.d)
     pair = qr_pair(data)
-    q_dec = linalg.sym_eig(pair.Q, tol)
-    r_dec = linalg.sym_eig(pair.R, tol)
-    m = data.m
+    q = pair.Q * np.outer(s, s)
+    r = pair.R * np.outer(s, s)
+    live = np.any(r, axis=1)
+    if m >= 2:
+        live |= np.any(q, axis=1)
+    kept = np.flatnonzero(live)
+    jacobi = s[kept]
+    if not kept.size:  # the zero form
+        empty = SpectralDecomposition(np.zeros(0), np.zeros((0, 0)))
+        return PSDCertificate(True, empty, empty, 0.0, kept, jacobi)
+    q_dec = linalg.sym_eig(q[np.ix_(kept, kept)])
+    r_dec = linalg.sym_eig(r[np.ix_(kept, kept)])
     # With a single x variable the cross terms vanish and A never enters the
-    # polynomial, so only R = I + B is decisive.
+    # polynomial, so only R = D + B is decisive.
     scale = linalg.spectral_scale(r_dec.eigenvalues, q_dec.eigenvalues if m >= 2 else ())
     q_ok, q_wit = linalg.psd_from_decomposition(q_dec, tol, scale) if m >= 2 else (True, None)
     r_ok, r_wit = linalg.psd_from_decomposition(r_dec, tol, scale)
 
     if q_ok and r_ok:
-        return PSDCertificate(True, q_dec, r_dec, scale)
+        return PSDCertificate(True, q_dec, r_dec, scale, kept, jacobi)
 
     if not q_ok:
         x = np.zeros(m)
         x[0], x[1] = 1.0, -1.0
         x /= math.sqrt(2.0)
-        y = q_wit
+        u, reason = q_wit, "Q = D + B - A is not PSD"
     else:
         x = np.full(m, 1.0 / math.sqrt(m))
-        y = r_wit
+        u, reason = r_wit, "R = D + B + (m-1)A is not PSD"
+    y = np.zeros(n)
+    y[kept] = jacobi * u
     value = evaluate_xsym(data, x, y)
     if not value < 0.0:
         raise linalg.NumericalError(f"PSD witness failed to evaluate negative: {value!r}")
-    return PSDCertificate(False, q_dec, r_dec, scale, (x, y), value)
+    return PSDCertificate(False, q_dec, r_dec, scale, kept, jacobi, (x, y), value, reason)
 
 
 def assemble_m_matrix(data: XSymmetricData) -> np.ndarray:
@@ -275,22 +297,32 @@ def sos_decompose_structured(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL
     """SOS decomposition from the n x n spectra of Q and R alone.
 
     Returns two Kronecker groups: the row (1/sqrt(m)) 1_m (tag ``ONES``)
-    paired with sqrt(mu) u for every positive eigenpair (mu, u) of R, and the
-    Helmert rows, an orthonormal basis of the all-ones complement (tag
-    ``HELMERT``), paired with sqrt(lam) u for every positive eigenpair of Q.
-    Both X bases are named, not built.  The factor count is exactly
-    rank(R) + (m-1) rank(Q) and the summed Gram matrix equals the one the
-    direct route factors, so both routes decompose the same form; neither
-    the big matrix nor the dense factors are built.  Q and R are
-    eigen-solved once, by the PSD test.
+    paired with sqrt(mu) u' / s for every positive eigenpair (mu, u) of the
+    scaled S R S of ``check_psd_monic``, and the Helmert rows, an
+    orthonormal basis of the all-ones complement (tag ``HELMERT``), paired
+    with sqrt(lam) u' / s for every positive eigenpair of S Q S.  The y rows
+    are zero on every dropped index.  Both X bases are named, not built.
+    The factor count is exactly rank(R) + (m-1) rank(Q) and the summed Gram
+    matrix equals the one the direct route factors, so both routes
+    decompose the same form; neither the big matrix nor the dense factors
+    are built.  Q and R are eigen-solved once, by the PSD test.
     """
     cert = check_psd_monic(data, tol)
     if not cert.psd:
         raise NotPSD("form is not PSD", witness=cert)
-    groups = [(ONES, linalg.factor_from_decomposition(cert.r, tol, cert.scale))]
+    groups = [(ONES, _y_rows(cert, cert.r, tol, data.n))]
     if data.m >= 2:
-        groups.append((HELMERT, linalg.factor_from_decomposition(cert.q, tol, cert.scale)))
+        groups.append((HELMERT, _y_rows(cert, cert.q, tol, data.n)))
     return GroupedSOSDecomposition(data.m, data.n, tuple(groups))
+
+
+def _y_rows(cert: PSDCertificate, dec: SpectralDecomposition, tol: Tolerances, n: int) -> np.ndarray:
+    """Rows sqrt(lam) u' / s of one scaled spectrum, scattered into n
+    columns: exactly zero on every dropped index."""
+    rows = linalg.factor_from_decomposition(dec, tol, cert.scale)
+    y = np.zeros((len(rows), n))
+    y[:, cert.kept] = rows / cert.jacobi
+    return y
 
 
 def rank_bound(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -304,136 +336,15 @@ def rank_bound(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> int:
     return rank_r + (data.m - 1) * rank_q
 
 
-def _line_witness(data: XSymmetricData, x0, y0, dx, dy) -> tuple[np.ndarray, np.ndarray, float]:
-    """Minimize P along a line that moves only x or only y, where P restricts
-    to a quadratic in the step; returns the (x, y, value) at the minimizer."""
-    q0 = evaluate_xsym(data, x0, y0)
-    qp = evaluate_xsym(data, x0 + dx, y0 + dy)
-    qm = evaluate_xsym(data, x0 - dx, y0 - dy)
-    alpha = 0.5 * (qp + qm) - q0
-    beta = 0.5 * (qp - qm)
-    if alpha > 0.0:
-        t = -beta / (2.0 * alpha)
-    elif beta != 0.0:
-        t = -math.copysign(1e6, beta)
-    else:
-        t = 1e6
-    x = x0 + t * dx
-    y = y0 + t * dy
-    return x, y, evaluate_xsym(data, x, y)
-
-
-def reduce_general(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> MonicReduction | InvalidReduction:
-    """Scale a general x-symmetric form to a monic one, or certify it is not PSD.
-
-    Positive weights are absorbed by y_j -> y_j / sqrt(d_j).  A weight at
-    most ``1e-12 * max(0, max d)`` counts as zero.  A zero weight d_j0
-    forces, for a PSD form, B[:, j0] = 0, A[j0, j0] = 0 and A[:, j0] = 0,
-    each up to ``1e-12 * max|coeff|``; when those vanishing conditions hold
-    the index is dropped, otherwise the violated first-order condition
-    yields an explicit descent direction on which the form goes strictly
-    negative, returned as an InvalidReduction.  A weight below
-    ``-1e-12 * max|coeff|`` is itself a witness.
-    """
-    d = data.d
-    n = data.n
-    m = data.m
-    eps_d = COEFF_TOL * float(d.max(initial=0.0))
-    coeff_scale = COEFF_TOL * data.max_abs_coeff()
-
-    e1 = np.eye(m)[0]
-    for j0 in range(n):
-        if d[j0] < -coeff_scale:
-            return InvalidReduction(e1, np.eye(n)[j0], float(d[j0]), f"negative square coefficient d[{j0}]")
-
-    zero = [j for j in range(n) if d[j] <= eps_d]
-    for j0 in zero:
-        # First-order conditions at the vanishing square term: each one that
-        # fails gives a line through (x0, e) on which P goes negative.
-        e = np.eye(n)[j0]
-        checks = [(data.B[:, j0], f"B[:, {j0}]", e1, np.zeros(m), -2.0 * (d * e + data.B @ e))]
-        if m >= 2:
-            grad_a = 2.0 * (d * e + (m - 1) * (data.A @ e) + data.B @ e)
-            checks += [
-                (data.A[j0, j0], f"A[{j0}, {j0}]", e1, np.ones(m) - e1, np.zeros(n)),
-                (data.A[:, j0], f"A[:, {j0}]", np.full(m, 1.0 / math.sqrt(m)), np.zeros(m), -grad_a),
-            ]
-        for coeffs, name, x0, dx, dy in checks:
-            if np.abs(coeffs).max() > coeff_scale:
-                x, y, value = _line_witness(data, x0, e, dx, dy)
-                if value < 0.0:
-                    return InvalidReduction(x, y, value, f"{name} does not vanish with d[{j0}] = 0")
-
-    active = tuple(j for j in range(n) if j not in set(zero))
-    scale = np.zeros(n)
-    if not active:
-        monic = XSymmetricData(m, np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)))
-        return MonicReduction(monic, scale, active)
-    idx = np.asarray(active)
-    roots = np.sqrt(d[idx])
-    scale[idx] = roots
-    denom = np.outer(roots, roots)
-    a_red = data.A[np.ix_(idx, idx)] / denom
-    b_red = data.B[np.ix_(idx, idx)] / denom
-    np.fill_diagonal(b_red, 0.0)
-    monic = XSymmetricData(m, np.ones(len(active)), a_red, b_red)
-    return MonicReduction(monic, scale, active)
-
-
-def undo_reduction(
-    reduction: MonicReduction, monic_dec: SOSDecomposition | GroupedSOSDecomposition, m: int, n: int
-) -> SOSDecomposition | GroupedSOSDecomposition:
-    """Map factors of the reduced monic form back to the original variables:
-    active y columns pick up sqrt(d_j), dropped indices become zero columns.
-    Grouped decompositions only rescale and scatter their Y rows."""
-    if not reduction.active:
-        return SOSDecomposition(m, n, ())
-    idx = np.asarray(reduction.active)
-    col_scale = reduction.scale[idx]
-
-    def scatter(w: np.ndarray) -> np.ndarray:
-        full = np.zeros(w.shape[:-1] + (n,))
-        full[..., idx] = w * col_scale
-        return full
-
-    if isinstance(monic_dec, GroupedSOSDecomposition):
-        return GroupedSOSDecomposition(m, n, tuple((xg, scatter(yg)) for xg, yg in monic_dec.groups))
-    return SOSDecomposition(m, n, tuple(scatter(w) for w in monic_dec.factors))
-
-
-def lift_witness(reduction: MonicReduction, z: np.ndarray, n: int) -> np.ndarray:
-    """Map a witness y-vector of the reduced monic form back to the original
-    variables: y_j = z_j / sqrt(d_j) on active indices, 0 on dropped ones,
-    so P(x, y) equals the monic form's value at (x, z)."""
-    y = np.zeros(n)
-    idx = np.asarray(reduction.active)
-    y[idx] = z / reduction.scale[idx]
-    return y
-
-
-def sos_decompose_general(
-    data: XSymmetricData, tol: Tolerances = DEFAULT_TOL
-) -> SOSDecomposition | GroupedSOSDecomposition:
-    """Reduce to monic, decompose with the structured route, undo the scaling.
-
-    The result verifies against the original form.  A form that is not PSD
-    raises NotPSD whose witness is an InvalidReduction in the original
-    variables, with ``value = P(x, y) < 0``.
-    """
-    reduction = reduce_general(data, tol)
-    if isinstance(reduction, InvalidReduction):
-        raise NotPSD(f"form is not PSD: {reduction.reason}", witness=reduction)
-    if not reduction.active:
-        return SOSDecomposition(data.m, data.n, ())
+def sos_decompose_general(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> GroupedSOSDecomposition:
+    """``sos_decompose_structured`` whose NotPSD carries an InvalidReduction:
+    the witness in the form's own variables, ``value = P(x, y) < 0``, and
+    the matrix that fails."""
     try:
-        monic_dec = sos_decompose_structured(reduction.monic, tol)
+        return sos_decompose_structured(data, tol)
     except NotPSD as exc:
-        x, z = exc.witness.witness
-        y = lift_witness(reduction, z, data.n)
-        reason = "Q/R eigenvalue test failed"
-        witness = InvalidReduction(x, y, evaluate_xsym(data, x, y), reason)
-        raise NotPSD(f"form is not PSD: {reason}", witness=witness) from None
-    return undo_reduction(reduction, monic_dec, data.m, data.n)
+        evidence = exc.witness.evidence
+        raise NotPSD(f"form is not PSD: {evidence.reason}", witness=evidence) from None
 
 
 def random_psd_instance(

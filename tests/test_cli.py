@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biquad
 from biquad import cli, forms, linalg, meig, partsym
@@ -71,12 +75,17 @@ def choi_file(tmp_path):
     return str(path)
 
 
+# The keys of every NotPSD payload: check-psd's, decompose's and the
+# negativity probe's of sos-rank and reduce-rank.
+NOT_PSD_KEYS = {"m", "n", "verdict", "q_eigenvalues", "r_eigenvalues", "witness", "reason"}
+
+
 def assert_not_psd_envelope(data, path):
     """check-psd's NotPSD envelope, with a witness negative on the form."""
     assert data["status"] == "not-psd"
     payload = data["payload"]
     assert payload["verdict"] == "NotPSD"
-    assert {"m", "n", "active", "d", "q_eigenvalues", "r_eigenvalues", "reason"} <= set(payload)
+    assert set(payload) == NOT_PSD_KEYS
     witness = payload["witness"]
     form = forms.load_form(path)
     value = forms.evaluate(form, np.array(witness["x"]), np.array(witness["y"]))
@@ -150,9 +159,9 @@ class TestDecompose:
         shapes = []
         sym_eig = linalg.sym_eig
 
-        def counting(s, tol=linalg.DEFAULT_TOL):
+        def counting(s):
             shapes.append(np.shape(s))
-            return sym_eig(s, tol)
+            return sym_eig(s)
 
         monkeypatch.setattr(linalg, "sym_eig", counting)
         data = random_psd_instance(5, 4, np.random.default_rng(8))
@@ -160,6 +169,24 @@ class TestDecompose:
         code, envelope = run_json(capsys, ["decompose", path, str(tmp_path / "dec.json")])
         assert code == 0 and envelope["payload"]["factor_count"] == 4 + 4 * 4
         assert shapes == [(4, 4), (4, 4)]
+
+    @pytest.mark.parametrize("record", [
+        {"m": 3, "d": [0, 0], "A": [[0, 0], [0, 0]], "B": [[0, 0], [0, 0]]},
+        {"m": 3, "n": 2, "terms": []},
+    ], ids=["data", "terms"])
+    def test_zero_form_is_psd_with_no_factors(self, capsys, tmp_path, record):
+        # No y index is left, so the zero form is PSD with 0 factors and its
+        # record is format 2, like every other decompose output.
+        path = write(tmp_path / "zero.json", record)
+        code, check = run_json(capsys, ["check-psd", path])
+        assert code == 0 and check["payload"]["verdict"] == "PSD"
+        assert check["payload"]["q_eigenvalues"] == check["payload"]["r_eigenvalues"] == []
+        out = tmp_path / "dec.json"
+        code, dec = run_json(capsys, ["decompose", path, str(out)])
+        assert code == 0 and dec["payload"]["factor_count"] == 0
+        saved = json.loads(out.read_text())
+        assert saved["format"] == 2 and [g["y"] for g in saved["groups"]] == [[], []]
+        assert len(forms.load_decomposition(str(out))) == 0
 
     def test_large_m_writes_tags_not_rows(self, capsys, tmp_path, monkeypatch):
         def no_rows(m):
@@ -411,6 +438,7 @@ class TestStructureNative:
         assert p_data.get("factor_count") == p_terms.get("factor_count")
         if code_data == 2:
             for payload in (p_data, p_terms):
+                assert set(payload) == NOT_PSD_KEYS
                 w = payload["witness"]
                 assert forms.evaluate(dense, np.array(w["x"]), np.array(w["y"])) < 0.0
 
@@ -441,7 +469,7 @@ class TestStructureNative:
         "not-x-symmetric",
     ], ids=["negative-weight", "zero-weight-violation", "fail-q", "not-x-symmetric"])
     def test_check_psd_and_decompose_agree_before_decomposing(self, capsys, tmp_path, p223_file, record):
-        # Both commands run the same load, x-symmetry and reduction steps, so
+        # Both commands run the same load, x-symmetry and Q/R test steps, so
         # every input that ends there gives the same envelope.
         path = p223_file if record == "not-x-symmetric" else write(tmp_path / "data.json", record)
         code_check, check = run_json(capsys, ["check-psd", path])
@@ -552,6 +580,7 @@ class TestFailureTable:
         ["sos-rank", "FORM", "--bogus"],
         ["decompose", "FORM", "OUT", "--method", "naive"],
         ["check-psd", "FORM", "--seed", "3"],
+        ["decompose", "FORM", "OUT", "--seed", "3"],
         ["bench", "--trials", "1"],
         [],
     ])
@@ -640,3 +669,33 @@ class TestImportGraph:
         envelope = json.loads(proc.stdout)
         assert envelope["command"] == "check-psd" and envelope["status"] == "ok"
         assert envelope["payload"]["verdict"] == "PSD"
+
+
+class TestGeneralWitnessProperty:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(
+        m=st.integers(2, 3),
+        n=st.integers(2, 3),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e),
+    )
+    def test_sos_rank_witness_and_meig_values(self, tmp_path_factory, m, n, seed, shift):
+        # Planted squares minus shift times one more square: SOS for a small
+        # shift, not PSD for a large one.
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((int(rng.integers(1, m * n)), m, n))
+        v = rng.standard_normal((m, n))
+        form = forms.symmetrize(np.einsum("pij,pkl->ijkl", w, w) - shift * np.einsum("ij,kl->ijkl", v, v))
+        path = str(tmp_path_factory.getbasetemp() / "general.json")
+        forms.save_form(form, path)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["sos-rank", path, "--restarts", "2", "--json"])
+        if code == 2:
+            witness = json.loads(out.getvalue())["payload"]["witness"]
+            assert forms.evaluate(form, np.array(witness["x"]), np.array(witness["y"])) < 0.0
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["meig", path, "--restarts", "3", "--json"]) == 0
+        bound = 1e-8 * forms.max_abs_coeff(form)
+        for pair in json.loads(out.getvalue())["payload"]["pairs"]:
+            value = forms.evaluate(form, np.array(pair["x"]), np.array(pair["y"]))
+            assert abs(value - pair["lambda"]) <= bound

@@ -3,7 +3,7 @@ import pytest
 
 from biquad.errors import InvalidInput, NotPSD
 from biquad.linalg import (
-    DEFAULT_TOL,
+    RECON_TOL,
     Tolerances,
     as_sym_matrix,
     is_psd,
@@ -160,7 +160,7 @@ class TestPsdFactor:
             vectors = psd_factor(s)
             assert len(vectors) == 4
             recon = sum(np.outer(v, v) for v in vectors)
-            assert np.linalg.norm(recon - s) <= DEFAULT_TOL.tol_recon * np.linalg.norm(s)
+            assert np.linalg.norm(recon - s) <= RECON_TOL * np.linalg.norm(s)
 
     def test_boundary_negative_eigenvalue_clamped(self):
         s = np.array([[1.0, 0.0], [0.0, -1e-12]])
@@ -171,8 +171,4 @@ class TestPsdFactor:
 class TestTolerances:
     def test_positive_required(self):
         with pytest.raises(InvalidInput):
-            Tolerances(eps_rank=0.0)
-
-    def test_uniform(self):
-        tol = Tolerances.uniform(1e-6)
-        assert tol.eps_rank == tol.eps_psd == 1e-6
+            Tolerances(eps=0.0)

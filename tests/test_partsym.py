@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from biquad import forms, linalg
@@ -13,7 +13,6 @@ from biquad.errors import InvalidInput, NotPSD
 from biquad.forms import GroupedSOSDecomposition, SOSDecomposition, evaluate, verify_sos
 from biquad.partsym import (
     InvalidReduction,
-    MonicReduction,
     XSymmetricData,
     assemble_m_matrix,
     check_psd_monic,
@@ -24,11 +23,9 @@ from biquad.partsym import (
     random_psd_instance,
     rank_bound,
     reconstruct,
-    reduce_general,
     sos_decompose_general,
     sos_decompose_naive,
     sos_decompose_structured,
-    undo_reduction,
 )
 from conftest import random_monic, sym_uniform
 
@@ -166,11 +163,6 @@ class TestCheckPsdMonic:
         assert cert.witness_value == pytest.approx(-1.0)
         assert evaluate(reconstruct(data), x, y) == pytest.approx(-1.0)
 
-    def test_non_monic_rejected(self):
-        data = XSymmetricData(2, np.array([1.0, 2.0]), Z2, Z2)
-        with pytest.raises(InvalidInput):
-            check_psd_monic(data)
-
     def test_verdict_matches_sampling(self):
         from biquad.meig import psd_sample_check
 
@@ -227,15 +219,13 @@ class TestDecompositions:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("d", [2.0, 3.0])
     def test_rounding_zero_q_or_r_has_rank_0(self, d, sign):
-        # Reducing d (x1 +- x2)^2 y^2 leaves Q (sign 1) or R (sign -1) at
-        # +-2.2e-16 instead of 0; judged against the pair's scale it is PSD
-        # with rank 0.
+        # d (x1 +- x2)^2 y^2: Q (sign 1) or R (sign -1) is zero; judged
+        # against the pair's scale, not its own, it is PSD with rank 0.
         data = XSymmetricData(2, np.array([d]), np.array([[sign * d]]), np.zeros((1, 1)))
-        monic_data = reduce_general(data).monic
-        cert = check_psd_monic(monic_data)
+        cert = check_psd_monic(data)
         assert cert.psd and cert.scale == pytest.approx(2.0)
-        assert rank_bound(monic_data) == 1
-        assert len(sos_decompose_structured(monic_data)) == 1
+        assert rank_bound(data) == 1
+        assert len(sos_decompose_structured(data)) == 1
         dec = sos_decompose_general(data)
         assert len(dec) == 1 and verify_sos(reconstruct(data), dec)[0]
 
@@ -315,60 +305,71 @@ class TestBlockStructure:
 
 
 class TestReduceGeneral:
+    """Non-unit, zero and negative weights, judged straight from Q and R."""
+
     def test_monic_identity(self):
         data = monic(2, SWAP)
-        red = reduce_general(data)
-        assert isinstance(red, MonicReduction)
-        assert red.active == (0, 1)
-        np.testing.assert_allclose(red.scale, [1.0, 1.0])
-        np.testing.assert_array_equal(red.monic.A, data.A)
+        cert = check_psd_monic(data)
+        np.testing.assert_array_equal(cert.kept, [0, 1])
+        np.testing.assert_array_equal(cert.jacobi, [1.0, 1.0])
+        pair = qr_pair(data)
+        np.testing.assert_array_equal(cert.q.eigenvalues, linalg.sym_eig(pair.Q).eigenvalues)
+        np.testing.assert_array_equal(cert.r.eigenvalues, linalg.sym_eig(pair.R).eigenvalues)
 
     def test_positive_scaling(self):
+        # S Q S and S R S with S = diag(1/2, 1) are the Q and R of monic(2, SWAP).
         data = XSymmetricData(2, np.array([4.0, 1.0]), 2.0 * SWAP, Z2)
-        red = reduce_general(data)
-        assert isinstance(red, MonicReduction)
-        np.testing.assert_allclose(red.monic.A, SWAP, atol=1e-14)
-        np.testing.assert_allclose(red.scale, [2.0, 1.0])
+        cert = check_psd_monic(data)
+        assert cert.psd
+        np.testing.assert_array_equal(cert.jacobi, [0.5, 1.0])
+        np.testing.assert_allclose(cert.q.eigenvalues, [2.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(cert.r.eigenvalues, [2.0, 0.0], atol=1e-14)
 
     def test_zero_weight_with_coupling_invalid(self):
         b = np.array([[0.0, 1.0], [1.0, 0.0]])
         data = XSymmetricData(2, np.array([1.0, 0.0]), Z2, b)
-        red = reduce_general(data)
-        assert isinstance(red, InvalidReduction)
-        assert red.value < 0.0
-        assert evaluate(reconstruct(data), red.x, red.y) == pytest.approx(red.value, rel=1e-9)
+        cert = check_psd_monic(data)
+        assert not cert.psd and cert.witness_value < 0.0
+        x, y = cert.witness
+        assert evaluate(reconstruct(data), x, y) == pytest.approx(cert.witness_value, rel=1e-9)
 
     def test_zero_weight_clean_drop(self):
         data = XSymmetricData(2, np.array([1.0, 0.0]), Z2, Z2)
-        red = reduce_general(data)
-        assert isinstance(red, MonicReduction)
-        assert red.active == (0,)
+        cert = check_psd_monic(data)
+        assert cert.psd
+        np.testing.assert_array_equal(cert.kept, [0])
 
     def test_negative_weight_invalid(self):
+        # S Q S = diag(1, -1) with S = diag(1, sqrt 2): the witness is y = sqrt(2) e_2.
         data = XSymmetricData(2, np.array([1.0, -0.5]), Z2, Z2)
-        red = reduce_general(data)
-        assert isinstance(red, InvalidReduction)
-        assert red.value == pytest.approx(-0.5)
+        cert = check_psd_monic(data)
+        assert not cert.psd
+        x, y = cert.witness
+        assert cert.witness_value == pytest.approx(-1.0)
+        assert cert.witness_value / (x @ x * y @ y) == pytest.approx(-0.5)
 
     def test_a_column_violation_invalid(self):
         a = np.array([[0.0, 0.3], [0.3, 0.0]])
         data = XSymmetricData(3, np.array([1.0, 0.0]), a, Z2)
-        red = reduce_general(data)
-        assert isinstance(red, InvalidReduction)
-        assert evaluate(reconstruct(data), red.x, red.y) < 0.0
+        cert = check_psd_monic(data)
+        assert not cert.psd
+        assert evaluate(reconstruct(data), *cert.witness) < 0.0
 
     def test_a_diagonal_violation_invalid(self):
         a = np.array([[0.0, 0.0], [0.0, 0.4]])
         data = XSymmetricData(3, np.array([1.0, 0.0]), a, Z2)
-        red = reduce_general(data)
-        assert isinstance(red, InvalidReduction)
-        assert evaluate(reconstruct(data), red.x, red.y) < 0.0
+        cert = check_psd_monic(data)
+        assert not cert.psd
+        assert evaluate(reconstruct(data), *cert.witness) < 0.0
 
     def test_all_zero_form(self):
         data = XSymmetricData(2, np.zeros(2), Z2, Z2)
-        red = reduce_general(data)
-        assert isinstance(red, MonicReduction)
-        assert red.active == ()
+        cert = check_psd_monic(data)
+        assert cert.psd and cert.kept.size == 0 and cert.q.eigenvalues.size == cert.r.eigenvalues.size == 0
+        assert rank_bound(data) == 0
+        dec = sos_decompose_general(data)
+        assert len(dec) == 0 and [y.shape for _, y in dec.groups] == [(0, 2), (0, 2)]
+        assert verify_sos(reconstruct(data), dec)[0]
 
 
 class TestDecomposeGeneral:
@@ -394,10 +395,15 @@ class TestDecomposeGeneral:
         assert verify_sos(reconstruct(data), dec)[0]
 
     def test_not_psd_raises(self):
-        b = np.array([[0.0, 1.0], [1.0, 0.0]])
-        data = XSymmetricData(2, np.array([1.0, 0.0]), Z2, b)
-        with pytest.raises(NotPSD):
-            sos_decompose_general(data)
+        # A zero weight with a coupling, and a negative weight.
+        for d, b in (([1.0, 0.0], SWAP), ([1.0, -0.5], Z2)):
+            data = XSymmetricData(2, np.array(d), Z2, b)
+            with pytest.raises(NotPSD) as info:
+                sos_decompose_general(data)
+            witness = info.value.witness
+            assert isinstance(witness, InvalidReduction) and "is not PSD" in witness.reason
+            assert witness.value < 0.0
+            assert evaluate(reconstruct(data), witness.x, witness.y) == pytest.approx(witness.value, rel=1e-12)
 
     def test_random_scaled_corpus(self):
         rng = np.random.default_rng(9)
@@ -415,10 +421,10 @@ class TestDecomposeGeneral:
             ok, resid = verify_sos(reconstruct(data), dec)
             assert ok, resid
 
-    def test_naive_path_through_reduction(self):
-        data = XSymmetricData(2, np.array([4.0, 1.0]), 2.0 * SWAP, Z2)
-        red = reduce_general(data)
-        dec = undo_reduction(red, sos_decompose_naive(red.monic), 2, 2)
+    def test_naive_route_takes_any_weights(self):
+        data = scaled_with_zero(np.random.default_rng(10), 3, 3)
+        dec = sos_decompose_naive(data)
+        assert len(dec) == rank_bound(data)
         assert verify_sos(reconstruct(data), dec)[0]
 
 
@@ -454,19 +460,15 @@ class TestGroupedDecomposition:
         assert len(dec.groups) == 1 and len(dec) == 2
         assert verify_sos(data, dec)[0]
 
-    def test_undo_scatters_y_rows_only(self):
+    def test_dropped_index_is_an_exact_zero_column(self):
         rng = np.random.default_rng(14)
         data = scaled_with_zero(rng, 4, 3)
-        red = reduce_general(data)
-        monic_dec = sos_decompose_structured(red.monic)
-        dec = undo_reduction(red, monic_dec, 4, 3)
-        for (x0, y0), (x1, y1) in zip(monic_dec.groups, dec.groups):
-            assert x1 is x0
-            np.testing.assert_array_equal(y1[:, :2], y0 * red.scale[:2])
-            np.testing.assert_array_equal(y1[:, 2], 0.0)
-        dense = undo_reduction(red, SOSDecomposition(4, 2, monic_dec.factors), 4, 3)
-        for w_grouped, w_dense in zip(dec.factors, dense.factors, strict=True):
-            np.testing.assert_allclose(w_grouped, w_dense, rtol=1e-15, atol=0.0)
+        dec = sos_decompose_structured(data)
+        assert [x for x, _ in dec.groups] == [forms.ONES, forms.HELMERT]
+        for _, y in dec.groups:
+            np.testing.assert_array_equal(y[:, 2], 0.0)
+        dense = SOSDecomposition(4, 3, dec.factors)
+        assert verify_sos(data, dec)[0] and verify_sos(reconstruct(data), dense)[0]
 
     def test_format_2_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
@@ -583,10 +585,9 @@ class TestWitnessProperty:
         coupling=st.floats(0.05, 2.0),
     )
     def test_not_psd_witness_in_original_variables(self, tmp_path_factory, m, n, seed, zero, clean, coupling):
-        # Non-monic (m, d, A, B) with some zero weights; the reduced monic
-        # form has coupling-scaled standard normal A and B.  When ``clean``,
-        # the zero-weight rows of A and B vanish too, so the reduction drops
-        # them and the Q/R test of the reduced form decides the verdict.
+        # Non-monic (m, d, A, B) with some zero weights; the Jacobi-scaled
+        # A and B are coupling-scaled standard normal.  When ``clean``, the
+        # zero-weight rows of A and B vanish too, so the test drops them.
         rng = np.random.default_rng(seed)
         dropped = np.asarray(zero[:n])
         d = np.where(dropped, 0.0, rng.uniform(0.01, 100.0, n))
@@ -610,3 +611,80 @@ class TestWitnessProperty:
             code = main(["check-psd", str(path), "--json"])
         assert json.loads(out.getvalue())["payload"]["verdict"] == verdict
         assert code == (0 if verdict == "PSD" else 2)
+
+
+def weighted_instance(m, n, seed, kind, exponent):
+    """A PSD instance weighted by d_j = 10^U(-4, 4), as is or with index 0
+    zeroed, then given a coupling in B or A, a negative weight, or a
+    perturbation of A, each of size 10^exponent relative to the form."""
+    rng = np.random.default_rng(seed)
+    base = random_psd_instance(m, n, rng, rank_q=int(rng.integers(1, n + 1)), rank_r=int(rng.integers(1, n + 1)))
+    root = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    d, a, b = root * root, base.A * np.outer(root, root), base.B * np.outer(root, root)
+    np.fill_diagonal(b, 0.0)
+    if kind != "as-is":
+        d[0] = 0.0
+        a[0, :] = a[:, 0] = b[0, :] = b[:, 0] = 0.0
+    size = 10.0 ** exponent * XSymmetricData(m, d, a, b).max_abs_coeff()
+    if kind == "b-coupling":
+        b[0, 1] = b[1, 0] = size
+    elif kind == "a-coupling":
+        a[0, 1] = a[1, 0] = size
+    elif kind == "negative":
+        d[0] = -(10.0 ** exponent) * np.abs(d).max()
+    elif kind == "perturbed":
+        a = a + size * sym_uniform(rng, n)
+    return XSymmetricData(m, d, a, b)
+
+
+WEIGHT_KINDS = ("as-is", "zero", "b-coupling", "a-coupling", "negative", "perturbed")
+
+
+class TestGeneralWeights:
+    """The Q/R rule on general (d, A, B): zero, negative and positive
+    weights over 10^[-4, 4]."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        m=st.integers(1, 5),
+        n=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(WEIGHT_KINDS),
+        exponent=st.floats(-14.0, 0.0),
+    )
+    def test_witness_or_verified_decomposition(self, m, n, seed, kind, exponent):
+        data = weighted_instance(m, n, seed, kind, exponent)
+        form = reconstruct(data)
+        cert = check_psd_monic(data)
+        if not cert.psd:
+            x, y = cert.witness
+            assert evaluate(form, x / np.linalg.norm(x), y / np.linalg.norm(y)) < 0.0
+            return
+        dec = sos_decompose_general(data)
+        assert len(dec) == rank_bound(data)
+        assert verify_sos(form, dec)[0]
+        dropped = np.setdiff1d(np.arange(n), cert.kept)
+        for _, y in dec.groups:
+            np.testing.assert_array_equal(y[:, dropped], 0.0)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(
+        m=st.integers(1, 5),
+        n=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(("as-is", "perturbed")),
+        exponent=st.floats(-3.0, 0.0),
+    )
+    def test_verdict_and_count_invariant_under_y_scaling(self, m, n, seed, kind, exponent):
+        # P(x, Cy) has weights c_j^2 d_j and C A C, C B C; with every weight
+        # above the zero cutoff, S Q S and S R S do not change.
+        data = weighted_instance(m, n, seed, kind, exponent)
+        c = 10.0 ** np.random.default_rng(seed + 1).uniform(-3.0, 3.0, n)
+        scaled = XSymmetricData(m, c * c * data.d, data.A * np.outer(c, c), data.B * np.outer(c, c))
+        for weights in (data.d, scaled.d):
+            assume(weights.min() > linalg.COEFF_TOL * weights.max())
+        cert, cert_scaled = check_psd_monic(data), check_psd_monic(scaled)
+        assert cert.psd == cert_scaled.psd
+        if cert.psd:
+            assert rank_bound(data) == rank_bound(scaled)
+            assert len(sos_decompose_general(data)) == len(sos_decompose_general(scaled))

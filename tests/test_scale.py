@@ -173,8 +173,8 @@ class TestSmallScales:
     @pytest.mark.parametrize("d", [2.0, 3.0])
     def test_single_square_through_reduction(self, tmp_path, d, sign):
         # d (x1 + x2)^2 y^2 (sign 1) or d (x1 - x2)^2 y^2 (sign -1): one of
-        # the reduced Q, R is zero up to rounding, and is judged against the
-        # other, not against its own rounding noise.
+        # Q, R is zero, and is judged against the other, not against its own
+        # rounding noise.
         data = XSymmetricData(2, np.array([d]), np.array([[sign * d]]), np.zeros((1, 1)))
         answers = xsym_answers(tmp_path, "single-square", data)
         assert answers == [(0, "PSD", None), (0, None, 1)]
