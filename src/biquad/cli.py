@@ -11,6 +11,7 @@ failed re-verification is a hard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -49,16 +50,23 @@ def _tolerances(args) -> linalg.Tolerances:
     return linalg.DEFAULT_TOL if args.tol is None else linalg.Tolerances(args.tol)
 
 
-def _load_form(path: str, transpose: bool) -> forms.BiquadraticForm | partsym.XSymmetricData:
+def _load_form(
+    path: str, transpose: bool, dense: bool
+) -> forms.BiquadraticForm | forms.FormCells | partsym.XSymmetricData:
     """Read either a monomial form file or an x-symmetric (d, A, B) file.
 
-    A data file read without ``transpose`` stays as its (d, A, B) data; every
-    other input becomes a dense form.
+    With ``dense`` the result is the coefficient tensor.  Otherwise a terms
+    file becomes its canonical cells and a data file read without
+    ``transpose`` stays as its (d, A, B) data; only a data file read with
+    ``transpose`` becomes a dense form.
     """
     data = forms.load_json(path)
     if not isinstance(data, dict):
         raise InvalidInput(f"{path}: expected a JSON object")
     if "terms" in data:
+        if not dense:
+            cells = forms.cells_from_dict(data)
+            return cells.transpose() if transpose else cells
         form = forms.form_from_dict(data)
     elif {"m", "d", "A", "B"} <= set(data):
         try:
@@ -67,20 +75,12 @@ def _load_form(path: str, transpose: bool) -> forms.BiquadraticForm | partsym.XS
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidInput(f"{path}: malformed x-symmetric data: {exc}") from exc
         xsym = partsym.XSymmetricData(m, d, a, b)
-        if not transpose:
+        if not (transpose or dense):
             return xsym
         form = partsym.reconstruct(xsym)
     else:
         raise InvalidInput(f"{path}: neither a form file (terms) nor x-symmetric data (m, d, A, B)")
-    if transpose:
-        form = forms.transpose_xy(form)
-    return form
-
-
-def _load_dense(path: str, transpose: bool) -> forms.BiquadraticForm:
-    """The dense coefficient tensor, for the commands that work on it."""
-    form = _load_form(path, transpose)
-    return partsym.reconstruct(form) if isinstance(form, partsym.XSymmetricData) else form
+    return forms.transpose_xy(form) if transpose else form
 
 
 def _evaluate(source, x, y) -> float:
@@ -121,10 +121,12 @@ def _xsym_data(command: str, args):
     x-symmetry.
 
     Returns ``(tol, source, data)``, or the CommandResult that ends the
-    command with exit 3 when the form is not x-symmetric.
+    command with exit 3 when the form is not x-symmetric.  The source,
+    which witnesses and the decomposition are checked on, is the dense form
+    only for a data file read with ``--transpose``, else ``data``.
     """
     tol = _tolerances(args)
-    source = _load_form(args.form, args.transpose)
+    source = _load_form(args.form, args.transpose, dense=False)
     data = source if isinstance(source, partsym.XSymmetricData) else partsym.detect_x_symmetric(source)
     if data is None:
         return CommandResult(
@@ -134,7 +136,7 @@ def _xsym_data(command: str, args):
             _EXIT_NOT_XSYM,
             summary="not x-symmetric (try 'biquad sos-rank')",
         )
-    return tol, source, data
+    return tol, source if isinstance(source, forms.BiquadraticForm) else data, data
 
 
 def _verdict(command: str, source, cert: partsym.PSDCertificate) -> CommandResult:
@@ -228,7 +230,7 @@ def _negativity_probe(command: str, form, tol, seed: int, **probe_args) -> Comma
 
 def cmd_sos_rank(args) -> CommandResult:
     tol = _tolerances(args)
-    form = _load_dense(args.form, args.transpose)
+    form = _load_form(args.form, args.transpose, dense=True)
     support = simple.detect_simple(form)
     lower = None
     if support is not None:
@@ -275,7 +277,7 @@ def cmd_sos_rank(args) -> CommandResult:
 
 def cmd_reduce_rank(args) -> CommandResult:
     tol = _tolerances(args)
-    form = _load_dense(args.form, args.transpose)
+    form = _load_form(args.form, args.transpose, dense=True)
     family = gram.build_family(form)
     start = gram.psd_point(family, seed=args.seed, tol=tol)
     if start is None:
@@ -304,8 +306,8 @@ def cmd_reduce_rank(args) -> CommandResult:
 
 
 def cmd_meig(args) -> CommandResult:
-    _tolerances(args)  # rejects a non-positive --tol
-    form = _load_dense(args.form, args.transpose)
+    _tolerances(args)  # rejects a --tol outside (0, 1)
+    form = _load_form(args.form, args.transpose, dense=True)
     residual_tol = {} if args.tol is None else {"tol": args.tol}
     pairs = meig.meig_solve(form, restarts=args.restarts, seed=args.seed, **residual_tol)
     payload = {
@@ -372,13 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("check-psd", help="PSD test for an x-symmetric form")
     p.add_argument("form", help="form file (terms) or x-symmetric data file (m, d, A, B)")
     _add_common(p, seed=False, transpose=True)
-    p.set_defaults(handler=cmd_check_psd)
 
     p = subs.add_parser("decompose", help="write an SOS decomposition of an x-symmetric PSD form")
     p.add_argument("form")
     p.add_argument("out", help="output decomposition file")
     _add_common(p, seed=False, transpose=True)
-    p.set_defaults(handler=cmd_decompose)
 
     p = subs.add_parser("gen-simple", help="generate a simple form of the diagonal-walk series")
     p.add_argument("m", type=int)
@@ -386,23 +386,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("s", type=int)
     p.add_argument("out", help="output form file")
     _add_common(p, tol=False, seed=False)
-    p.set_defaults(handler=cmd_gen_simple)
 
     p = subs.add_parser("sos-rank", help="heuristic SOS-rank bounds via the Gram family")
     p.add_argument("form")
     _add_common(p, transpose=True, restarts=20)
-    p.set_defaults(handler=cmd_sos_rank)
 
     p = subs.add_parser("reduce-rank", help="walk a PSD Gram point to the cone boundary (rank <= mn-1)")
     p.add_argument("form")
     p.add_argument("--out", default=None, help="optional output Gram-point file")
     _add_common(p, transpose=True)
-    p.set_defaults(handler=cmd_reduce_rank)
 
     p = subs.add_parser("meig", help="M-eigenpairs of a small form")
     p.add_argument("form")
     _add_common(p, transpose=True, restarts=20)
-    p.set_defaults(handler=cmd_meig)
 
     return parser
 
@@ -430,10 +426,15 @@ def _write_envelope(result: CommandResult) -> None:
     sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
 
 
+# argparse keeps no state between parses, so main builds its parser once.
+# Commands run as the module's current ``cmd_<command>``, looked up per call.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except _UsageError as exc:
         if "--json" in argv:
             command = argv[0] if not argv[0].startswith("-") else None
@@ -442,7 +443,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         _check_counts(args)
-        result = args.handler(args)
+        result = globals()["cmd_" + args.command.replace("-", "_")](args)
     except _CAUGHT as exc:
         status, code, prefix = next(row[1:] for row in _FAILURES if isinstance(exc, row[0]))
         message = prefix.format(kind=type(exc).__name__) + str(exc)

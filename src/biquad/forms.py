@@ -5,7 +5,9 @@ is stored through its unique partially symmetric coefficient tensor, i.e.
 ``a[i,j,k,l] == a[k,j,i,l] == a[k,l,i,j]``.  Files store polynomial monomial
 coefficients instead (one entry per distinct monomial x_i x_k y_j y_l), which
 is the convention people actually write forms in; conversion between the two
-views lives here.
+views lives here.  A terms file is accumulated once, into its canonical
+cells (``FormCells``, the entries with i <= k and j <= l); the dense tensor
+is scattered from them only when a caller asks for it.
 """
 
 from __future__ import annotations
@@ -66,6 +68,45 @@ class BiquadraticForm:
         if not isinstance(other, BiquadraticForm):
             return NotImplemented
         return self.m == other.m and self.n == other.n and np.array_equal(self.coeffs, other.coeffs)
+
+
+@dataclass(frozen=True)
+class FormCells:
+    """The canonical cells of a form: ``values[p, q] = a[i, j, k, l]`` for the
+    p-th pair (i, k) of ``triu_indices(m)`` and the q-th pair (j, l) of
+    ``triu_indices(n)``.  The orbit of every tensor entry holds exactly one
+    position with i <= k and j <= l, so the cells are the whole form in about
+    a quarter of the tensor's storage."""
+
+    m: int
+    n: int
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, form: BiquadraticForm) -> FormCells:
+        """The cells of a dense form, each the mean of its entry and the
+        y-swapped one, as a form may be off partial symmetry by COEFF_TOL
+        (taken as a + (b - a) / 2, which cannot overflow)."""
+        i, k = np.triu_indices(form.m)
+        j, l = np.triu_indices(form.n)
+        i, k, a = i[:, None], k[:, None], form.coeffs
+        entry = a[i, j, k, l]
+        return cls(form.m, form.n, entry + 0.5 * (a[i, l, k, j] - entry))
+
+    def transpose(self) -> FormCells:
+        """The cells of the n x m form P'(y, x) = P(x, y)."""
+        return FormCells(self.n, self.m, self.values.T)
+
+    def to_form(self) -> BiquadraticForm:
+        """The dense tensor: each cell copied to the four positions of its
+        orbit, as the symmetric n x n blocks (i, :, k, :) and (k, :, i, :)."""
+        i, k = np.triu_indices(self.m)
+        j, l = np.triu_indices(self.n)
+        blocks = np.empty((len(i), self.n, self.n))
+        blocks[:, j, l] = blocks[:, l, j] = self.values
+        a = np.empty((self.m, self.n, self.m, self.n))
+        a[i, :, k, :] = a[k, :, i, :] = blocks
+        return BiquadraticForm(self.m, self.n, a)
 
 
 @dataclass(frozen=True)
@@ -373,32 +414,24 @@ def _term_error(m: int, n: int, terms: list) -> InvalidInput:
     return InvalidInput("malformed term list")
 
 
-def _accumulate_terms(m: int, n: int, i, j, k, l, coeff: np.ndarray) -> np.ndarray:
-    """Spread 0-based monomial coefficients over their symmetry orbits.
+def _accumulate_cells(m: int, n: int, i, j, k, l, coeff: np.ndarray) -> np.ndarray:
+    """Canonical cells of 0-based monomial coefficients.
 
-    Each term adds c / |orbit| once to every distinct position of its orbit.
-    A tensor cell is reached by one orbit position kind only (which one
-    depends on how its x and y index pairs are ordered), and ``np.bincount``
-    adds the weights of a cell in term order from 0.0, so the sums are
+    Each term adds c / |orbit| to the cell of its orbit.  ``np.bincount``
+    adds the weights of a cell in term order from 0.0, so every cell is
     bit-identical to adding the terms one at a time.
     """
     i, k = np.minimum(i, k), np.maximum(i, k)
     j, l = np.minimum(j, l), np.maximum(j, l)
-    split_x = i < k
-    split_y = j < l
-    entry = coeff / (np.where(split_x, 2.0, 1.0) * np.where(split_y, 2.0, 1.0))
-    both = split_x & split_y
-    cells = np.ravel_multi_index(
-        (
-            np.concatenate([i, i[split_y], k[split_x], k[both]]),
-            np.concatenate([j, l[split_y], j[split_x], l[both]]),
-            np.concatenate([k, k[split_y], i[split_x], i[both]]),
-            np.concatenate([l, j[split_y], l[split_x], j[both]]),
-        ),
-        (m, n, m, n),
-    )
-    weights = np.concatenate([entry, entry[split_y], entry[split_x], entry[both]])
-    return np.bincount(cells, weights=weights, minlength=m * n * m * n).reshape(m, n, m, n)
+    entry = coeff / (np.where(i < k, 2.0, 1.0) * np.where(j < l, 2.0, 1.0))
+    # (i, k) with i <= k is row i * m - i * (i - 1) / 2 + (k - i) of triu_indices(m).
+    x_pair = i * (2 * m - i + 1) // 2 + k - i
+    y_pair = j * (2 * n - j + 1) // 2 + l - j
+    shape = (m * (m + 1) // 2, n * (n + 1) // 2)
+    cells = np.bincount(x_pair * shape[1] + y_pair, weights=entry, minlength=shape[0] * shape[1])
+    if not np.isfinite(cells).all():
+        raise InvalidInput("coefficients must be finite")
+    return cells.reshape(shape)
 
 
 def form_to_dict(form: BiquadraticForm) -> dict:
@@ -415,9 +448,10 @@ def integer_field(value, name: str) -> int:
     return number
 
 
-def form_from_dict(data: dict) -> BiquadraticForm:
-    """Parse a form record.  Terms are read column by column; a rejected
-    list is walked entry by entry only to name its first bad term."""
+def cells_from_dict(data: dict) -> FormCells:
+    """Parse a form record into its canonical cells, without a dense
+    tensor.  Terms are read column by column; a rejected list is walked
+    entry by entry only to name its first bad term."""
     try:
         m = integer_field(data["m"], "m")
         n = integer_field(data["n"], "n")
@@ -431,7 +465,12 @@ def form_from_dict(data: dict) -> BiquadraticForm:
     columns = _term_arrays(m, n, raw_terms)
     if columns is None:
         raise _term_error(m, n, raw_terms)
-    return BiquadraticForm(m, n, _accumulate_terms(m, n, *columns))
+    return FormCells(m, n, _accumulate_cells(m, n, *columns))
+
+
+def form_from_dict(data: dict) -> BiquadraticForm:
+    """Parse a form record into its dense coefficient tensor."""
+    return cells_from_dict(data).to_form()
 
 
 DECOMPOSITION_FORMAT = 2  # the version tag of the grouped decomposition record

@@ -31,14 +31,15 @@ class Tolerances:
     Attributes:
         eps: eigenvalues with ``|lam| <= eps * max|lam|`` count as zero when
             ranks are taken (see ``rank_cutoff``), and a matrix passes the
-            PSD test when ``lam_min >= -eps * max|lam|``.
+            PSD test when ``lam_min >= -eps * max|lam|``.  It must lie in
+            (0, 1): from eps = 1 on, every matrix passes.
     """
 
     eps: float = 1e-9
 
     def __post_init__(self):
-        if not (self.eps > 0.0):
-            raise InvalidInput(f"eps must be strictly positive, got {self.eps!r}")
+        if not (0.0 < self.eps < 1.0):
+            raise InvalidInput(f"eps must be strictly positive and below 1, got {self.eps!r}")
 
 
 DEFAULT_TOL = Tolerances()

@@ -18,7 +18,8 @@ and every PSD form of this class decomposes as a sum of
 rank(R) + (m-1) rank(Q) bilinear squares.  Both the direct route (assemble
 the mn x mn Gram matrix and factor it) and the structured route (work on
 the n x n spectra of Q and R only) are implemented; the structured route
-never forms the big matrix.
+never forms the big matrix.  x-symmetry is detected on a form's canonical
+cells, so a terms file reaches (d, A, B) without a dense tensor.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .forms import (  # helmert_basis is re-exported for callers of partsym
     HELMERT,
     ONES,
     BiquadraticForm,
+    FormCells,
     GroupedSOSDecomposition,
     SOSDecomposition,
     helmert_basis,
@@ -182,36 +184,31 @@ def reconstruct(data: XSymmetricData) -> BiquadraticForm:
     return BiquadraticForm(m, n, a)
 
 
-def detect_x_symmetric(form: BiquadraticForm) -> XSymmetricData | None:
-    """Recognize an x-symmetric coefficient pattern.
+def detect_x_symmetric(form: BiquadraticForm | FormCells) -> XSymmetricData | None:
+    """Recognize an x-symmetric coefficient pattern on the canonical cells.
 
-    Returns the (d, A, B) data when every off-diagonal block ``P[i, :, k, :]``
-    (i != k) is within ``1e-10 * max|coeff|`` of A and every diagonal block
-    ``P[i, :, i, :]`` within it of ``B + diag(d)``, else None.  The blocks are
-    compared by broadcasting, without building the dense tensor of the
-    candidate.  On exactly x-symmetric input the round trip
-    ``reconstruct(detect_x_symmetric(P)) == P`` is exact, because
-    representative entries are taken verbatim.
+    The cells of block (i, k) (see ``FormCells``) must be within
+    ``1e-10 * max|coeff|`` of those of block (0, 0) when i = k, and of block
+    (0, 1) when i < k; then d, B and A are read off those two rows, else the
+    result is None.  A dense form is gathered into its cells first.  On
+    exactly x-symmetric input the round trip
+    ``reconstruct(detect_x_symmetric(P)) == P`` is exact, because the
+    representative cells are taken verbatim.
     """
-    m, n = form.m, form.n
-    a = form.coeffs
-    d = a[0, np.arange(n), 0, np.arange(n)].copy()
-    if m >= 2:
-        A = a[0, :, 1, :].copy()
-    else:
-        A = np.zeros((n, n))
-    B = a[0, :, 0, :].copy()
-    np.fill_diagonal(B, 0.0)
-    try:
-        candidate = XSymmetricData(m, d, 0.5 * (A + A.T), 0.5 * (B + B.T))
-    except InvalidInput:
+    cells = form if isinstance(form, FormCells) else FormCells.of(form)
+    m, n, c = cells.m, cells.n, cells.values
+    i, k = np.triu_indices(m)
+    if np.abs(c - c[np.where(i == k, 0, 1)]).max() > _DETECT_TOL * float(np.abs(c).max()):
         return None
-    diff = a - candidate.A[None, :, None, :]
-    idx = np.arange(m)
-    diff[idx, :, idx, :] = a[idx, :, idx, :] - (candidate.B + np.diag(candidate.d))
-    if np.abs(diff, out=diff).max() <= _DETECT_TOL * float(np.abs(a).max()):
-        return candidate
-    return None
+    j, l = np.triu_indices(n)
+    B = np.zeros((n, n))
+    B[j, l] = B[l, j] = c[0]
+    d = np.diag(B).copy()
+    np.fill_diagonal(B, 0.0)
+    A = np.zeros((n, n))
+    if m >= 2:
+        A[j, l] = A[l, j] = c[1]
+    return XSymmetricData(m, d, A, B)
 
 
 def _jacobi_scaling(d: np.ndarray) -> np.ndarray:

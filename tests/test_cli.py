@@ -699,3 +699,184 @@ class TestGeneralWitnessProperty:
         for pair in json.loads(out.getvalue())["payload"]["pairs"]:
             value = forms.evaluate(form, np.array(pair["x"]), np.array(pair["y"]))
             assert abs(value - pair["lambda"]) <= bound
+
+
+class TestTolRange:
+    @pytest.mark.parametrize("tol", ["1", "10", "inf"])
+    @pytest.mark.parametrize("command", ["check-psd", "decompose", "sos-rank", "reduce-rank", "meig"])
+    def test_tol_at_or_above_one_rejected(self, capsys, tmp_path, indefinite_xsym, command, tol):
+        # Q has eigenvalue -2: not PSD by default, "PSD" under any eps >= 1.
+        out = [str(tmp_path / "dec.json")] if command == "decompose" else []
+        code, envelope = run_json(capsys, [command, indefinite_xsym, *out, "--tol", tol])
+        assert code == 1 and envelope["status"] == "error"
+        assert "below 1" in envelope["payload"]["error"]
+        if command == "check-psd":
+            assert run_json(capsys, [command, indefinite_xsym])[0] == 2
+
+
+class TestSharedParser:
+    def test_calls_in_one_process_match_fresh_parsers(self, capsys, monkeypatch, tmp_path, p223_file):
+        data = KINDS["psd"]()
+        ysym = str(tmp_path / "ysym.json")
+        forms.save_form(forms.transpose_xy(reconstruct(data)), ysym)
+        dec = tmp_path / "dec.json"
+        calls = [
+            ["sos-rank", p223_file, "--restarts", "abc", "--json"],
+            ["check-psd", ysym, "--transpose", "--tol", "1e-6", "--json"],
+            ["sos-rank", p223_file, "--json"],
+            ["decompose", ysym, str(dec), "--transpose", "--json"],
+            ["check-psd", ysym, "--json"],
+        ]
+
+        def run_all():
+            results = []
+            for argv in calls:
+                code = main(argv)
+                results.append((code, capsys.readouterr().out, dec.read_bytes() if dec.exists() else None))
+            return results
+
+        shared = run_all()
+        dec.unlink()
+        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+        assert run_all() == shared
+        codes = [code for code, _, _ in shared]
+        # No option carries over: sos-rank runs with its defaults, and the
+        # y-symmetric file read without --transpose is not x-symmetric.
+        assert codes == [1, 0, 0, 0, 3]
+        payload = json.loads(shared[2][1])["payload"]
+        assert (payload["seed"], payload["restarts"]) == (0, 20)
+        assert cli.build_parser() is not cli.build_parser()
+
+
+def xsym_routes(tmp_path, name, data=None, record=None):
+    """The three files of one x-symmetric form: its data file (from
+    ``data``), its terms file and the terms file of its y-symmetric
+    transpose (from ``data`` or the terms ``record``), each with the argv
+    suffix that analyses the form itself."""
+    dense = reconstruct(data) if record is None else forms.form_from_dict(record)
+    routes = []
+    if data is not None:
+        routes.append((write(tmp_path / f"{name}-data.json", data_record(data)), []))
+    terms = str(tmp_path / f"{name}-terms.json")
+    forms.dump_json(record or forms.form_to_dict(dense), terms)
+    ysym = str(tmp_path / f"{name}-ysym.json")
+    forms.save_form(forms.transpose_xy(dense), ysym)
+    return routes + [(terms, []), (ysym, ["--transpose"])]
+
+
+def run_routes(tmp_path, routes):
+    """check-psd and decompose on every route: per command, a list of
+    (exit code, payload, decomposition bytes)."""
+    out = tmp_path / "dec.json"
+    results = {"check-psd": [], "decompose": []}
+    for command, outcomes in results.items():
+        for path, suffix in routes:
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                code = main([command, path, *([str(out)] if command == "decompose" else []), *suffix, "--json"])
+            written = out.read_bytes() if command == "decompose" and code == 0 else None
+            outcomes.append((code, json.loads(stdout.getvalue())["payload"], written))
+            if out.exists():
+                out.unlink()
+    return results
+
+
+def assert_routes_agree(results, scale):
+    """Equal exit codes, verdicts, eigenvalue bytes, factor counts and
+    decomposition bytes; NotPSD witnesses negative and within
+    1e-12 * max|c| of each other."""
+    for outcomes in results.values():
+        code, first, written = outcomes[0]
+        for other_code, payload, other_written in outcomes[1:]:
+            assert other_code == code and other_written == written
+            for key in ("verdict", "q_eigenvalues", "r_eigenvalues", "factor_count"):
+                assert json.dumps(payload.get(key)) == json.dumps(first.get(key))
+        if code == 2:
+            values = [payload["witness"]["value"] for _, payload, _ in outcomes]
+            assert max(values) < 0.0
+            assert max(values) - min(values) <= 1e-12 * scale
+
+
+# The weights include zero and negative ones; every float is made non-negative zero.
+WEIGHT = st.sampled_from([0.0, -1.0, 1.0]) | st.floats(-2.0, 2.0, allow_subnormal=False).map(lambda v: v + 0.0)
+
+
+@st.composite
+def xsym_forms(draw):
+    """Random (m, d, A, B) with m in [1, 6], n in [1, 5]: PSD by
+    construction from Q = FF' and R = GG' (zero rows give zero weights), or
+    with drawn weights and uniform A, B."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        f, g = rng.standard_normal((2, n, n))
+        f[rng.random(n) < 0.3] = 0.0
+        g[np.flatnonzero(~f.any(axis=1))] = 0.0
+        q, r = f @ f.T, g @ g.T
+        a, base = (r - q) / m, (r + (m - 1) * q) / m
+        d = np.diag(base).copy()
+        b = base - np.diag(d)
+    else:
+        d = np.array(draw(st.lists(WEIGHT, min_size=n, max_size=n)))
+        a, b = rng.uniform(-1.0, 1.0, (2, n, n))
+        a, b = a + a.T, b + b.T
+        np.fill_diagonal(b, 0.0)
+    return XSymmetricData(m, d, a if m >= 2 else np.zeros((n, n)), b)
+
+
+class TestTermsRoute:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(data=xsym_forms(), off_row=st.booleans(), y_pair=st.integers(0, 14))
+    def test_data_terms_and_transposed_terms_agree(self, tmp_path_factory, data, off_row, y_pair):
+        tmp_path = tmp_path_factory.mktemp("routes")
+        scale = data.max_abs_coeff()
+        results = run_routes(tmp_path, xsym_routes(tmp_path, "plain", data))
+        assert_routes_agree(results, scale)
+        if data.m == 1 or scale == 0.0:
+            return
+        # One orbit off by 0.5x or 1.5x of the match tolerance, in a block
+        # that (d, A, B) are not read from: (0, 2) or (m-1, m-1).
+        i, k = (0, 2) if off_row and data.m >= 3 else (data.m - 1, data.m - 1)
+        j, l = (int(v) for v in np.transpose(np.triu_indices(data.n))[y_pair % (data.n * (data.n + 1) // 2)])
+        orbit = (2.0 if i < k else 1.0) * (2.0 if j < l else 1.0)
+        for ratio in (0.5, 1.5):
+            record = forms.form_to_dict(reconstruct(data))
+            delta = {"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1, "c": orbit * ratio * 1e-10 * scale}
+            record["terms"].append(delta)
+            perturbed = run_routes(tmp_path, xsym_routes(tmp_path, f"r{ratio}", record=record))
+            if ratio == 1.5:
+                assert [code for outcomes in perturbed.values() for code, _, _ in outcomes] == [3] * 4
+            else:
+                assert_routes_agree({c: results[c] + perturbed[c] for c in results}, scale)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (4, 1)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_single_sided_shapes(self, tmp_path, m, n, sign):
+        rng = np.random.default_rng(m * 10 + n)
+        d = sign * rng.uniform(0.5, 2.0, n)
+        a = np.full((n, n), 0.25) if m >= 2 else np.zeros((n, n))
+        b = 0.1 * (np.ones((n, n)) - np.eye(n))
+        data = XSymmetricData(m, d, a, b)
+        results = run_routes(tmp_path, xsym_routes(tmp_path, "edge", data))
+        assert_routes_agree(results, data.max_abs_coeff())
+        assert results["check-psd"][0][0] == (0 if sign > 0 else 2)
+
+    @pytest.mark.parametrize("suffix", [[], ["--transpose"]])
+    def test_empty_term_list(self, capsys, tmp_path, suffix):
+        path = write(tmp_path / "empty.json", {"m": 3, "n": 2, "terms": []})
+        code, out = run_json(capsys, ["check-psd", path, *suffix])
+        assert code == 0 and out["payload"]["verdict"] == "PSD"
+        code, out = run_json(capsys, ["decompose", path, str(tmp_path / "dec.json"), *suffix])
+        assert code == 0 and out["payload"]["factor_count"] == 0
+
+    def test_terms_file_never_builds_a_dense_tensor(self, capsys, monkeypatch, tmp_path):
+        routes = xsym_routes(tmp_path, "psd", KINDS["psd"]())[1:]
+        routes += xsym_routes(tmp_path, "fail", KINDS["fail-q"]())[1:]
+
+        def densified(*args, **kwargs):
+            raise AssertionError("dense tensor built for a terms file")
+
+        monkeypatch.setattr(partsym, "reconstruct", densified)
+        monkeypatch.setattr(forms.BiquadraticForm, "__post_init__", densified)
+        results = run_routes(tmp_path, routes)
+        assert [code for code, _, _ in results["check-psd"]] == [0, 0, 2, 2]
+        assert [code for code, _, _ in results["decompose"]] == [0, 0, 2, 2]

@@ -172,3 +172,9 @@ class TestTolerances:
     def test_positive_required(self):
         with pytest.raises(InvalidInput):
             Tolerances(eps=0.0)
+
+    @pytest.mark.parametrize("eps", [1.0, 10.0, float("inf")])
+    def test_below_one_required(self, eps):
+        # From eps = 1 on, lam_min >= -eps * max|lam| holds for every matrix.
+        with pytest.raises(InvalidInput):
+            Tolerances(eps=eps)
