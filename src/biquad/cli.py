@@ -4,8 +4,9 @@ Exit codes: 0 ok, 1 error (usage error, bad input, internal failure), 2 not PSD,
 3 not x-symmetric, 4 inconclusive.  Human-readable summaries go to stdout;
 with --json the machine payload is printed instead, byte-identical for
 identical inputs and seeds (timings never enter the JSON).  Every emitted
-decomposition is re-verified against its form before it is written; a
-failed re-verification is a hard error.
+decomposition is re-verified against its form before it is written, by
+comparing coefficients (``forms.verify_sos``); a failed re-verification is a
+hard error.  ``verify`` runs the same check on a decomposition file.
 """
 
 from __future__ import annotations
@@ -122,8 +123,9 @@ def _xsym_data(command: str, args):
 
     Returns ``(tol, source, data)``, or the CommandResult that ends the
     command with exit 3 when the form is not x-symmetric.  The source,
-    which witnesses and the decomposition are checked on, is the dense form
-    only for a data file read with ``--transpose``, else ``data``.
+    which witnesses are evaluated on, is the dense form only for a data file
+    read with ``--transpose``, else ``data``; decompositions are checked on
+    ``data``.
     """
     tol = _tolerances(args)
     source = _load_form(args.form, args.transpose, dense=False)
@@ -162,23 +164,51 @@ def cmd_check_psd(args) -> CommandResult:
     return _verdict("check-psd", source, partsym.check_psd_monic(data, tol))
 
 
+def _reverified(form, dec, what: str, slack: float = 0.0) -> dict:
+    """The residual of a decomposition the command built and the bound it
+    met; a failed re-verification raises NumericalError."""
+    passed, resid = forms.verify_sos(form, dec, slack=slack)
+    bound = forms.residual_bound(form, slack)
+    if not passed:
+        raise NumericalError(f"{what} failed re-verification: residual {resid:.3e} exceeds {bound:.3e}")
+    return {"max_residual": resid, "residual_bound": bound}
+
+
 def cmd_decompose(args) -> CommandResult:
     prefix = _xsym_data("decompose", args)
     if isinstance(prefix, CommandResult):
         return prefix
     tol, source, data = prefix
-    try:
-        dec = partsym.sos_decompose_structured(data, tol)
-    except NotPSD as exc:
-        return _verdict("decompose", source, exc.witness)
-    passed, resid = forms.verify_sos(source, dec)
-    if not passed:
-        raise NumericalError(f"decomposition failed re-verification: residual {resid:.3e}")
+    cert = partsym.check_psd_monic(data, tol)
+    if not cert.psd:
+        return _verdict("decompose", source, cert)
+    dec = partsym.sos_decompose_structured(data, tol, cert)
+    residual = _reverified(data, dec, "decomposition", cert.slack)
     forms.save_decomposition(dec, args.out)
-    payload = {"factor_count": len(dec), "max_residual": resid, "out": args.out}
+    payload = {"factor_count": len(dec), **residual, "out": args.out}
     return CommandResult(
         "decompose", "ok", payload, _EXIT_OK,
-        summary=f"{len(dec)} bilinear squares; max residual {resid:.3e} -> {args.out}",
+        summary=f"{len(dec)} bilinear squares; max residual {residual['max_residual']:.3e} -> {args.out}",
+    )
+
+
+def cmd_verify(args) -> CommandResult:
+    """Check a decomposition file against a form loaded as ``decompose``
+    loads it, with the bound ``decompose`` applies: an x-symmetric form
+    gets its PSD certificate's slack, any other form is compared densely."""
+    tol = _tolerances(args)
+    source = _load_form(args.form, args.transpose, dense=False)
+    data = source if isinstance(source, partsym.XSymmetricData) else partsym.detect_x_symmetric(source)
+    if data is not None:
+        form, slack = data, partsym.check_psd_monic(data, tol).slack
+    else:
+        form, slack = (source.to_form() if isinstance(source, forms.FormCells) else source), 0.0
+    dec = forms.load_decomposition(args.dec)
+    payload = {"verified": True, **_reverified(form, dec, "decomposition file", slack), "factor_count": len(dec)}
+    return CommandResult(
+        "verify", "ok", payload, _EXIT_OK,
+        summary=f"{len(dec)} bilinear squares verified; max residual {payload['max_residual']:.3e} "
+                f"<= {payload['residual_bound']:.3e}",
     )
 
 
@@ -251,10 +281,7 @@ def cmd_sos_rank(args) -> CommandResult:
             _EXIT_INCONCLUSIVE,
             summary="inconclusive: no PSD Gram point found",
         )
-    dec = gram.factor_gram(point, tol)
-    passed, resid = forms.verify_sos(form, dec, seed=args.seed)
-    if not passed:
-        raise NumericalError(f"Gram factorization failed re-verification: residual {resid:.3e}")
+    residual = _reverified(form, gram.factor_gram(point, tol), "Gram factorization")
     universal = _universal_bound(form.m, form.n)
     payload = {
         "upper_bound": rank,
@@ -262,7 +289,7 @@ def cmd_sos_rank(args) -> CommandResult:
         "lower_bound": lower,
         "exact": lower is not None and lower == rank,
         "universal_bound": universal,
-        "max_residual": resid,
+        **residual,
         "seed": args.seed,
         "restarts": args.restarts,
     }
@@ -290,11 +317,8 @@ def cmd_reduce_rank(args) -> CommandResult:
         )
     reduced = gram.reduce_to_boundary(family, start, seed=args.seed, tol=tol)
     rank = linalg.numerical_rank(reduced.matrix, tol)
-    dec = gram.factor_gram(reduced, tol)
-    passed, resid = forms.verify_sos(form, dec, seed=args.seed)
-    if not passed:
-        raise NumericalError(f"Gram factorization failed re-verification: residual {resid:.3e}")
-    payload = {"gamma": _vec(reduced.gamma), "rank": rank, "max_residual": resid, "seed": args.seed}
+    residual = _reverified(form, gram.factor_gram(reduced, tol), "Gram factorization")
+    payload = {"gamma": _vec(reduced.gamma), "rank": rank, **residual, "seed": args.seed}
     if args.out:
         forms.dump_json({"gamma": payload["gamma"], "rank": rank}, args.out)
         payload["out"] = args.out
@@ -378,6 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("decompose", help="write an SOS decomposition of an x-symmetric PSD form")
     p.add_argument("form")
     p.add_argument("out", help="output decomposition file")
+    _add_common(p, seed=False, transpose=True)
+
+    p = subs.add_parser("verify", help="check a decomposition file against its form, coefficient by coefficient")
+    p.add_argument("form", help="form file (terms) or x-symmetric data file (m, d, A, B)")
+    p.add_argument("dec", help="decomposition file, as written by decompose")
     _add_common(p, seed=False, transpose=True)
 
     p = subs.add_parser("gen-simple", help="generate a simple form of the diagonal-walk series")

@@ -7,7 +7,10 @@ coefficients instead (one entry per distinct monomial x_i x_k y_j y_l), which
 is the convention people actually write forms in; conversion between the two
 views lives here.  A terms file is accumulated once, into its canonical
 cells (``FormCells``, the entries with i <= k and j <= l); the dense tensor
-is scattered from them only when a caller asks for it.
+is scattered from them only when a caller asks for it.  A decomposition is
+verified against its form coefficient by coefficient (``verify_sos``), never
+by sampling, and x-symmetric data against a grouped decomposition in
+O(n^2).
 """
 
 from __future__ import annotations
@@ -218,12 +221,15 @@ def symmetrize(raw) -> BiquadraticForm:
     a = np.asarray(raw, dtype=float)
     if a.ndim != 4 or a.shape[0] != a.shape[2] or a.shape[1] != a.shape[3]:
         raise InvalidInput(f"expected shape (m, n, m, n), got {a.shape}")
-    # Pairing the sums keeps the result bitwise invariant under both swaps
-    # (float addition is commutative), so symmetrize is an exact fixed point
-    # on already-symmetric tensors.
+    return BiquadraticForm(a.shape[0], a.shape[1], _orbit_mean(a))
+
+
+def _orbit_mean(a: np.ndarray) -> np.ndarray:
+    """The mean of a tensor over the swaps i <-> k and j <-> l.  Pairing the
+    sums keeps the result bitwise invariant under both swaps (float addition
+    is commutative), so it is an exact fixed point on symmetric tensors."""
     sym = a + a.transpose(2, 1, 0, 3)
-    sym = (sym + sym.transpose(0, 3, 2, 1)) * 0.25
-    return BiquadraticForm(a.shape[0], a.shape[1], sym)
+    return (sym + sym.transpose(0, 3, 2, 1)) * 0.25
 
 
 def max_abs_coeff(form: BiquadraticForm) -> float:
@@ -285,32 +291,96 @@ def _x_norms2(xg: np.ndarray | str, xs: np.ndarray) -> np.ndarray:
     return mean_part if xg == ONES else np.einsum("si,si->s", xs, xs) - mean_part
 
 
+# verify_sos's bound on the largest coefficient difference, relative to max|c|.
+RESIDUAL_RTOL = 1e-8
+
+
+def residual_bound(form, slack: float = 0.0) -> float:
+    """The largest coefficient difference ``verify_sos`` accepts:
+    ``RESIDUAL_RTOL * max|c| + slack``.  ``slack`` is the coefficient error
+    the form's own PSD test allows a decomposition to make (see
+    ``partsym.PSDCertificate.slack``), 0 for a form without one."""
+    scale = max_abs_coeff(form) if isinstance(form, BiquadraticForm) else form.max_abs_coeff()
+    return RESIDUAL_RTOL * scale + slack
+
+
 def verify_sos(
     form,
     dec: SOSDecomposition | GroupedSOSDecomposition,
     samples: int = 1000,
     seed: int = 0,
+    slack: float = 0.0,
 ) -> tuple[bool, float]:
-    """Check the decomposition against the form at random sphere points.
+    """Check the decomposition against the form coefficient by coefficient.
 
-    ``form`` is a ``BiquadraticForm`` or a structured carrier with
-    ``evaluate_batch`` and ``max_abs_coeff`` methods (``partsym.XSymmetricData``),
-    which is evaluated without a dense tensor.  Passes when
-    ``max |P - sum of squares| <= 1e-8 * max|coeff|`` over ``samples`` pairs
-    drawn on the unit spheres, so only the zero form passes with no factors;
-    deterministic given the seed.  Returns (passed, max residual).
+    The residual is the largest absolute difference between the coefficient
+    tensor of the sum of squares and the form's; the check passes when it
+    is at most ``residual_bound(form, slack)``, so only the zero form passes
+    with no factors.  ``form`` is a ``BiquadraticForm`` or x-symmetric data
+    with fields ``m, d, A, B`` and a ``max_abs_coeff`` method
+    (``partsym.XSymmetricData``).  Data checked against a grouped
+    decomposition whose X bases are all tagged is compared through
+    Q' = sum Y'Y over the ``HELMERT`` groups and R' over the ``ONES``
+    groups, in O(n^2), without a dense tensor or the dense factors.  Every
+    other pair is compared on the decomposition's dense tensor.
+    ``samples`` and ``seed`` are accepted for older callers and ignored: no
+    random number is drawn.  Returns (passed, max residual).
     """
     if (form.m, form.n) != (dec.m, dec.n):
         raise InvalidInput("form and decomposition dimensions differ")
-    rng = np.random.default_rng(seed)
-    xs = _unit_rows(rng, samples, form.m)
-    ys = _unit_rows(rng, samples, form.n)
     if isinstance(form, BiquadraticForm):
-        values, scale = evaluate_batch(form, xs, ys), max_abs_coeff(form)
+        diffs = (_dense_coeffs(dec) - form.coeffs,)
     else:
-        values, scale = form.evaluate_batch(xs, ys), form.max_abs_coeff()
-    resid = float(np.abs(values - _evaluate_sos_batch(dec, xs, ys)).max())
-    return resid <= 1e-8 * scale, resid
+        diffs = _xsym_differences(form, dec)
+    resid = max(float(np.abs(diff).max(initial=0.0)) for diff in diffs)
+    return resid <= residual_bound(form, slack), resid
+
+
+def _xsym_differences(data, dec: SOSDecomposition | GroupedSOSDecomposition) -> tuple[np.ndarray, ...]:
+    """Arrays holding every difference between the decomposition's
+    coefficients and those of x-symmetric data, whose tensor is D + B on the
+    blocks i = k and A on the others."""
+    m, n = data.m, data.n
+    if isinstance(dec, GroupedSOSDecomposition) and all(isinstance(xg, str) for xg, _ in dec.groups):
+        # sum_g X_g'X_g (x) Y_g'Y_g with X'X = 11'/m (ONES) and I - 11'/m
+        # (HELMERT) is Q' + (R' - Q')/m on the blocks i = k and (R' - Q')/m
+        # on the others, where Q' and R' sum Y'Y over the HELMERT and the
+        # ONES groups; with m = 1 only the first kind exists.
+        q, r = np.zeros((n, n)), np.zeros((n, n))
+        for xg, yg in dec.groups:
+            gram = q if xg == HELMERT else r
+            gram += yg.T @ yg
+        cross = (r - q) / m
+        same_x = q + cross - data.B
+        same_x.flat[:: n + 1] -= data.d
+        return (same_x,) if m == 1 else (same_x, cross - data.A)
+    coeffs = _dense_coeffs(dec)
+    diff = coeffs - data.A[:, None, :]
+    i = np.arange(m)
+    diff[i, :, i, :] = coeffs[i, :, i, :] - (np.diag(data.d) + data.B)
+    return (diff,)
+
+
+def _dense_coeffs(dec: SOSDecomposition | GroupedSOSDecomposition) -> np.ndarray:
+    """The coefficient tensor of a decomposition: sum_g X_g'X_g (x) Y_g'Y_g
+    for grouped ones (already partially symmetric), the orbit mean of
+    sum_p W_p (x) W_p for dense ones."""
+    m, n = dec.m, dec.n
+    if isinstance(dec, GroupedSOSDecomposition):
+        total = np.zeros((m, n, m, n))
+        for xg, yg in dec.groups:
+            total += np.einsum("ik,jl->ijkl", _x_gram(xg, m), yg.T @ yg)
+        return total
+    flat = np.reshape(dec.factors, (len(dec), m * n))
+    return _orbit_mean((flat.T @ flat).reshape(m, n, m, n))
+
+
+def _x_gram(xg: np.ndarray | str, m: int) -> np.ndarray:
+    """X_g'X_g; the tagged bases give 11'/m and I - 11'/m."""
+    if isinstance(xg, np.ndarray):
+        return xg.T @ xg
+    mean = np.full((m, m), 1.0 / m)
+    return mean if xg == ONES else np.eye(m) - mean
 
 
 def transpose_xy(form: BiquadraticForm) -> BiquadraticForm:
@@ -497,27 +567,25 @@ def decomposition_to_dict(dec: SOSDecomposition | GroupedSOSDecomposition) -> di
 
 
 def decomposition_from_dict(data: dict) -> SOSDecomposition | GroupedSOSDecomposition:
+    """Parse a decomposition record; any malformed field, a dimension below
+    1 or a non-finite entry is ``InvalidInput``."""
     try:
         m = integer_field(data["m"], "m")
         n = integer_field(data["n"], "n")
+        if m < 1 or n < 1:
+            raise ValueError("m and n must be positive")
         version = data.get("format")
         if version == DECOMPOSITION_FORMAT:
             groups = tuple((_x_field(group["x"], m), _rows(group["y"], n)) for group in data["groups"])
         elif version is None:
-            flat = data["factors"]
+            factors = tuple(_rows([row], m * n).reshape(m, n) for row in data["factors"])
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed decomposition record: {exc}") from exc
     if version == DECOMPOSITION_FORMAT:
         return GroupedSOSDecomposition(m, n, groups)
     if version is not None:
         raise InvalidInput(f"unknown decomposition format {version!r}")
-    factors = []
-    for row in flat:
-        w = np.asarray(row, dtype=float)
-        if w.size != m * n:
-            raise InvalidInput(f"factor has {w.size} entries, expected {m * n}")
-        factors.append(w.reshape(m, n))
-    return SOSDecomposition(m, n, tuple(factors))
+    return SOSDecomposition(m, n, factors)
 
 
 def _x_field(x, m: int) -> np.ndarray | str:
@@ -526,7 +594,11 @@ def _x_field(x, m: int) -> np.ndarray | str:
 
 
 def _rows(rows: list, width: int) -> np.ndarray:
-    return np.asarray(rows, dtype=float).reshape(len(rows), width)
+    """A list of rows of ``width`` finite numbers as an array."""
+    a = np.asarray(rows, dtype=float).reshape(len(rows), width)
+    if not np.isfinite(a).all():
+        raise ValueError("entries must be finite")
+    return a
 
 
 def dump_json(data: dict, path: str) -> None:

@@ -101,6 +101,9 @@ def _check_invariants(s: np.ndarray, dec: SpectralDecomposition) -> None:
     orth = np.linalg.norm(u.T @ u - np.eye(n))
     if orth > ORTH_TOL:
         raise NumericalError(f"eigenvector orthogonality residual {orth:.3e} exceeds {ORTH_TOL:.3e}")
+    # Norms of S / max|S|, so entries near the float range cannot overflow.
+    unit = float(np.abs(s).max()) or 1.0
+    s, w = s / unit, w / unit
     scale = np.linalg.norm(s)
     recon = np.linalg.norm((u * w) @ u.T - s)
     if recon > RECON_TOL * max(scale, np.finfo(float).tiny):

@@ -133,7 +133,8 @@ class PSDCertificate:
     either is relative to ``scale``, the largest eigenvalue magnitude of the
     two (of R alone when m = 1).  When ``psd`` is False, ``witness`` is an
     (x, y) pair with ``witness_value = P(x, y) < 0`` and ``reason`` names the
-    matrix that fails.
+    matrix that fails.  ``slack`` bounds the coefficient error of a
+    decomposition built from a PSD certificate; see ``check_psd_monic``.
     """
 
     psd: bool
@@ -145,6 +146,7 @@ class PSDCertificate:
     witness: tuple[np.ndarray, np.ndarray] | None = None
     witness_value: float | None = None
     reason: str | None = None
+    slack: float = 0.0
 
     @property
     def verdict(self) -> str:
@@ -230,6 +232,15 @@ def check_psd_monic(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> PSDC
     and y = S u give P(x, y) = u'SQSu < 0; if only R fails, x = 1/sqrt(m)
     and y = S times the offending eigenvector work the same way.  Witnesses
     are verified numerically before being returned.
+
+    A PSD verdict lets the decomposition drop every eigenvalue with
+    |lam| <= eps * scale, so the scaled Q and R it rebuilds are off by a
+    matrix E with ||E||_2 <= eps * scale.  Unscaled, entry (j, l) is off by
+    |E_jl| / (s_j s_l) <= eps * scale * max s^-2 over the kept indices, and
+    the coefficients D + B = Q + (R - Q)/m and A = (R - Q)/m by no more.
+    That bound is the certificate's ``slack``; ``forms.verify_sos`` allows
+    it on top of its rounding bound, so every form this test accepts
+    decomposes within the verifier's bound.
     """
     m, n = data.m, data.n
     s = _jacobi_scaling(data.d)
@@ -253,7 +264,8 @@ def check_psd_monic(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> PSDC
     r_ok, r_wit = linalg.psd_from_decomposition(r_dec, tol, scale)
 
     if q_ok and r_ok:
-        return PSDCertificate(True, q_dec, r_dec, scale, kept, jacobi)
+        slack = tol.eps * scale * float((1.0 / jacobi**2).max())
+        return PSDCertificate(True, q_dec, r_dec, scale, kept, jacobi, slack=slack)
 
     if not q_ok:
         x = np.zeros(m)
@@ -290,7 +302,9 @@ def sos_decompose_naive(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> 
     return SOSDecomposition(data.m, data.n, factors)
 
 
-def sos_decompose_structured(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> GroupedSOSDecomposition:
+def sos_decompose_structured(
+    data: XSymmetricData, tol: Tolerances = DEFAULT_TOL, cert: PSDCertificate | None = None
+) -> GroupedSOSDecomposition:
     """SOS decomposition from the n x n spectra of Q and R alone.
 
     Returns two Kronecker groups: the row (1/sqrt(m)) 1_m (tag ``ONES``)
@@ -302,9 +316,10 @@ def sos_decompose_structured(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL
     The factor count is exactly rank(R) + (m-1) rank(Q) and the summed Gram
     matrix equals the one the direct route factors, so both routes
     decompose the same form; neither the big matrix nor the dense factors
-    are built.  Q and R are eigen-solved once, by the PSD test.
+    are built.  Q and R are eigen-solved once, by the PSD test; a caller
+    that already holds ``check_psd_monic(data, tol)`` passes it as ``cert``.
     """
-    cert = check_psd_monic(data, tol)
+    cert = check_psd_monic(data, tol) if cert is None else cert
     if not cert.psd:
         raise NotPSD("form is not PSD", witness=cert)
     groups = [(ONES, _y_rows(cert, cert.r, tol, data.n))]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -880,3 +881,204 @@ class TestTermsRoute:
         results = run_routes(tmp_path, routes)
         assert [code for code, _, _ in results["check-psd"]] == [0, 0, 2, 2]
         assert [code for code, _, _ in results["decompose"]] == [0, 0, 2, 2]
+
+
+def contract_record(m=60, n=4, planted=2e-8):
+    """A monic data file whose Q has the eigenvalue -planted and whose R has
+    m + (m - 1) * planted: check-psd accepts it, because eps * scale is about
+    6e-8, and dropping the eigenvalue moves coefficients by about 2e-8."""
+    q = np.diag([1.0] * (n - 1) + [-planted])
+    r = np.diag([1.0] * (n - 1) + [m + (m - 1) * planted])
+    b = (r + (m - 1) * q) / m - np.eye(n)
+    np.fill_diagonal(b, 0.0)
+    return {"m": m, "d": [1.0] * n, "A": ((r - q) / m).tolist(), "B": b.tolist()}
+
+
+def wrong_copy(path, out):
+    """The decomposition at ``path`` with every y row scaled by 1.001."""
+    dec = forms.load_decomposition(path)
+    forms.save_decomposition(
+        forms.GroupedSOSDecomposition(dec.m, dec.n, tuple((x, 1.001 * y) for x, y in dec.groups)), out)
+    return out
+
+
+VERIFY_KEYS = {"verified", "max_residual", "residual_bound", "factor_count"}
+
+
+class TestVerifyCommand:
+    def test_decomposition_file_verifies(self, capsys, coupled_xsym, tmp_path):
+        out = str(tmp_path / "dec.json")
+        _, made = run_json(capsys, ["decompose", coupled_xsym, out])
+        code, checked = run_json(capsys, ["verify", coupled_xsym, out])
+        assert code == 0 and checked["status"] == "ok"
+        assert set(checked["payload"]) == VERIFY_KEYS and checked["payload"]["verified"] is True
+        for key in ("max_residual", "residual_bound", "factor_count"):
+            assert checked["payload"][key] == made["payload"][key]
+        assert made["payload"]["max_residual"] <= made["payload"]["residual_bound"]
+
+    def test_contract_file(self, capsys, tmp_path):
+        # check-psd accepts this form; decompose used to fail its own
+        # re-verification with residual 1.918e-08 against 1e-8 * max|c|.
+        path = write(tmp_path / "c60x4.json", contract_record())
+        out = str(tmp_path / "dec.json")
+        assert run_json(capsys, ["check-psd", path])[0] == 0
+        code, made = run_json(capsys, ["decompose", path, out])
+        assert code == 0
+        assert 1e-8 * 60 / 59 < made["payload"]["max_residual"] <= made["payload"]["residual_bound"]
+        assert run_json(capsys, ["verify", path, out])[0] == 0
+        code, failed = run_json(capsys, ["verify", path, wrong_copy(out, str(tmp_path / "wrong.json"))])
+        assert code == 1 and failed["status"] == "error" and "re-verification" in failed["payload"]["error"]
+
+    def test_general_form_is_compared_densely(self, capsys, p223_file, tmp_path):
+        # x1^2 y1^2 + x1^2 y2^2 + x2^2 y2^2 is not x-symmetric: a dense
+        # record is checked against its tensor, with no slack.
+        dec = forms.SOSDecomposition(2, 2, tuple(np.eye(4)[p].reshape(2, 2) for p in (0, 1, 3)))
+        out = str(tmp_path / "dense.json")
+        forms.save_decomposition(dec, out)
+        code, checked = run_json(capsys, ["verify", p223_file, out])
+        assert code == 0 and checked["payload"]["factor_count"] == 3
+        assert checked["payload"]["residual_bound"] == 1e-8
+        forms.save_decomposition(forms.SOSDecomposition(2, 2, dec.factors[:2]), out)
+        assert run_json(capsys, ["verify", p223_file, out])[0] == 1
+
+    @pytest.mark.parametrize("record, message", [
+        ({"m": 2, "n": 2, "factors": 5}, "malformed decomposition record"),
+        ({"m": 2, "n": 2, "factors": [["a", 1, 2, 3]]}, "malformed decomposition record"),
+        ({"format": 2, "m": 0, "n": 2, "groups": [{"x": "helmert", "y": [[1, 2]]}]}, "malformed decomposition record"),
+        ({"m": 2, "n": 2, "factors": [[1, 0, 0, float("nan")]]}, "malformed decomposition record"),
+        ({"format": 2, "m": 3, "n": 2, "groups": [{"x": "ones", "y": [[1, 0]]}]}, "dimensions differ"),
+    ])
+    def test_bad_decomposition_file_is_exit_1(self, capsys, coupled_xsym, tmp_path, record, message):
+        path = write(tmp_path / "dec.json", record)
+        code, out = run_json(capsys, ["verify", coupled_xsym, path])
+        assert code == 1 and out["status"] == "error" and message in out["payload"]["error"]
+
+    def test_no_sampling_and_no_dense_tensor(self, capsys, monkeypatch, tmp_path):
+        routes = xsym_routes(tmp_path, "psd", KINDS["psd"]())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled or densified")
+
+        monkeypatch.setattr(forms, "_unit_rows", refuse)
+        monkeypatch.setattr(forms.GroupedSOSDecomposition, "factors", property(refuse))
+        monkeypatch.setattr(partsym, "reconstruct", refuse)
+        out = str(tmp_path / "dec.json")
+        for path, suffix in routes:
+            assert run_json(capsys, ["decompose", path, out, *suffix])[0] == 0
+            assert run_json(capsys, ["verify", path, out, *suffix])[0] == 0
+
+    def test_payloads_carry_the_residual_bound(self, capsys, p224_file):
+        # The Gram factorizations are checked on the dense form, with no slack.
+        for command in ("sos-rank", "reduce-rank"):
+            code, out = run_json(capsys, [command, p224_file])
+            assert code == 0 and out["payload"]["residual_bound"] == 1e-8
+            assert out["payload"]["max_residual"] <= 1e-8
+
+
+def planted_record(m, n, seed, q_frac, r_frac):
+    """An x-symmetric data file whose Q and R each have one eigenvalue
+    planted at the given fraction of eps * scale, eps = 1e-9, the others of
+    order 1 to m n; the weights are within rounding of 1."""
+    rng = np.random.default_rng(seed)
+    f, g = rng.standard_normal((2, n, n))
+    f[:, -1] = g[:, -1] = 0.0  # rank n - 1, so each has a null direction
+    q0, r0 = f @ f.T, g @ g.T
+    s = 1.0 / np.sqrt(np.diag(r0 + (m - 1) * q0) / m)
+    q0, r0 = q0 * np.outer(s, s), r0 * np.outer(s, s)
+    scale = max(np.abs(np.linalg.eigvalsh(r0)).max(), np.abs(np.linalg.eigvalsh(q0)).max() if m >= 2 else 0.0)
+    q, r = q0.copy(), r0.copy()
+    for mat, frac in ((q, q_frac), (r, r_frac)):
+        null = np.linalg.eigh(mat)[1][:, 0]
+        mat += frac * 1e-9 * scale * np.outer(null, null)
+    base = (r + (m - 1) * q) / m
+    d = np.diag(base).copy()
+    return {"m": m, "d": d.tolist(), "A": ((r - q) / m).tolist(), "B": (base - np.diag(d)).tolist()}
+
+
+# Planted eigenvalues as fractions of eps * scale: at and near the PSD
+# cutoff, inside it, and beyond it (not PSD).
+PLANTED = st.sampled_from([-1.0, -0.99, 0.99, 1.0]) | st.floats(-1.2, 1.0)
+
+
+class TestVerdictContract:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(
+        m=st.sampled_from([1, 2, 40, 80]) | st.integers(1, 80),
+        n=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        q_frac=PLANTED,
+        r_frac=PLANTED,
+        flags=st.sampled_from([[], ["--tol", "1e-7"]]),
+    )
+    def test_psd_verdict_decomposes_and_verifies(self, tmp_path_factory, m, n, seed, q_frac, r_frac, flags):
+        tmp_path = tmp_path_factory.mktemp("contract")
+        path = write(tmp_path / "planted.json", planted_record(m, n, seed, q_frac, r_frac))
+        out, wrong = str(tmp_path / "dec.json"), str(tmp_path / "wrong.json")
+        codes = []
+        for argv in (["check-psd", path], ["decompose", path, out], ["verify", path, out]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main(argv + flags))
+            if codes[0] != 0:
+                break
+        assert codes in ([0, 0, 0], [2])
+        if codes[0] == 0 and json.loads(open(out).read())["groups"][0]["y"]:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["verify", path, wrong_copy(out, wrong), *flags]) == 1
+
+
+def _psd_part(data):
+    """The structured decomposition of a PSD form, and for any other form
+    that of its Q and R with the negative eigenvalues dropped."""
+    cert = partsym.check_psd_monic(data)
+    return partsym.sos_decompose_structured(data, cert=replace(cert, psd=True)), cert.slack
+
+
+def _moved(data, entry, delta):
+    """data with d_j, A_jl or B_jl (and its mirror) moved by delta."""
+    kind, j, l = entry
+    d, a, b = data.d.copy(), data.A.copy(), data.B.copy()
+    if kind == "d":
+        d[j] += delta
+    else:
+        target = a if kind == "A" else b
+        target[j, l] += delta
+        if j != l:
+            target[l, j] += delta
+    return XSymmetricData(data.m, d, a, b)
+
+
+def verify_routes(data, dec, slack):
+    """verify_sos on the data, on its dense tensor with the grouped and the
+    dense factors, and on the data with the X rows spelled out."""
+    m, n = data.m, data.n
+    dense = reconstruct(data)
+    explicit = forms.GroupedSOSDecomposition(m, n, tuple((forms.x_rows(x, m), y) for x, y in dec.groups))
+    return [
+        forms.verify_sos(data, dec, slack=slack),
+        forms.verify_sos(dense, dec, slack=slack),
+        forms.verify_sos(dense, forms.SOSDecomposition(m, n, dec.factors), slack=slack),
+        forms.verify_sos(data, explicit, slack=slack),
+    ]
+
+
+class TestVerifierRoutes:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(data=xsym_forms(), pick=st.integers(0, 2**16), ratio=st.sampled_from([0.5, 2.0]))
+    def test_every_route_gives_one_verdict(self, data, pick, ratio):
+        dec, slack = _psd_part(data)
+        scale = data.max_abs_coeff()
+        results = verify_routes(data, dec, slack)
+        assert len({ok for ok, _ in results}) == 1
+        resids = [r for _, r in results]
+        assert max(resids) - min(resids) <= 1e-12 * scale
+        bound = forms.residual_bound(data, slack)
+        if not results[0][0] or bound == 0.0:
+            return
+        assert results[0][1] <= 0.25 * bound
+        n = data.n
+        entries = [("d", j, j) for j in range(n)] + [("B", j, l) for j in range(n) for l in range(j + 1, n)]
+        if data.m >= 2:
+            entries += [("A", j, l) for j in range(n) for l in range(j, n)]
+        moved = _moved(data, entries[pick % len(entries)], ratio * bound)
+        verdicts = {ok for ok, _ in verify_routes(moved, dec, slack)}
+        assert verdicts == {ratio < 1.0}

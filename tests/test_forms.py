@@ -19,7 +19,9 @@ from biquad.forms import (
     form_from_dict,
     form_to_dict,
     from_terms,
+    decomposition_from_dict,
     load_form,
+    residual_bound,
     save_form,
     symmetrize,
     to_terms,
@@ -221,6 +223,29 @@ class TestVerifySos:
         p = symmetrize(np.zeros((2, 2, 2, 2)))
         assert verify_sos(p, SOSDecomposition(2, 2, ())) == (True, 0.0)
 
+    def test_residual_is_the_largest_coefficient_difference(self):
+        # One orbit of P = (x1 y1 + x2 y2)^2 moved by delta: the residual is
+        # delta whatever the sample count and seed, which are ignored.
+        p = to_form(gen_simple(2, 2, 4))
+        dec = SOSDecomposition(2, 2, (np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])))
+        raw = p.coeffs.copy()
+        for idx in ((0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0)):
+            raw[idx] += 3e-8
+        moved = BiquadraticForm(2, 2, raw)
+        ok, resid = verify_sos(moved, dec)
+        assert not ok and resid == pytest.approx(3e-8, rel=1e-6)
+        assert verify_sos(moved, dec, samples=5, seed=9) == (ok, resid)
+        assert verify_sos(moved, dec, slack=3e-8)[0]
+        assert residual_bound(moved, 3e-8) == 1e-8 * float(np.abs(raw).max()) + 3e-8
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_sos drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        p = to_form(gen_simple(2, 2, 4))
+        assert verify_sos(p, SOSDecomposition(2, 2, (np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))))[0]
+
 
 class TestTransposeXY:
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -259,6 +284,26 @@ class TestTransposeXY:
         flipped = SOSDecomposition(2, 2, tuple(w.T for w in dec.factors))
         assert verify_sos(p, dec)[0]
         assert verify_sos(transpose_xy(p), flipped)[0]
+
+
+class TestDecompositionRecords:
+    @pytest.mark.parametrize("record", [
+        {"m": 2, "n": 2, "factors": 5},
+        {"m": 2, "n": 2, "factors": [["a", 1, 2, 3]]},
+        {"m": 2, "n": 2, "factors": [[1, 2, 3]]},
+        {"m": 2, "n": 2, "factors": [[1, 2, 3, math.nan]]},
+        {"m": 0, "n": 2, "factors": []},
+        {"format": 2, "m": 0, "n": 2, "groups": [{"x": "helmert", "y": [[1, 2]]}]},
+        {"format": 2, "m": 2, "n": -1, "groups": []},
+        {"format": 2, "m": 2, "n": 2, "groups": [{"x": "ones", "y": [[1, math.inf]]}]},
+        {"format": 2, "m": 2, "n": 2, "groups": [{"x": [[1, math.nan]], "y": [[1, 2]]}]},
+        {"format": 2, "m": 2, "n": 2, "groups": 5},
+        {"format": 2, "m": 2, "n": 2, "groups": [["ones", [[1, 2]]]]},
+        [1, 2],
+    ])
+    def test_malformed_records_are_invalid_input(self, record):
+        with pytest.raises(InvalidInput, match="malformed decomposition record"):
+            decomposition_from_dict(record)
 
 
 class TestSerialization:

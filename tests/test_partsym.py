@@ -574,6 +574,39 @@ class TestGroupedDecomposition:
                 forms.evaluate_sos(dense_dec, np.ones(m), np.ones(n)), rel=1e-12)
 
 
+    def test_one_orbit_off_by_ten_bounds_is_rejected(self):
+        # 1000 sphere samples read this residual as 8.2e-9 * max|c| and passed it.
+        data = random_psd_instance(40, 10, np.random.default_rng(2026))
+        dec = sos_decompose_structured(data)
+        raw = reconstruct(data).coeffs.copy()
+        delta = 1e-7 * data.max_abs_coeff()
+        for idx in ((0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0)):
+            raw[idx] += delta
+        ok, resid = verify_sos(forms.BiquadraticForm(40, 10, raw), dec)
+        assert not ok and resid == pytest.approx(delta, rel=1e-6)
+        assert verify_sos(data, dec)[0]
+
+    def test_slack_covers_the_dropped_eigenvalues(self):
+        # Q has an eigenvalue of -0.9 eps * scale, which the PSD test accepts
+        # and the decomposition drops; the coefficients are then off by more
+        # than 1e-8 * max|c| but within the certificate's slack.
+        m, n = 60, 4
+        q = np.diag([1.0, 1.0, 1.0, 0.0])
+        r = np.diag([1.0, 1.0, 1.0, float(m)])
+        q[3, 3] = -0.9e-9 * m
+        r[3, 3] -= (m - 1) * q[3, 3]
+        b = (r + (m - 1) * q) / m - np.eye(n)
+        np.fill_diagonal(b, 0.0)
+        data = XSymmetricData(m, np.ones(n), (r - q) / m, b)
+        cert = check_psd_monic(data)
+        assert cert.psd and cert.slack == pytest.approx(1e-9 * cert.scale)
+        dec = sos_decompose_structured(data, cert=cert)
+        ok, resid = verify_sos(data, dec)
+        assert not ok and resid > 1e-8 * data.max_abs_coeff()
+        assert verify_sos(data, dec, slack=cert.slack) == (True, resid)
+        assert check_psd_monic(XSymmetricData(m, -data.d, -data.A, -data.B)).slack == 0.0
+
+
 class TestWitnessProperty:
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(
