@@ -56,19 +56,25 @@ def _load_form(
 ) -> forms.BiquadraticForm | forms.FormCells | partsym.XSymmetricData:
     """Read either a monomial form file or an x-symmetric (d, A, B) file.
 
+    A form file is read by ``forms.read_terms_cells``, in chunks; only a
+    file it declines is decoded whole by ``forms.load_json``.
+
     With ``dense`` the result is the coefficient tensor.  Otherwise a terms
     file becomes its canonical cells and a data file read without
     ``transpose`` stays as its (d, A, B) data; only a data file read with
     ``transpose`` becomes a dense form.
     """
-    data = forms.load_json(path)
-    if not isinstance(data, dict):
-        raise InvalidInput(f"{path}: expected a JSON object")
-    if "terms" in data:
-        if not dense:
+    cells = forms.read_terms_cells(path)
+    if cells is None:
+        data = forms.load_json(path)
+        if not isinstance(data, dict):
+            raise InvalidInput(f"{path}: expected a JSON object")
+        if "terms" in data:
             cells = forms.cells_from_dict(data)
+    if cells is not None:
+        if not dense:
             return cells.transpose() if transpose else cells
-        form = forms.form_from_dict(data)
+        form = cells.to_form()
     elif {"m", "d", "A", "B"} <= set(data):
         try:
             m = forms.integer_field(data["m"], "m")
@@ -439,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 _FAILURES = (
     ((NotPSD,), "not-psd", _EXIT_NOT_PSD, ""),
     ((json.JSONDecodeError,), "error", _EXIT_ERROR, "parse failure: "),
+    ((MemoryError,), "error", _EXIT_ERROR, "out of memory: "),
     ((InvalidInput, OSError, ValueError, CannotReduce, NumericalError), "error", _EXIT_ERROR, ""),
     ((Exception,), "error", _EXIT_ERROR, "internal error: {kind}: "),
 )

@@ -7,7 +7,9 @@ coefficients instead (one entry per distinct monomial x_i x_k y_j y_l), which
 is the convention people actually write forms in; conversion between the two
 views lives here.  A terms file is accumulated once, into its canonical
 cells (``FormCells``, the entries with i <= k and j <= l); the dense tensor
-is scattered from them only when a caller asks for it.  A decomposition is
+is scattered from them only when a caller asks for it.  A form file's terms
+array is decoded in chunks of about 64 KiB (``read_terms_cells``), so no
+whole-file JSON document or dict per term is built.  A decomposition is
 verified against its form coefficient by coefficient (``verify_sos``), never
 by sampling, and x-symmetric data against a grouped decomposition in
 O(n^2).
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -103,6 +106,7 @@ class FormCells:
     def to_form(self) -> BiquadraticForm:
         """The dense tensor: each cell copied to the four positions of its
         orbit, as the symmetric n x n blocks (i, :, k, :) and (k, :, i, :)."""
+        require_indexable(self.m, self.n, (self.m * self.n) ** 2, "dense tensor entries")
         i, k = np.triu_indices(self.m)
         j, l = np.triu_indices(self.n)
         blocks = np.empty((len(i), self.n, self.n))
@@ -256,39 +260,29 @@ def evaluate_batch(form: BiquadraticForm, xs: np.ndarray, ys: np.ndarray) -> np.
 
 
 def evaluate_sos(dec: SOSDecomposition | GroupedSOSDecomposition, x, y) -> float:
-    """sum_p (x' W_p y)^2; zero for an empty factor list."""
+    """sum_p (x' W_p y)^2; zero for an empty factor list.  A group adds
+    |X_g x|^2 |Y_g y|^2, where the tagged bases give
+    |x / sqrt(m)|^2 = (1'x)^2 / m and |Hx|^2 = |x|^2 - (1'x)^2 / m."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (dec.m,) or y.shape != (dec.n,):
         raise InvalidInput(f"expected vectors of lengths {dec.m} and {dec.n}")
-    return float(_evaluate_sos_batch(dec, x[None, :], y[None, :])[0])
-
-
-def _evaluate_sos_batch(
-    dec: SOSDecomposition | GroupedSOSDecomposition, xs: np.ndarray, ys: np.ndarray
-) -> np.ndarray:
     if isinstance(dec, GroupedSOSDecomposition):
-        total = np.zeros(xs.shape[0])
+        total = 0.0
         for xg, yg in dec.groups:
-            py = ys @ yg.T
-            total += _x_norms2(xg, xs) * np.einsum("sb,sb->s", py, py)
-        return total
+            if isinstance(xg, np.ndarray):
+                px = xg @ x
+                x_part = px @ px
+            else:
+                mean_part = x.sum() ** 2 / dec.m
+                x_part = mean_part if xg == ONES else x @ x - mean_part
+            py = yg @ y
+            total += x_part * (py @ py)
+        return float(total)
     if not dec.factors:
-        return np.zeros(xs.shape[0])
-    stack = np.stack(dec.factors)
-    t = np.einsum("pij,si,sj->sp", stack, xs, ys, optimize=True)
-    return np.einsum("sp,sp->s", t, t)
-
-
-def _x_norms2(xg: np.ndarray | str, xs: np.ndarray) -> np.ndarray:
-    """|X_g x|^2 for every row x of xs; the tagged bases use
-    |x / sqrt(m)|^2 = (1'x)^2 / m and |Hx|^2 = |x|^2 - (1'x)^2 / m."""
-    if isinstance(xg, np.ndarray):
-        px = xs @ xg.T
-        return np.einsum("sa,sa->s", px, px)
-    ones = xs.sum(axis=1)
-    mean_part = ones * ones / xs.shape[1]
-    return mean_part if xg == ONES else np.einsum("si,si->s", xs, xs) - mean_part
+        return 0.0
+    t = np.einsum("pij,i,j->p", np.stack(dec.factors), x, y)
+    return float(t @ t)
 
 
 # verify_sos's bound on the largest coefficient difference, relative to max|c|.
@@ -423,14 +417,30 @@ def from_terms(m: int, n: int, terms) -> BiquadraticForm:
     return form_from_dict({"m": m, "n": n, "terms": records})
 
 
+_TERM_GETTERS = tuple(map(itemgetter, _TERM_FIELDS))
+
+
 def _term_arrays(m: int, n: int, terms: list) -> tuple[np.ndarray, ...] | None:
     """0-based i, j, k, l and float c of a term list, checked column by
     column; None unless every term is well formed, in range and finite."""
     try:
-        columns = [np.array(list(map(itemgetter(field), terms))) for field in _TERM_FIELDS]
-    except (KeyError, TypeError, ValueError, OverflowError):
+        columns = [list(map(get, terms)) for get in _TERM_GETTERS]
+    except (KeyError, TypeError):
         return None
-    if any(col.shape != (len(terms),) for col in columns):
+    return _checked_columns(m, n, columns)
+
+
+def _checked_columns(m: int, n: int, columns: list[list]) -> tuple[np.ndarray, ...] | None:
+    """``_term_arrays`` on the five field lists of a term list.  Each list
+    is replaced by its array in place, so it is freed as soon as that
+    exists."""
+    count = len(columns[0])
+    try:
+        for field, col in enumerate(columns):
+            columns[field] = np.array(col)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if any(col.shape != (count,) for col in columns):
         return None
     *index, coeff = columns
     if not all(_integral(col) for col in index):
@@ -491,17 +501,28 @@ def _accumulate_cells(m: int, n: int, i, j, k, l, coeff: np.ndarray) -> np.ndarr
     adds the weights of a cell in term order from 0.0, so every cell is
     bit-identical to adding the terms one at a time.
     """
+    shape = (m * (m + 1) // 2, n * (n + 1) // 2)
+    require_indexable(m, n, shape[0] * shape[1], "canonical cells")
     i, k = np.minimum(i, k), np.maximum(i, k)
     j, l = np.minimum(j, l), np.maximum(j, l)
     entry = coeff / (np.where(i < k, 2.0, 1.0) * np.where(j < l, 2.0, 1.0))
     # (i, k) with i <= k is row i * m - i * (i - 1) / 2 + (k - i) of triu_indices(m).
     x_pair = i * (2 * m - i + 1) // 2 + k - i
     y_pair = j * (2 * n - j + 1) // 2 + l - j
-    shape = (m * (m + 1) // 2, n * (n + 1) // 2)
     cells = np.bincount(x_pair * shape[1] + y_pair, weights=entry, minlength=shape[0] * shape[1])
     if not np.isfinite(cells).all():
         raise InvalidInput("coefficients must be finite")
     return cells.reshape(shape)
+
+
+def require_indexable(m: int, n: int, count: int, what: str) -> None:
+    """InvalidInput, before anything is allocated, unless an array of
+    ``count`` entries (the ``what`` of an m x n form) can be indexed."""
+    if count > np.iinfo(np.intp).max:
+        raise InvalidInput(
+            f"form too large: m = {m}, n = {n} give {count} {what}, "
+            f"more than the {np.iinfo(np.intp).max} entries an array can index"
+        )
 
 
 def form_to_dict(form: BiquadraticForm) -> dict:
@@ -632,6 +653,9 @@ def load_json(path: str) -> dict:
     ``json.load``, so a non-finite coefficient still gets its "not finite"
     error and a parse failure ``json``'s message.  orjson reads an integer
     outside [-2**63, 2**64) as the nearest float, which equals ``float(int)``.
+    A form file goes through ``read_terms_cells`` first; this whole-file
+    decode is what it falls back on, and the only path that words an error
+    about a terms file.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -643,12 +667,101 @@ def load_json(path: str) -> dict:
         return json.load(handle)
 
 
+# File bytes decoded per orjson call when read_terms_cells splits a terms array.
+TERMS_CHUNK_BYTES = 1 << 16
+
+_TERMS_OPEN = re.compile(rb'"terms"[ \t\n\r]*:[ \t\n\r]*\[')
+_TERM_SEPARATOR = re.compile(rb"\}[ \t\n\r]*,")
+
+
+def read_terms_cells(path: str) -> FormCells | None:
+    """The canonical cells of a form file, its terms array decoded in
+    pieces of about ``TERMS_CHUNK_BYTES``, so neither orjson's document of
+    the whole file nor one dict per term of it is ever held at once.
+
+    The span from the ``[`` after the first ``"terms":`` to the last ``]``
+    of the file is set aside.  The rest, with a placeholder in its place,
+    must decode (once with 0, once with 1) to a record whose keys are
+    exactly m, n and terms, with terms following the placeholder: then the
+    span is the value of the record's terms.  The span is cut only after a
+    ``}`` that whitespace and a comma follow, and each piece decoded as
+    ``[piece]``.  A cut inside a string leaves that piece's string
+    unterminated, and a cut outside any term leaves a stray bracket, so
+    when every piece decodes (the last one to a non-empty list after a
+    cut) the pieces hold exactly the elements of the whole array.  The
+    field lists then pass the checks and the accumulation of
+    ``cells_from_dict``, so every cell has the same bits.
+
+    None for anything else: a data file, another record shape, a decode
+    error, a bad field or term.  The caller then reads the file with
+    ``load_json`` and ``cells_from_dict``, which word the error; only the
+    accumulation's own InvalidInput, the same on both paths, comes from
+    here.
+    """
+    fields = _streamed_fields(path)
+    if fields is None:
+        return None
+    m, n, columns = fields
+    checked = _checked_columns(m, n, columns)
+    if checked is None:
+        return None
+    return FormCells(m, n, _accumulate_cells(m, n, *checked))
+
+
+def _streamed_fields(path: str) -> tuple[int, int, list[list]] | None:
+    """m, n and the five field lists of a form file for ``read_terms_cells``,
+    or None; the file's bytes are freed when it returns."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    opened = _TERMS_OPEN.search(raw)
+    if opened is None:
+        return None
+    start, stop = opened.end(), raw.rfind(b"]")
+    if stop < start:
+        return None
+    head, tail = raw[: start - 1], raw[stop + 1 :]
+    try:
+        record, other = (orjson.loads(head + mark + tail) for mark in (b"0", b"1"))
+        if not (isinstance(record, dict) and record.keys() == {"m", "n", "terms"}):
+            return None
+        if (record["terms"], other["terms"]) != (0, 1):
+            return None
+        m = integer_field(record["m"], "m")
+        n = integer_field(record["n"], "n")
+        if m < 1 or n < 1:
+            return None
+        return m, n, _streamed_columns(raw, start, stop)
+    except (orjson.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
+        return None
+
+
+def _streamed_columns(raw: bytes, start: int, stop: int) -> list[list]:
+    """The five field lists of the array whose elements span
+    ``raw[start:stop]``, decoded piece by piece; raises on a piece that does
+    not decode or an element that is not a dict with every field."""
+    columns = [[] for _ in _TERM_FIELDS]
+    while True:
+        cut = _TERM_SEPARATOR.search(raw, min(start + TERMS_CHUNK_BYTES, stop), stop)
+        end = stop if cut is None else cut.start() + 1
+        terms = orjson.loads(b"[" + raw[start:end] + b"]")
+        if not terms and columns[0]:
+            # Pieces before a cut end in a term, so an empty piece after one
+            # follows a trailing comma.
+            raise ValueError("trailing comma in the terms array")
+        for column, get in zip(columns, _TERM_GETTERS):
+            column.extend(map(get, terms))
+        if cut is None:
+            return columns
+        start = cut.end()
+
+
 def save_form(form: BiquadraticForm, path: str) -> None:
     dump_json(form_to_dict(form), path)
 
 
 def load_form(path: str) -> BiquadraticForm:
-    return form_from_dict(load_json(path))
+    cells = read_terms_cells(path)
+    return cells.to_form() if cells is not None else form_from_dict(load_json(path))
 
 
 def save_decomposition(dec: SOSDecomposition | GroupedSOSDecomposition, path: str) -> None:

@@ -39,6 +39,7 @@ from .forms import (  # helmert_basis is re-exported for callers of partsym
     GroupedSOSDecomposition,
     SOSDecomposition,
     helmert_basis,
+    require_indexable,
 )
 from .linalg import COEFF_TOL, DEFAULT_TOL, SpectralDecomposition, Tolerances
 
@@ -178,6 +179,7 @@ def evaluate_xsym(data: XSymmetricData, x, y) -> float:
 def reconstruct(data: XSymmetricData) -> BiquadraticForm:
     """Dense coefficient tensor of the form described by (d, A, B)."""
     m, n = data.m, data.n
+    require_indexable(m, n, (m * n) ** 2, "dense tensor entries")
     a = np.empty((m, n, m, n))
     a[:] = data.A[None, :, None, :]
     block = data.B + np.diag(data.d)

@@ -641,6 +641,36 @@ class TestFailureTable:
         else:
             assert "error: internal error: KeyError: 'missing'" in out
 
+    @pytest.mark.parametrize("command", ["check-psd", "sos-rank"])
+    def test_dimensions_beyond_an_index_are_exit_1(self, capsys, tmp_path, command):
+        # (m(m+1)/2)(n(n+1)/2) overflows intp; nothing is allocated.
+        path = write(tmp_path / "huge.json", {"m": 100000, "n": 100000, "terms": []})
+        code, out = run_json(capsys, [command, path])
+        assert code == 1 and out["status"] == "error"
+        assert out["payload"]["error"].startswith("form too large: m = 100000, n = 100000 give 25000500002500000000")
+
+    def test_dense_data_beyond_an_index_is_exit_1(self, capsys, tmp_path):
+        path = write(tmp_path / "huge.json", {"m": 4 * 10**9, "d": [1.0], "A": [[0.0]], "B": [[0.0]]})
+        code, out = run_json(capsys, ["check-psd", path, "--transpose"])
+        assert code == 1 and out["payload"]["error"].startswith("form too large: m = 4000000000, n = 1 give")
+
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_memory_error_is_exit_1(self, capsys, monkeypatch, tmp_path, as_json):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+        data = random_psd_instance(3, 2, np.random.default_rng(4))
+        path = write(tmp_path / "terms.json", forms.form_to_dict(reconstruct(data)))
+        monkeypatch.setattr(forms, "_accumulate_cells", exhausted)
+        code = main(["check-psd", path] + ["--json"] * as_json)
+        out = capsys.readouterr().out
+        assert code == 1 and "Traceback" not in out
+        message = "out of memory: Unable to allocate 8.00 EiB for an array"
+        if as_json:
+            assert json.loads(out) == {"command": "check-psd", "status": "error", "payload": {"error": message}}
+        else:
+            assert f"error: {message}" in out
+
 
 def _fresh_env():
     """The environment of a fresh interpreter that imports this checkout."""
@@ -670,6 +700,33 @@ class TestImportGraph:
         envelope = json.loads(proc.stdout)
         assert envelope["command"] == "check-psd" and envelope["status"] == "ok"
         assert envelope["payload"]["verdict"] == "PSD"
+
+
+class TestParseMemory:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+    def test_terms_parse_peak_is_bounded_by_file_size(self, tmp_path):
+        # A 40x10 terms file of 45,100 terms, 2.8 MB as json.dumps writes it.
+        # The child reports its peak resident size (VmHWM) after the import
+        # and after the command: ru_maxrss would start at this process's
+        # own size, which it inherits across fork and exec.
+        data = random_psd_instance(40, 10, np.random.default_rng(2026))
+        path = write(tmp_path / "terms.json", forms.form_to_dict(reconstruct(data)))
+        code = (
+            "import contextlib, io, sys\n"
+            "def peak_kib():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return int(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+            "import biquad.cli\n"
+            "before = peak_kib()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert biquad.cli.main(['check-psd', sys.argv[1]]) == 0\n"
+            "print(before, peak_kib())\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code, path], env=_fresh_env(), check=True,
+                              capture_output=True, text=True, timeout=120)
+        before, after = map(int, done.stdout.split())
+        # The whole-file decode added about 8.5x the file size, the chunked one 3.5x.
+        assert (after - before) * 1024 < 5 * os.path.getsize(path)
 
 
 class TestGeneralWitnessProperty:

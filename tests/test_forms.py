@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biquad import forms
 from biquad.errors import InvalidInput
 from biquad.forms import (
     BiquadraticForm,
+    FormCells,
     MonomialTerm,
     SOSDecomposition,
+    cells_from_dict,
     dump_json,
     evaluate,
     evaluate_sos,
@@ -21,6 +24,8 @@ from biquad.forms import (
     from_terms,
     decomposition_from_dict,
     load_form,
+    load_json,
+    read_terms_cells,
     residual_bound,
     save_form,
     symmetrize,
@@ -485,6 +490,152 @@ class TestLoadJson:
         path.write_text('{"m": 1, "n": 2, "terms": [{"i": 1, "j": 1, "k": 1, "l": 2, "c": %d}]}' % 2**70)
         expected = from_terms(1, 2, [MonomialTerm(1, 1, 1, 2, 2**70)])
         assert load_form(str(path)).coeffs.tobytes() == expected.coeffs.tobytes()
+
+
+def _whole_file(text):
+    """What decoding the whole text gives: (m, n, cell bytes), or the
+    exception's type and message."""
+    try:
+        cells = cells_from_dict(json.loads(text))
+    except (InvalidInput, json.JSONDecodeError) as exc:
+        return type(exc), str(exc)
+    return cells.m, cells.n, cells.values.tobytes()
+
+
+def _streamed(path):
+    """``_whole_file`` for the reader of form files: ``read_terms_cells``,
+    else the whole-file decode it falls back on."""
+    try:
+        cells = read_terms_cells(str(path))
+        if cells is None:
+            cells = cells_from_dict(load_json(str(path)))
+    except (InvalidInput, json.JSONDecodeError) as exc:
+        return type(exc), str(exc)
+    return cells.m, cells.n, cells.values.tobytes()
+
+
+_TERM = {"i": 1, "j": 2, "k": 2, "l": 1, "c": 0.5}
+
+
+class TestStreamedTerms:
+    """``read_terms_cells`` gives the cells, or the error, of the whole file."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(record=term_records(), compact=st.booleans(), chunk=st.sampled_from([1, 100, 300]))
+    def test_matches_whole_file(self, tmp_path_factory, record, compact, chunk):
+        path = tmp_path_factory.getbasetemp() / "streamed.json"
+        if compact:
+            dump_json(record, str(path))  # save_form's writer
+        else:
+            path.write_text(json.dumps(record))
+        expected = _whole_file(path.read_text())
+        valid = isinstance(expected[0], int)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(forms, "TERMS_CHUNK_BYTES", chunk)
+            got = _streamed(path)
+            # A valid record never needs the fallback.
+            assert not valid or read_terms_cells(str(path)) is not None
+        if valid or _ints_within_64_bits(record):
+            assert got == expected
+        else:
+            assert got[0] is InvalidInput
+
+    @pytest.mark.parametrize("text, streams", [
+        # "}," inside strings: an extra field of a term, and a coefficient
+        ('{"m": 2, "n": 2, "terms": [%s, {"i": 1, "j": 1, "k": 1, "l": 1, "c": 2, "note": "}, {"}, %s]}', False),
+        ('{"m": 2, "n": 2, "terms": [%s, {"i": 1, "j": 1, "k": 1, "l": 1, "c": "1}, 2"}, %s]}', False),
+        # duplicate terms keys: the last one counts
+        ('{"m": 2, "n": 2, "terms": [%s], "terms": [%s, %s]}', False),
+        ('{"m": 2, "n": 2, "terms": [%s, %s], "terms": 0}', False),
+        ('{"m": 2, "n": 2, "terms": [%s, %s], "terms": 1}', False),
+        ('{"terms": "x", "m": 2, "n": 2, "terms": [%s, %s]}', True),
+        # terms not last, an extra key, a key order with arrays after terms
+        ('{"terms": [%s, %s], "m": 2, "n": 2}', True),
+        ('{"m": 2, "n": 2, "terms": [%s, %s], "note": "x"}', False),
+        ('{"m": 2, "terms": [%s, %s], "n": 2, "extra": [1]}', False),
+        # whitespace around every separator
+        ('{"m": 2,\n"n": 2,\t"terms":\r\n[\n\t%s\n\t,\r\n%s\t ]\n}\n', True),
+        # a trailing or leading comma, a stray bracket
+        ('{"m": 2, "n": 2, "terms": [%s, %s, ]}', False),
+        ('{"m": 2, "n": 2, "terms": [%s, %s,]}', False),
+        ('{"m": 2, "n": 2, "terms": [, %s, %s]}', False),
+        ('{"m": 2, "n": 2, "terms": [%s], %s]}', False),
+        # empty lists
+        ('{"m": 2, "n": 2, "terms": []}', True),
+        ('{"m": 2, "n": 2, "terms": [ \n ]}', True),
+        # terms not a list
+        ('{"m": 2, "n": 2, "terms": 5}', False),
+        ('{"m": 2, "n": 2, "terms": {"a": [%s, %s]}}', False),
+        ('{"m": 2, "n": 2, "terms": "[%s, %s]"}', False),
+        # bad dimensions and a record that is not an object
+        ('{"m": 0, "n": 2, "terms": [%s, %s]}', False),
+        ('{"m": 2, "n": -1, "terms": []}', False),
+        ('{"m": 2.5, "n": 2, "terms": [%s, %s]}', False),
+        ('[{"m": 2, "n": 2, "terms": [%s, %s]}]', False),
+        # a byte order mark
+        ('\ufeff{"m": 2, "n": 2, "terms": [%s, %s]}', False),
+    ])
+    def test_adversarial_records(self, tmp_path, monkeypatch, text, streams):
+        monkeypatch.setattr(forms, "TERMS_CHUNK_BYTES", 1)
+        term = json.dumps(_TERM)
+        text = text % ((term,) * text.count("%s"))
+        path = tmp_path / "adversarial.json"
+        path.write_text(text, encoding="utf-8")
+        assert _streamed(path) == _whole_file(text)
+        assert (read_terms_cells(str(path)) is not None) == streams
+
+    @pytest.mark.parametrize("bad", ["NaN", "-Infinity", "1e400", str(2**70), '"1"', "[1]", "null"])
+    def test_bad_value_in_a_later_chunk(self, tmp_path, monkeypatch, bad):
+        monkeypatch.setattr(forms, "TERMS_CHUNK_BYTES", 200)
+        terms = [json.dumps(dict(_TERM, c=float(c))) for c in range(40)]
+        terms[-3] = terms[-3].replace('"c": 37.0', f'"c": {bad}')
+        text = '{"m": 2, "n": 2, "terms": [%s]}' % ", ".join(terms)
+        path = tmp_path / "late.json"
+        path.write_text(text)
+        expected = _whole_file(text)
+        got = _streamed(path)
+        if bad == str(2**70):
+            # orjson reads it as the nearest float, as a whole-file decode does
+            assert got == _whole_file(text.replace(bad, repr(float(2**70))))
+            assert read_terms_cells(str(path)) is not None
+        else:
+            assert got == expected and expected[0] is InvalidInput
+            assert read_terms_cells(str(path)) is None
+
+    def test_multi_chunk_file_is_never_decoded_whole(self, tmp_path, monkeypatch):
+        p = random_form(np.random.default_rng(11), 16, 8)
+        path = tmp_path / "form.json"
+        save_form(p, str(path))
+        size = path.stat().st_size
+        assert size > 3 * forms.TERMS_CHUNK_BYTES
+        decoded = []
+        loads = forms.orjson.loads
+
+        def spy(data):
+            decoded.append(len(data))
+            return loads(data)
+
+        monkeypatch.setattr(forms.orjson, "loads", spy)
+        cells = read_terms_cells(str(path))
+        assert cells is not None and len(decoded) > 3
+        assert max(decoded) < 2 * forms.TERMS_CHUNK_BYTES < size
+        assert cells.to_form() == load_form(str(path)) == form_from_dict(json.loads(path.read_text()))
+
+    def test_data_file_is_declined(self, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({"m": 2, "d": [1.0], "A": [[0.0]], "B": [[0.0]]}))
+        assert read_terms_cells(str(path)) is None
+
+
+class TestSizeChecks:
+    def test_cells_beyond_an_index_are_invalid_input(self):
+        with pytest.raises(InvalidInput, match=r"m = 100000, n = 100000 give 25000500002500000000 canonical cells"):
+            form_from_dict({"m": 100000, "n": 100000, "terms": []})
+
+    def test_dense_tensor_beyond_an_index_is_invalid_input(self):
+        # Checked before the (unused) cell values are read.
+        with pytest.raises(InvalidInput, match=r"m = 60000, n = 60000 give 12960000000000000000 dense"):
+            FormCells(60000, 60000, np.empty((0, 0))).to_form()
 
 
 class TestDumpJson:
