@@ -51,42 +51,48 @@ def _tolerances(args) -> linalg.Tolerances:
     return linalg.DEFAULT_TOL if args.tol is None else linalg.Tolerances(args.tol)
 
 
-def _load_form(
-    path: str, transpose: bool, dense: bool
-) -> forms.BiquadraticForm | forms.FormCells | partsym.XSymmetricData:
-    """Read either a monomial form file or an x-symmetric (d, A, B) file.
+def _read_input(path: str) -> forms.FormCells | partsym.XSymmetricData:
+    """Read either a monomial form file, into its canonical cells, or an
+    x-symmetric file, into its (d, A, B) data; neither is densified.
 
     A form file is read by ``forms.read_terms_cells``, in chunks; only a
     file it declines is decoded whole by ``forms.load_json``.
-
-    With ``dense`` the result is the coefficient tensor.  Otherwise a terms
-    file becomes its canonical cells and a data file read without
-    ``transpose`` stays as its (d, A, B) data; only a data file read with
-    ``transpose`` becomes a dense form.
     """
     cells = forms.read_terms_cells(path)
-    if cells is None:
-        data = forms.load_json(path)
-        if not isinstance(data, dict):
-            raise InvalidInput(f"{path}: expected a JSON object")
-        if "terms" in data:
-            cells = forms.cells_from_dict(data)
     if cells is not None:
-        if not dense:
-            return cells.transpose() if transpose else cells
-        form = cells.to_form()
-    elif {"m", "d", "A", "B"} <= set(data):
-        try:
-            m = forms.integer_field(data["m"], "m")
-            d, a, b = (np.asarray(data[key], dtype=float) for key in ("d", "A", "B"))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInput(f"{path}: malformed x-symmetric data: {exc}") from exc
-        xsym = partsym.XSymmetricData(m, d, a, b)
-        if not (transpose or dense):
-            return xsym
-        form = partsym.reconstruct(xsym)
-    else:
+        return cells
+    data = forms.load_json(path)
+    if not isinstance(data, dict):
+        raise InvalidInput(f"{path}: expected a JSON object")
+    if "terms" in data:
+        return forms.cells_from_dict(data)
+    if not {"m", "d", "A", "B"} <= set(data):
         raise InvalidInput(f"{path}: neither a form file (terms) nor x-symmetric data (m, d, A, B)")
+    try:
+        m = forms.integer_field(data["m"], "m")
+        d, a, b = (np.asarray(data[key], dtype=float) for key in ("d", "A", "B"))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"{path}: malformed x-symmetric data: {exc}") from exc
+    return partsym.XSymmetricData(m, d, a, b)
+
+
+def _oriented(
+    source: forms.FormCells | partsym.XSymmetricData, transpose: bool, dense: bool
+) -> forms.BiquadraticForm | forms.FormCells | partsym.XSymmetricData:
+    """The input as a command analyzes it, x and y swapped with ``transpose``.
+
+    With ``dense`` the result is the coefficient tensor.  Otherwise cells
+    stay cells and data read without ``transpose`` stays as (d, A, B);
+    only data read with ``transpose`` becomes a dense form.
+    """
+    if isinstance(source, forms.FormCells):
+        if not dense:
+            return source.transpose() if transpose else source
+        form = source.to_form()
+    elif not (transpose or dense):
+        return source
+    else:
+        form = partsym.reconstruct(source)
     return forms.transpose_xy(form) if transpose else form
 
 
@@ -123,28 +129,33 @@ def _cert_payload(source, q=(), r=(), invalid: partsym.InvalidReduction | None =
     return payload
 
 
-def _xsym_data(command: str, args):
-    """The steps check-psd and decompose share: load the input and detect
-    x-symmetry.
+def _load_and_detect(args):
+    """The steps check-psd, decompose and verify share: load the input
+    without densifying it (see ``_oriented``) and detect x-symmetry.
 
-    Returns ``(tol, source, data)``, or the CommandResult that ends the
-    command with exit 3 when the form is not x-symmetric.  The source,
-    which witnesses are evaluated on, is the dense form only for a data file
-    read with ``--transpose``, else ``data``; decompositions are checked on
-    ``data``.
+    Returns ``(tol, source, data)``: ``data`` is the form's x-symmetric
+    (d, A, B), None when it is not x-symmetric.  The source, which
+    witnesses are evaluated on, is the dense form for a data file read with
+    ``--transpose``, else ``data``, and the input as loaded when ``data``
+    is None; decompositions are checked on ``data``.
     """
     tol = _tolerances(args)
-    source = _load_form(args.form, args.transpose, dense=False)
+    source = _oriented(_read_input(args.form), args.transpose, dense=False)
     data = source if isinstance(source, partsym.XSymmetricData) else partsym.detect_x_symmetric(source)
-    if data is None:
-        return CommandResult(
-            command,
-            "error",
-            {"error": "form is not x-symmetric; use 'sos-rank' for general forms"},
-            _EXIT_NOT_XSYM,
-            summary="not x-symmetric (try 'biquad sos-rank')",
-        )
-    return tol, source if isinstance(source, forms.BiquadraticForm) else data, data
+    if data is not None and isinstance(source, forms.FormCells):
+        source = data
+    return tol, source, data
+
+
+def _not_xsym(command: str) -> CommandResult:
+    """check-psd's and decompose's exit 3 for a form that is not x-symmetric."""
+    return CommandResult(
+        command,
+        "error",
+        {"error": "form is not x-symmetric; use 'sos-rank' for general forms"},
+        _EXIT_NOT_XSYM,
+        summary="not x-symmetric (try 'biquad sos-rank')",
+    )
 
 
 def _verdict(command: str, source, cert: partsym.PSDCertificate) -> CommandResult:
@@ -163,10 +174,9 @@ def _verdict(command: str, source, cert: partsym.PSDCertificate) -> CommandResul
 
 
 def cmd_check_psd(args) -> CommandResult:
-    prefix = _xsym_data("check-psd", args)
-    if isinstance(prefix, CommandResult):
-        return prefix
-    tol, source, data = prefix
+    tol, source, data = _load_and_detect(args)
+    if data is None:
+        return _not_xsym("check-psd")
     return _verdict("check-psd", source, partsym.check_psd_monic(data, tol))
 
 
@@ -181,10 +191,9 @@ def _reverified(form, dec, what: str, slack: float = 0.0) -> dict:
 
 
 def cmd_decompose(args) -> CommandResult:
-    prefix = _xsym_data("decompose", args)
-    if isinstance(prefix, CommandResult):
-        return prefix
-    tol, source, data = prefix
+    tol, source, data = _load_and_detect(args)
+    if data is None:
+        return _not_xsym("decompose")
     cert = partsym.check_psd_monic(data, tol)
     if not cert.psd:
         return _verdict("decompose", source, cert)
@@ -202,9 +211,7 @@ def cmd_verify(args) -> CommandResult:
     """Check a decomposition file against a form loaded as ``decompose``
     loads it, with the bound ``decompose`` applies: an x-symmetric form
     gets its PSD certificate's slack, any other form is compared densely."""
-    tol = _tolerances(args)
-    source = _load_form(args.form, args.transpose, dense=False)
-    data = source if isinstance(source, partsym.XSymmetricData) else partsym.detect_x_symmetric(source)
+    tol, source, data = _load_and_detect(args)
     if data is not None:
         form, slack = data, partsym.check_psd_monic(data, tol).slack
     else:
@@ -266,7 +273,7 @@ def _negativity_probe(command: str, form, tol, seed: int, **probe_args) -> Comma
 
 def cmd_sos_rank(args) -> CommandResult:
     tol = _tolerances(args)
-    form = _load_form(args.form, args.transpose, dense=True)
+    form = _oriented(_read_input(args.form), args.transpose, dense=True)
     support = simple.detect_simple(form)
     lower = None
     if support is not None:
@@ -310,7 +317,7 @@ def cmd_sos_rank(args) -> CommandResult:
 
 def cmd_reduce_rank(args) -> CommandResult:
     tol = _tolerances(args)
-    form = _load_form(args.form, args.transpose, dense=True)
+    form = _oriented(_read_input(args.form), args.transpose, dense=True)
     family = gram.build_family(form)
     start = gram.psd_point(family, seed=args.seed, tol=tol)
     if start is None:
@@ -337,7 +344,10 @@ def cmd_reduce_rank(args) -> CommandResult:
 
 def cmd_meig(args) -> CommandResult:
     _tolerances(args)  # rejects a --tol outside (0, 1)
-    form = _load_form(args.form, args.transpose, dense=True)
+    source = _read_input(args.form)
+    # The cap is checked on the size the dense tensor would have, before it is built.
+    meig.check_size(*((source.n, source.m) if args.transpose else (source.m, source.n)))
+    form = _oriented(source, args.transpose, dense=True)
     residual_tol = {} if args.tol is None else {"tol": args.tol}
     pairs = meig.meig_solve(form, restarts=args.restarts, seed=args.seed, **residual_tol)
     payload = {

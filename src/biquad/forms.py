@@ -31,18 +31,6 @@ from .errors import InvalidInput
 from .linalg import COEFF_TOL
 
 
-def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """Rows drawn uniformly from the unit sphere in R^dim."""
-    v = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    degenerate = norms[:, 0] < 1e-12
-    if degenerate.any():
-        v[degenerate] = 0.0
-        v[degenerate, 0] = 1.0
-        norms[degenerate] = 1.0
-    return v / norms
-
-
 @dataclass(frozen=True)
 class BiquadraticForm:
     """Coefficient tensor of shape (m, n, m, n); ``coeffs[i, j, k, l]``
@@ -163,10 +151,8 @@ def helmert_basis(m: int) -> np.ndarray:
     return v
 
 
-def x_rows(xg: np.ndarray | str, m: int) -> np.ndarray:
-    """The X rows of a group; a tagged basis is rebuilt from m."""
-    if isinstance(xg, np.ndarray):
-        return xg
+def x_rows(xg: str, m: int) -> np.ndarray:
+    """The X rows of a group, rebuilt from its tag and m."""
     return np.full((1, m), 1.0 / math.sqrt(m)) if xg == ONES else helmert_basis(m).T
 
 
@@ -177,38 +163,28 @@ class GroupedSOSDecomposition:
     The factors of a group are every ``outer(x, y)`` with x a row of X_g
     (shape (a_g, m)) and y a row of Y_g (shape (b_g, n)), so a group stands
     for ``a_g * b_g`` bilinear squares and its share of the sum at (x, y) is
-    ``|X_g x|^2 |Y_g y|^2``.  X_g is an array of rows or a tag naming a fixed
-    basis (``ONES``, ``HELMERT``), which is rebuilt only for ``factors``.
-    Storage is the rows, not the dense factors.
+    ``|X_g x|^2 |Y_g y|^2``.  X_g is always a tag naming a fixed basis
+    (``ONES``: 1 row, ``HELMERT``: m - 1 rows), rebuilt from m only for
+    ``factors``.  Storage is the tags and the Y rows, not the dense factors.
     """
 
     m: int
     n: int
-    groups: tuple[tuple[np.ndarray | str, np.ndarray], ...]
+    groups: tuple[tuple[str, np.ndarray], ...]
 
     def __post_init__(self):
         groups = []
         for xg, yg in self.groups:
-            if not isinstance(xg, str):
-                xg = np.asarray(xg, dtype=float)
-            elif xg not in X_TAGS:
+            if not (isinstance(xg, str) and xg in X_TAGS):
                 raise InvalidInput(f"unknown group basis {xg!r}, expected one of {X_TAGS}")
             yg = np.asarray(yg, dtype=float)
-            x_ok = isinstance(xg, str) or (xg.ndim == 2 and xg.shape[1] == self.m)
-            if not (x_ok and yg.ndim == 2 and yg.shape[1] == self.n):
-                raise InvalidInput(
-                    f"group has row shapes {np.shape(xg)} and {yg.shape}, expected (_, {self.m}) and (_, {self.n})"
-                )
+            if not (yg.ndim == 2 and yg.shape[1] == self.n):
+                raise InvalidInput(f"group has y rows of shape {yg.shape}, expected (_, {self.n})")
             groups.append((xg, yg))
         object.__setattr__(self, "groups", tuple(groups))
 
-    def _x_count(self, xg) -> int:
-        if isinstance(xg, np.ndarray):
-            return xg.shape[0]
-        return 1 if xg == ONES else self.m - 1
-
     def __len__(self):
-        return sum(self._x_count(xg) * yg.shape[0] for xg, yg in self.groups)
+        return sum((1 if xg == ONES else self.m - 1) * yg.shape[0] for xg, yg in self.groups)
 
     @property
     def factors(self) -> tuple[np.ndarray, ...]:
@@ -261,7 +237,7 @@ def evaluate_batch(form: BiquadraticForm, xs: np.ndarray, ys: np.ndarray) -> np.
 
 def evaluate_sos(dec: SOSDecomposition | GroupedSOSDecomposition, x, y) -> float:
     """sum_p (x' W_p y)^2; zero for an empty factor list.  A group adds
-    |X_g x|^2 |Y_g y|^2, where the tagged bases give
+    |X_g x|^2 |Y_g y|^2, where the two bases give
     |x / sqrt(m)|^2 = (1'x)^2 / m and |Hx|^2 = |x|^2 - (1'x)^2 / m."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -270,12 +246,8 @@ def evaluate_sos(dec: SOSDecomposition | GroupedSOSDecomposition, x, y) -> float
     if isinstance(dec, GroupedSOSDecomposition):
         total = 0.0
         for xg, yg in dec.groups:
-            if isinstance(xg, np.ndarray):
-                px = xg @ x
-                x_part = px @ px
-            else:
-                mean_part = x.sum() ** 2 / dec.m
-                x_part = mean_part if xg == ONES else x @ x - mean_part
+            mean_part = x.sum() ** 2 / dec.m
+            x_part = mean_part if xg == ONES else x @ x - mean_part
             py = yg @ y
             total += x_part * (py @ py)
         return float(total)
@@ -313,10 +285,10 @@ def verify_sos(
     with no factors.  ``form`` is a ``BiquadraticForm`` or x-symmetric data
     with fields ``m, d, A, B`` and a ``max_abs_coeff`` method
     (``partsym.XSymmetricData``).  Data checked against a grouped
-    decomposition whose X bases are all tagged is compared through
-    Q' = sum Y'Y over the ``HELMERT`` groups and R' over the ``ONES``
-    groups, in O(n^2), without a dense tensor or the dense factors.  Every
-    other pair is compared on the decomposition's dense tensor.
+    decomposition is compared through Q' = sum Y'Y over the ``HELMERT``
+    groups and R' over the ``ONES`` groups, in O(n^2), without a dense
+    tensor or the dense factors.  Every other pair is compared on the
+    decomposition's dense tensor.
     ``samples`` and ``seed`` are accepted for older callers and ignored: no
     random number is drawn.  Returns (passed, max residual).
     """
@@ -333,9 +305,10 @@ def verify_sos(
 def _xsym_differences(data, dec: SOSDecomposition | GroupedSOSDecomposition) -> tuple[np.ndarray, ...]:
     """Arrays holding every difference between the decomposition's
     coefficients and those of x-symmetric data, whose tensor is D + B on the
-    blocks i = k and A on the others."""
+    blocks i = k and A on the others: for a grouped decomposition the n x n
+    blocks of its Q' and R' identity, for a dense one its whole tensor."""
     m, n = data.m, data.n
-    if isinstance(dec, GroupedSOSDecomposition) and all(isinstance(xg, str) for xg, _ in dec.groups):
+    if isinstance(dec, GroupedSOSDecomposition):
         # sum_g X_g'X_g (x) Y_g'Y_g with X'X = 11'/m (ONES) and I - 11'/m
         # (HELMERT) is Q' + (R' - Q')/m on the blocks i = k and (R' - Q')/m
         # on the others, where Q' and R' sum Y'Y over the HELMERT and the
@@ -361,20 +334,14 @@ def _dense_coeffs(dec: SOSDecomposition | GroupedSOSDecomposition) -> np.ndarray
     sum_p W_p (x) W_p for dense ones."""
     m, n = dec.m, dec.n
     if isinstance(dec, GroupedSOSDecomposition):
+        mean = np.full((m, m), 1.0 / m)
+        x_grams = {ONES: mean, HELMERT: np.eye(m) - mean}
         total = np.zeros((m, n, m, n))
         for xg, yg in dec.groups:
-            total += np.einsum("ik,jl->ijkl", _x_gram(xg, m), yg.T @ yg)
+            total += np.einsum("ik,jl->ijkl", x_grams[xg], yg.T @ yg)
         return total
     flat = np.reshape(dec.factors, (len(dec), m * n))
     return _orbit_mean((flat.T @ flat).reshape(m, n, m, n))
-
-
-def _x_gram(xg: np.ndarray | str, m: int) -> np.ndarray:
-    """X_g'X_g; the tagged bases give 11'/m and I - 11'/m."""
-    if isinstance(xg, np.ndarray):
-        return xg.T @ xg
-    mean = np.full((m, m), 1.0 / m)
-    return mean if xg == ONES else np.eye(m) - mean
 
 
 def transpose_xy(form: BiquadraticForm) -> BiquadraticForm:
@@ -568,17 +535,15 @@ DECOMPOSITION_FORMAT = 2  # the version tag of the grouped decomposition record
 
 
 def decomposition_to_dict(dec: SOSDecomposition | GroupedSOSDecomposition) -> dict:
-    """Grouped decompositions keep their groups (a versioned record, with a
-    tagged X written as its tag); dense ones list every factor row-major
-    (the unversioned record)."""
+    """Grouped decompositions keep their groups (a versioned record: each
+    X as its tag, each Y as its rows); dense ones list every factor
+    row-major (the unversioned record)."""
     if isinstance(dec, GroupedSOSDecomposition):
         return {
             "format": DECOMPOSITION_FORMAT,
             "m": dec.m,
             "n": dec.n,
-            "groups": [
-                {"x": xg if isinstance(xg, str) else xg.tolist(), "y": yg.tolist()} for xg, yg in dec.groups
-            ],
+            "groups": [{"x": xg, "y": yg.tolist()} for xg, yg in dec.groups],
         }
     return {
         "m": dec.m,
@@ -589,7 +554,8 @@ def decomposition_to_dict(dec: SOSDecomposition | GroupedSOSDecomposition) -> di
 
 def decomposition_from_dict(data: dict) -> SOSDecomposition | GroupedSOSDecomposition:
     """Parse a decomposition record; any malformed field, a dimension below
-    1 or a non-finite entry is ``InvalidInput``."""
+    1, a non-finite entry or a group's X given as rows rather than a tag is
+    ``InvalidInput``."""
     try:
         m = integer_field(data["m"], "m")
         n = integer_field(data["n"], "n")
@@ -597,7 +563,9 @@ def decomposition_from_dict(data: dict) -> SOSDecomposition | GroupedSOSDecompos
             raise ValueError("m and n must be positive")
         version = data.get("format")
         if version == DECOMPOSITION_FORMAT:
-            groups = tuple((_x_field(group["x"], m), _rows(group["y"], n)) for group in data["groups"])
+            groups = tuple((group["x"], _rows(group["y"], n)) for group in data["groups"])
+            if any(isinstance(xg, list) for xg, _ in groups):
+                raise ValueError(f"explicit X rows are no longer accepted; x must be one of the tags {X_TAGS}")
         elif version is None:
             factors = tuple(_rows([row], m * n).reshape(m, n) for row in data["factors"])
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -607,11 +575,6 @@ def decomposition_from_dict(data: dict) -> SOSDecomposition | GroupedSOSDecompos
     if version is not None:
         raise InvalidInput(f"unknown decomposition format {version!r}")
     return SOSDecomposition(m, n, factors)
-
-
-def _x_field(x, m: int) -> np.ndarray | str:
-    """A group's X: a basis tag, or explicit rows as files before the tags held."""
-    return x if isinstance(x, str) else _rows(x, m)
 
 
 def _rows(rows: list, width: int) -> np.ndarray:

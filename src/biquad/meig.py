@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, require_count
-from .forms import BiquadraticForm, _unit_rows, evaluate_batch, max_abs_coeff
+from .forms import BiquadraticForm, evaluate_batch, max_abs_coeff
 
 logger = logging.getLogger(__name__)
 
@@ -42,6 +42,24 @@ _NEWTON_DECAY = 0.5
 _SIZE_CAP = 8
 # Min-seeking eigensteps psd_sample_check takes from its best sample.
 _POLISH_STEPS = 10
+
+
+def check_size(m: int, n: int) -> None:
+    """InvalidInput when m or n is above the cap ``meig_solve`` accepts."""
+    if m > _SIZE_CAP or n > _SIZE_CAP:
+        raise InvalidInput(f"form size {m} x {n} exceeds the cap {_SIZE_CAP}")
+
+
+def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """Rows drawn uniformly from the unit sphere in R^dim."""
+    v = rng.standard_normal((count, dim))
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    degenerate = norms[:, 0] < 1e-12
+    if degenerate.any():
+        v[degenerate] = 0.0
+        v[degenerate, 0] = 1.0
+        norms[degenerate] = 1.0
+    return v / norms
 
 
 @dataclass(frozen=True)
@@ -267,8 +285,7 @@ def meig_solve(form: BiquadraticForm, restarts: int = 20, seed: int = 0, tol: fl
     flips within 1e-6.  The smallest value returned is an upper bound on the
     true minimum M-eigenvalue; the list is not guaranteed complete.
     """
-    if form.m > _SIZE_CAP or form.n > _SIZE_CAP:
-        raise InvalidInput(f"form size {form.m} x {form.n} exceeds the cap {_SIZE_CAP}")
+    check_size(form.m, form.n)
     contractor, scale = _normalized(form)
     y0 = _seeded_starts(form, restarts, seed)
     pick = np.tile([0, -1], len(y0))

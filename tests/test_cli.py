@@ -339,6 +339,11 @@ class TestReduceRank:
         assert runs[0] == runs[1]
 
 
+# Forms above meig's cap of 8: a 60 x 9 data file and a 9 x 2 terms file.
+BIG_DATA = {"m": 60, "d": [1.0] * 9, "A": np.zeros((9, 9)).tolist(), "B": np.zeros((9, 9)).tolist()}
+BIG_TERMS = {"m": 9, "n": 2, "terms": [{"i": 9, "j": 2, "k": 9, "l": 2, "c": 1.0}]}
+
+
 class TestMeigCommand:
     def test_p223(self, capsys, p223_file):
         code, data = run_json(capsys, ["meig", p223_file, "--restarts", "6"])
@@ -363,6 +368,22 @@ class TestMeigCommand:
         forms.save_form(forms.symmetrize(raw), str(path))
         code, _ = run_json(capsys, ["meig", str(path)])
         assert code == 1
+
+    @pytest.mark.parametrize("record, flags, size", [
+        (BIG_DATA, [], "60 x 9"),
+        (BIG_DATA, ["--transpose"], "9 x 60"),
+        (BIG_TERMS, [], "9 x 2"),
+        (BIG_TERMS, ["--transpose"], "2 x 9"),
+    ])
+    def test_cap_checked_before_densifying(self, capsys, monkeypatch, tmp_path, record, flags, size):
+        def densified(*args, **kwargs):
+            raise AssertionError("dense tensor built above the cap")
+
+        monkeypatch.setattr(partsym, "reconstruct", densified)
+        monkeypatch.setattr(forms.FormCells, "to_form", densified)
+        code, out = run_json(capsys, ["meig", write(tmp_path / "big.json", record), *flags])
+        assert code == 1 and out["status"] == "error"
+        assert out["payload"]["error"] == f"form size {size} exceeds the cap 8"
 
 
 class TestTolerancePlumbing:
@@ -1016,7 +1037,7 @@ class TestVerifyCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("sampled or densified")
 
-        monkeypatch.setattr(forms, "_unit_rows", refuse)
+        monkeypatch.setattr(meig, "_unit_rows", refuse)
         monkeypatch.setattr(forms.GroupedSOSDecomposition, "factors", property(refuse))
         monkeypatch.setattr(partsym, "reconstruct", refuse)
         out = str(tmp_path / "dec.json")
@@ -1105,16 +1126,13 @@ def _moved(data, entry, delta):
 
 
 def verify_routes(data, dec, slack):
-    """verify_sos on the data, on its dense tensor with the grouped and the
-    dense factors, and on the data with the X rows spelled out."""
-    m, n = data.m, data.n
+    """verify_sos on the data, and on its dense tensor with the grouped and
+    the dense factors."""
     dense = reconstruct(data)
-    explicit = forms.GroupedSOSDecomposition(m, n, tuple((forms.x_rows(x, m), y) for x, y in dec.groups))
     return [
         forms.verify_sos(data, dec, slack=slack),
         forms.verify_sos(dense, dec, slack=slack),
-        forms.verify_sos(dense, forms.SOSDecomposition(m, n, dec.factors), slack=slack),
-        forms.verify_sos(data, explicit, slack=slack),
+        forms.verify_sos(dense, forms.SOSDecomposition(data.m, data.n, dec.factors), slack=slack),
     ]
 
 

@@ -517,12 +517,11 @@ class TestGroupedDecomposition:
         with pytest.raises(InvalidInput, match="integer"):
             forms.decomposition_from_dict(record)
 
-    def test_explicit_helmert_rows_still_load(self, tmp_path):
+    def test_explicit_helmert_rows_are_rejected(self, tmp_path, capsys):
         # Format-2 files written before the X tags spell out both bases, indented.
         m, n = 5, 3
         data = scaled_with_zero(np.random.default_rng(18), m, n)
-        dec = sos_decompose_general(data)
-        (_, y_r), (_, y_q) = dec.groups
+        (_, y_r), (_, y_q) = sos_decompose_general(data).groups
         rows = [np.full((1, m), 1.0 / np.sqrt(m)), helmert_basis(m).T]
         record = {
             "format": 2, "m": m, "n": n,
@@ -530,11 +529,14 @@ class TestGroupedDecomposition:
         }
         path = tmp_path / "explicit.json"
         path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        loaded = forms.load_decomposition(str(path))
-        assert len(loaded) == len(dec)
-        for w_loaded, w in zip(loaded.factors, dec.factors, strict=True):
-            np.testing.assert_array_equal(w_loaded, w)
-        assert verify_sos(data, loaded)[0]
+        message = "malformed decomposition record: explicit X rows are no longer accepted"
+        with pytest.raises(InvalidInput, match=message):
+            forms.load_decomposition(str(path))
+        form = tmp_path / "data.json"
+        form.write_text(json.dumps({"m": m, "d": data.d.tolist(), "A": data.A.tolist(), "B": data.B.tolist()}))
+        assert main(["verify", str(form), str(path), "--json"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "error" and out["payload"]["error"].startswith(message)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(m=st.integers(1, 9), n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
