@@ -81,26 +81,18 @@ def _oriented(
 ) -> forms.BiquadraticForm | forms.FormCells | partsym.XSymmetricData:
     """The input as a command analyzes it, x and y swapped with ``transpose``.
 
-    With ``dense`` the result is the coefficient tensor.  Otherwise cells
-    stay cells and data read without ``transpose`` stays as (d, A, B);
-    only data read with ``transpose`` becomes a dense form.
+    Data read with neither ``transpose`` nor ``dense`` stays as (d, A, B);
+    any other data becomes its canonical cells (``XSymmetricData.cells``).
+    From cells there is one path: ``transpose()`` with ``transpose``, then
+    ``to_form()`` for the dense tensor with ``dense``.
     """
-    if isinstance(source, forms.FormCells):
-        if not dense:
-            return source.transpose() if transpose else source
-        form = source.to_form()
-    elif not (transpose or dense):
-        return source
-    else:
-        form = partsym.reconstruct(source)
-    return forms.transpose_xy(form) if transpose else form
-
-
-def _evaluate(source, x, y) -> float:
-    """P(x, y) on the input as it was loaded."""
     if isinstance(source, partsym.XSymmetricData):
-        return partsym.evaluate_xsym(source, x, y)
-    return forms.evaluate(source, x, y)
+        if not (transpose or dense):
+            return source
+        source = source.cells()
+    if transpose:
+        source = source.transpose()
+    return source.to_form() if dense else source
 
 
 def _vec(a) -> list[float]:
@@ -111,12 +103,13 @@ def _witness_payload(x, y, value) -> dict:
     return {"x": _vec(x), "y": _vec(y), "value": float(value)}
 
 
-def _cert_payload(source, q=(), r=(), invalid: partsym.InvalidReduction | None = None) -> dict:
+def _cert_payload(form, q=(), r=(), invalid: partsym.InvalidReduction | None = None) -> dict:
     """The verdict payload: the spectra ``q`` and ``r`` of the scaled Q and
-    R, and for a NotPSD verdict the witness and the reason it holds."""
+    R, and for a NotPSD verdict the witness, its value P(x, y) and the
+    reason it holds."""
     payload = {
-        "m": source.m,
-        "n": source.n,
+        "m": form.m,
+        "n": form.n,
         "verdict": "PSD",
         "q_eigenvalues": _vec(q),
         "r_eigenvalues": _vec(r),
@@ -124,7 +117,7 @@ def _cert_payload(source, q=(), r=(), invalid: partsym.InvalidReduction | None =
     }
     if invalid is not None:
         payload["verdict"] = "NotPSD"
-        payload["witness"] = _witness_payload(invalid.x, invalid.y, _evaluate(source, invalid.x, invalid.y))
+        payload["witness"] = _witness_payload(invalid.x, invalid.y, invalid.value)
         payload["reason"] = invalid.reason
     return payload
 
@@ -133,17 +126,13 @@ def _load_and_detect(args):
     """The steps check-psd, decompose and verify share: load the input
     without densifying it (see ``_oriented``) and detect x-symmetry.
 
-    Returns ``(tol, source, data)``: ``data`` is the form's x-symmetric
-    (d, A, B), None when it is not x-symmetric.  The source, which
-    witnesses are evaluated on, is the dense form for a data file read with
-    ``--transpose``, else ``data``, and the input as loaded when ``data``
-    is None; decompositions are checked on ``data``.
+    Returns ``(tol, source, data)``: ``source`` is the input as
+    ``_oriented`` gives it, (d, A, B) or canonical cells, and ``data`` the
+    form's x-symmetric (d, A, B), None when it is not x-symmetric.
     """
     tol = _tolerances(args)
     source = _oriented(_read_input(args.form), args.transpose, dense=False)
     data = source if isinstance(source, partsym.XSymmetricData) else partsym.detect_x_symmetric(source)
-    if data is not None and isinstance(source, forms.FormCells):
-        source = data
     return tol, source, data
 
 
@@ -158,9 +147,9 @@ def _not_xsym(command: str) -> CommandResult:
     )
 
 
-def _verdict(command: str, source, cert: partsym.PSDCertificate) -> CommandResult:
+def _verdict(command: str, data: partsym.XSymmetricData, cert: partsym.PSDCertificate) -> CommandResult:
     """check-psd's result for a certificate, and decompose's for one that fails."""
-    payload = _cert_payload(source, cert.q.eigenvalues, cert.r.eigenvalues, cert.evidence)
+    payload = _cert_payload(data, cert.q.eigenvalues, cert.r.eigenvalues, cert.evidence)
     if cert.psd:
         return CommandResult(
             command, "ok", payload, _EXIT_OK,
@@ -174,10 +163,10 @@ def _verdict(command: str, source, cert: partsym.PSDCertificate) -> CommandResul
 
 
 def cmd_check_psd(args) -> CommandResult:
-    tol, source, data = _load_and_detect(args)
+    tol, _, data = _load_and_detect(args)
     if data is None:
         return _not_xsym("check-psd")
-    return _verdict("check-psd", source, partsym.check_psd_monic(data, tol))
+    return _verdict("check-psd", data, partsym.check_psd_monic(data, tol))
 
 
 def _reverified(form, dec, what: str, slack: float = 0.0) -> dict:
@@ -191,12 +180,12 @@ def _reverified(form, dec, what: str, slack: float = 0.0) -> dict:
 
 
 def cmd_decompose(args) -> CommandResult:
-    tol, source, data = _load_and_detect(args)
+    tol, _, data = _load_and_detect(args)
     if data is None:
         return _not_xsym("decompose")
     cert = partsym.check_psd_monic(data, tol)
     if not cert.psd:
-        return _verdict("decompose", source, cert)
+        return _verdict("decompose", data, cert)
     dec = partsym.sos_decompose_structured(data, tol, cert)
     residual = _reverified(data, dec, "decomposition", cert.slack)
     forms.save_decomposition(dec, args.out)
@@ -215,7 +204,7 @@ def cmd_verify(args) -> CommandResult:
     if data is not None:
         form, slack = data, partsym.check_psd_monic(data, tol).slack
     else:
-        form, slack = (source.to_form() if isinstance(source, forms.FormCells) else source), 0.0
+        form, slack = source.to_form(), 0.0
     dec = forms.load_decomposition(args.dec)
     payload = {"verified": True, **_reverified(form, dec, "decomposition file", slack), "factor_count": len(dec)}
     return CommandResult(

@@ -7,12 +7,13 @@ coefficients instead (one entry per distinct monomial x_i x_k y_j y_l), which
 is the convention people actually write forms in; conversion between the two
 views lives here.  A terms file is accumulated once, into its canonical
 cells (``FormCells``, the entries with i <= k and j <= l); the dense tensor
-is scattered from them only when a caller asks for it.  A form file's terms
-array is decoded in chunks of about 64 KiB (``read_terms_cells``), so no
-whole-file JSON document or dict per term is built.  A decomposition is
-verified against its form coefficient by coefficient (``verify_sos``), never
-by sampling, and x-symmetric data against a grouped decomposition in
-O(n^2).
+is scattered from them only when a caller asks for it, and x-symmetric data
+and grouped decompositions reach it through the same cells
+(``FormCells.x_symmetric``).  A form file's terms array is decoded in
+chunks of about 64 KiB (``read_terms_cells``), so no whole-file JSON
+document or dict per term is built.  A decomposition is verified against
+its form coefficient by coefficient (``verify_sos``), never by sampling, and
+x-symmetric data against a grouped decomposition in O(n^2).
 """
 
 from __future__ import annotations
@@ -86,6 +87,17 @@ class FormCells:
         i, k, a = i[:, None], k[:, None], form.coeffs
         entry = a[i, j, k, l]
         return cls(form.m, form.n, entry + 0.5 * (a[i, l, k, j] - entry))
+
+    @classmethod
+    def x_symmetric(cls, m: int, same: np.ndarray, cross: np.ndarray) -> FormCells:
+        """The cells of the m x n form whose n x n block (i, :, k, :) is
+        ``same`` when i = k and ``cross`` otherwise (both symmetric), each
+        cell copied verbatim from the upper triangle of its block."""
+        n = len(same)
+        require_indexable(m, n, (m * (m + 1) // 2) * (n * (n + 1) // 2), "canonical cells")
+        i, k = np.triu_indices(m)
+        j, l = np.triu_indices(n)
+        return cls(m, n, np.where((i == k)[:, None], same[j, l], cross[j, l]))
 
     def transpose(self) -> FormCells:
         """The cells of the n x m form P'(y, x) = P(x, y)."""
@@ -283,8 +295,8 @@ def verify_sos(
     tensor of the sum of squares and the form's; the check passes when it
     is at most ``residual_bound(form, slack)``, so only the zero form passes
     with no factors.  ``form`` is a ``BiquadraticForm`` or x-symmetric data
-    with fields ``m, d, A, B`` and a ``max_abs_coeff`` method
-    (``partsym.XSymmetricData``).  Data checked against a grouped
+    with fields ``m, d, A, B`` and the methods ``max_abs_coeff`` and
+    ``cells`` (``partsym.XSymmetricData``).  Data checked against a grouped
     decomposition is compared through Q' = sum Y'Y over the ``HELMERT``
     groups and R' over the ``ONES`` groups, in O(n^2), without a dense
     tensor or the dense factors.  Every other pair is compared on the
@@ -306,40 +318,36 @@ def _xsym_differences(data, dec: SOSDecomposition | GroupedSOSDecomposition) -> 
     """Arrays holding every difference between the decomposition's
     coefficients and those of x-symmetric data, whose tensor is D + B on the
     blocks i = k and A on the others: for a grouped decomposition the n x n
-    blocks of its Q' and R' identity, for a dense one its whole tensor."""
-    m, n = data.m, data.n
+    blocks of its Q' and R' identity (see ``_grouped_blocks``), for a dense
+    one its whole tensor against the data's, ``data.cells().to_form()``."""
     if isinstance(dec, GroupedSOSDecomposition):
-        # sum_g X_g'X_g (x) Y_g'Y_g with X'X = 11'/m (ONES) and I - 11'/m
-        # (HELMERT) is Q' + (R' - Q')/m on the blocks i = k and (R' - Q')/m
-        # on the others, where Q' and R' sum Y'Y over the HELMERT and the
-        # ONES groups; with m = 1 only the first kind exists.
-        q, r = np.zeros((n, n)), np.zeros((n, n))
-        for xg, yg in dec.groups:
-            gram = q if xg == HELMERT else r
-            gram += yg.T @ yg
-        cross = (r - q) / m
-        same_x = q + cross - data.B
-        same_x.flat[:: n + 1] -= data.d
-        return (same_x,) if m == 1 else (same_x, cross - data.A)
-    coeffs = _dense_coeffs(dec)
-    diff = coeffs - data.A[:, None, :]
-    i = np.arange(m)
-    diff[i, :, i, :] = coeffs[i, :, i, :] - (np.diag(data.d) + data.B)
-    return (diff,)
+        same, cross = _grouped_blocks(dec)
+        same_x = same - data.B
+        same_x.flat[:: data.n + 1] -= data.d
+        return (same_x,) if data.m == 1 else (same_x, cross - data.A)
+    return (_dense_coeffs(dec) - data.cells().to_form().coeffs,)
+
+
+def _grouped_blocks(dec: GroupedSOSDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """The n x n blocks of sum_g X_g'X_g (x) Y_g'Y_g: with X'X = 11'/m
+    (ONES) and I - 11'/m (HELMERT) they are Q' + (R' - Q')/m when i = k and
+    (R' - Q')/m otherwise, where Q' and R' sum Y'Y over the HELMERT and the
+    ONES groups; with m = 1 only the first kind exists."""
+    q, r = np.zeros((dec.n, dec.n)), np.zeros((dec.n, dec.n))
+    for xg, yg in dec.groups:
+        gram = q if xg == HELMERT else r
+        gram += yg.T @ yg
+    cross = (r - q) / dec.m
+    return q + cross, cross
 
 
 def _dense_coeffs(dec: SOSDecomposition | GroupedSOSDecomposition) -> np.ndarray:
-    """The coefficient tensor of a decomposition: sum_g X_g'X_g (x) Y_g'Y_g
-    for grouped ones (already partially symmetric), the orbit mean of
+    """The coefficient tensor of a decomposition: the x-symmetric tensor of
+    its ``_grouped_blocks`` for grouped ones, the orbit mean of
     sum_p W_p (x) W_p for dense ones."""
-    m, n = dec.m, dec.n
     if isinstance(dec, GroupedSOSDecomposition):
-        mean = np.full((m, m), 1.0 / m)
-        x_grams = {ONES: mean, HELMERT: np.eye(m) - mean}
-        total = np.zeros((m, n, m, n))
-        for xg, yg in dec.groups:
-            total += np.einsum("ik,jl->ijkl", x_grams[xg], yg.T @ yg)
-        return total
+        return FormCells.x_symmetric(dec.m, *_grouped_blocks(dec)).to_form().coeffs
+    m, n = dec.m, dec.n
     flat = np.reshape(dec.factors, (len(dec), m * n))
     return _orbit_mean((flat.T @ flat).reshape(m, n, m, n))
 
@@ -484,11 +492,12 @@ def _accumulate_cells(m: int, n: int, i, j, k, l, coeff: np.ndarray) -> np.ndarr
 
 def require_indexable(m: int, n: int, count: int, what: str) -> None:
     """InvalidInput, before anything is allocated, unless an array of
-    ``count`` entries (the ``what`` of an m x n form) can be indexed."""
-    if count > np.iinfo(np.intp).max:
+    ``count`` 8-byte entries (the ``what`` of an m x n form) fits in the
+    ``intp`` maximum of bytes that numpy allows one array."""
+    if 8 * count > np.iinfo(np.intp).max:
         raise InvalidInput(
             f"form too large: m = {m}, n = {n} give {count} {what}, "
-            f"more than the {np.iinfo(np.intp).max} entries an array can index"
+            f"{8 * count} bytes, more than the {np.iinfo(np.intp).max} bytes an array can hold"
         )
 
 

@@ -19,7 +19,8 @@ rank(R) + (m-1) rank(Q) bilinear squares.  Both the direct route (assemble
 the mn x mn Gram matrix and factor it) and the structured route (work on
 the n x n spectra of Q and R only) are implemented; the structured route
 never forms the big matrix.  x-symmetry is detected on a form's canonical
-cells, so a terms file reaches (d, A, B) without a dense tensor.
+cells, so a terms file reaches (d, A, B) without a dense tensor, and
+(d, A, B) reaches the dense tensor only through its cells.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .forms import (  # helmert_basis is re-exported for callers of partsym
     GroupedSOSDecomposition,
     SOSDecomposition,
     helmert_basis,
-    require_indexable,
 )
 from .linalg import COEFF_TOL, DEFAULT_TOL, SpectralDecomposition, Tolerances
 
@@ -92,6 +92,11 @@ class XSymmetricData:
         y_a = np.einsum("sj,sj->s", ys @ self.A, ys)
         y_b = np.einsum("sj,sj->s", ys @ self.B, ys)
         return xx * y_d + (ones_x * ones_x - xx) * y_a + xx * y_b
+
+    def cells(self) -> FormCells:
+        """The canonical cells of the form: D + B on the blocks i = k, A on
+        the others, each entry copied verbatim."""
+        return FormCells.x_symmetric(self.m, self.B + np.diag(self.d), self.A)
 
     def max_abs_coeff(self) -> float:
         """max|coeff| of the dense tensor, read off (d, A, B); A only enters
@@ -150,10 +155,6 @@ class PSDCertificate:
     slack: float = 0.0
 
     @property
-    def verdict(self) -> str:
-        return "PSD" if self.psd else "NotPSD"
-
-    @property
     def evidence(self) -> InvalidReduction | None:
         """The witness of a failing test as an InvalidReduction, else None."""
         if self.psd:
@@ -177,15 +178,9 @@ def evaluate_xsym(data: XSymmetricData, x, y) -> float:
 
 
 def reconstruct(data: XSymmetricData) -> BiquadraticForm:
-    """Dense coefficient tensor of the form described by (d, A, B)."""
-    m, n = data.m, data.n
-    require_indexable(m, n, (m * n) ** 2, "dense tensor entries")
-    a = np.empty((m, n, m, n))
-    a[:] = data.A[None, :, None, :]
-    block = data.B + np.diag(data.d)
-    idx = np.arange(m)
-    a[idx, :, idx, :] = block[None, :, :]
-    return BiquadraticForm(m, n, a)
+    """Dense coefficient tensor of the form described by (d, A, B), scattered
+    from its cells (``data.cells().to_form()``)."""
+    return data.cells().to_form()
 
 
 def detect_x_symmetric(form: BiquadraticForm | FormCells) -> XSymmetricData | None:

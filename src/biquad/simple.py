@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .forms import BiquadraticForm
+from .forms import BiquadraticForm, FormCells, MonomialTerm, from_terms
 from .linalg import COEFF_TOL
 
 
@@ -86,10 +86,7 @@ def gen_simple(m: int, n: int, s: int) -> SupportSet:
 
 def to_form(support: SupportSet) -> BiquadraticForm:
     """The form sum over the support of x_i^2 y_j^2."""
-    a = np.zeros((support.m, support.n, support.m, support.n))
-    for i, j in support.pairs:
-        a[i - 1, j - 1, i - 1, j - 1] = 1.0
-    return BiquadraticForm(support.m, support.n, a)
+    return from_terms(support.m, support.n, [MonomialTerm(i, j, i, j, 1.0) for i, j in support.pairs])
 
 
 def find_rectangle(support: SupportSet) -> tuple[tuple[int, int], ...] | None:
@@ -130,26 +127,23 @@ def detect_simple(form: BiquadraticForm) -> SupportSet | None:
 
     Coefficient magnitudes are irrelevant to the support argument, so any
     strictly positive diagonal entries qualify; returns None when any other
-    monomial is present (or a diagonal term is negative).
+    monomial is present (or a diagonal term is negative).  The form is read
+    through its canonical cells (``FormCells.of``): the cell of x_i^2 y_j^2
+    is the one with i = k and j = l, and every other cell must vanish.
     """
-    a = form.coeffs
-    atol = COEFF_TOL * float(np.abs(a).max())
-    mask = np.zeros_like(a, dtype=bool)
-    idx_m = np.arange(form.m)
-    idx_n = np.arange(form.n)
-    mask[idx_m[:, None], idx_n[None, :], idx_m[:, None], idx_n[None, :]] = True
-    if np.abs(a[~mask]).max(initial=0.0) > atol:
+    c = FormCells.of(form).values
+    i, k = np.triu_indices(form.m)
+    j, l = np.triu_indices(form.n)
+    squares = np.ix_(i == k, j == l)
+    size = np.abs(c)
+    atol = COEFF_TOL * float(size.max())
+    diag = c[squares]
+    size[squares] = 0.0
+    if size.max() > atol:
         return None
-    diag = a[idx_m[:, None], idx_n[None, :], idx_m[:, None], idx_n[None, :]]
     if diag.min(initial=0.0) < -atol:
         return None
-    pairs = tuple(
-        (int(i) + 1, int(j) + 1)
-        for i in range(form.m)
-        for j in range(form.n)
-        if diag[i, j] > atol
-    )
-    return SupportSet(form.m, form.n, pairs)
+    return SupportSet(form.m, form.n, np.argwhere(diag > atol) + 1)
 
 
 def support_to_dict(support: SupportSet) -> dict:

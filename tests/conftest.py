@@ -1,7 +1,8 @@
-"""Shared generators for seeded random test corpora."""
+"""Shared generators for seeded random test corpora and hypothesis strategies."""
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from biquad.partsym import XSymmetricData
 
@@ -36,3 +37,30 @@ def monic_corpus(count: int, seed: int, m_range=(2, 6), n_range=(2, 5)) -> list[
 @pytest.fixture(scope="session")
 def corpus_200():
     return monic_corpus(200, seed=1)
+
+
+# The weights include zero and negative ones; every float is made non-negative zero.
+WEIGHT = st.sampled_from([0.0, -1.0, 1.0]) | st.floats(-2.0, 2.0, allow_subnormal=False).map(lambda v: v + 0.0)
+
+
+@st.composite
+def xsym_forms(draw):
+    """Random (m, d, A, B) with m in [1, 6], n in [1, 5]: PSD by
+    construction from Q = FF' and R = GG' (zero rows give zero weights), or
+    with drawn weights and uniform A, B."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        f, g = rng.standard_normal((2, n, n))
+        f[rng.random(n) < 0.3] = 0.0
+        g[np.flatnonzero(~f.any(axis=1))] = 0.0
+        q, r = f @ f.T, g @ g.T
+        a, base = (r - q) / m, (r + (m - 1) * q) / m
+        d = np.diag(base).copy()
+        b = base - np.diag(d)
+    else:
+        d = np.array(draw(st.lists(WEIGHT, min_size=n, max_size=n)))
+        a, b = rng.uniform(-1.0, 1.0, (2, n, n))
+        a, b = a + a.T, b + b.T
+        np.fill_diagonal(b, 0.0)
+    return XSymmetricData(m, d, a if m >= 2 else np.zeros((n, n)), b)

@@ -16,6 +16,7 @@ from biquad import cli, forms, linalg, meig, partsym
 from biquad.cli import main
 from biquad.partsym import XSymmetricData, random_psd_instance, reconstruct
 from biquad.simple import gen_simple, to_form
+from conftest import xsym_forms
 
 
 def write(path, obj):
@@ -464,7 +465,7 @@ class TestStructureNative:
                 w = payload["witness"]
                 assert forms.evaluate(dense, np.array(w["x"]), np.array(w["y"])) < 0.0
 
-    def test_data_file_with_transpose_keeps_dense_route(self, capsys, tmp_path):
+    def test_data_file_with_transpose_swaps_x_and_y(self, capsys, tmp_path):
         plain = write(tmp_path / "plain.json", {"m": 2, "d": [1, 1], "A": [[0, 0], [0, 0]], "B": [[0, 0], [0, 0]]})
         skew = write(tmp_path / "skew.json", {"m": 3, "d": [1, 2], "A": [[0, 0.3], [0.3, 0]], "B": [[0, 0], [0, 0]]})
         out = str(tmp_path / "dec.json")
@@ -512,6 +513,17 @@ class TestStructureNative:
         assert code == 0 and out["payload"]["factor_count"] > 0
         bad = write(tmp_path / "bad.json", data_record(KINDS["fail-q"]()))
         assert run_json(capsys, ["decompose", bad, str(tmp_path / "bad-dec.json")])[0] == 2
+        # With --transpose a data file goes through its canonical cells.  A
+        # y-symmetric one (constant d and off-diagonal B, A = a0 I + a1 (11' - I))
+        # is x-symmetric once transposed; the generic one above is not.
+        n, off = 5, np.ones((5, 5)) - np.eye(5)
+        ysym = write(tmp_path / "ysym.json", {"m": 3, "d": [2.0] * n, "A": (0.5 * np.eye(n) + 0.2 * off).tolist(),
+                                               "B": (0.3 * off).tolist()})
+        dec = str(tmp_path / "ysym-dec.json")
+        for argv in (["check-psd", ysym], ["decompose", ysym, dec], ["verify", ysym, dec]):
+            assert run_json(capsys, argv + ["--transpose"])[0] == 0
+        for argv in (["check-psd", path], ["decompose", path, str(tmp_path / "none.json")]):
+            assert run_json(capsys, argv + ["--transpose"])[0] == 3
 
 
 class TestMalformedDataFiles:
@@ -675,6 +687,12 @@ class TestFailureTable:
         code, out = run_json(capsys, ["check-psd", path, "--transpose"])
         assert code == 1 and out["payload"]["error"].startswith("form too large: m = 4000000000, n = 1 give")
 
+    def test_cells_beyond_an_array_in_bytes_are_exit_1(self, capsys, tmp_path):
+        # m(m+1)/2 = 2e18 + 1e9 cells index fine, but their 8 bytes each do not.
+        path = write(tmp_path / "huge.json", {"m": 2 * 10**9, "d": [1.0], "A": [[0.0]], "B": [[0.0]]})
+        code, out = run_json(capsys, ["check-psd", path, "--transpose"])
+        assert code == 1 and out["payload"]["error"].startswith("form too large: m = 2000000000, n = 1 give ")
+
     @pytest.mark.parametrize("as_json", [True, False])
     def test_memory_error_is_exit_1(self, capsys, monkeypatch, tmp_path, as_json):
         def exhausted(*args, **kwargs):
@@ -705,6 +723,7 @@ class TestImportGraph:
             "import sys, biquad.cli, biquad.gram\n"
             "assert 'orjson' in sys.modules, 'orjson not loaded'\n"
             "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'\n"
             "import scipy.optimize\n"
             "assert biquad.gram.minimize is scipy.optimize.minimize\n"
         )
@@ -873,33 +892,6 @@ def assert_routes_agree(results, scale):
             values = [payload["witness"]["value"] for _, payload, _ in outcomes]
             assert max(values) < 0.0
             assert max(values) - min(values) <= 1e-12 * scale
-
-
-# The weights include zero and negative ones; every float is made non-negative zero.
-WEIGHT = st.sampled_from([0.0, -1.0, 1.0]) | st.floats(-2.0, 2.0, allow_subnormal=False).map(lambda v: v + 0.0)
-
-
-@st.composite
-def xsym_forms(draw):
-    """Random (m, d, A, B) with m in [1, 6], n in [1, 5]: PSD by
-    construction from Q = FF' and R = GG' (zero rows give zero weights), or
-    with drawn weights and uniform A, B."""
-    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        f, g = rng.standard_normal((2, n, n))
-        f[rng.random(n) < 0.3] = 0.0
-        g[np.flatnonzero(~f.any(axis=1))] = 0.0
-        q, r = f @ f.T, g @ g.T
-        a, base = (r - q) / m, (r + (m - 1) * q) / m
-        d = np.diag(base).copy()
-        b = base - np.diag(d)
-    else:
-        d = np.array(draw(st.lists(WEIGHT, min_size=n, max_size=n)))
-        a, b = rng.uniform(-1.0, 1.0, (2, n, n))
-        a, b = a + a.T, b + b.T
-        np.fill_diagonal(b, 0.0)
-    return XSymmetricData(m, d, a if m >= 2 else np.zeros((n, n)), b)
 
 
 class TestTermsRoute:

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from biquad import forms, linalg
@@ -27,7 +27,7 @@ from biquad.partsym import (
     sos_decompose_naive,
     sos_decompose_structured,
 )
-from conftest import random_monic, sym_uniform
+from conftest import random_monic, sym_uniform, xsym_forms
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z2 = np.zeros((2, 2))
@@ -58,6 +58,22 @@ class TestDetectReconstruct:
         from biquad.simple import gen_simple, to_form
 
         assert detect_x_symmetric(to_form(gen_simple(2, 2, 3))) is None
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(data=xsym_forms())
+    @example(data=XSymmetricData(1, np.array([1.0, -2.0]), np.zeros((2, 2)), 0.5 * SWAP))
+    @example(data=XSymmetricData(3, np.array([1.5]), np.array([[-0.25]]), np.zeros((1, 1))))
+    def test_cells_are_the_one_builder(self, data):
+        # Reference: the tensor scattered from (d, A, B) block by block.
+        m, n = data.m, data.n
+        scattered = np.empty((m, n, m, n))
+        scattered[:] = data.A[None, :, None, :]
+        idx = np.arange(m)
+        scattered[idx, :, idx, :] = (data.B + np.diag(data.d))[None, :, :]
+        assert reconstruct(data).coeffs.tobytes() == scattered.tobytes()
+        recovered = detect_x_symmetric(data.cells())
+        for got, want in ((recovered.d, data.d), (recovered.A, data.A), (recovered.B, data.B)):
+            assert got.tobytes() == want.tobytes()
 
     def test_round_trip_exact(self):
         rng = np.random.default_rng(0)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from biquad.errors import InvalidInput
-from biquad.forms import evaluate_batch, to_terms
+from biquad.forms import BiquadraticForm, evaluate_batch, to_terms
 from biquad.gram import build_family, min_rank_search
+from biquad.linalg import COEFF_TOL
 from biquad.simple import (
     LowerBoundCertificate,
     SupportSet,
@@ -140,7 +141,37 @@ class TestExactRank:
         assert checked > 100
 
 
+def scattered_form(support):
+    """Reference for ``to_form``: the tensor written entry by entry."""
+    a = np.zeros((support.m, support.n, support.m, support.n))
+    for i, j in support.pairs:
+        a[i - 1, j - 1, i - 1, j - 1] = 1.0
+    return BiquadraticForm(support.m, support.n, a)
+
+
+def masked_support(form):
+    """Reference for ``detect_simple``: a mask over the whole tensor."""
+    a = form.coeffs
+    atol = COEFF_TOL * float(np.abs(a).max())
+    mask = np.zeros_like(a, dtype=bool)
+    idx_m, idx_n = np.arange(form.m), np.arange(form.n)
+    mask[idx_m[:, None], idx_n[None, :], idx_m[:, None], idx_n[None, :]] = True
+    diag = a[idx_m[:, None], idx_n[None, :], idx_m[:, None], idx_n[None, :]]
+    if np.abs(a[~mask]).max(initial=0.0) > atol or diag.min(initial=0.0) < -atol:
+        return None
+    return SupportSet(form.m, form.n, tuple((i + 1, j + 1) for i, j in zip(*np.nonzero(diag > atol))))
+
+
 class TestDetectSimple:
+    def test_cells_route_matches_the_old_builders(self):
+        for m, n in itertools.product(range(1, 5), repeat=2):
+            for s in range(1, m * n + 1) if m >= n else ():
+                support = gen_simple(m, n, s)
+                form = to_form(support)
+                assert form.coeffs.tobytes() == scattered_form(support).coeffs.tobytes()
+                assert detect_simple(form) == masked_support(form)
+                assert sorted(detect_simple(form).pairs) == sorted(support.pairs)
+
     def test_round_trip(self):
         support = gen_simple(3, 2, 4)
         detected = detect_simple(to_form(support))
