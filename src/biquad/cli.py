@@ -95,6 +95,14 @@ def _oriented(
     return source.to_form() if dense else source
 
 
+def _dense_input(args, check_size) -> forms.BiquadraticForm:
+    """The input as a dense form (see ``_oriented``), rejected by
+    ``check_size(m, n)`` on its oriented size before it is densified."""
+    source = _read_input(args.form)
+    check_size(*((source.n, source.m) if args.transpose else (source.m, source.n)))
+    return _oriented(source, args.transpose, dense=True)
+
+
 def _vec(a) -> list[float]:
     return [float(v) for v in np.asarray(a).ravel()]
 
@@ -199,12 +207,12 @@ def cmd_decompose(args) -> CommandResult:
 def cmd_verify(args) -> CommandResult:
     """Check a decomposition file against a form loaded as ``decompose``
     loads it, with the bound ``decompose`` applies: an x-symmetric form
-    gets its PSD certificate's slack, any other form is compared densely."""
+    gets its PSD certificate's slack, any other form none; no dense tensor."""
     tol, source, data = _load_and_detect(args)
     if data is not None:
         form, slack = data, partsym.check_psd_monic(data, tol).slack
     else:
-        form, slack = source.to_form(), 0.0
+        form, slack = source, 0.0
     dec = forms.load_decomposition(args.dec)
     payload = {"verified": True, **_reverified(form, dec, "decomposition file", slack), "factor_count": len(dec)}
     return CommandResult(
@@ -262,7 +270,7 @@ def _negativity_probe(command: str, form, tol, seed: int, **probe_args) -> Comma
 
 def cmd_sos_rank(args) -> CommandResult:
     tol = _tolerances(args)
-    form = _oriented(_read_input(args.form), args.transpose, dense=True)
+    form = _dense_input(args, gram.check_size)
     support = simple.detect_simple(form)
     lower = None
     if support is not None:
@@ -306,7 +314,7 @@ def cmd_sos_rank(args) -> CommandResult:
 
 def cmd_reduce_rank(args) -> CommandResult:
     tol = _tolerances(args)
-    form = _oriented(_read_input(args.form), args.transpose, dense=True)
+    form = _dense_input(args, gram.check_size)
     family = gram.build_family(form)
     start = gram.psd_point(family, seed=args.seed, tol=tol)
     if start is None:
@@ -333,10 +341,7 @@ def cmd_reduce_rank(args) -> CommandResult:
 
 def cmd_meig(args) -> CommandResult:
     _tolerances(args)  # rejects a --tol outside (0, 1)
-    source = _read_input(args.form)
-    # The cap is checked on the size the dense tensor would have, before it is built.
-    meig.check_size(*((source.n, source.m) if args.transpose else (source.m, source.n)))
-    form = _oriented(source, args.transpose, dense=True)
+    form = _dense_input(args, meig.check_size)
     residual_tol = {} if args.tol is None else {"tol": args.tol}
     pairs = meig.meig_solve(form, restarts=args.restarts, seed=args.seed, **residual_tol)
     payload = {
@@ -360,11 +365,10 @@ def cmd_meig(args) -> CommandResult:
     )
 
 
-def _add_common(sub, tol=True, seed=True, transpose=False, restarts=None):
+def _add_common(sub, tol="rank/PSD tolerance (default 1e-9)", seed=True, transpose=False, restarts=None):
     sub.add_argument("--json", action="store_true", help="print the JSON payload instead of a summary")
     if tol:
-        sub.add_argument("--tol", type=float, default=None,
-                         help="rank/PSD tolerance (default 1e-9)")
+        sub.add_argument("--tol", type=float, default=None, help=tol)
     if seed:
         sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     if transpose:
@@ -419,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("s", type=int)
     p.add_argument("out", help="output form file")
-    _add_common(p, tol=False, seed=False)
+    _add_common(p, tol=None, seed=False)
 
     p = subs.add_parser("sos-rank", help="heuristic SOS-rank bounds via the Gram family")
     p.add_argument("form")
@@ -432,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("meig", help="M-eigenpairs of a small form")
     p.add_argument("form")
-    _add_common(p, transpose=True, restarts=20)
+    _add_common(p, tol="eigenpair residual bound, relative to max|c| (default 1e-10)", transpose=True, restarts=20)
 
     return parser
 

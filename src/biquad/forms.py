@@ -9,11 +9,12 @@ views lives here.  A terms file is accumulated once, into its canonical
 cells (``FormCells``, the entries with i <= k and j <= l); the dense tensor
 is scattered from them only when a caller asks for it, and x-symmetric data
 and grouped decompositions reach it through the same cells
-(``FormCells.x_symmetric``).  A form file's terms array is decoded in
-chunks of about 64 KiB (``read_terms_cells``), so no whole-file JSON
-document or dict per term is built.  A decomposition is verified against
-its form coefficient by coefficient (``verify_sos``), never by sampling, and
-x-symmetric data against a grouped decomposition in O(n^2).
+(``FormCells.x_symmetric``); every module reads the cells' order from
+``FormCells.layout``.  A form file's terms array is decoded in chunks of
+about 64 KiB (``read_terms_cells``), so no whole-file JSON document or dict
+per term is built.  A decomposition is verified against its form's cells
+(``verify_sos``), never by sampling, and x-symmetric data against a grouped
+decomposition in O(n^2).
 """
 
 from __future__ import annotations
@@ -67,26 +68,35 @@ class BiquadraticForm:
 
 @dataclass(frozen=True)
 class FormCells:
-    """The canonical cells of a form: ``values[p, q] = a[i, j, k, l]`` for the
-    p-th pair (i, k) of ``triu_indices(m)`` and the q-th pair (j, l) of
-    ``triu_indices(n)``.  The orbit of every tensor entry holds exactly one
-    position with i <= k and j <= l, so the cells are the whole form in about
-    a quarter of the tensor's storage."""
+    """The canonical cells of a form: ``values[p, q] = a[i, j, k, l]`` at
+    the p-th pair (i, k) of ``triu_indices(m)`` and the q-th pair (j, l) of
+    ``triu_indices(n)``, positions that ``layout`` alone derives.  The orbit
+    of every tensor entry holds exactly one position with i <= k and j <= l,
+    so the cells are the whole form in about a quarter of its storage."""
 
     m: int
     n: int
     values: np.ndarray
+
+    @staticmethod
+    def layout(m: int, n: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, np.ndarray]]:
+        """``((i, j, k, l), (x_orbit, y_orbit))``: the tensor position of
+        every m x n cell, i and k a column and j and l a row that broadcast to
+        the cells' shape, and its orbit size x_orbit * y_orbit (2 if i < k,
+        times 2 if j < l), never materialised: O(m^2 + n^2) memory."""
+        i, k = np.triu_indices(m)
+        j, l = np.triu_indices(n)
+        i, k = i[:, None], k[:, None]
+        return (i, j, k, l), (np.where(i < k, 2.0, 1.0), np.where(j < l, 2.0, 1.0))
 
     @classmethod
     def of(cls, form: BiquadraticForm) -> FormCells:
         """The cells of a dense form, each the mean of its entry and the
         y-swapped one, as a form may be off partial symmetry by COEFF_TOL
         (taken as a + (b - a) / 2, which cannot overflow)."""
-        i, k = np.triu_indices(form.m)
-        j, l = np.triu_indices(form.n)
-        i, k, a = i[:, None], k[:, None], form.coeffs
-        entry = a[i, j, k, l]
-        return cls(form.m, form.n, entry + 0.5 * (a[i, l, k, j] - entry))
+        (i, j, k, l), _ = cls.layout(form.m, form.n)
+        entry = form.coeffs[i, j, k, l]
+        return cls(form.m, form.n, entry + 0.5 * (form.coeffs[i, l, k, j] - entry))
 
     @classmethod
     def x_symmetric(cls, m: int, same: np.ndarray, cross: np.ndarray) -> FormCells:
@@ -95,24 +105,24 @@ class FormCells:
         cell copied verbatim from the upper triangle of its block."""
         n = len(same)
         require_indexable(m, n, (m * (m + 1) // 2) * (n * (n + 1) // 2), "canonical cells")
-        i, k = np.triu_indices(m)
-        j, l = np.triu_indices(n)
-        return cls(m, n, np.where((i == k)[:, None], same[j, l], cross[j, l]))
+        (i, j, k, l), _ = cls.layout(m, n)
+        return cls(m, n, np.where(i == k, same[j, l], cross[j, l]))
 
     def transpose(self) -> FormCells:
         """The cells of the n x m form P'(y, x) = P(x, y)."""
         return FormCells(self.n, self.m, self.values.T)
 
+    def max_abs_coeff(self) -> float:
+        """max|coeff| of the dense tensor, whose entries are the cells'."""
+        return float(np.abs(self.values).max())
+
     def to_form(self) -> BiquadraticForm:
         """The dense tensor: each cell copied to the four positions of its
-        orbit, as the symmetric n x n blocks (i, :, k, :) and (k, :, i, :)."""
+        orbit."""
         require_indexable(self.m, self.n, (self.m * self.n) ** 2, "dense tensor entries")
-        i, k = np.triu_indices(self.m)
-        j, l = np.triu_indices(self.n)
-        blocks = np.empty((len(i), self.n, self.n))
-        blocks[:, j, l] = blocks[:, l, j] = self.values
+        (i, j, k, l), _ = self.layout(self.m, self.n)
         a = np.empty((self.m, self.n, self.m, self.n))
-        a[i, :, k, :] = a[k, :, i, :] = blocks
+        a[i, j, k, l] = a[k, j, i, l] = a[i, l, k, j] = a[k, l, i, j] = self.values
         return BiquadraticForm(self.m, self.n, a)
 
 
@@ -207,21 +217,16 @@ class GroupedSOSDecomposition:
 def symmetrize(raw) -> BiquadraticForm:
     """Average a raw coefficient tensor over its symmetry orbit.
 
-    The result defines the same polynomial and is the canonical carrier; an
+    The result defines the same polynomial and is the canonical carrier.
+    The mean over the swaps i <-> k and j <-> l pairs its sums so that it is
+    bitwise invariant under both (float addition is commutative): an
     already-symmetric tensor passes through bit-identically.
     """
     a = np.asarray(raw, dtype=float)
     if a.ndim != 4 or a.shape[0] != a.shape[2] or a.shape[1] != a.shape[3]:
         raise InvalidInput(f"expected shape (m, n, m, n), got {a.shape}")
-    return BiquadraticForm(a.shape[0], a.shape[1], _orbit_mean(a))
-
-
-def _orbit_mean(a: np.ndarray) -> np.ndarray:
-    """The mean of a tensor over the swaps i <-> k and j <-> l.  Pairing the
-    sums keeps the result bitwise invariant under both swaps (float addition
-    is commutative), so it is an exact fixed point on symmetric tensors."""
     sym = a + a.transpose(2, 1, 0, 3)
-    return (sym + sym.transpose(0, 3, 2, 1)) * 0.25
+    return BiquadraticForm(a.shape[0], a.shape[1], (sym + sym.transpose(0, 3, 2, 1)) * 0.25)
 
 
 def max_abs_coeff(form: BiquadraticForm) -> float:
@@ -291,41 +296,34 @@ def verify_sos(
 ) -> tuple[bool, float]:
     """Check the decomposition against the form coefficient by coefficient.
 
-    The residual is the largest absolute difference between the coefficient
-    tensor of the sum of squares and the form's; the check passes when it
-    is at most ``residual_bound(form, slack)``, so only the zero form passes
-    with no factors.  ``form`` is a ``BiquadraticForm`` or x-symmetric data
-    with fields ``m, d, A, B`` and the methods ``max_abs_coeff`` and
-    ``cells`` (``partsym.XSymmetricData``).  Data checked against a grouped
-    decomposition is compared through Q' = sum Y'Y over the ``HELMERT``
-    groups and R' over the ``ONES`` groups, in O(n^2), without a dense
-    tensor or the dense factors.  Every other pair is compared on the
-    decomposition's dense tensor.
+    The residual is the largest absolute difference between a coefficient
+    of the sum of squares and the form's; the check passes when it is at
+    most ``residual_bound(form, slack)``, so only the zero form passes with
+    no factors.  ``form`` is a ``BiquadraticForm``, its ``FormCells``, or
+    x-symmetric data with fields ``m, d, A, B`` and the methods
+    ``max_abs_coeff`` and ``cells`` (``partsym.XSymmetricData``).  Data
+    checked against a grouped decomposition is compared through Q' = sum Y'Y
+    over the ``HELMERT`` groups and R' over the ``ONES`` groups, in O(n^2),
+    without the cells or the dense factors.  Every other pair is compared
+    on the canonical cells (``_sos_cells``), without the form's tensor.
     ``samples`` and ``seed`` are accepted for older callers and ignored: no
     random number is drawn.  Returns (passed, max residual).
     """
     if (form.m, form.n) != (dec.m, dec.n):
         raise InvalidInput("form and decomposition dimensions differ")
     if isinstance(form, BiquadraticForm):
-        diffs = (_dense_coeffs(dec) - form.coeffs,)
+        diffs = (_sos_cells(dec) - FormCells.of(form).values,)
+    elif isinstance(form, FormCells):
+        diffs = (_sos_cells(dec) - form.values,)
+    elif isinstance(dec, GroupedSOSDecomposition):
+        same, cross = _grouped_blocks(dec)
+        same_x = same - form.B
+        same_x.flat[:: form.n + 1] -= form.d
+        diffs = (same_x,) if form.m == 1 else (same_x, cross - form.A)
     else:
-        diffs = _xsym_differences(form, dec)
+        diffs = (_sos_cells(dec) - form.cells().values,)
     resid = max(float(np.abs(diff).max(initial=0.0)) for diff in diffs)
     return resid <= residual_bound(form, slack), resid
-
-
-def _xsym_differences(data, dec: SOSDecomposition | GroupedSOSDecomposition) -> tuple[np.ndarray, ...]:
-    """Arrays holding every difference between the decomposition's
-    coefficients and those of x-symmetric data, whose tensor is D + B on the
-    blocks i = k and A on the others: for a grouped decomposition the n x n
-    blocks of its Q' and R' identity (see ``_grouped_blocks``), for a dense
-    one its whole tensor against the data's, ``data.cells().to_form()``."""
-    if isinstance(dec, GroupedSOSDecomposition):
-        same, cross = _grouped_blocks(dec)
-        same_x = same - data.B
-        same_x.flat[:: data.n + 1] -= data.d
-        return (same_x,) if data.m == 1 else (same_x, cross - data.A)
-    return (_dense_coeffs(dec) - data.cells().to_form().coeffs,)
 
 
 def _grouped_blocks(dec: GroupedSOSDecomposition) -> tuple[np.ndarray, np.ndarray]:
@@ -341,15 +339,17 @@ def _grouped_blocks(dec: GroupedSOSDecomposition) -> tuple[np.ndarray, np.ndarra
     return q + cross, cross
 
 
-def _dense_coeffs(dec: SOSDecomposition | GroupedSOSDecomposition) -> np.ndarray:
-    """The coefficient tensor of a decomposition: the x-symmetric tensor of
-    its ``_grouped_blocks`` for grouped ones, the orbit mean of
-    sum_p W_p (x) W_p for dense ones."""
+def _sos_cells(dec: SOSDecomposition | GroupedSOSDecomposition) -> np.ndarray:
+    """The canonical cells of a decomposition's coefficients; a dense one's
+    are gathered from G = sum_p vec W_p vec W_p' with ``symmetrize``'s
+    pairing, so each is bit-identical to that entry of symmetrize(G)."""
     if isinstance(dec, GroupedSOSDecomposition):
-        return FormCells.x_symmetric(dec.m, *_grouped_blocks(dec)).to_form().coeffs
+        return FormCells.x_symmetric(dec.m, *_grouped_blocks(dec)).values
     m, n = dec.m, dec.n
     flat = np.reshape(dec.factors, (len(dec), m * n))
-    return _orbit_mean((flat.T @ flat).reshape(m, n, m, n))
+    a = (flat.T @ flat).reshape(m, n, m, n)
+    (i, j, k, l), _ = FormCells.layout(m, n)
+    return ((a[i, j, k, l] + a[k, j, i, l]) + (a[i, l, k, j] + a[k, l, i, j])) * 0.25
 
 
 def transpose_xy(form: BiquadraticForm) -> BiquadraticForm:
@@ -367,13 +367,10 @@ _TERM_FIELDS = ("i", "j", "k", "l", "c")
 def _term_columns(form: BiquadraticForm) -> tuple[np.ndarray, ...]:
     """1-based i, j, k, l and the polynomial coefficient c of every nonzero
     monomial, sorted by (i, k, j, l)."""
-    i, k = np.triu_indices(form.m)
-    j, l = np.triu_indices(form.n)
-    orbit = np.where(i < k, 2.0, 1.0)[:, None] * np.where(j < l, 2.0, 1.0)
-    c = (orbit * form.coeffs[i[:, None], j, k[:, None], l]).ravel()
-    keep = np.flatnonzero(c)
-    x_pair, y_pair = np.divmod(keep, len(j))
-    return i[x_pair] + 1, j[y_pair] + 1, k[x_pair] + 1, l[y_pair] + 1, c[keep]
+    (i, j, k, l), (x_orbit, y_orbit) = FormCells.layout(form.m, form.n)
+    c = x_orbit * y_orbit * form.coeffs[i, j, k, l]
+    x_pair, y_pair = np.nonzero(c)
+    return i[x_pair, 0] + 1, j[y_pair] + 1, k[x_pair, 0] + 1, l[y_pair] + 1, c[x_pair, y_pair]
 
 
 def to_terms(form: BiquadraticForm) -> list[MonomialTerm]:
@@ -480,10 +477,11 @@ def _accumulate_cells(m: int, n: int, i, j, k, l, coeff: np.ndarray) -> np.ndarr
     require_indexable(m, n, shape[0] * shape[1], "canonical cells")
     i, k = np.minimum(i, k), np.maximum(i, k)
     j, l = np.minimum(j, l), np.maximum(j, l)
-    entry = coeff / (np.where(i < k, 2.0, 1.0) * np.where(j < l, 2.0, 1.0))
-    # (i, k) with i <= k is row i * m - i * (i - 1) / 2 + (k - i) of triu_indices(m).
+    # The layout's inverse: (i, k) with i <= k is row i * m - i * (i - 1) / 2 + (k - i).
     x_pair = i * (2 * m - i + 1) // 2 + k - i
     y_pair = j * (2 * n - j + 1) // 2 + l - j
+    _, (x_orbit, y_orbit) = FormCells.layout(m, n)
+    entry = coeff / (x_orbit[x_pair, 0] * y_orbit[y_pair])
     cells = np.bincount(x_pair * shape[1] + y_pair, weights=entry, minlength=shape[0] * shape[1])
     if not np.isfinite(cells).all():
         raise InvalidInput("coefficients must be finite")

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CannotReduce, InvalidInput, NoPSDPointFound, NotPSD, require_count
-from .forms import BiquadraticForm, SOSDecomposition
+from .forms import BiquadraticForm, FormCells, SOSDecomposition
 from .linalg import DEFAULT_TOL, Tolerances
 
 # Accepted fit residual, relative to max|c|.  The fitted Gram matrix lies
@@ -46,6 +46,9 @@ _FIT_RTOL = 1e-10
 # a 45-form planted sweep, failing fits left to run end near 3e-9 (4e-8 at
 # most); fits that succeed never went below 2.8e-3 on their way in.
 _GTOL = 1e-4
+# The largest Gram order m * n check_size accepts, that of the 10 x 10 forms
+# the search is meant to reach; a far larger form's tensor exhausts memory.
+_ORDER_CAP = 100
 
 
 def __getattr__(name: str):
@@ -59,57 +62,57 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def check_size(m: int, n: int) -> None:
+    """InvalidInput when the Gram order m * n is above ``_ORDER_CAP``."""
+    if m * n > _ORDER_CAP:
+        raise InvalidInput(f"form size {m} x {n} gives Gram order {m * n}, above the cap {_ORDER_CAP}")
+
+
 @dataclass(frozen=True)
 class GramFamily:
     """Base matrix plus the swap directions spanning the representation
-    freedom of one biquadratic form."""
+    freedom of one biquadratic form.  ``cells`` holds the Gram positions
+    (ij, kl, il, kj), ij = i * n + j, of each cell of ``FormCells.layout``;
+    ``swaps`` those with i < k, j < l, direction t's +1 and -1 entries."""
 
     m: int
     n: int
     base: np.ndarray
-    quads: tuple[tuple[int, int, int, int], ...] = field(repr=False)
-    _rows_plus: np.ndarray = field(repr=False, default=None)
-    _cols_plus: np.ndarray = field(repr=False, default=None)
-    _rows_minus: np.ndarray = field(repr=False, default=None)
-    _cols_minus: np.ndarray = field(repr=False, default=None)
+    cells: np.ndarray = field(init=False, repr=False)
+    swaps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.n
-        rp = np.array([i * n + j for i, k, j, l in self.quads], dtype=int)
-        cp = np.array([k * n + l for i, k, j, l in self.quads], dtype=int)
-        rm = np.array([i * n + l for i, k, j, l in self.quads], dtype=int)
-        cm = np.array([k * n + j for i, k, j, l in self.quads], dtype=int)
+        (i, j, k, l), _ = FormCells.layout(self.m, self.n)
+        cells = np.stack([i * self.n + j, k * self.n + l, i * self.n + l, k * self.n + j]).reshape(4, -1)
         base = self.base.copy()
         base.setflags(write=False)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "_rows_plus", rp)
-        object.__setattr__(self, "_cols_plus", cp)
-        object.__setattr__(self, "_rows_minus", rm)
-        object.__setattr__(self, "_cols_minus", cm)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "swaps", cells[:, ((i < k) & (j < l)).ravel()])
 
     @property
     def dim(self) -> int:
-        return len(self.quads)
+        return self.swaps.shape[1]
 
     def matrix_at(self, gamma: np.ndarray) -> np.ndarray:
         gamma = np.asarray(gamma, dtype=float)
         if gamma.shape != (self.dim,):
             raise InvalidInput(f"gamma must have length {self.dim}, got shape {gamma.shape}")
         m = self.base.copy()
+        ij, kl, il, kj = self.swaps
         # Supports of distinct directions are disjoint, so fancy updates are safe.
-        m[self._rows_plus, self._cols_plus] += gamma
-        m[self._cols_plus, self._rows_plus] += gamma
-        m[self._rows_minus, self._cols_minus] -= gamma
-        m[self._cols_minus, self._rows_minus] -= gamma
+        m[ij, kl] += gamma
+        m[kl, ij] += gamma
+        m[il, kj] -= gamma
+        m[kj, il] -= gamma
         return m
 
     def direction(self, t: int) -> np.ndarray:
         mn = self.m * self.n
+        ij, kl, il, kj = self.swaps[:, t]
         delta = np.zeros((mn, mn))
-        delta[self._rows_plus[t], self._cols_plus[t]] = 1.0
-        delta[self._cols_plus[t], self._rows_plus[t]] = 1.0
-        delta[self._rows_minus[t], self._cols_minus[t]] = -1.0
-        delta[self._cols_minus[t], self._rows_minus[t]] = -1.0
+        delta[ij, kl] = delta[kl, ij] = 1.0
+        delta[il, kj] = delta[kj, il] = -1.0
         return delta
 
     def combine(self, coeffs: np.ndarray) -> np.ndarray:
@@ -134,17 +137,9 @@ class GramPoint:
 
 def build_family(form: BiquadraticForm) -> GramFamily:
     """Family for a form: base is the (mn x mn) reshape of the coefficient
-    tensor, directions enumerated lexicographically over i < k, j < l."""
+    tensor, directions in layout order, lexicographic over i < k, j < l."""
     m, n = form.m, form.n
-    base = linalg.as_sym_matrix(form.coeffs.reshape(m * n, m * n))
-    quads = tuple(
-        (i, k, j, l)
-        for i in range(m)
-        for k in range(i + 1, m)
-        for j in range(n)
-        for l in range(j + 1, n)
-    )
-    return GramFamily(m, n, base, quads)
+    return GramFamily(m, n, linalg.as_sym_matrix(form.coeffs.reshape(m * n, m * n)))
 
 
 def gram_at(family: GramFamily, gamma) -> GramPoint:
@@ -158,7 +153,8 @@ def gamma_of(family: GramFamily, matrix) -> np.ndarray:
     Raises InvalidInput when the matrix is not in the family.
     """
     matrix = linalg.as_sym_matrix(matrix)
-    gamma = matrix[family._rows_plus, family._cols_plus] - family.base[family._rows_plus, family._cols_plus]
+    ij, kl = family.swaps[:2]
+    gamma = matrix[ij, kl] - family.base[ij, kl]
     rebuilt = family.matrix_at(gamma)
     if not np.allclose(rebuilt, matrix, rtol=0.0, atol=1e-9 * float(np.abs(matrix).max())):
         raise InvalidInput("matrix does not represent the family's form")
@@ -282,36 +278,33 @@ def _lm(residual, jacobian, x: np.ndarray, max_nfev: int, fits) -> tuple[np.ndar
     return x, f
 
 
-def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> GramPoint | None:
+def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> tuple[GramPoint, np.ndarray] | None:
     """Least-squares fit of r bilinear squares sum_p (x'W_p y)^2 to the form.
 
     ``start`` holds the r initial m x n factors.  The residual is
-    symmetrize(sum_p W_p (x) W_p) - coeffs, taken once per symmetry orbit
-    and weighted by the square root of the orbit size, so its sum of squares
-    is that over the whole tensor; ``_lm`` minimizes it with the Jacobian in
-    closed form, and ``fits`` is its acceptance test.  Returns the PSD Gram
-    point of the fitted factors when every coefficient is matched to
+    symmetrize(sum_p W_p (x) W_p) - coeffs, taken once per cell of
+    ``family.cells`` and weighted by the square root of its orbit size, so
+    its sum of squares is that over the whole tensor; ``_lm`` minimizes it
+    with the Jacobian in closed form, and ``fits`` is its acceptance test.
+    Returns the fitted PSD Gram point and its ``_factors`` (one eigen-solve
+    for the PSD test and the factors) when every coefficient is matched to
     _FIT_RTOL * max|c|, else None.
     """
     m, n = family.m, family.n
     r = start.shape[0]
     mn = m * n
-    xi, xk = np.triu_indices(m)
-    yj, yl = np.triu_indices(n)
-    i, k = np.repeat(xi, yj.size), np.repeat(xk, yj.size)
-    j, l = np.tile(yj, xi.size), np.tile(yl, xi.size)
-    # Entry (i, j, k, l) averages the Gram entries at (ij, kl) and (il, kj).
-    a, b, c, d = i * n + j, k * n + l, i * n + l, k * n + j
-    weight = np.sqrt(np.where(i < k, 2.0, 1.0) * np.where(j < l, 2.0, 1.0))
+    # Cell e averages the Gram entries at (a, b) = (ij, kl) and (c, d) = (il, kj).
+    a, b, c, d = family.cells
+    _, (x_orbit, y_orbit) = FormCells.layout(m, n)
+    weight = np.sqrt(x_orbit * y_orbit).ravel()
     target = family.base[a, b]
     rows = target.size
     # d residual[e] / d W[p, entry] = weight[e] / 2 * W[p, partner]: the
     # Jacobian, laid out (row e, factor p, column entry), is one bincount
     # of these products at positions fixed for the whole fit.
-    entry = np.stack([a, b, c, d], axis=1)
-    partner = np.stack([b, a, d, c], axis=1)
+    partner = family.cells[[1, 0, 3, 2]].T
     slot = (np.arange(rows)[:, None, None] * (r * mn) + np.arange(r)[None, None, :] * mn
-            + entry[:, :, None]).ravel()
+            + family.cells.T[:, :, None]).ravel()
     half_weight = (0.5 * weight)[:, None, None]
 
     def residual(v: np.ndarray) -> np.ndarray:
@@ -332,7 +325,10 @@ def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> GramPoint | 
         return None
     w = x.reshape(r, mn)
     point = gram_at(family, gamma_of(family, w.T @ w))
-    return point if linalg.is_psd(point.matrix, tol)[0] else None
+    try:
+        return point, _factors(point, tol)
+    except NotPSD:
+        return None
 
 
 def _random_start(family: GramFamily, r: int, rng: np.random.Generator) -> np.ndarray:
@@ -356,9 +352,9 @@ def psd_point(family: GramFamily, seed: int = 0, tol: Tolerances = DEFAULT_TOL) 
     if linalg.is_psd(base.matrix, tol)[0]:
         return base
     for r in range(1, family.m * family.n + 1):
-        point = _fit(family, _random_start(family, r, np.random.default_rng([seed, r])), tol)
-        if point is not None:
-            return point
+        fitted = _fit(family, _random_start(family, r, np.random.default_rng([seed, r])), tol)
+        if fitted is not None:
+            return fitted[0]
     return None
 
 
@@ -404,6 +400,7 @@ def min_rank_search(
                 break
         if fitted is None:
             break
-        point = fitted
-        factors = _factors(point, tol)
-    return point, linalg.numerical_rank(point.matrix, tol)
+        point, factors = fitted
+    # One factor per eigenvalue above the rank cutoff: the numerical rank, as
+    # the negative eigenvalues of a point that passed the PSD test are within it.
+    return point, len(factors)

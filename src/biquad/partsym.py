@@ -196,10 +196,9 @@ def detect_x_symmetric(form: BiquadraticForm | FormCells) -> XSymmetricData | No
     """
     cells = form if isinstance(form, FormCells) else FormCells.of(form)
     m, n, c = cells.m, cells.n, cells.values
-    i, k = np.triu_indices(m)
-    if np.abs(c - c[np.where(i == k, 0, 1)]).max() > _DETECT_TOL * float(np.abs(c).max()):
+    (i, j, k, l), _ = FormCells.layout(m, n)
+    if np.abs(c - c[np.where(i == k, 0, 1).ravel()]).max() > _DETECT_TOL * float(np.abs(c).max()):
         return None
-    j, l = np.triu_indices(n)
     B = np.zeros((n, n))
     B[j, l] = B[l, j] = c[0]
     d = np.diag(B).copy()

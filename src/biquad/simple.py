@@ -132,9 +132,8 @@ def detect_simple(form: BiquadraticForm) -> SupportSet | None:
     is the one with i = k and j = l, and every other cell must vanish.
     """
     c = FormCells.of(form).values
-    i, k = np.triu_indices(form.m)
-    j, l = np.triu_indices(form.n)
-    squares = np.ix_(i == k, j == l)
+    (i, j, k, l), _ = FormCells.layout(form.m, form.n)
+    squares = np.ix_((i == k).ravel(), j == l)
     size = np.abs(c)
     atol = COEFF_TOL * float(size.max())
     diag = c[squares]

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biquad
-from biquad import cli, forms, linalg, meig, partsym
+from biquad import cli, forms, gram, linalg, meig, partsym
 from biquad.cli import main
+from biquad.errors import InvalidInput
 from biquad.partsym import XSymmetricData, random_psd_instance, reconstruct
 from biquad.simple import gen_simple, to_form
 from conftest import xsym_forms
@@ -253,6 +254,19 @@ class TestSosRank:
         assert data["payload"]["exact"] is True
         assert data["payload"]["upper_bound"] == 5
 
+    def test_fitted_points_are_factored_once(self, capsys, monkeypatch, tmp_path):
+        # The base is eigen-solved for its PSD test and its factors, the one
+        # fit that succeeds (5 squares, landing on rank 4) once for both, and
+        # the emitted factorization once; the rank is the fit's factor count.
+        calls = []
+        sym_eig = linalg.sym_eig
+        monkeypatch.setattr(linalg, "sym_eig", lambda s: calls.append(np.shape(s)) or sym_eig(s))
+        path = tmp_path / "p426.json"
+        forms.save_form(to_form(gen_simple(4, 2, 6)), str(path))
+        code, data = run_json(capsys, ["sos-rank", str(path)])
+        assert code == 0 and data["payload"]["upper_bound"] == 4
+        assert len(calls) <= 4
+
     def test_byte_identical_json(self, capsys, p224_file):
         code1 = main(["sos-rank", p224_file, "--restarts", "4", "--seed", "3", "--json"])
         out1 = capsys.readouterr().out
@@ -288,6 +302,28 @@ class TestSosRank:
             assert code == 0
             assert data["payload"]["universal_bound"] == 4
             assert data["payload"]["upper_bound"] <= 4
+
+
+class TestGramCap:
+    @pytest.mark.parametrize("command", ["sos-rank", "reduce-rank"])
+    @pytest.mark.parametrize("flags", [[], ["--transpose"]])
+    def test_cap_checked_before_densifying(self, capsys, monkeypatch, tmp_path, command, flags):
+        # Without the cap this file asks for 1.8e9 cells and a 26.8 GiB tensor.
+        def densified(*args, **kwargs):
+            raise AssertionError("cells or dense tensor built above the cap")
+
+        monkeypatch.setattr(forms.FormCells, "x_symmetric", densified)
+        monkeypatch.setattr(forms.FormCells, "to_form", densified)
+        path = write(tmp_path / "tall.json", {"m": 60000, "d": [1], "A": [[0]], "B": [[0]]})
+        code, out = run_json(capsys, [command, path, *flags])
+        size = "1 x 60000" if flags else "60000 x 1"
+        assert code == 1 and out["status"] == "error"
+        assert out["payload"]["error"] == f"form size {size} gives Gram order 60000, above the cap 100"
+
+    def test_ten_by_ten_is_within_the_cap(self):
+        gram.check_size(10, 10)
+        with pytest.raises(InvalidInput, match="above the cap 100"):
+            gram.check_size(101, 1)
 
 
 class TestReduceRank:
@@ -369,6 +405,13 @@ class TestMeigCommand:
         forms.save_form(forms.symmetrize(raw), str(path))
         code, _ = run_json(capsys, ["meig", str(path)])
         assert code == 1
+
+    def test_tol_help_names_the_residual_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["meig", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--tol TOL eigenpair residual bound, relative to max|c| (default 1e-10)" in text
+        assert "rank/PSD" not in text
 
     @pytest.mark.parametrize("record, flags, size", [
         (BIG_DATA, [], "60 x 9"),
@@ -999,9 +1042,9 @@ class TestVerifyCommand:
         code, failed = run_json(capsys, ["verify", path, wrong_copy(out, str(tmp_path / "wrong.json"))])
         assert code == 1 and failed["status"] == "error" and "re-verification" in failed["payload"]["error"]
 
-    def test_general_form_is_compared_densely(self, capsys, p223_file, tmp_path):
+    def test_general_form_is_compared_on_cells(self, capsys, p223_file, tmp_path):
         # x1^2 y1^2 + x1^2 y2^2 + x2^2 y2^2 is not x-symmetric: a dense
-        # record is checked against its tensor, with no slack.
+        # record is checked against its cells, with no slack.
         dec = forms.SOSDecomposition(2, 2, tuple(np.eye(4)[p].reshape(2, 2) for p in (0, 1, 3)))
         out = str(tmp_path / "dense.json")
         forms.save_decomposition(dec, out)
@@ -1036,6 +1079,17 @@ class TestVerifyCommand:
         for path, suffix in routes:
             assert run_json(capsys, ["decompose", path, out, *suffix])[0] == 0
             assert run_json(capsys, ["verify", path, out, *suffix])[0] == 0
+
+    def test_general_form_builds_no_dense_tensor(self, capsys, monkeypatch, p223_file, tmp_path):
+        def densified(*args, **kwargs):
+            raise AssertionError("densified")
+
+        monkeypatch.setattr(forms.FormCells, "to_form", densified)
+        dec = forms.SOSDecomposition(2, 2, tuple(np.eye(4)[p].reshape(2, 2) for p in (0, 1, 3)))
+        out = str(tmp_path / "dense.json")
+        forms.save_decomposition(dec, out)
+        code, checked = run_json(capsys, ["verify", p223_file, out])
+        assert code == 0 and checked["payload"]["max_residual"] == 0.0
 
     def test_payloads_carry_the_residual_bound(self, capsys, p224_file):
         # The Gram factorizations are checked on the dense form, with no slack.

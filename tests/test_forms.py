@@ -33,6 +33,7 @@ from biquad.forms import (
     transpose_xy,
     verify_sos,
 )
+from biquad.gram import build_family
 from biquad.simple import gen_simple, to_form
 
 
@@ -625,6 +626,35 @@ class TestStreamedTerms:
         path = tmp_path / "data.json"
         path.write_text(json.dumps({"m": 2, "d": [1.0], "A": [[0.0]], "B": [[0.0]]}))
         assert read_terms_cells(str(path)) is None
+
+
+def _old_swap_order(m, n):
+    """Reference order of the Gram directions: a quadruple loop over i < k,
+    j < l, each direction as its positions (ij, kl, il, kj)."""
+    quads = [(i, k, j, l) for i in range(m) for k in range(i + 1, m) for j in range(n) for l in range(j + 1, n)]
+    return np.array([[i * n + j, k * n + l, i * n + l, k * n + j] for i, k, j, l in quads], dtype=int).reshape(-1, 4).T
+
+
+class TestCellLayout:
+    """Every reader of the cell layout agrees with it, bit for bit."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(m=st.integers(1, 5), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), zeros=st.booleans())
+    def test_round_trips(self, m, n, seed, zeros):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((m * (m + 1) // 2, n * (n + 1) // 2))
+        if zeros:
+            values[rng.random(values.shape) < 0.5] = 0.0
+        cells = FormCells(m, n, values)
+        form = cells.to_form()
+        assert np.array_equal(FormCells.of(form).values, values)
+        i, j, k, l, c = forms._term_columns(form)
+        assert np.array_equal(forms._accumulate_cells(m, n, i - 1, j - 1, k - 1, l - 1, c), values)
+        assert np.array_equal(build_family(form).swaps, _old_swap_order(m, n))
+        flat = rng.standard_normal((3, m * n))
+        dec = SOSDecomposition(m, n, tuple(flat.reshape(3, m, n)))
+        expected = FormCells.of(symmetrize((flat.T @ flat).reshape(m, n, m, n))).values
+        assert np.array_equal(forms._sos_cells(dec), expected)
 
 
 class TestSizeChecks:
