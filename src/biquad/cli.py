@@ -326,7 +326,7 @@ def cmd_reduce_rank(args) -> CommandResult:
             summary="inconclusive: no PSD starting point",
         )
     reduced = gram.reduce_to_boundary(family, start, seed=args.seed, tol=tol)
-    rank = linalg.numerical_rank(reduced.matrix, tol)
+    rank = linalg.rank_from_eigenvalues(reduced.spectrum.eigenvalues, tol)
     residual = _reverified(form, gram.factor_gram(reduced, tol), "Gram factorization")
     payload = {"gamma": _vec(reduced.gamma), "rank": rank, **residual, "seed": args.seed}
     if args.out:

@@ -11,14 +11,16 @@ is scattered from them only when a caller asks for it, and x-symmetric data
 and grouped decompositions reach it through the same cells
 (``FormCells.x_symmetric``); every module reads the cells' order from
 ``FormCells.layout``.  A form file's terms array is decoded in chunks of
-about 64 KiB (``read_terms_cells``), so no whole-file JSON document or dict
-per term is built.  A decomposition is verified against its form's cells
+about 64 KiB (``read_terms_cells``), so no whole-file JSON document is
+built, and a chunk whose terms repeat one template is decoded as a flat
+list of numbers, without a dict per term.  A decomposition is verified against its form's cells
 (``verify_sos``), never by sampling, and x-symmetric data against a grouped
 decomposition in O(n^2).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -79,15 +81,21 @@ class FormCells:
     values: np.ndarray
 
     @staticmethod
+    @functools.lru_cache(maxsize=8)
     def layout(m: int, n: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, np.ndarray]]:
         """``((i, j, k, l), (x_orbit, y_orbit))``: the tensor position of
         every m x n cell, i and k a column and j and l a row that broadcast to
         the cells' shape, and its orbit size x_orbit * y_orbit (2 if i < k,
-        times 2 if j < l), never materialised: O(m^2 + n^2) memory."""
+        times 2 if j < l), never materialised: O(m^2 + n^2) memory.  Built
+        once per (m, n) among the last few asked for; the arrays are shared,
+        so they are read-only."""
         i, k = np.triu_indices(m)
         j, l = np.triu_indices(n)
         i, k = i[:, None], k[:, None]
-        return (i, j, k, l), (np.where(i < k, 2.0, 1.0), np.where(j < l, 2.0, 1.0))
+        arrays = (i, j, k, l, np.where(i < k, 2.0, 1.0), np.where(j < l, 2.0, 1.0))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays[:4], arrays[4:]
 
     @classmethod
     def of(cls, form: BiquadraticForm) -> FormCells:
@@ -409,7 +417,7 @@ def _checked_columns(m: int, n: int, columns: list[list]) -> tuple[np.ndarray, .
     count = len(columns[0])
     try:
         for field, col in enumerate(columns):
-            columns[field] = np.array(col)
+            columns[field] = _column_array(col)
     except (TypeError, ValueError, OverflowError):
         return None
     if any(col.shape != (count,) for col in columns):
@@ -432,6 +440,16 @@ def _checked_columns(m: int, n: int, columns: list[list]) -> tuple[np.ndarray, .
     if not np.isfinite(coeff).all():
         return None
     return (*(col.astype(np.intp) - 1 for col in index), coeff)
+
+
+def _column_array(col: list) -> np.ndarray:
+    """``np.array(col)``, except that a list of ints in [0, 256), as index
+    columns are, goes through ``bytes``, in C and without numpy's per-item
+    type discovery; the checks read the same values from either array."""
+    try:
+        return np.frombuffer(bytes(col), np.uint8)
+    except (TypeError, ValueError):
+        return np.array(col)
 
 
 def _integral(col: np.ndarray) -> bool:
@@ -658,9 +676,13 @@ def read_terms_cells(path: str) -> FormCells | None:
     ``[piece]``.  A cut inside a string leaves that piece's string
     unterminated, and a cut outside any term leaves a stray bracket, so
     when every piece decodes (the last one to a non-empty list after a
-    cut) the pieces hold exactly the elements of the whole array.  The
-    field lists then pass the checks and the accumulation of
-    ``cells_from_dict``, so every cell has the same bits.
+    cut) the pieces hold exactly the elements of the whole array.  A piece
+    whose skeleton (the piece without its number characters) is one term
+    template repeated is decoded as a flat list of numbers
+    (``_flat_fields``); any other piece, or one whose flat decode fails, as
+    one dict per term.  Both give the same int and float objects, so the
+    field lists pass the checks and the accumulation of ``cells_from_dict``
+    and every cell has the same bits.
 
     None for anything else: a data file, another record shape, a decode
     error, a bad field or term.  The caller then reads the file with
@@ -707,22 +729,83 @@ def _streamed_fields(path: str) -> tuple[int, int, list[list]] | None:
 
 def _streamed_columns(raw: bytes, start: int, stop: int) -> list[list]:
     """The five field lists of the array whose elements span
-    ``raw[start:stop]``, decoded piece by piece; raises on a piece that does
-    not decode or an element that is not a dict with every field."""
+    ``raw[start:stop]``, decoded piece by piece (``_flat_fields``, else one
+    dict per term); raises on a piece that does not decode or an element
+    that is not a dict with every field."""
     columns = [[] for _ in _TERM_FIELDS]
     while True:
         cut = _TERM_SEPARATOR.search(raw, min(start + TERMS_CHUNK_BYTES, stop), stop)
         end = stop if cut is None else cut.start() + 1
-        terms = orjson.loads(b"[" + raw[start:end] + b"]")
-        if not terms and columns[0]:
-            # Pieces before a cut end in a term, so an empty piece after one
-            # follows a trailing comma.
-            raise ValueError("trailing comma in the terms array")
-        for column, get in zip(columns, _TERM_GETTERS):
-            column.extend(map(get, terms))
+        piece = raw[start:end]
+        fields = _flat_fields(piece)
+        if fields is None:
+            fields = _dict_fields(piece, bool(columns[0]))
+        for column, values in zip(columns, fields):
+            column.extend(values)
         if cut is None:
             return columns
         start = cut.end()
+
+
+_WS = rb"[ \t\n\r]*"
+# A term with its numbers deleted (five one-letter keys, each value empty),
+# then the separator before the next term, if any.
+_TEMPLATE = re.compile(
+    rb"\{" + rb",".join([_WS + rb'"([ijklc])"' + _WS + rb":" + _WS] * 5) + rb"\}(" + _WS + rb"," + _WS + rb")?"
+)
+_COLON_TO_COMMA = bytes.maketrans(b":", b",")
+
+
+def _flat_fields(piece: bytes) -> list[list] | None:
+    """The five field lists of a piece of whole terms, decoded as one flat
+    list of numbers; None unless every term of the piece has one layout.
+
+    Three checks make the flat decode read what one dict per term would:
+
+    - the skeleton (the piece with its number characters deleted) is one
+      ``_TEMPLATE`` term repeated, with one separator;
+    - every closing brace is followed by that separator and the next
+      opening brace, with no number between;
+    - with the braces and key letters deleted and each colon read as a
+      comma, every key decodes to the empty string.
+
+    A number outside a value position then either sits next to another
+    token without a comma, and the decode fails, or stays inside a key's
+    quotes, and the last check fails.  So each value position holds exactly
+    one JSON number, and the values are the int and float objects one dict
+    per term would hold.
+    """
+    skeleton = piece.translate(None, b"0123456789.eE+-").strip(b" \t\n\r")
+    term = _TEMPLATE.match(skeleton)
+    if term is None:
+        return None
+    unit, separator = term.group(0), term.group(6) or b""
+    count = (len(skeleton) + len(separator)) // len(unit)
+    order = term.group(1, 2, 3, 4, 5)
+    if len(set(order)) != len(order) or unit * count != skeleton + separator:
+        return None
+    if piece.count(b"}" + separator + b"{") != count - 1 or not piece.rstrip(b" \t\n\r").endswith(b"}"):
+        return None
+    try:
+        flat = orjson.loads(b"[" + piece.translate(_COLON_TO_COMMA, b"{}ijklc") + b"]")
+    except orjson.JSONDecodeError:
+        return None
+    keys = flat[::2]
+    if keys.count("") != len(keys):
+        return None
+    return [flat[2 * order.index(field.encode()) + 1 :: 2 * len(order)] for field in _TERM_FIELDS]
+
+
+def _dict_fields(piece: bytes, after_cut: bool) -> list[list]:
+    """The five field lists of a piece decoded as one dict per term; raises
+    unless it decodes to dicts with every field.  ``after_cut``: the piece
+    follows a cut, so it must not be empty."""
+    terms = orjson.loads(b"[" + piece + b"]")
+    if not terms and after_cut:
+        # Pieces before a cut end in a term, so an empty piece after one
+        # follows a trailing comma.
+        raise ValueError("trailing comma in the terms array")
+    return [list(map(get, terms)) for get in _TERM_GETTERS]
 
 
 def save_form(form: BiquadraticForm, path: str) -> None:

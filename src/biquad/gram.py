@@ -28,6 +28,7 @@ bound, never a claim of exactness.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,6 +135,12 @@ class GramPoint:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "matrix", matrix)
 
+    @functools.cached_property
+    def spectrum(self) -> linalg.SpectralDecomposition:
+        """``linalg.sym_eig`` of the matrix, solved once per point: its PSD
+        test, its rank and its factors all read this one spectrum."""
+        return linalg.sym_eig(self.matrix)
+
 
 def build_family(form: BiquadraticForm) -> GramFamily:
     """Family for a form: base is the (mn x mn) reshape of the coefficient
@@ -164,7 +171,7 @@ def gamma_of(family: GramFamily, matrix) -> np.ndarray:
 def factor_gram(point: GramPoint, tol: Tolerances = DEFAULT_TOL) -> SOSDecomposition:
     """PSD-factor the Gram matrix and reshape the vectors into m x n factors."""
     family = point.family
-    vectors = linalg.psd_factor(point.matrix, tol)
+    vectors = linalg.psd_factor(point.matrix, tol, point.spectrum)
     factors = tuple(w.reshape(family.m, family.n) for w in vectors)
     return SOSDecomposition(family.m, family.n, factors)
 
@@ -199,11 +206,11 @@ def reduce_to_boundary(
     PSD or rank check.  Raises InvalidInput when ``retries`` is below 1.
     """
     require_count("retries", retries)
-    ok, witness = linalg.is_psd(point.matrix, tol)
+    ok, witness = linalg.psd_from_decomposition(point.spectrum, tol)
     if not ok:
         raise NotPSD("starting Gram point is not PSD", witness=witness)
     mn = family.m * family.n
-    if linalg.numerical_rank(point.matrix, tol) <= mn - 1:
+    if linalg.rank_from_eigenvalues(point.spectrum.eigenvalues, tol) <= mn - 1:
         return point
     if family.dim == 0:
         raise CannotReduce("family has no free directions; need m >= 2 and n >= 2")
@@ -212,8 +219,8 @@ def reduce_to_boundary(
         coeffs = rng.standard_normal(family.dim)
         t = _boundary_step(point.matrix, family.combine(coeffs))
         candidate = gram_at(family, point.gamma + t * coeffs)
-        ok, _ = linalg.is_psd(candidate.matrix, tol)
-        if ok and linalg.numerical_rank(candidate.matrix, tol) <= mn - 1:
+        ok, _ = linalg.psd_from_decomposition(candidate.spectrum, tol)
+        if ok and linalg.rank_from_eigenvalues(candidate.spectrum.eigenvalues, tol) <= mn - 1:
             return candidate
     raise CannotReduce("no boundary point passed the PSD and rank checks within the retry budget")
 
@@ -349,7 +356,7 @@ def psd_point(family: GramFamily, seed: int = 0, tol: Tolerances = DEFAULT_TOL) 
     random start each.
     """
     base = gram_at(family, np.zeros(family.dim))
-    if linalg.is_psd(base.matrix, tol)[0]:
+    if linalg.psd_from_decomposition(base.spectrum, tol)[0]:
         return base
     for r in range(1, family.m * family.n + 1):
         fitted = _fit(family, _random_start(family, r, np.random.default_rng([seed, r])), tol)

@@ -163,18 +163,19 @@ def factor_from_decomposition(
     return np.sqrt(dec.eigenvalues[keep])[:, None] * dec.eigenvectors[:, keep].T
 
 
-def psd_factor(s, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
+def psd_factor(s, tol: Tolerances = DEFAULT_TOL, dec: SpectralDecomposition | None = None) -> list[np.ndarray]:
     """Spectral PSD factorization ``S = sum_p w_p w_p'``.
 
     One vector ``sqrt(lam_p) * u_p`` per eigenvalue above the rank cutoff,
     so ``len(result) == numerical_rank(S)``.  Eigenvalues that are negative
     but within the PSD tolerance are clamped to zero (no vector emitted).
+    ``dec`` is ``sym_eig(S)`` when the caller already has it.
 
     Raises:
         NotPSD: with the negativity witness vector when S fails the PSD test.
     """
     s = as_sym_matrix(s)
-    dec = sym_eig(s)
+    dec = sym_eig(s) if dec is None else dec
     ok, witness = psd_from_decomposition(dec, tol)
     if not ok:
         raise NotPSD("matrix has a significant negative eigenvalue", witness=witness)

@@ -255,9 +255,10 @@ class TestSosRank:
         assert data["payload"]["upper_bound"] == 5
 
     def test_fitted_points_are_factored_once(self, capsys, monkeypatch, tmp_path):
-        # The base is eigen-solved for its PSD test and its factors, the one
-        # fit that succeeds (5 squares, landing on rank 4) once for both, and
-        # the emitted factorization once; the rank is the fit's factor count.
+        # The base is eigen-solved once for its PSD test and its factors, and
+        # the one fit that succeeds (5 squares, landing on rank 4) once for
+        # both and the emitted factorization; the rank is the fit's factor
+        # count.
         calls = []
         sym_eig = linalg.sym_eig
         monkeypatch.setattr(linalg, "sym_eig", lambda s: calls.append(np.shape(s)) or sym_eig(s))
@@ -265,7 +266,7 @@ class TestSosRank:
         forms.save_form(to_form(gen_simple(4, 2, 6)), str(path))
         code, data = run_json(capsys, ["sos-rank", str(path)])
         assert code == 0 and data["payload"]["upper_bound"] == 4
-        assert len(calls) <= 4
+        assert len(calls) <= 2
 
     def test_byte_identical_json(self, capsys, p224_file):
         code1 = main(["sos-rank", p224_file, "--restarts", "4", "--seed", "3", "--json"])
@@ -334,6 +335,16 @@ class TestReduceRank:
         assert data["payload"]["rank"] <= 3
         saved = json.loads(out.read_text())
         assert set(saved) == {"gamma", "rank"}
+
+    def test_eigen_solves_each_matrix_once(self, capsys, monkeypatch, p224_file):
+        # The PSD base is the start, eigen-solved once for its PSD test and
+        # rank; the boundary point once for its checks, rank and factors.
+        shapes = []
+        sym_eig = linalg.sym_eig
+        monkeypatch.setattr(linalg, "sym_eig", lambda s: shapes.append(np.shape(s)) or sym_eig(s))
+        code, data = run_json(capsys, ["reduce-rank", p224_file])
+        assert code == 0 and data["payload"]["rank"] <= 3
+        assert shapes == [(4, 4), (4, 4)]
 
     def test_no_directions_is_error(self, capsys, tmp_path):
         raw = np.zeros((1, 2, 1, 2))

@@ -517,6 +517,33 @@ def _streamed(path):
 
 _TERM = {"i": 1, "j": 2, "k": 2, "l": 1, "c": 0.5}
 
+# Records aimed at the flat decode of a piece of terms (``forms._flat_fields``):
+# keys and values it must refuse to read as numbers, numbers outside a value
+# position, and terms that break its one repeated template.
+_FLAT_CASES = [
+    # keys holding number characters, spaces or escapes
+    ('{"m": 2, "n": 2, "terms": [%s, {"i1": 1, "j": 1, "k": 1, "l": 1, "c": 2}]}', False),
+    ('{"m": 2, "n": 2, "terms": [%s, {"1i": 1, "j": 1, "k": 1, "l": 1, "c": 2}]}', False),
+    ('{"m": 2, "n": 2, "terms": [%s, {"i ": 1, "j": 1, "k": 1, "l": 1, "c": 2}]}', False),
+    ('{"m": 2, "n": 2, "terms": [%s, {"\\u0069": 1, "j": 1, "k": 1, "l": 1, "c": 2}]}', True),
+    ('{"m": 2, "n": 2, "terms": [%s, {"ie": 1, "j": 1, "k": 1, "l": 1, "c": 2}]}', False),
+    # a number outside its value position, the value left empty
+    ('{"m": 2, "n": 2, "terms": [%s, {"i1": , "j": 1, "k": 1, "l": 1, "c": 2}]}', False),
+    ('{"m": 2, "n": 2, "terms": [%s, {"i" 1: , "j": 1, "k": 1, "l": 1, "c": 2}]}', False),
+    ('{"m": 2, "n": 2, "terms": [{"i": 1, "j": 1, "k": 1, "l": 1, "c": }2, %s]}', False),
+    ('{"m": 2, "n": 2, "terms": [%s, {"i": 1, "j": 1, "k": 1, "l": 1, "c": }2]}', False),
+    ('{"m": 2, "n": 2, "terms": [%s, 2{"i": 1, "j": 1, "k": 1, "l": 1, "c": }]}', False),
+    # values that are not one JSON number (true is the index or coefficient 1)
+    *(('{"m": 2, "n": 2, "terms": [%s, {"i": 1, "j": 1, "k": 1, "l": 1, "c": ' + value + '}]}', value == "true")
+      for value in ["true", "null", '"1"', "[1]", "1 2", "01", "1.", ".5", "+1", "-"]),
+    # a form feed before a term, 4 or 6 keys, a repeated key, a key order that changes
+    ('{"m": 2, "n": 2, "terms": [%s, \f%s]}', False),
+    ('{"m": 2, "n": 2, "terms": [%s, {"i": 1, "j": 1, "k": 1, "l": 1}]}', False),
+    ('{"m": 2, "n": 2, "terms": [%s, {"i": 1, "j": 1, "k": 1, "l": 1, "c": 2, "x": 3}]}', True),
+    ('{"m": 2, "n": 2, "terms": [%s, {"i": 1, "j": 1, "k": 1, "l": 1, "c": 2, "c": 3}]}', True),
+    ('{"m": 2, "n": 2, "terms": [%s, {"j": 1, "i": 1, "k": 1, "l": 1, "c": 2}, %s]}', True),
+]
+
 
 class TestStreamedTerms:
     """``read_terms_cells`` gives the cells, or the error, of the whole file."""
@@ -575,6 +602,7 @@ class TestStreamedTerms:
         ('[{"m": 2, "n": 2, "terms": [%s, %s]}]', False),
         # a byte order mark
         ('\ufeff{"m": 2, "n": 2, "terms": [%s, %s]}', False),
+        *_FLAT_CASES,
     ])
     def test_adversarial_records(self, tmp_path, monkeypatch, text, streams):
         monkeypatch.setattr(forms, "TERMS_CHUNK_BYTES", 1)
@@ -584,6 +612,63 @@ class TestStreamedTerms:
         path.write_text(text, encoding="utf-8")
         assert _streamed(path) == _whole_file(text)
         assert (read_terms_cells(str(path)) is not None) == streams
+
+    @pytest.mark.parametrize("text, streams", _FLAT_CASES)
+    def test_adversarial_records_in_one_piece(self, tmp_path, text, streams):
+        # At the default piece size every term of the record shares one piece.
+        term = json.dumps(_TERM)
+        text = text % ((term,) * text.count("%s"))
+        path = tmp_path / "adversarial.json"
+        path.write_text(text, encoding="utf-8")
+        assert _streamed(path) == _whole_file(text)
+        assert (read_terms_cells(str(path)) is not None) == streams
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        record=term_records(),
+        layout=st.sampled_from(["dumps", "dump_json", "indent"]),
+        order=st.permutations("ijklc"),
+        special=st.lists(st.sampled_from([-0.0, 1e-300, -1e-300, 2**63, 2**64 - 1, 2**70]), max_size=3),
+        chunk=st.sampled_from([1, 100, forms.TERMS_CHUNK_BYTES]),
+    )
+    def test_flat_columns_match_dict_columns(self, tmp_path_factory, record, layout, order, special, chunk):
+        # Each file's terms share one random key order; the flat decode must
+        # give the columns of the dict decode, the same types and bits.
+        terms = [{f: t[f] for f in order if f in t} if isinstance(t, dict) else t for t in record["terms"]]
+        for at, value in enumerate(special[: len(terms)]):
+            if isinstance(terms[at], dict) and "c" in terms[at]:
+                terms[at]["c"] = value
+        record = dict(record, terms=terms)
+        path = tmp_path_factory.getbasetemp() / "flat.json"
+        if layout == "dump_json":
+            dump_json(record, str(path))
+        else:
+            path.write_text(json.dumps(record, indent=2 if layout == "indent" else None))
+
+        def typed(fields):
+            return fields and (*fields[:2], [[(type(v), repr(v)) for v in col] for col in fields[2]])
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(forms, "TERMS_CHUNK_BYTES", chunk)
+            flat = typed(forms._streamed_fields(str(path)))
+            patch.setattr(forms, "_flat_fields", lambda piece: None)
+            assert flat == typed(forms._streamed_fields(str(path)))
+
+    @pytest.mark.parametrize("layout", ["save_form", "dumps", "indent"])
+    def test_canonical_files_take_the_flat_path(self, tmp_path, monkeypatch, layout):
+        p = random_form(np.random.default_rng(12), 16, 8)
+        path = tmp_path / "form.json"
+        if layout == "save_form":
+            save_form(p, str(path))
+        else:
+            path.write_text(json.dumps(form_to_dict(p), indent=2 if layout == "indent" else None))
+        assert path.stat().st_size > 3 * forms.TERMS_CHUNK_BYTES
+        pieces = []
+        dict_fields = forms._dict_fields
+        monkeypatch.setattr(forms, "_dict_fields", lambda *args: pieces.append(args) or dict_fields(*args))
+        cells = read_terms_cells(str(path))
+        assert pieces == []
+        assert cells is not None and cells.to_form() == p
 
     @pytest.mark.parametrize("bad", ["NaN", "-Infinity", "1e400", str(2**70), '"1"', "[1]", "null"])
     def test_bad_value_in_a_later_chunk(self, tmp_path, monkeypatch, bad):
@@ -655,6 +740,13 @@ class TestCellLayout:
         dec = SOSDecomposition(m, n, tuple(flat.reshape(3, m, n)))
         expected = FormCells.of(symmetrize((flat.T @ flat).reshape(m, n, m, n))).values
         assert np.array_equal(forms._sos_cells(dec), expected)
+
+    def test_layout_is_shared_and_read_only(self):
+        first = FormCells.layout(3, 2)
+        assert FormCells.layout(3, 2) is first
+        for array in (*first[0], *first[1]):
+            with pytest.raises(ValueError):
+                array[...] = 0
 
 
 class TestSizeChecks:
