@@ -56,7 +56,8 @@ def _read_input(path: str) -> forms.FormCells | partsym.XSymmetricData:
     x-symmetric file, into its (d, A, B) data; neither is densified.
 
     A form file is read by ``forms.read_terms_cells``, in chunks; only a
-    file it declines is decoded whole by ``forms.load_json``.
+    file it declines (a data file, or terms outside the flat template) is
+    decoded whole by ``forms.load_json``.
     """
     cells = forms.read_terms_cells(path)
     if cells is not None:
@@ -224,8 +225,7 @@ def cmd_verify(args) -> CommandResult:
 
 def cmd_gen_simple(args) -> CommandResult:
     support = simple.gen_simple(args.m, args.n, args.s)
-    form = simple.to_form(support)
-    forms.save_form(form, args.out)
+    forms.dump_json(simple.form_record(support), args.out)
     rank = simple.exact_sos_rank_simple(support)
     payload = {"support": simple.support_to_dict(support), "out": args.out}
     if isinstance(rank, simple.UpperBoundOnly):

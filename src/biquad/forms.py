@@ -11,9 +11,10 @@ is scattered from them only when a caller asks for it, and x-symmetric data
 and grouped decompositions reach it through the same cells
 (``FormCells.x_symmetric``); every module reads the cells' order from
 ``FormCells.layout``.  A form file's terms array is decoded in chunks of
-about 64 KiB (``read_terms_cells``), so no whole-file JSON document is
-built, and a chunk whose terms repeat one template is decoded as a flat
-list of numbers, without a dict per term.  A decomposition is verified against its form's cells
+about 64 KiB (``read_terms_cells``), each as a flat list of numbers without
+a dict per term, so no whole-file JSON document is built; a file with any
+chunk outside that one template is decoded whole, with the same cells and
+errors.  A decomposition is verified against its form's cells
 (``verify_sos``), never by sampling, and x-symmetric data against a grouped
 decomposition in O(n^2).
 """
@@ -642,8 +643,8 @@ def load_json(path: str) -> dict:
     error and a parse failure ``json``'s message.  orjson reads an integer
     outside [-2**63, 2**64) as the nearest float, which equals ``float(int)``.
     A form file goes through ``read_terms_cells`` first; this whole-file
-    decode is what it falls back on, and the only path that words an error
-    about a terms file.
+    decode is what it falls back on, for any file with a piece outside the
+    flat template, and the only path that words an error about a terms file.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -664,31 +665,28 @@ _TERM_SEPARATOR = re.compile(rb"\}[ \t\n\r]*,")
 
 def read_terms_cells(path: str) -> FormCells | None:
     """The canonical cells of a form file, its terms array decoded in
-    pieces of about ``TERMS_CHUNK_BYTES``, so neither orjson's document of
-    the whole file nor one dict per term of it is ever held at once.
+    pieces of about ``TERMS_CHUNK_BYTES``, each as a flat list of numbers
+    (``_flat_fields``), so neither orjson's document of the whole file nor
+    one dict per term of it is ever held at once.
 
     The span from the ``[`` after the first ``"terms":`` to the last ``]``
     of the file is set aside.  The rest, with a placeholder in its place,
     must decode (once with 0, once with 1) to a record whose keys are
     exactly m, n and terms, with terms following the placeholder: then the
     span is the value of the record's terms.  The span is cut only after a
-    ``}`` that whitespace and a comma follow, and each piece decoded as
-    ``[piece]``.  A cut inside a string leaves that piece's string
-    unterminated, and a cut outside any term leaves a stray bracket, so
-    when every piece decodes (the last one to a non-empty list after a
-    cut) the pieces hold exactly the elements of the whole array.  A piece
-    whose skeleton (the piece without its number characters) is one term
-    template repeated is decoded as a flat list of numbers
-    (``_flat_fields``); any other piece, or one whose flat decode fails, as
-    one dict per term.  Both give the same int and float objects, so the
-    field lists pass the checks and the accumulation of ``cells_from_dict``
-    and every cell has the same bits.
+    ``}`` that whitespace and a comma follow, and every piece must be whole
+    terms of the flat template, which holds no bracket and no string but a
+    one-letter key.  So no cut falls inside a string, the pieces hold
+    exactly the elements of the whole array, and the field lists hold the
+    int and float objects the whole-file decode reads: they pass the checks
+    and the accumulation of ``cells_from_dict``, and every cell has the
+    same bits.
 
-    None for anything else: a data file, another record shape, a decode
-    error, a bad field or term.  The caller then reads the file with
-    ``load_json`` and ``cells_from_dict``, which word the error; only the
-    accumulation's own InvalidInput, the same on both paths, comes from
-    here.
+    None for anything else: a data file, another record shape, an empty
+    array, a piece outside the template, a bad field or term.  The caller
+    then reads the file with ``load_json`` and ``cells_from_dict``, which
+    give the same cells or word the error; only the accumulation's own
+    InvalidInput, the same on both paths, comes from here.
     """
     fields = _streamed_fields(path)
     if fields is None:
@@ -729,18 +727,13 @@ def _streamed_fields(path: str) -> tuple[int, int, list[list]] | None:
 
 def _streamed_columns(raw: bytes, start: int, stop: int) -> list[list]:
     """The five field lists of the array whose elements span
-    ``raw[start:stop]``, decoded piece by piece (``_flat_fields``, else one
-    dict per term); raises on a piece that does not decode or an element
-    that is not a dict with every field."""
+    ``raw[start:stop]``, decoded piece by piece by ``_flat_fields``, which
+    raises ValueError on a piece it declines."""
     columns = [[] for _ in _TERM_FIELDS]
     while True:
         cut = _TERM_SEPARATOR.search(raw, min(start + TERMS_CHUNK_BYTES, stop), stop)
         end = stop if cut is None else cut.start() + 1
-        piece = raw[start:end]
-        fields = _flat_fields(piece)
-        if fields is None:
-            fields = _dict_fields(piece, bool(columns[0]))
-        for column, values in zip(columns, fields):
+        for column, values in zip(columns, _flat_fields(raw[start:end])):
             column.extend(values)
         if cut is None:
             return columns
@@ -756,11 +749,12 @@ _TEMPLATE = re.compile(
 _COLON_TO_COMMA = bytes.maketrans(b":", b",")
 
 
-def _flat_fields(piece: bytes) -> list[list] | None:
+def _flat_fields(piece: bytes) -> list[list]:
     """The five field lists of a piece of whole terms, decoded as one flat
-    list of numbers; None unless every term of the piece has one layout.
+    list of numbers; ValueError unless the piece holds terms that all have
+    one layout.
 
-    Three checks make the flat decode read what one dict per term would:
+    Three checks make the flat decode read what the whole-file decode reads:
 
     - the skeleton (the piece with its number characters deleted) is one
       ``_TEMPLATE`` term repeated, with one separator;
@@ -772,40 +766,26 @@ def _flat_fields(piece: bytes) -> list[list] | None:
     A number outside a value position then either sits next to another
     token without a comma, and the decode fails, or stays inside a key's
     quotes, and the last check fails.  So each value position holds exactly
-    one JSON number, and the values are the int and float objects one dict
-    per term would hold.
+    one JSON number, and the values are the int and float objects the
+    whole-file decode reads.
     """
     skeleton = piece.translate(None, b"0123456789.eE+-").strip(b" \t\n\r")
     term = _TEMPLATE.match(skeleton)
     if term is None:
-        return None
+        raise ValueError("terms outside the flat template")
     unit, separator = term.group(0), term.group(6) or b""
     count = (len(skeleton) + len(separator)) // len(unit)
     order = term.group(1, 2, 3, 4, 5)
     if len(set(order)) != len(order) or unit * count != skeleton + separator:
-        return None
+        raise ValueError("a repeated key, or terms of more than one layout")
     if piece.count(b"}" + separator + b"{") != count - 1 or not piece.rstrip(b" \t\n\r").endswith(b"}"):
-        return None
-    try:
-        flat = orjson.loads(b"[" + piece.translate(_COLON_TO_COMMA, b"{}ijklc") + b"]")
-    except orjson.JSONDecodeError:
-        return None
+        raise ValueError("a number outside a term")
+    # A decode error is an orjson.JSONDecodeError, a ValueError.
+    flat = orjson.loads(b"[" + piece.translate(_COLON_TO_COMMA, b"{}ijklc") + b"]")
     keys = flat[::2]
     if keys.count("") != len(keys):
-        return None
+        raise ValueError("a number inside a key")
     return [flat[2 * order.index(field.encode()) + 1 :: 2 * len(order)] for field in _TERM_FIELDS]
-
-
-def _dict_fields(piece: bytes, after_cut: bool) -> list[list]:
-    """The five field lists of a piece decoded as one dict per term; raises
-    unless it decodes to dicts with every field.  ``after_cut``: the piece
-    follows a cut, so it must not be empty."""
-    terms = orjson.loads(b"[" + piece + b"]")
-    if not terms and after_cut:
-        # Pieces before a cut end in a term, so an empty piece after one
-        # follows a trailing comma.
-        raise ValueError("trailing comma in the terms array")
-    return [list(map(get, terms)) for get in _TERM_GETTERS]
 
 
 def save_form(form: BiquadraticForm, path: str) -> None:

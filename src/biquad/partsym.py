@@ -60,18 +60,20 @@ class XSymmetricData:
         if self.m < 1:
             raise InvalidInput("m must be positive")
         d = np.asarray(self.d, dtype=float)
-        n = d.shape[0] if d.ndim == 1 else -1
-        if n < 0:
+        if d.ndim != 1:
             raise InvalidInput("d must be a vector")
+        n = len(d)
+        if n == 0:
+            raise InvalidInput("m and n must be positive")
         a = np.asarray(self.A, dtype=float)
         b = np.asarray(self.B, dtype=float)
         if not (np.isfinite(d).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise InvalidInput("coefficients d, A and B must be finite")
-        a = linalg.as_sym_matrix(a) if n > 0 else np.zeros((0, 0))
-        b = linalg.as_sym_matrix(b) if n > 0 else np.zeros((0, 0))
+        a = linalg.as_sym_matrix(a)
+        b = linalg.as_sym_matrix(b)
         if a.shape != (n, n) or b.shape != (n, n):
             raise InvalidInput("A and B must be n x n with n = len(d)")
-        if n > 0 and np.abs(np.diag(b)).max() > 0.0:
+        if np.abs(np.diag(b)).max() > 0.0:
             raise InvalidInput("B must have exactly zero diagonal")
         for name, arr in (("d", d), ("A", a), ("B", b)):
             arr = arr.copy()
@@ -101,8 +103,6 @@ class XSymmetricData:
     def max_abs_coeff(self) -> float:
         """max|coeff| of the dense tensor, read off (d, A, B); A only enters
         the polynomial when m >= 2."""
-        if self.n == 0:
-            return 0.0
         parts = [np.abs(self.d).max(), np.abs(self.B).max()]
         if self.m >= 2:
             parts.append(np.abs(self.A).max())

@@ -18,12 +18,13 @@ squares always suffice, so the SOS rank is exactly the support size.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput
-from .forms import BiquadraticForm, FormCells, MonomialTerm, from_terms
+from .forms import BiquadraticForm, FormCells, form_from_dict
 from .linalg import COEFF_TOL
 
 
@@ -84,25 +85,40 @@ def gen_simple(m: int, n: int, s: int) -> SupportSet:
     return SupportSet(m, n, tuple(pairs))
 
 
+def form_record(support: SupportSet) -> dict:
+    """The form file of sum over the support of x_i^2 y_j^2, as
+    ``forms.form_to_dict`` gives it for that form: one term per pair,
+    sorted by (i, j), each with c = 1.0; no tensor is built."""
+    terms = [{"i": i, "j": j, "k": i, "l": j, "c": 1.0} for i, j in sorted(support.pairs)]
+    return {"m": support.m, "n": support.n, "terms": terms}
+
+
 def to_form(support: SupportSet) -> BiquadraticForm:
     """The form sum over the support of x_i^2 y_j^2."""
-    return from_terms(support.m, support.n, [MonomialTerm(i, j, i, j, 1.0) for i, j in support.pairs])
+    return form_from_dict(form_record(support))
 
 
 def find_rectangle(support: SupportSet) -> tuple[tuple[int, int], ...] | None:
-    """Four support pairs forming {(p,r),(p,s),(q,r),(q,s)}, or None."""
+    """Four support pairs forming {(p,r),(p,s),(q,r),(q,s)}, or None: the
+    lexicographically smallest rows p < q sharing two columns, and the two
+    smallest columns they share.  Each row q pairs every two of its columns
+    with the first row that held both, in O(sum of squared row sizes); a
+    rectangle's column pair was first held by a row at most its p."""
     by_row: dict[int, set[int]] = {}
     for i, j in support.pairs:
         by_row.setdefault(i, set()).add(j)
-    rows = sorted(by_row)
-    for a_idx in range(len(rows)):
-        for b_idx in range(a_idx + 1, len(rows)):
-            p, q = rows[a_idx], rows[b_idx]
-            common = sorted(by_row[p] & by_row[q])
-            if len(common) >= 2:
-                r, s = common[0], common[1]
-                return ((p, r), (p, s), (q, r), (q, s))
-    return None
+    first: dict[tuple[int, int], int] = {}
+    best = None
+    for q in sorted(by_row):
+        for r, s in itertools.combinations(sorted(by_row[q]), 2):
+            p = first.setdefault((r, s), q)
+            if p != q and (best is None or (p, q) < best):
+                best = (p, q)
+    if best is None:
+        return None
+    p, q = best
+    r, s = sorted(by_row[p] & by_row[q])[:2]
+    return ((p, r), (p, s), (q, r), (q, s))
 
 
 def lower_bound_certificate(support: SupportSet) -> LowerBoundCertificate:

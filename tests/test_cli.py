@@ -599,6 +599,20 @@ class TestMalformedDataFiles:
         assert code == 1
         assert out["status"] == "error" and message in out["payload"]["error"]
 
+    @pytest.mark.parametrize("command, flags", [
+        ("check-psd", []), ("check-psd", ["--transpose"]), ("decompose", []), ("verify", []),
+    ])
+    def test_empty_d_is_exit_1(self, capsys, tmp_path, command, flags):
+        path = write(tmp_path / "empty.json", {"m": 2, "d": [], "A": [], "B": []})
+        dec = tmp_path / "dec.json"
+        if command == "verify":
+            forms.save_decomposition(forms.GroupedSOSDecomposition(2, 1, ()), str(dec))
+        files = [] if command == "check-psd" else [str(dec)]
+        code, out = run_json(capsys, [command, path, *files, *flags])
+        assert code == 1
+        assert out["status"] == "error" and out["payload"]["error"] == "m and n must be positive"
+        assert dec.exists() == (command == "verify")  # decompose writes no file
+
     def test_non_finite_term(self, capsys, tmp_path):
         path = write(tmp_path / "nan.json", {"m": 1, "n": 1, "terms": [{"i": 1, "j": 1, "k": 1, "l": 1, "c": float("nan")}]})
         code, out = run_json(capsys, ["check-psd", path])

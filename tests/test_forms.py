@@ -4,6 +4,7 @@ import os
 import stat
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -519,13 +520,14 @@ _TERM = {"i": 1, "j": 2, "k": 2, "l": 1, "c": 0.5}
 
 # Records aimed at the flat decode of a piece of terms (``forms._flat_fields``):
 # keys and values it must refuse to read as numbers, numbers outside a value
-# position, and terms that break its one repeated template.
+# position, and terms that break its one repeated template.  A piece it
+# declines sends the whole file to the whole-file decode.
 _FLAT_CASES = [
     # keys holding number characters, spaces or escapes
     ('{"m": 2, "n": 2, "terms": [%s, {"i1": 1, "j": 1, "k": 1, "l": 1, "c": 2}]}', False),
     ('{"m": 2, "n": 2, "terms": [%s, {"1i": 1, "j": 1, "k": 1, "l": 1, "c": 2}]}', False),
     ('{"m": 2, "n": 2, "terms": [%s, {"i ": 1, "j": 1, "k": 1, "l": 1, "c": 2}]}', False),
-    ('{"m": 2, "n": 2, "terms": [%s, {"\\u0069": 1, "j": 1, "k": 1, "l": 1, "c": 2}]}', True),
+    ('{"m": 2, "n": 2, "terms": [%s, {"\\u0069": 1, "j": 1, "k": 1, "l": 1, "c": 2}]}', False),
     ('{"m": 2, "n": 2, "terms": [%s, {"ie": 1, "j": 1, "k": 1, "l": 1, "c": 2}]}', False),
     # a number outside its value position, the value left empty
     ('{"m": 2, "n": 2, "terms": [%s, {"i1": , "j": 1, "k": 1, "l": 1, "c": 2}]}', False),
@@ -533,16 +535,35 @@ _FLAT_CASES = [
     ('{"m": 2, "n": 2, "terms": [{"i": 1, "j": 1, "k": 1, "l": 1, "c": }2, %s]}', False),
     ('{"m": 2, "n": 2, "terms": [%s, {"i": 1, "j": 1, "k": 1, "l": 1, "c": }2]}', False),
     ('{"m": 2, "n": 2, "terms": [%s, 2{"i": 1, "j": 1, "k": 1, "l": 1, "c": }]}', False),
-    # values that are not one JSON number (true is the index or coefficient 1)
-    *(('{"m": 2, "n": 2, "terms": [%s, {"i": 1, "j": 1, "k": 1, "l": 1, "c": ' + value + '}]}', value == "true")
+    # values that are not one JSON number (true, the index or coefficient 1, is read whole)
+    *(('{"m": 2, "n": 2, "terms": [%s, {"i": 1, "j": 1, "k": 1, "l": 1, "c": ' + value + '}]}', False)
       for value in ["true", "null", '"1"', "[1]", "1 2", "01", "1.", ".5", "+1", "-"]),
-    # a form feed before a term, 4 or 6 keys, a repeated key, a key order that changes
+    # a form feed before a term, 4 or 6 keys, a repeated key
     ('{"m": 2, "n": 2, "terms": [%s, \f%s]}', False),
     ('{"m": 2, "n": 2, "terms": [%s, {"i": 1, "j": 1, "k": 1, "l": 1}]}', False),
-    ('{"m": 2, "n": 2, "terms": [%s, {"i": 1, "j": 1, "k": 1, "l": 1, "c": 2, "x": 3}]}', True),
-    ('{"m": 2, "n": 2, "terms": [%s, {"i": 1, "j": 1, "k": 1, "l": 1, "c": 2, "c": 3}]}', True),
-    ('{"m": 2, "n": 2, "terms": [%s, {"j": 1, "i": 1, "k": 1, "l": 1, "c": 2}, %s]}', True),
+    ('{"m": 2, "n": 2, "terms": [%s, {"i": 1, "j": 1, "k": 1, "l": 1, "c": 2, "x": 3}]}', False),
+    ('{"m": 2, "n": 2, "terms": [%s, {"i": 1, "j": 1, "k": 1, "l": 1, "c": 2, "c": 3}]}', False),
 ]
+
+# A key order that changes between terms: a piece of one term streams, a
+# piece of all three does not.
+_KEY_ORDER_CHANGE = '{"m": 2, "n": 2, "terms": [%s, {"j": 1, "i": 1, "k": 1, "l": 1, "c": 2}, %s]}'
+
+
+def _one_layout(terms):
+    """True for a non-empty list of terms with one key order and no bool
+    value, the records the flat decode reads."""
+    return len({tuple(t) for t in terms}) == 1 and not any(isinstance(v, bool) for t in terms for v in t.values())
+
+
+def _whole_file_columns(path):
+    """m, n and the five field lists of the terms that orjson decodes from
+    the whole file, or None when it cannot or a term lacks a field."""
+    try:
+        record = orjson.loads(path.read_bytes())
+        return record["m"], record["n"], [list(map(get, record["terms"])) for get in forms._TERM_GETTERS]
+    except (orjson.JSONDecodeError, KeyError, TypeError):
+        return None
 
 
 class TestStreamedTerms:
@@ -561,8 +582,9 @@ class TestStreamedTerms:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(forms, "TERMS_CHUNK_BYTES", chunk)
             got = _streamed(path)
-            # A valid record never needs the fallback.
-            assert not valid or read_terms_cells(str(path)) is not None
+            # A valid record in one flat layout never needs the fallback.
+            written = json.loads(path.read_text())["terms"] if valid else []
+            assert not _one_layout(written) or read_terms_cells(str(path)) is not None
         if valid or _ints_within_64_bits(record):
             assert got == expected
         else:
@@ -588,9 +610,9 @@ class TestStreamedTerms:
         ('{"m": 2, "n": 2, "terms": [%s, %s,]}', False),
         ('{"m": 2, "n": 2, "terms": [, %s, %s]}', False),
         ('{"m": 2, "n": 2, "terms": [%s], %s]}', False),
-        # empty lists
-        ('{"m": 2, "n": 2, "terms": []}', True),
-        ('{"m": 2, "n": 2, "terms": [ \n ]}', True),
+        # empty lists, read whole
+        ('{"m": 2, "n": 2, "terms": []}', False),
+        ('{"m": 2, "n": 2, "terms": [ \n ]}', False),
         # terms not a list
         ('{"m": 2, "n": 2, "terms": 5}', False),
         ('{"m": 2, "n": 2, "terms": {"a": [%s, %s]}}', False),
@@ -603,6 +625,7 @@ class TestStreamedTerms:
         # a byte order mark
         ('\ufeff{"m": 2, "n": 2, "terms": [%s, %s]}', False),
         *_FLAT_CASES,
+        (_KEY_ORDER_CHANGE, True),
     ])
     def test_adversarial_records(self, tmp_path, monkeypatch, text, streams):
         monkeypatch.setattr(forms, "TERMS_CHUNK_BYTES", 1)
@@ -613,7 +636,7 @@ class TestStreamedTerms:
         assert _streamed(path) == _whole_file(text)
         assert (read_terms_cells(str(path)) is not None) == streams
 
-    @pytest.mark.parametrize("text, streams", _FLAT_CASES)
+    @pytest.mark.parametrize("text, streams", [*_FLAT_CASES, (_KEY_ORDER_CHANGE, False)])
     def test_adversarial_records_in_one_piece(self, tmp_path, text, streams):
         # At the default piece size every term of the record shares one piece.
         term = json.dumps(_TERM)
@@ -633,7 +656,9 @@ class TestStreamedTerms:
     )
     def test_flat_columns_match_dict_columns(self, tmp_path_factory, record, layout, order, special, chunk):
         # Each file's terms share one random key order; the flat decode must
-        # give the columns of the dict decode, the same types and bits.
+        # give the columns of the whole-file decode, the same types and bits,
+        # and decline only an empty array, a record the whole-file decode
+        # cannot read into columns, or a value that is not a number.
         terms = [{f: t[f] for f in order if f in t} if isinstance(t, dict) else t for t in record["terms"]]
         for at, value in enumerate(special[: len(terms)]):
             if isinstance(terms[at], dict) and "c" in terms[at]:
@@ -650,9 +675,12 @@ class TestStreamedTerms:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(forms, "TERMS_CHUNK_BYTES", chunk)
-            flat = typed(forms._streamed_fields(str(path)))
-            patch.setattr(forms, "_flat_fields", lambda piece: None)
-            assert flat == typed(forms._streamed_fields(str(path)))
+            flat = forms._streamed_fields(str(path))
+        whole = _whole_file_columns(path)
+        if flat is not None:
+            assert typed(flat) == typed(whole)
+        else:
+            assert not terms or whole is None or not all(type(v) in (int, float) for col in whole[2] for v in col)
 
     @pytest.mark.parametrize("layout", ["save_form", "dumps", "indent"])
     def test_canonical_files_take_the_flat_path(self, tmp_path, monkeypatch, layout):
@@ -663,12 +691,11 @@ class TestStreamedTerms:
         else:
             path.write_text(json.dumps(form_to_dict(p), indent=2 if layout == "indent" else None))
         assert path.stat().st_size > 3 * forms.TERMS_CHUNK_BYTES
-        pieces = []
-        dict_fields = forms._dict_fields
-        monkeypatch.setattr(forms, "_dict_fields", lambda *args: pieces.append(args) or dict_fields(*args))
-        cells = read_terms_cells(str(path))
-        assert pieces == []
-        assert cells is not None and cells.to_form() == p
+        fallback = []
+        monkeypatch.setattr(forms, "load_json", lambda *args: fallback.append(args))
+        assert read_terms_cells(str(path)) is not None
+        assert load_form(str(path)) == p
+        assert fallback == []
 
     @pytest.mark.parametrize("bad", ["NaN", "-Infinity", "1e400", str(2**70), '"1"', "[1]", "null"])
     def test_bad_value_in_a_later_chunk(self, tmp_path, monkeypatch, bad):
@@ -706,6 +733,16 @@ class TestStreamedTerms:
         assert cells is not None and len(decoded) > 3
         assert max(decoded) < 2 * forms.TERMS_CHUNK_BYTES < size
         assert cells.to_form() == load_form(str(path)) == form_from_dict(json.loads(path.read_text()))
+
+    def test_alternating_key_order_is_read_whole(self, tmp_path):
+        p = random_form(np.random.default_rng(13), 16, 8)
+        saved, mixed = tmp_path / "saved.json", tmp_path / "mixed.json"
+        save_form(p, str(saved))
+        terms = [t if at % 2 else dict(reversed(t.items())) for at, t in enumerate(form_to_dict(p)["terms"])]
+        mixed.write_text(json.dumps({"m": p.m, "n": p.n, "terms": terms}))
+        assert mixed.stat().st_size > 3 * forms.TERMS_CHUNK_BYTES
+        assert read_terms_cells(str(mixed)) is None
+        assert _streamed(mixed) == _streamed(saved) == (p.m, p.n, read_terms_cells(str(saved)).values.tobytes())
 
     def test_data_file_is_declined(self, tmp_path):
         path = tmp_path / "data.json"

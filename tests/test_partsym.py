@@ -152,8 +152,8 @@ class TestDetectReconstruct:
             np.testing.assert_allclose(data.evaluate_batch(xs, ys), forms.evaluate_batch(p, xs, ys),
                                        rtol=1e-12, atol=1e-12)
             assert data.max_abs_coeff() == forms.max_abs_coeff(p)
-        empty = XSymmetricData(3, np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)))
-        assert empty.max_abs_coeff() == 0.0
+        with pytest.raises(InvalidInput, match="m and n must be positive"):
+            XSymmetricData(3, np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)))
 
 
 class TestCheckPsdMonic:

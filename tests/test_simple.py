@@ -1,10 +1,11 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from biquad.errors import InvalidInput
-from biquad.forms import BiquadraticForm, evaluate_batch, to_terms
+from biquad.forms import BiquadraticForm, evaluate_batch, form_to_dict, to_terms
 from biquad.gram import build_family, min_rank_search
 from biquad.linalg import COEFF_TOL
 from biquad.simple import (
@@ -14,6 +15,7 @@ from biquad.simple import (
     detect_simple,
     exact_sos_rank_simple,
     find_rectangle,
+    form_record,
     gen_simple,
     lower_bound_certificate,
     to_form,
@@ -59,6 +61,13 @@ class TestGenSimple:
 
 
 class TestToForm:
+    def test_record_is_the_forms_record(self):
+        # The record gen-simple writes, without the tensor: the same text
+        # save_form writes for to_form(support).
+        for support in small_supports():
+            text = json.dumps(form_record(support), sort_keys=True)
+            assert text == json.dumps(form_to_dict(to_form(support)), sort_keys=True)
+
     def test_empty_support_zero_form(self):
         form = to_form(SupportSet(2, 2, ()))
         assert not form.coeffs.any()
@@ -79,6 +88,35 @@ class TestToForm:
             xs = rng.standard_normal((500, m))
             ys = rng.standard_normal((500, n))
             assert evaluate_batch(form, xs, ys).min() >= 0.0
+
+
+def small_supports():
+    """Every diagonal-walk support with n <= m <= 5, every subset of [3] x [3]
+    and 100 random subsets of [6] x [5]."""
+    for m, n in itertools.product(range(1, 6), repeat=2):
+        for s in range(1, m * n + 1) if m >= n else ():
+            yield gen_simple(m, n, s)
+    cells = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+    for bits in range(512):
+        yield SupportSet(3, 3, tuple(cells[k] for k in range(9) if bits >> k & 1))
+    rng = np.random.default_rng(3)
+    cells = [(i, j) for i in range(1, 7) for j in range(1, 6)]
+    for _ in range(100):
+        yield SupportSet(6, 5, tuple(cells[k] for k in rng.permutation(30)[: int(rng.integers(0, 16))]))
+
+
+def row_pair_rectangle(support):
+    """Reference for ``find_rectangle``: the first pair of rows p < q, in
+    lexicographic order, sharing two columns, with its two smallest."""
+    by_row = {}
+    for i, j in support.pairs:
+        by_row.setdefault(i, set()).add(j)
+    for p, q in itertools.combinations(sorted(by_row), 2):
+        common = sorted(by_row[p] & by_row[q])
+        if len(common) >= 2:
+            r, s = common[0], common[1]
+            return ((p, r), (p, s), (q, r), (q, s))
+    return None
 
 
 class TestLowerBound:
@@ -109,6 +147,10 @@ class TestLowerBound:
                 for r, s in itertools.combinations(range(1, 4), 2)
             )
             assert (find_rectangle(support) is not None) == brute
+
+    def test_rectangle_matches_the_row_pair_loop(self):
+        for support in small_supports():
+            assert find_rectangle(support) == row_pair_rectangle(support)
 
 
 class TestExactRank:
