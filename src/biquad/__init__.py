@@ -9,14 +9,12 @@ from .errors import (
 )
 from .forms import (
     BiquadraticForm,
-    MonomialTerm,
     SOSDecomposition,
     evaluate,
     evaluate_sos,
     load_form,
     save_form,
     symmetrize,
-    transpose_xy,
     verify_sos,
 )
 from .gram import (

@@ -136,18 +136,6 @@ class FormCells:
 
 
 @dataclass(frozen=True)
-class MonomialTerm:
-    """Polynomial coefficient of the monomial x_i x_k y_j y_l, 1-based,
-    canonical order i <= k and j <= l."""
-
-    i: int
-    j: int
-    k: int
-    l: int
-    c: float
-
-
-@dataclass(frozen=True)
 class SOSDecomposition:
     """Factors of a sum-of-squares representation sum_p (x' W_p y)^2."""
 
@@ -234,8 +222,13 @@ def symmetrize(raw) -> BiquadraticForm:
     a = np.asarray(raw, dtype=float)
     if a.ndim != 4 or a.shape[0] != a.shape[2] or a.shape[1] != a.shape[3]:
         raise InvalidInput(f"expected shape (m, n, m, n), got {a.shape}")
+    return BiquadraticForm(a.shape[0], a.shape[1], _orbit_mean(a))
+
+
+def _orbit_mean(a: np.ndarray) -> np.ndarray:
+    """``symmetrize``'s mean of an (m, n, m, n) array, unchecked."""
     sym = a + a.transpose(2, 1, 0, 3)
-    return BiquadraticForm(a.shape[0], a.shape[1], (sym + sym.transpose(0, 3, 2, 1)) * 0.25)
+    return (sym + sym.transpose(0, 3, 2, 1)) * 0.25
 
 
 def max_abs_coeff(form: BiquadraticForm) -> float:
@@ -350,20 +343,14 @@ def _grouped_blocks(dec: GroupedSOSDecomposition) -> tuple[np.ndarray, np.ndarra
 
 def _sos_cells(dec: SOSDecomposition | GroupedSOSDecomposition) -> np.ndarray:
     """The canonical cells of a decomposition's coefficients; a dense one's
-    are gathered from G = sum_p vec W_p vec W_p' with ``symmetrize``'s
-    pairing, so each is bit-identical to that entry of symmetrize(G)."""
+    are the entries of symmetrize(G), G = sum_p vec W_p vec W_p', taken
+    unchecked so that a G that overflows gives an infinite residual."""
     if isinstance(dec, GroupedSOSDecomposition):
         return FormCells.x_symmetric(dec.m, *_grouped_blocks(dec)).values
     m, n = dec.m, dec.n
     flat = np.reshape(dec.factors, (len(dec), m * n))
-    a = (flat.T @ flat).reshape(m, n, m, n)
     (i, j, k, l), _ = FormCells.layout(m, n)
-    return ((a[i, j, k, l] + a[k, j, i, l]) + (a[i, l, k, j] + a[k, l, i, j])) * 0.25
-
-
-def transpose_xy(form: BiquadraticForm) -> BiquadraticForm:
-    """The n x m form P'(y, x) = P(x, y); applying it twice is the identity."""
-    return BiquadraticForm(form.n, form.m, form.coeffs.transpose(1, 0, 3, 2))
+    return _orbit_mean((flat.T @ flat).reshape(m, n, m, n))[i, j, k, l]
 
 
 # ---------------------------------------------------------------------------
@@ -380,22 +367,6 @@ def _term_columns(form: BiquadraticForm) -> tuple[np.ndarray, ...]:
     c = x_orbit * y_orbit * form.coeffs[i, j, k, l]
     x_pair, y_pair = np.nonzero(c)
     return i[x_pair, 0] + 1, j[y_pair] + 1, k[x_pair, 0] + 1, l[y_pair] + 1, c[x_pair, y_pair]
-
-
-def to_terms(form: BiquadraticForm) -> list[MonomialTerm]:
-    """Distinct monomials with their polynomial coefficients, sorted by
-    (i, k, j, l); zero coefficients are omitted."""
-    return [MonomialTerm(*row) for row in zip(*(col.tolist() for col in _term_columns(form)))]
-
-
-def from_terms(m: int, n: int, terms) -> BiquadraticForm:
-    """Build the canonical tensor from polynomial monomial coefficients.
-
-    Indices are 1-based; non-canonical index order is accepted and
-    canonicalized, duplicate monomials accumulate.
-    """
-    records = [{"i": t.i, "j": t.j, "k": t.k, "l": t.l, "c": t.c} for t in terms]
-    return form_from_dict({"m": m, "n": n, "terms": records})
 
 
 _TERM_GETTERS = tuple(map(itemgetter, _TERM_FIELDS))

@@ -108,16 +108,10 @@ class GramFamily:
         m[kj, il] -= gamma
         return m
 
-    def direction(self, t: int) -> np.ndarray:
-        mn = self.m * self.n
-        ij, kl, il, kj = self.swaps[:, t]
-        delta = np.zeros((mn, mn))
-        delta[ij, kl] = delta[kl, ij] = 1.0
-        delta[il, kj] = delta[kj, il] = -1.0
-        return delta
-
     def combine(self, coeffs: np.ndarray) -> np.ndarray:
-        """Dense matrix sum_t coeffs[t] * direction(t)."""
+        """The dense combination of the swap directions, ``coeffs[t]`` at
+        (ij, kl) and -coeffs[t] at (il, kj) of swap t, mirrored, taken as
+        ``matrix_at(coeffs) - base`` (exact where those sums do not round)."""
         return self.matrix_at(np.asarray(coeffs, dtype=float)) - self.base
 
 

@@ -130,12 +130,14 @@ def rank_from_eigenvalues(eigenvalues, tol: Tolerances = DEFAULT_TOL, scale: flo
 
 
 def numerical_rank(s, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Count of eigenvalues above ``rank_cutoff`` in magnitude."""
+    """Count of eigenvalues above ``rank_cutoff`` in magnitude.  No command
+    calls it; the acceptance tests of criteria 3, 7 and 8 take ranks with it."""
     return rank_from_eigenvalues(sym_eig(s).eigenvalues, tol)
 
 
 def is_psd(s, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, np.ndarray | None]:
-    """PSD test with a negativity witness; see ``psd_from_decomposition``."""
+    """PSD test with a negativity witness; see ``psd_from_decomposition``.
+    No command calls it; the acceptance tests of criteria 7 and 8 judge with it."""
     return psd_from_decomposition(sym_eig(s), tol)
 
 

@@ -40,8 +40,6 @@ _MAX_ITER = 200
 _NEWTON_DECAY = 0.5
 # meig_solve rejects forms with m or n above this.
 _SIZE_CAP = 8
-# Min-seeking eigensteps psd_sample_check takes from its best sample.
-_POLISH_STEPS = 10
 
 
 def check_size(m: int, n: int) -> None:
@@ -257,7 +255,9 @@ def _seeded_starts(form: BiquadraticForm, restarts: int, seed: int) -> np.ndarra
     y0 = np.empty((restarts, form.n))
     for ridx in range(len(y0)):
         rng = np.random.default_rng([seed, ridx])
-        _unit_rows(rng, 1, form.m)  # keeps the seeded y0; the first eigenstep sets x
+        # Each stream opens with the m normals of an x row; they are skipped,
+        # not normalised, as the first eigenstep sets x and y0 follows them.
+        rng.standard_normal(form.m)
         y0[ridx] = _unit_rows(rng, 1, form.n)[0]
     return y0
 
@@ -342,18 +342,13 @@ def psd_sample_check(
     form: BiquadraticForm, samples: int = 100_000, seed: int = 0
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Monte Carlo negativity probe: minimum of P over seeded sphere pairs,
-    sharpened by a few min-seeking alternating eigensteps from the best
-    sample.  Deterministic given the seed."""
+    sharpened by one min-seeking start of ``min_probe``'s search from the
+    best sample's y, kept when its last iterate is lower.  Deterministic
+    given the seed."""
     rng = np.random.default_rng(seed)
-    best_val = np.inf
-    best_x = np.zeros(form.m)
-    best_x[0] = 1.0
-    best_y = np.zeros(form.n)
-    best_y[0] = 1.0
-    chunk = 20_000
-    remaining = samples
-    while remaining > 0:
-        take = min(chunk, remaining)
+    best_val, best_x, best_y = np.inf, np.eye(form.m)[0], np.eye(form.n)[0]
+    for done in range(0, samples, 20_000):
+        take = min(20_000, samples - done)
         xs = _unit_rows(rng, take, form.m)
         ys = _unit_rows(rng, take, form.n)
         vals = evaluate_batch(form, xs, ys)
@@ -361,15 +356,9 @@ def psd_sample_check(
         if vals[idx] < best_val:
             best_val = float(vals[idx])
             best_x, best_y = xs[idx].copy(), ys[idx].copy()
-        remaining -= take
-
-    contractor = _Contractor(form.coeffs)
-    g = contractor.x_matrices(best_y[None])
-    pick = np.zeros(1, dtype=int)
-    for _ in range(_POLISH_STEPS):
-        x, y, _, g = _eigenstep(contractor, g, pick)
-        val = float(x[0] @ g[0] @ x[0])
-        if val < best_val:
-            best_val = val
-            best_x, best_y = x[0], y[0]
+    contractor, scale = _normalized(form)
+    starts = _search(contractor, best_y[None], np.zeros(1, dtype=int), _TOL)
+    polished = float(scale * starts.lam[0])
+    if polished < best_val:
+        return polished, (starts.x[0], starts.y[0])
     return best_val, (best_x, best_y)

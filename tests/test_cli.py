@@ -134,7 +134,7 @@ class TestCheckPsd:
 
     def test_transpose_flag(self, capsys, tmp_path):
         # y-symmetric form: swap roles first, then the x-symmetric test applies
-        form = forms.transpose_xy(to_form(gen_simple(3, 2, 6)))
+        form = forms.FormCells.of(to_form(gen_simple(3, 2, 6))).transpose().to_form()
         path = tmp_path / "ysym.json"
         forms.save_form(form, str(path))
         code, data = run_json(capsys, ["check-psd", str(path), "--transpose"])
@@ -884,7 +884,7 @@ class TestSharedParser:
     def test_calls_in_one_process_match_fresh_parsers(self, capsys, monkeypatch, tmp_path, p223_file):
         data = KINDS["psd"]()
         ysym = str(tmp_path / "ysym.json")
-        forms.save_form(forms.transpose_xy(reconstruct(data)), ysym)
+        forms.save_form(data.cells().transpose().to_form(), ysym)
         dec = tmp_path / "dec.json"
         calls = [
             ["sos-rank", p223_file, "--restarts", "abc", "--json"],
@@ -926,7 +926,7 @@ def xsym_routes(tmp_path, name, data=None, record=None):
     terms = str(tmp_path / f"{name}-terms.json")
     forms.dump_json(record or forms.form_to_dict(dense), terms)
     ysym = str(tmp_path / f"{name}-ysym.json")
-    forms.save_form(forms.transpose_xy(dense), ysym)
+    forms.save_form(forms.FormCells.of(dense).transpose().to_form(), ysym)
     return routes + [(terms, []), (ysym, ["--transpose"])]
 
 

@@ -14,7 +14,6 @@ from biquad.errors import InvalidInput
 from biquad.forms import (
     BiquadraticForm,
     FormCells,
-    MonomialTerm,
     SOSDecomposition,
     cells_from_dict,
     dump_json,
@@ -22,7 +21,6 @@ from biquad.forms import (
     evaluate_sos,
     form_from_dict,
     form_to_dict,
-    from_terms,
     decomposition_from_dict,
     load_form,
     load_json,
@@ -30,8 +28,6 @@ from biquad.forms import (
     residual_bound,
     save_form,
     symmetrize,
-    to_terms,
-    transpose_xy,
     verify_sos,
 )
 from biquad.gram import build_family
@@ -245,6 +241,11 @@ class TestVerifySos:
         assert verify_sos(moved, dec, slack=3e-8)[0]
         assert residual_bound(moved, 3e-8) == 1e-8 * float(np.abs(raw).max()) + 3e-8
 
+    def test_overflowing_factors_fail_with_an_infinite_residual(self):
+        p = symmetrize(np.full((1, 2, 1, 2), 1.0))
+        with np.errstate(over="ignore"):
+            assert verify_sos(p, SOSDecomposition(1, 2, (np.array([[1e200, 1.0]]),))) == (False, math.inf)
+
     def test_draws_no_random_numbers(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("verify_sos drew random numbers")
@@ -254,30 +255,36 @@ class TestVerifySos:
         assert verify_sos(p, SOSDecomposition(2, 2, (np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))))[0]
 
 
+def _swapped(form):
+    """The n x m form P'(y, x) = P(x, y), as ``--transpose`` builds it."""
+    return FormCells.of(form).transpose().to_form()
+
+
 class TestTransposeXY:
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(forms_and_points())
     def test_involution(self, case):
         p, x, y = case
-        twice = transpose_xy(transpose_xy(p))
+        twice = _swapped(_swapped(p))
         assert (twice.m, twice.n) == (p.m, p.n)
-        assert twice.coeffs.tobytes() == p.coeffs.tobytes()
-        assert abs(evaluate(transpose_xy(p), y, x) - evaluate(p, x, y)) <= _rounding_bound(p, x, y)
+        # The cells' mean turns a -0.0 entry into 0.0.
+        assert twice.coeffs.tobytes() == (p.coeffs + 0.0).tobytes()
+        assert abs(evaluate(_swapped(p), y, x) - evaluate(p, x, y)) <= _rounding_bound(p, x, y)
 
     def test_single_monomial_swap(self):
         raw = np.zeros((1, 2, 1, 2))
         raw[0, 1, 0, 1] = 1.0  # x1^2 y2^2
-        q = transpose_xy(symmetrize(raw))
+        q = _swapped(symmetrize(raw))
         assert (q.m, q.n) == (2, 1)
         assert q.coeffs[1, 0, 1, 0] == 1.0  # x2^2 y1^2
 
     def test_role_symmetric_fixed_point(self):
         p = to_form(gen_simple(3, 3, 9))  # sum of all squares treats x and y alike
-        np.testing.assert_array_equal(transpose_xy(p).coeffs, p.coeffs)
+        np.testing.assert_array_equal(_swapped(p).coeffs, p.coeffs)
 
     def test_evaluation_agreement(self):
         p = to_form(gen_simple(3, 2, 3))
-        q = transpose_xy(p)
+        q = _swapped(p)
         assert (q.m, q.n) == (2, 3)
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -290,7 +297,7 @@ class TestTransposeXY:
         dec = SOSDecomposition(2, 2, (np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])))
         flipped = SOSDecomposition(2, 2, tuple(w.T for w in dec.factors))
         assert verify_sos(p, dec)[0]
-        assert verify_sos(transpose_xy(p), flipped)[0]
+        assert verify_sos(_swapped(p), flipped)[0]
 
 
 class TestDecompositionRecords:
@@ -326,28 +333,28 @@ class TestSerialization:
     def test_terms_canonical_order(self):
         rng = np.random.default_rng(9)
         p = random_form(rng, 2, 2)
-        terms = to_terms(p)
-        keys = [(t.i, t.k, t.j, t.l) for t in terms]
+        terms = form_to_dict(p)["terms"]
+        keys = [(t["i"], t["k"], t["j"], t["l"]) for t in terms]
         assert keys == sorted(keys)
-        assert all(t.i <= t.k and t.j <= t.l for t in terms)
+        assert all(t["i"] <= t["k"] and t["j"] <= t["l"] for t in terms)
 
-    def test_from_terms_accepts_non_canonical(self):
-        a = from_terms(2, 2, [MonomialTerm(2, 2, 1, 1, 4.0)])
-        b = from_terms(2, 2, [MonomialTerm(1, 1, 2, 2, 4.0)])
+    def test_non_canonical_index_order_accepted(self):
+        a = form_from_dict(_record(2, 2, (2, 2, 1, 1, 4.0)))
+        b = form_from_dict(_record(2, 2, (1, 1, 2, 2, 4.0)))
         np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
     def test_duplicate_terms_accumulate(self):
-        one = from_terms(1, 1, [MonomialTerm(1, 1, 1, 1, 1.0), MonomialTerm(1, 1, 1, 1, 2.0)])
+        one = form_from_dict(_record(1, 1, (1, 1, 1, 1, 1.0), (1, 1, 1, 1, 2.0)))
         assert one.coeffs[0, 0, 0, 0] == 3.0
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidInput):
-            from_terms(2, 2, [MonomialTerm(3, 1, 1, 1, 1.0)])
+        with pytest.raises(InvalidInput, match="out of range"):
+            form_from_dict(_record(2, 2, (3, 1, 1, 1, 1.0)))
 
     def test_non_finite_coefficient_rejected(self):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(InvalidInput, match="not finite"):
-                from_terms(2, 2, [MonomialTerm(1, 1, 1, 1, 1.0), MonomialTerm(1, 2, 2, 1, bad)])
+                form_from_dict(_record(2, 2, (1, 1, 1, 1, 1.0), (1, 2, 2, 1, bad)))
             with pytest.raises(InvalidInput, match="not finite"):
                 form_from_dict({"m": 1, "n": 1, "terms": [{"i": 1, "j": 1, "k": 1, "l": 1, "c": bad}]})
 
@@ -359,23 +366,20 @@ class TestSerialization:
         with pytest.raises(InvalidInput, match="integer"):
             form_from_dict(record)
 
-    def test_from_terms_matches_term_by_term_loop(self):
+    def test_record_matches_term_by_term_loop(self):
         # Many random terms per cell: duplicates, every index order, mixed
         # magnitudes, so any change in summation order would show.
         rng = np.random.default_rng(10)
         for m, n, count in ((1, 1, 20), (2, 3, 200), (3, 4, 600), (4, 2, 300)):
             terms = [
-                MonomialTerm(
+                (
                     int(rng.integers(1, m + 1)), int(rng.integers(1, n + 1)),
                     int(rng.integers(1, m + 1)), int(rng.integers(1, n + 1)),
                     float(rng.standard_normal() * 10.0 ** rng.integers(-8, 8)),
                 )
                 for _ in range(count)
             ]
-            expected = _from_terms_loop(m, n, terms)
-            np.testing.assert_array_equal(from_terms(m, n, terms).coeffs, expected)
-            record = {"m": m, "n": n, "terms": [{"i": t.i, "j": t.j, "k": t.k, "l": t.l, "c": t.c} for t in terms]}
-            np.testing.assert_array_equal(form_from_dict(record).coeffs, expected)
+            np.testing.assert_array_equal(form_from_dict(_record(m, n, *terms)).coeffs, _add_terms_loop(m, n, terms))
 
     def test_dict_round_trip(self):
         p = to_form(gen_simple(3, 3, 6))
@@ -383,16 +387,22 @@ class TestSerialization:
         np.testing.assert_array_equal(q.coeffs, p.coeffs)
 
 
-def _from_terms_loop(m, n, terms):
-    """Reference for from_terms: add each term to its orbit one at a time."""
+def _record(m, n, *terms):
+    """A form record of 1-based (i, j, k, l, c) terms."""
+    return {"m": m, "n": n, "terms": [dict(zip("ijklc", term)) for term in terms]}
+
+
+def _add_terms_loop(m, n, terms):
+    """Reference for form_from_dict: add each 1-based (i, j, k, l, c) term to
+    its orbit one at a time."""
     a = np.zeros((m, n, m, n))
-    for t in terms:
-        i, j, k, l = t.i - 1, t.j - 1, t.k - 1, t.l - 1
+    for *index, c in terms:
+        i, j, k, l = (v - 1 for v in index)
         i, k = min(i, k), max(i, k)
         j, l = min(j, l), max(j, l)
         orbit = (2 if i < k else 1) * (2 if j < l else 1)
         for pos in {(i, j, k, l), (i, l, k, j), (k, j, i, l), (k, l, i, j)}:
-            a[pos] += t.c / orbit
+            a[pos] += c / orbit
     return a
 
 
@@ -416,16 +426,17 @@ def _parse_terms_loop(record):
             c = float(entry["c"])
         except OverflowError as exc:
             raise InvalidInput(str(exc)) from exc
-        terms.append(MonomialTerm(*(int(v) for v in index), c))
-    if not all(1 <= t.i <= m and 1 <= t.k <= m and 1 <= t.j <= n and 1 <= t.l <= n for t in terms):
+        terms.append((*(int(v) for v in index), c))
+    if not all(1 <= i <= m and 1 <= k <= m and 1 <= j <= n and 1 <= l <= n for i, j, k, l, _ in terms):
         raise InvalidInput("index out of range")
-    if not all(math.isfinite(t.c) for t in terms):
+    if not all(math.isfinite(c) for *_, c in terms):
         raise InvalidInput("coefficient not finite")
-    return _from_terms_loop(m, n, terms)
+    return _add_terms_loop(m, n, terms)
 
 
-def _to_terms_loop(form):
-    """Reference for to_terms: every canonical monomial in (i, k, j, l) order."""
+def _written_terms_loop(form):
+    """Reference for form_to_dict's terms: every canonical monomial with a
+    nonzero coefficient, in (i, k, j, l) order."""
     terms = []
     for i in range(form.m):
         for k in range(i, form.m):
@@ -433,7 +444,7 @@ def _to_terms_loop(form):
                 for l in range(j, form.n):
                     c = (2 if i < k else 1) * (2 if j < l else 1) * form.coeffs[i, j, k, l]
                     if c != 0.0:
-                        terms.append(MonomialTerm(i + 1, j + 1, k + 1, l + 1, float(c)))
+                        terms.append({"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1, "c": float(c)})
     return terms
 
 
@@ -441,9 +452,9 @@ class TestTermsProperties:
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(sparse_forms())
     def test_dict_round_trip_bit_equal(self, p):
-        assert to_terms(p) == _to_terms_loop(p)
+        assert form_to_dict(p)["terms"] == _written_terms_loop(p)
         q = form_from_dict(form_to_dict(p))
-        # to_terms omits zeros, so a -0.0 entry comes back as 0.0.
+        # Zero coefficients are omitted, so a -0.0 entry comes back as 0.0.
         assert q.coeffs.tobytes() == (p.coeffs + 0.0).tobytes()
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
@@ -490,7 +501,7 @@ class TestLoadJson:
     def test_integer_beyond_64_bits(self, tmp_path):
         path = tmp_path / "big.json"
         path.write_text('{"m": 1, "n": 2, "terms": [{"i": 1, "j": 1, "k": 1, "l": 2, "c": %d}]}' % 2**70)
-        expected = from_terms(1, 2, [MonomialTerm(1, 1, 1, 2, 2**70)])
+        expected = form_from_dict(_record(1, 2, (1, 1, 1, 2, 2**70)))
         assert load_form(str(path)).coeffs.tobytes() == expected.coeffs.tobytes()
 
 
@@ -757,6 +768,16 @@ def _old_swap_order(m, n):
     return np.array([[i * n + j, k * n + l, i * n + l, k * n + j] for i, k, j, l in quads], dtype=int).reshape(-1, 4).T
 
 
+def _paired_cells(dec):
+    """Reference for a dense decomposition's cells: symmetrize's four-term
+    pairing written out on the cells of G = sum_p vec W_p vec W_p'."""
+    m, n = dec.m, dec.n
+    flat = np.reshape(dec.factors, (len(dec), m * n))
+    a = (flat.T @ flat).reshape(m, n, m, n)
+    (i, j, k, l), _ = FormCells.layout(m, n)
+    return ((a[i, j, k, l] + a[k, j, i, l]) + (a[i, l, k, j] + a[k, l, i, j])) * 0.25
+
+
 class TestCellLayout:
     """Every reader of the cell layout agrees with it, bit for bit."""
 
@@ -773,10 +794,17 @@ class TestCellLayout:
         i, j, k, l, c = forms._term_columns(form)
         assert np.array_equal(forms._accumulate_cells(m, n, i - 1, j - 1, k - 1, l - 1, c), values)
         assert np.array_equal(build_family(form).swaps, _old_swap_order(m, n))
-        flat = rng.standard_normal((3, m * n))
-        dec = SOSDecomposition(m, n, tuple(flat.reshape(3, m, n)))
-        expected = FormCells.of(symmetrize((flat.T @ flat).reshape(m, n, m, n))).values
-        assert np.array_equal(forms._sos_cells(dec), expected)
+        # Dense factor stacks, empty, random, with exact zeros and all zero:
+        # their cells and verify_sos's residual are those of the pairing.
+        for count, zero_share in ((0, 0.0), (3, 0.0), (4, 0.5), (2, 1.0)):
+            flat = rng.standard_normal((count, m * n))
+            flat[rng.random(flat.shape) < zero_share] = 0.0
+            dec = SOSDecomposition(m, n, tuple(flat.reshape(count, m, n)))
+            expected = _paired_cells(dec)
+            assert np.array_equal(forms._sos_cells(dec), expected)
+            assert np.array_equal(FormCells.of(symmetrize((flat.T @ flat).reshape(m, n, m, n))).values, expected)
+            resid = float(np.abs(expected - FormCells.of(form).values).max())
+            assert verify_sos(form, dec)[1].hex() == resid.hex()
 
     def test_layout_is_shared_and_read_only(self):
         first = FormCells.layout(3, 2)

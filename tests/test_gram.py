@@ -45,7 +45,7 @@ class TestBuildFamily:
     def test_2x2_single_direction(self):
         fam = f_224()
         assert fam.dim == 1
-        delta = fam.direction(0)
+        delta = fam.combine(np.eye(fam.dim)[0])
         expected = np.zeros((4, 4))
         expected[0, 3] = expected[3, 0] = 1.0
         expected[1, 2] = expected[2, 1] = -1.0
@@ -59,7 +59,7 @@ class TestBuildFamily:
         rng = np.random.default_rng(0)
         fam = build_family(to_form(gen_simple(4, 3, 12)))
         for t in range(fam.dim):
-            delta = fam.direction(t)
+            delta = fam.combine(np.eye(fam.dim)[t])
             for _ in range(20):
                 z = np.kron(sphere(rng, 4), sphere(rng, 3))
                 assert abs(z @ delta @ z) <= 1e-12

@@ -212,6 +212,16 @@ class TestBatchedSolve:
             pairs = meig_solve(form, restarts=10, seed=3)
             runs.add(tuple((p.eigenvalue, p.x.tobytes(), p.y.tobytes(), p.residual_x, p.residual_y) for p in pairs))
         assert len(runs) == 1
+        # Every y0 is the one drawn after a normalised x row that is dropped.
+        for m, n in ((1, 1), (2, 3), (8, 8), (5, 2)):
+            shape = symmetrize(np.zeros((m, n, m, n)))
+            for seed in range(50):
+                expected = np.empty((20, n))
+                for r in range(20):
+                    rng = np.random.default_rng([seed, r])
+                    meig._unit_rows(rng, 1, m)
+                    expected[r] = meig._unit_rows(rng, 1, n)[0]
+                assert meig._seeded_starts(shape, 20, seed).tobytes() == expected.tobytes()
 
     def test_eigen_solves_are_batched(self, monkeypatch):
         calls = []

@@ -89,7 +89,7 @@ class TestDetectReconstruct:
         # ((1'x)^2 - x'x)(y'Ay) with A the swap expands to 4 x1 x2 y1 y2
         data = monic(2, SWAP)
         p = reconstruct(data)
-        terms = {(t.i, t.k, t.j, t.l): t.c for t in forms.to_terms(p)}
+        terms = {(t["i"], t["k"], t["j"], t["l"]): t["c"] for t in forms.form_to_dict(p)["terms"]}
         assert terms[(1, 2, 1, 2)] == pytest.approx(4.0)
         assert terms[(1, 1, 1, 1)] == terms[(2, 2, 2, 2)] == 1.0
 

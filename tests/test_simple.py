@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from biquad.errors import InvalidInput
-from biquad.forms import BiquadraticForm, evaluate_batch, form_to_dict, to_terms
+from biquad.forms import BiquadraticForm, evaluate_batch, form_to_dict
 from biquad.gram import build_family, min_rank_search
 from biquad.linalg import COEFF_TOL
 from biquad.simple import (
@@ -74,12 +74,12 @@ class TestToForm:
 
     def test_2_2_3_terms(self):
         form = to_form(gen_simple(2, 2, 3))
-        terms = {(t.i, t.k, t.j, t.l): t.c for t in to_terms(form)}
+        terms = {(t["i"], t["k"], t["j"], t["l"]): t["c"] for t in form_to_dict(form)["terms"]}
         assert terms == {(1, 1, 1, 1): 1.0, (2, 2, 2, 2): 1.0, (1, 1, 2, 2): 1.0}
 
     def test_full_3_2(self):
         form = to_form(gen_simple(3, 2, 6))
-        assert len(to_terms(form)) == 6
+        assert len(form_to_dict(form)["terms"]) == 6
 
     def test_always_psd_by_sampling(self):
         rng = np.random.default_rng(0)
