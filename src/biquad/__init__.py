@@ -52,7 +52,6 @@ from .partsym import (
 from .simple import (
     LowerBoundCertificate,
     SupportSet,
-    UpperBoundOnly,
     exact_sos_rank_simple,
     gen_simple,
     lower_bound_certificate,

@@ -156,18 +156,23 @@ def _not_xsym(command: str) -> CommandResult:
     )
 
 
+def _not_psd(command: str, form, invalid: partsym.InvalidReduction, q=(), r=()) -> CommandResult:
+    """Exit 2 for a form that ``invalid`` shows is not PSD: the verdict
+    payload (see ``_cert_payload``) and its summary."""
+    return CommandResult(
+        command, "not-psd", _cert_payload(form, q, r, invalid), _EXIT_NOT_PSD,
+        summary=f"NotPSD: {invalid.reason}; witness value {invalid.value:.6g}",
+    )
+
+
 def _verdict(command: str, data: partsym.XSymmetricData, cert: partsym.PSDCertificate) -> CommandResult:
     """check-psd's result for a certificate, and decompose's for one that fails."""
-    payload = _cert_payload(data, cert.q.eigenvalues, cert.r.eigenvalues, cert.evidence)
-    if cert.psd:
-        return CommandResult(
-            command, "ok", payload, _EXIT_OK,
-            summary=f"PSD: min eig(Q) = {min(cert.q.eigenvalues, default=0.0):.6g}, "
-                    f"min eig(R) = {min(cert.r.eigenvalues, default=0.0):.6g}",
-        )
+    q, r = cert.q.eigenvalues, cert.r.eigenvalues
+    if not cert.psd:
+        return _not_psd(command, data, cert.evidence, q, r)
     return CommandResult(
-        command, "not-psd", payload, _EXIT_NOT_PSD,
-        summary=f"NotPSD: {cert.reason}; witness value {payload['witness']['value']:.6g}",
+        command, "ok", _cert_payload(data, q, r), _EXIT_OK,
+        summary=f"PSD: min eig(Q) = {min(q, default=0.0):.6g}, min eig(R) = {min(r, default=0.0):.6g}",
     )
 
 
@@ -226,22 +231,13 @@ def cmd_verify(args) -> CommandResult:
 def cmd_gen_simple(args) -> CommandResult:
     support = simple.gen_simple(args.m, args.n, args.s)
     forms.dump_json(simple.form_record(support), args.out)
-    rank = simple.exact_sos_rank_simple(support)
-    payload = {"support": simple.support_to_dict(support), "out": args.out}
-    if isinstance(rank, simple.UpperBoundOnly):
-        payload["sos_rank"] = None
-        payload["upper_bound"] = rank.bound
-        payload["exact"] = False
-        summary = (
-            f"P_({args.m},{args.n},{args.s}): support has a rectangle; "
-            f"SOS rank <= {rank.bound} (try 'biquad sos-rank')"
-        )
-    else:
-        payload["sos_rank"] = rank
-        payload["upper_bound"] = rank
-        payload["exact"] = True
-        summary = f"P_({args.m},{args.n},{args.s}): SOS rank exactly {rank}"
-    return CommandResult("gen-simple", "ok", payload, _EXIT_OK, summary=summary + f" -> {args.out}")
+    rank = simple.lower_bound_certificate(support).bound
+    payload = {"support": simple.support_to_dict(support), "out": args.out,
+               "sos_rank": rank, "upper_bound": len(support), "exact": rank is not None}
+    summary = (f"SOS rank exactly {rank}" if rank is not None
+               else f"support has a rectangle; SOS rank <= {len(support)} (try 'biquad sos-rank')")
+    return CommandResult("gen-simple", "ok", payload, _EXIT_OK,
+                         summary=f"P_({args.m},{args.n},{args.s}): {summary} -> {args.out}")
 
 
 def _universal_bound(m: int, n: int) -> int:
@@ -253,19 +249,17 @@ def _universal_bound(m: int, n: int) -> int:
     return m * n - 1 if m >= 2 and n >= 2 else m * n
 
 
-def _negativity_probe(command: str, form, tol, seed: int, **probe_args) -> CommandResult | None:
-    """Exit 2 with a witness, in check-psd's NotPSD envelope, when the
-    min-seeking M-eigen starts of ``meig.min_probe`` (given ``probe_args``,
-    else its defaults) reach P(x, y) < -eps * max|c|; else None."""
-    _, (x, y) = meig.min_probe(form, seed=seed, **probe_args)
+def _no_gram_point(command: str, form, tol, payload: dict, summary: str, **probe_args) -> CommandResult:
+    """sos-rank's and reduce-rank's result when no PSD Gram point was found:
+    exit 2 with a witness when the min-seeking M-eigen starts of
+    ``meig.min_probe(form, **probe_args)`` reach P(x, y) < -eps * max|c|,
+    else exit 4 with the command's own ``payload`` and ``summary``."""
+    _, (x, y) = meig.min_probe(form, **probe_args)
     value = forms.evaluate(form, x, y)
-    if not value < -tol.eps * forms.max_abs_coeff(form):
-        return None
-    invalid = partsym.InvalidReduction(x, y, value, "min-seeking M-eigen starts found P(x, y) < 0")
-    return CommandResult(
-        command, "not-psd", _cert_payload(form, invalid=invalid), _EXIT_NOT_PSD,
-        summary=f"NotPSD: {invalid.reason}; witness value {value:.6g}",
-    )
+    if value < -tol.eps * forms.max_abs_coeff(form):
+        return _not_psd(command, form, partsym.InvalidReduction(
+            x, y, value, "min-seeking M-eigen starts found P(x, y) < 0"))
+    return CommandResult(command, "inconclusive", payload, _EXIT_INCONCLUSIVE, summary=f"inconclusive: {summary}")
 
 
 def cmd_sos_rank(args) -> CommandResult:
@@ -283,13 +277,11 @@ def cmd_sos_rank(args) -> CommandResult:
             family, restarts=args.restarts, seed=args.seed, tol=tol, floor=lower or 1
         )
     except NoPSDPointFound:
-        return _negativity_probe("sos-rank", form, tol, args.seed, restarts=args.restarts) or CommandResult(
-            "sos-rank",
-            "inconclusive",
+        return _no_gram_point(
+            "sos-rank", form, tol,
             {"seed": args.seed, "restarts": args.restarts,
              "note": "no PSD Gram point found; the form may be PSD but not SOS, or another seed may find one"},
-            _EXIT_INCONCLUSIVE,
-            summary="inconclusive: no PSD Gram point found",
+            "no PSD Gram point found", seed=args.seed, restarts=args.restarts,
         )
     residual = _reverified(form, gram.factor_gram(point, tol), "Gram factorization")
     universal = _universal_bound(form.m, form.n)
@@ -316,14 +308,12 @@ def cmd_reduce_rank(args) -> CommandResult:
     tol = _tolerances(args)
     form = _dense_input(args, gram.check_size)
     family = gram.build_family(form)
-    start = gram.psd_point(family, seed=args.seed, tol=tol)
-    if start is None:
-        return _negativity_probe("reduce-rank", form, tol, args.seed) or CommandResult(
-            "reduce-rank",
-            "inconclusive",
-            {"seed": args.seed, "note": "no PSD Gram point found to start from"},
-            _EXIT_INCONCLUSIVE,
-            summary="inconclusive: no PSD starting point",
+    try:
+        start = gram.psd_point(family, seed=args.seed, tol=tol)
+    except NoPSDPointFound:
+        return _no_gram_point(
+            "reduce-rank", form, tol, {"seed": args.seed, "note": "no PSD Gram point found to start from"},
+            "no PSD starting point", seed=args.seed,
         )
     reduced = gram.reduce_to_boundary(family, start, seed=args.seed, tol=tol)
     rank = linalg.rank_from_eigenvalues(reduced.spectrum.eigenvalues, tol)

@@ -14,9 +14,9 @@ def require_count(name: str, value: int) -> None:
 class NotPSD(RuntimeError):
     """Raised when an operation requires a positive semidefinite input.
 
-    ``witness`` carries the numeric evidence: either a vector v with
-    v' S v < 0, or a certificate object with an (x, y) pair at which the
-    form is strictly negative.
+    ``witness`` carries the numeric evidence: for a matrix S (``linalg``,
+    ``gram``) a vector v with v' S v < 0; for a form (``partsym``) a
+    ``partsym.InvalidReduction``, an (x, y) with P(x, y) < 0.
     """
 
     def __init__(self, message, witness=None):

@@ -313,17 +313,19 @@ def verify_sos(
     """
     if (form.m, form.n) != (dec.m, dec.n):
         raise InvalidInput("form and decomposition dimensions differ")
-    if isinstance(form, BiquadraticForm):
-        diffs = (_sos_cells(dec) - FormCells.of(form).values,)
-    elif isinstance(form, FormCells):
-        diffs = (_sos_cells(dec) - form.values,)
-    elif isinstance(dec, GroupedSOSDecomposition):
-        same, cross = _grouped_blocks(dec)
-        same_x = same - form.B
-        same_x.flat[:: form.n + 1] -= form.d
-        diffs = (same_x,) if form.m == 1 else (same_x, cross - form.A)
-    else:
-        diffs = (_sos_cells(dec) - form.cells().values,)
+    # Factors too large to square give an infinite residual, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(form, BiquadraticForm):
+            diffs = (_sos_cells(dec) - FormCells.of(form).values,)
+        elif isinstance(form, FormCells):
+            diffs = (_sos_cells(dec) - form.values,)
+        elif isinstance(dec, GroupedSOSDecomposition):
+            same, cross = _grouped_blocks(dec)
+            same_x = same - form.B
+            same_x.flat[:: form.n + 1] -= form.d
+            diffs = (same_x,) if form.m == 1 else (same_x, cross - form.A)
+        else:
+            diffs = (_sos_cells(dec) - form.cells().values,)
     resid = max(float(np.abs(diff).max(initial=0.0)) for diff in diffs)
     return resid <= residual_bound(form, slack), resid
 

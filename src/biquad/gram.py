@@ -342,12 +342,16 @@ def _factors(point: GramPoint, tol: Tolerances) -> np.ndarray:
     return np.reshape(factor_gram(point, tol).factors, (-1, point.family.m, point.family.n))
 
 
-def psd_point(family: GramFamily, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> GramPoint | None:
-    """A PSD member of the family, or None when none was found.
+def psd_point(family: GramFamily, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> GramPoint:
+    """A PSD member of the family.
 
     The base itself when it is PSD; otherwise the Gram matrix of the first
     r = 1, 2, ..., mn bilinear squares that fit the form from one seeded
     random start each.
+
+    Raises:
+        NoPSDPointFound: no start fitted; the form may still be PSD (or even
+            SOS) - this outcome is inconclusive.
     """
     base = gram_at(family, np.zeros(family.dim))
     if linalg.psd_from_decomposition(base.spectrum, tol)[0]:
@@ -356,7 +360,7 @@ def psd_point(family: GramFamily, seed: int = 0, tol: Tolerances = DEFAULT_TOL) 
         fitted = _fit(family, _random_start(family, r, np.random.default_rng([seed, r])), tol)
         if fitted is not None:
             return fitted[0]
-    return None
+    raise NoPSDPointFound("no PSD representation found; result inconclusive")
 
 
 def min_rank_search(
@@ -379,13 +383,11 @@ def min_rank_search(
 
     Raises:
         InvalidInput: ``restarts`` is below 1.
-        NoPSDPointFound: no PSD member was found; the form may still be PSD
-            (or even SOS) - this outcome is inconclusive.
+        NoPSDPointFound: from ``psd_point``, when the family has no PSD
+            member to start from; this outcome is inconclusive.
     """
     require_count("restarts", restarts)
     point = psd_point(family, seed, tol)
-    if point is None:
-        raise NoPSDPointFound("no PSD representation found; result inconclusive")
     factors = _factors(point, tol)
     while len(factors) > floor:
         r = len(factors) - 1

@@ -137,10 +137,11 @@ class PSDCertificate:
     ``kept`` y indices, where S = diag(``jacobi``) on those indices (see
     ``check_psd_monic``).  Both are parts of one form, so every cutoff on
     either is relative to ``scale``, the largest eigenvalue magnitude of the
-    two (of R alone when m = 1).  When ``psd`` is False, ``witness`` is an
-    (x, y) pair with ``witness_value = P(x, y) < 0`` and ``reason`` names the
-    matrix that fails.  ``slack`` bounds the coefficient error of a
-    decomposition built from a PSD certificate; see ``check_psd_monic``.
+    two (of R alone when m = 1).  When ``psd`` is False, ``evidence`` is the
+    InvalidReduction that shows it: an (x, y) with P(x, y) < 0 and the
+    matrix that fails; ``witness`` reads its (x, y).  ``slack`` bounds the
+    coefficient error of a decomposition built from a PSD certificate; see
+    ``check_psd_monic``.
     """
 
     psd: bool
@@ -149,18 +150,13 @@ class PSDCertificate:
     scale: float
     kept: np.ndarray
     jacobi: np.ndarray
-    witness: tuple[np.ndarray, np.ndarray] | None = None
-    witness_value: float | None = None
-    reason: str | None = None
+    evidence: InvalidReduction | None = None
     slack: float = 0.0
 
     @property
-    def evidence(self) -> InvalidReduction | None:
-        """The witness of a failing test as an InvalidReduction, else None."""
-        if self.psd:
-            return None
-        x, y = self.witness
-        return InvalidReduction(x, y, self.witness_value, self.reason)
+    def witness(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The (x, y) of a failing test's evidence, else None."""
+        return None if self.evidence is None else (self.evidence.x, self.evidence.y)
 
 
 def qr_pair(data: XSymmetricData) -> QRPair:
@@ -276,7 +272,7 @@ def check_psd_monic(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> PSDC
     value = evaluate_xsym(data, x, y)
     if not value < 0.0:
         raise linalg.NumericalError(f"PSD witness failed to evaluate negative: {value!r}")
-    return PSDCertificate(False, q_dec, r_dec, scale, kept, jacobi, (x, y), value, reason)
+    return PSDCertificate(False, q_dec, r_dec, scale, kept, jacobi, InvalidReduction(x, y, value, reason))
 
 
 def assemble_m_matrix(data: XSymmetricData) -> np.ndarray:
@@ -287,12 +283,17 @@ def assemble_m_matrix(data: XSymmetricData) -> np.ndarray:
     return np.kron(np.eye(m), pair.Q) + np.kron(np.full((m, m), 1.0 / m), pair.R - pair.Q)
 
 
+def _require_psd(cert: PSDCertificate) -> None:
+    """Raise NotPSD carrying the certificate's InvalidReduction when it fails."""
+    if not cert.psd:
+        raise NotPSD(f"form is not PSD: {cert.evidence.reason}", witness=cert.evidence)
+
+
 def sos_decompose_naive(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> SOSDecomposition:
     """SOS decomposition via the full Gram matrix: assemble M, factor it,
     reshape each factor vector into an m x n matrix (m blocks of length n)."""
     cert = check_psd_monic(data, tol)
-    if not cert.psd:
-        raise NotPSD("form is not PSD", witness=cert)
+    _require_psd(cert)
     vectors = linalg.psd_factor(assemble_m_matrix(data), tol)
     factors = tuple(w.reshape(data.m, data.n) for w in vectors)
     return SOSDecomposition(data.m, data.n, factors)
@@ -316,8 +317,7 @@ def sos_decompose_structured(
     that already holds ``check_psd_monic(data, tol)`` passes it as ``cert``.
     """
     cert = check_psd_monic(data, tol) if cert is None else cert
-    if not cert.psd:
-        raise NotPSD("form is not PSD", witness=cert)
+    _require_psd(cert)
     groups = [(ONES, _y_rows(cert, cert.r, tol, data.n))]
     if data.m >= 2:
         groups.append((HELMERT, _y_rows(cert, cert.q, tol, data.n)))
@@ -337,22 +337,16 @@ def rank_bound(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> int:
     """rank(R) + (m-1) rank(Q): the square count of the structured route and
     the rank of the assembled Gram matrix."""
     cert = check_psd_monic(data, tol)
-    if not cert.psd:
-        raise NotPSD("form is not PSD", witness=cert)
+    _require_psd(cert)
     rank_r = linalg.rank_from_eigenvalues(cert.r.eigenvalues, tol, cert.scale)
     rank_q = linalg.rank_from_eigenvalues(cert.q.eigenvalues, tol, cert.scale)
     return rank_r + (data.m - 1) * rank_q
 
 
 def sos_decompose_general(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> GroupedSOSDecomposition:
-    """``sos_decompose_structured`` whose NotPSD carries an InvalidReduction:
-    the witness in the form's own variables, ``value = P(x, y) < 0``, and
-    the matrix that fails."""
-    try:
-        return sos_decompose_structured(data, tol)
-    except NotPSD as exc:
-        evidence = exc.witness.evidence
-        raise NotPSD(f"form is not PSD: {evidence.reason}", witness=evidence) from None
+    """``sos_decompose_structured(data, tol)``: the structured route with
+    the PSD test run here."""
+    return sos_decompose_structured(data, tol)
 
 
 def random_psd_instance(

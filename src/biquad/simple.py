@@ -61,14 +61,6 @@ class LowerBoundCertificate:
     rectangle: tuple[tuple[int, int], ...] | None
 
 
-@dataclass(frozen=True)
-class UpperBoundOnly:
-    """The support size bounds the SOS rank from above but the rectangle
-    argument does not apply, so the exact value is not certified."""
-
-    bound: int
-
-
 def gen_simple(m: int, n: int, s: int) -> SupportSet:
     """First s pairs of the diagonal-walk ordering on [m] x [n].
 
@@ -129,13 +121,10 @@ def lower_bound_certificate(support: SupportSet) -> LowerBoundCertificate:
     return LowerBoundCertificate(False, None, rectangle)
 
 
-def exact_sos_rank_simple(support: SupportSet) -> int | UpperBoundOnly:
-    """Exact SOS rank |support| for rectangle-free supports; otherwise only
-    the trivial upper bound, to be tightened by the Gram search."""
-    cert = lower_bound_certificate(support)
-    if cert.applicable:
-        return len(support)
-    return UpperBoundOnly(len(support))
+def exact_sos_rank_simple(support: SupportSet) -> int | None:
+    """The exact SOS rank |support| of a rectangle-free support, else None:
+    |support| is then only an upper bound, for the Gram search to tighten."""
+    return len(support) if lower_bound_certificate(support).applicable else None
 
 
 def detect_simple(form: BiquadraticForm) -> SupportSet | None:

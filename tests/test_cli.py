@@ -1,4 +1,6 @@
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import os
@@ -35,9 +37,13 @@ def indefinite_xsym(tmp_path):
     return write(tmp_path / "bad.json", {"m": 2, "d": [1, 1], "A": [[0, 2], [2, 0]], "B": [[0, 0], [0, 0]]})
 
 
+COUPLED = {"m": 2, "d": [1, 1], "A": [[0, 1], [1, 0]], "B": [[0, 0], [0, 0]]}
+LINE = {"m": 1, "d": [1, 1], "A": [[0, 0], [0, 0]], "B": [[0, 0], [0, 0]]}  # x1^2 (y1^2 + y2^2)
+
+
 @pytest.fixture
 def coupled_xsym(tmp_path):
-    return write(tmp_path / "coupled.json", {"m": 2, "d": [1, 1], "A": [[0, 1], [1, 0]], "B": [[0, 0], [0, 0]]})
+    return write(tmp_path / "coupled.json", COUPLED)
 
 
 @pytest.fixture
@@ -101,6 +107,19 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def run_summary(capsys, argv):
+    """Exit code and human summary of a run without --json: the lines after
+    the first, which carries the timing."""
+    code = main(argv)
+    head, *summary = capsys.readouterr().out.splitlines()
+    assert head.startswith(f"[{argv[0]}] ")
+    return code, summary
+
+
+def not_psd_summary(payload):
+    return [f"NotPSD: {payload['reason']}; witness value {payload['witness']['value']:.6g}"]
+
+
 class TestCheckPsd:
     def test_plain_psd(self, capsys, plain_xsym):
         code, data = run_json(capsys, ["check-psd", plain_xsym])
@@ -114,6 +133,8 @@ class TestCheckPsd:
         assert data["status"] == "not-psd"
         witness = data["payload"]["witness"]
         assert witness["value"] < -1e-10
+        assert data["payload"]["reason"] == "Q = D + B - A is not PSD"
+        assert run_summary(capsys, ["check-psd", indefinite_xsym]) == (2, not_psd_summary(data["payload"]))
 
     def test_not_x_symmetric_exit_3(self, capsys, p223_file):
         code, data = run_json(capsys, ["check-psd", p223_file])
@@ -153,6 +174,13 @@ class TestDecompose:
     def test_not_psd_exit_2(self, capsys, indefinite_xsym, tmp_path):
         code, _ = run_json(capsys, ["decompose", indefinite_xsym, str(tmp_path / "x.json")])
         assert code == 2
+        # Q = 2I passes and only R = -I fails; nothing is written.
+        r_fails = write(tmp_path / "r.json", {"m": 3, "d": [1, 1], "A": [[-1, 0], [0, -1]], "B": [[0, 0], [0, 0]]})
+        argv = ["decompose", r_fails, str(tmp_path / "x.json")]
+        code, data = run_json(capsys, argv)
+        assert code == 2 and data["payload"]["reason"] == "R = D + B + (m-1)A is not PSD"
+        assert run_summary(capsys, argv) == (2, not_psd_summary(data["payload"]))
+        assert not (tmp_path / "x.json").exists()
 
     def test_not_x_symmetric(self, capsys, p223_file, tmp_path):
         code, _ = run_json(capsys, ["decompose", p223_file, str(tmp_path / "x.json")])
@@ -287,11 +315,16 @@ class TestSosRank:
         code, data = run_json(capsys, ["sos-rank", choi_file, "--restarts", "2"])
         assert code == 4
         assert data["status"] == "inconclusive"
+        summary = ["inconclusive: no PSD Gram point found"]
+        assert run_summary(capsys, ["sos-rank", choi_file, "--restarts", "2"]) == (4, summary)
 
     def test_not_psd_exit_2_with_witness(self, capsys, x1sq_y1y2_file):
         code, data = run_json(capsys, ["sos-rank", x1sq_y1y2_file, "--restarts", "2"])
         assert_not_psd_envelope(data, x1sq_y1y2_file)
         assert code == 2
+        assert data["payload"]["reason"] == "min-seeking M-eigen starts found P(x, y) < 0"
+        summary = not_psd_summary(data["payload"])
+        assert run_summary(capsys, ["sos-rank", x1sq_y1y2_file, "--restarts", "2"]) == (2, summary)
 
     def test_universal_bound_3x2_and_2x3(self, capsys, tmp_path):
         # 3 x 2 and 2 x 3 PSD forms are sums of 4 squares, not mn - 1 = 5
@@ -375,6 +408,7 @@ class TestReduceRank:
         code, data = run_json(capsys, ["reduce-rank", choi_file])
         assert code == 4
         assert data["status"] == "inconclusive"
+        assert run_summary(capsys, ["reduce-rank", choi_file]) == (4, ["inconclusive: no PSD starting point"])
 
     def test_full_rank_start_is_byte_identical(self, capsys, tmp_path):
         path = tmp_path / "p339.json"
@@ -786,6 +820,18 @@ def _fresh_env():
 
 
 class TestImportGraph:
+    def test_no_function_has_two_module_level_names(self):
+        # benchmark/tracer.py names each span after the module attribute it
+        # wraps and wraps each function object once: a second name bound to
+        # a function would rename that function's spans.
+        for layer in ("cli", "forms", "partsym", "linalg", "gram", "simple", "meig"):
+            module = importlib.import_module(f"biquad.{layer}")
+            names = {}
+            for name, value in vars(module).items():
+                if inspect.isfunction(value) and value.__module__ == module.__name__:
+                    names.setdefault(value, []).append(name)
+            assert [group for group in names.values() if len(group) > 1] == [], layer
+
     def test_cli_does_not_load_scipy_optimize(self):
         code = (
             "import sys, biquad.cli, biquad.gram\n"
@@ -1079,17 +1125,27 @@ class TestVerifyCommand:
         forms.save_decomposition(forms.SOSDecomposition(2, 2, dec.factors[:2]), out)
         assert run_json(capsys, ["verify", p223_file, out])[0] == 1
 
-    @pytest.mark.parametrize("record, message", [
-        ({"m": 2, "n": 2, "factors": 5}, "malformed decomposition record"),
-        ({"m": 2, "n": 2, "factors": [["a", 1, 2, 3]]}, "malformed decomposition record"),
-        ({"format": 2, "m": 0, "n": 2, "groups": [{"x": "helmert", "y": [[1, 2]]}]}, "malformed decomposition record"),
-        ({"m": 2, "n": 2, "factors": [[1, 0, 0, float("nan")]]}, "malformed decomposition record"),
-        ({"format": 2, "m": 3, "n": 2, "groups": [{"x": "ones", "y": [[1, 0]]}]}, "dimensions differ"),
+    @pytest.mark.parametrize("form, record, message", [
+        (COUPLED, {"m": 2, "n": 2, "factors": 5}, "malformed decomposition record"),
+        (COUPLED, {"m": 2, "n": 2, "factors": [["a", 1, 2, 3]]}, "malformed decomposition record"),
+        (COUPLED, {"format": 2, "m": 0, "n": 2, "groups": [{"x": "helmert", "y": [[1, 2]]}]},
+         "malformed decomposition record"),
+        (COUPLED, {"m": 2, "n": 2, "factors": [[1, 0, 0, float("nan")]]}, "malformed decomposition record"),
+        (COUPLED, {"format": 2, "m": 3, "n": 2, "groups": [{"x": "ones", "y": [[1, 0]]}]}, "dimensions differ"),
+        # Factors too large to square: an infinite residual, and no numpy
+        # overflow warning on stderr, on the cell route and the grouped one.
+        (LINE, {"m": 1, "n": 2, "factors": [[1e200, 1.0]]}, "failed re-verification: residual inf"),
+        (LINE, {"format": 2, "m": 1, "n": 2, "groups": [{"x": "ones", "y": [[1e200, 1.0]]}]},
+         "failed re-verification: residual inf"),
     ])
-    def test_bad_decomposition_file_is_exit_1(self, capsys, coupled_xsym, tmp_path, record, message):
+    def test_bad_decomposition_file_is_exit_1(self, capsys, tmp_path, form, record, message):
+        form_path = write(tmp_path / "form.json", form)
         path = write(tmp_path / "dec.json", record)
-        code, out = run_json(capsys, ["verify", coupled_xsym, path])
+        code = main(["verify", form_path, path, "--json"])
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
         assert code == 1 and out["status"] == "error" and message in out["payload"]["error"]
+        assert captured.err == ""
 
     def test_no_sampling_and_no_dense_tensor(self, capsys, monkeypatch, tmp_path):
         routes = xsym_routes(tmp_path, "psd", KINDS["psd"]())

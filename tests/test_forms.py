@@ -243,8 +243,7 @@ class TestVerifySos:
 
     def test_overflowing_factors_fail_with_an_infinite_residual(self):
         p = symmetrize(np.full((1, 2, 1, 2), 1.0))
-        with np.errstate(over="ignore"):
-            assert verify_sos(p, SOSDecomposition(1, 2, (np.array([[1e200, 1.0]]),))) == (False, math.inf)
+        assert verify_sos(p, SOSDecomposition(1, 2, (np.array([[1e200, 1.0]]),))) == (False, math.inf)
 
     def test_draws_no_random_numbers(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -362,8 +362,11 @@ class TestFactorSearch:
                 found = (rank, point.gamma.tobytes())
             except NoPSDPointFound:
                 found = None
-            start = psd_point(family, seed=1)
-            return found, None if start is None else start.gamma.tobytes()
+            try:
+                start = psd_point(family, seed=1).gamma.tobytes()
+            except NoPSDPointFound:
+                start = None
+            return found, start
 
         shipped = outcomes()
         with mock.patch.object(gram, "_GTOL", 0.0):
@@ -398,10 +401,11 @@ class TestFactorSearch:
         assert linalg.is_psd(point.matrix)[0]
         assert verify_sos(form, factor_gram(point))[0]
 
-    def test_psd_point_none_without_psd_member(self):
+    def test_psd_point_raises_without_psd_member(self):
         raw = np.zeros((1, 2, 1, 2))
         raw[0, 0, 0, 1] = 1.0
-        assert psd_point(build_family(symmetrize(raw))) is None
+        with pytest.raises(NoPSDPointFound):
+            psd_point(build_family(symmetrize(raw)))
 
 
 class TestFactorGram:

@@ -176,7 +176,7 @@ class TestCheckPsdMonic:
         x, y = cert.witness
         np.testing.assert_allclose(np.abs(x), [1.0, 1.0] / np.sqrt(2.0), atol=1e-14)
         np.testing.assert_allclose(np.abs(y), [1.0, 1.0] / np.sqrt(2.0), atol=1e-12)
-        assert cert.witness_value == pytest.approx(-1.0)
+        assert cert.evidence.value == pytest.approx(-1.0)
         assert evaluate(reconstruct(data), x, y) == pytest.approx(-1.0)
 
     def test_verdict_matches_sampling(self):
@@ -345,9 +345,9 @@ class TestReduceGeneral:
         b = np.array([[0.0, 1.0], [1.0, 0.0]])
         data = XSymmetricData(2, np.array([1.0, 0.0]), Z2, b)
         cert = check_psd_monic(data)
-        assert not cert.psd and cert.witness_value < 0.0
+        assert not cert.psd and cert.evidence.value < 0.0
         x, y = cert.witness
-        assert evaluate(reconstruct(data), x, y) == pytest.approx(cert.witness_value, rel=1e-9)
+        assert evaluate(reconstruct(data), x, y) == pytest.approx(cert.evidence.value, rel=1e-9)
 
     def test_zero_weight_clean_drop(self):
         data = XSymmetricData(2, np.array([1.0, 0.0]), Z2, Z2)
@@ -361,8 +361,8 @@ class TestReduceGeneral:
         cert = check_psd_monic(data)
         assert not cert.psd
         x, y = cert.witness
-        assert cert.witness_value == pytest.approx(-1.0)
-        assert cert.witness_value / (x @ x * y @ y) == pytest.approx(-0.5)
+        assert cert.evidence.value == pytest.approx(-1.0)
+        assert cert.evidence.value / (x @ x * y @ y) == pytest.approx(-0.5)
 
     def test_a_column_violation_invalid(self):
         a = np.array([[0.0, 0.3], [0.3, 0.0]])
@@ -411,15 +411,24 @@ class TestDecomposeGeneral:
         assert verify_sos(reconstruct(data), dec)[0]
 
     def test_not_psd_raises(self):
-        # A zero weight with a coupling, and a negative weight.
-        for d, b in (([1.0, 0.0], SWAP), ([1.0, -0.5], Z2)):
-            data = XSymmetricData(2, np.array(d), Z2, b)
-            with pytest.raises(NotPSD) as info:
-                sos_decompose_general(data)
-            witness = info.value.witness
-            assert isinstance(witness, InvalidReduction) and "is not PSD" in witness.reason
-            assert witness.value < 0.0
-            assert evaluate(reconstruct(data), witness.x, witness.y) == pytest.approx(witness.value, rel=1e-12)
+        # A zero weight with a coupling and a negative weight (Q fails), and
+        # A = -I with m = 3 (only R fails).  Every route raises NotPSD with
+        # an InvalidReduction whose reason its message names.
+        failing = (
+            XSymmetricData(2, np.array([1.0, 0.0]), Z2, SWAP),
+            XSymmetricData(2, np.array([1.0, -0.5]), Z2, Z2),
+            XSymmetricData(3, np.ones(2), -np.eye(2), Z2),
+        )
+        routes = (sos_decompose_structured, sos_decompose_naive, rank_bound, sos_decompose_general)
+        for data, matrix in zip(failing, "QQR"):
+            for route in routes:
+                with pytest.raises(NotPSD) as info:
+                    route(data)
+                witness = info.value.witness
+                assert isinstance(witness, InvalidReduction) and witness.reason.startswith(f"{matrix} = ")
+                assert str(info.value) == f"form is not PSD: {witness.reason}"
+                assert witness.value < 0.0
+                assert evaluate(reconstruct(data), witness.x, witness.y) == pytest.approx(witness.value, rel=1e-12)
 
     def test_random_scaled_corpus(self):
         rng = np.random.default_rng(9)

@@ -11,7 +11,6 @@ from biquad.linalg import COEFF_TOL
 from biquad.simple import (
     LowerBoundCertificate,
     SupportSet,
-    UpperBoundOnly,
     detect_simple,
     exact_sos_rank_simple,
     find_rectangle,
@@ -159,8 +158,7 @@ class TestExactRank:
         assert exact_sos_rank_simple(gen_simple(2, 2, 3)) == 3
 
     def test_rectangle_gives_upper_bound_only(self):
-        result = exact_sos_rank_simple(gen_simple(2, 2, 4))
-        assert result == UpperBoundOnly(4)
+        assert exact_sos_rank_simple(gen_simple(2, 2, 4)) is None
         # the Gram search tightens it to 2
         _, rank = min_rank_search(build_family(to_form(gen_simple(2, 2, 4))), restarts=3, seed=0)
         assert rank == 2
