@@ -77,39 +77,18 @@ def _read_input(path: str) -> forms.FormCells | partsym.XSymmetricData:
     return partsym.XSymmetricData(m, d, a, b)
 
 
-def _oriented(
-    source: forms.FormCells | partsym.XSymmetricData, transpose: bool, dense: bool
-) -> forms.BiquadraticForm | forms.FormCells | partsym.XSymmetricData:
-    """The input as a command analyzes it, x and y swapped with ``transpose``.
-
-    Data read with neither ``transpose`` nor ``dense`` stays as (d, A, B);
-    any other data becomes its canonical cells (``XSymmetricData.cells``).
-    From cells there is one path: ``transpose()`` with ``transpose``, then
-    ``to_form()`` for the dense tensor with ``dense``.
-    """
-    if isinstance(source, partsym.XSymmetricData):
-        if not (transpose or dense):
-            return source
-        source = source.cells()
-    if transpose:
-        source = source.transpose()
-    return source.to_form() if dense else source
-
-
 def _dense_input(args, check_size) -> forms.BiquadraticForm:
-    """The input as a dense form (see ``_oriented``), rejected by
-    ``check_size(m, n)`` on its oriented size before it is densified."""
+    """The input as a dense form, x and y swapped with ``--transpose``,
+    rejected by ``check_size(m, n)`` on its oriented size before its cells
+    are built and densified."""
     source = _read_input(args.form)
     check_size(*((source.n, source.m) if args.transpose else (source.m, source.n)))
-    return _oriented(source, args.transpose, dense=True)
+    cells = source.cells() if isinstance(source, partsym.XSymmetricData) else source
+    return (cells.transpose() if args.transpose else cells).to_form()
 
 
 def _vec(a) -> list[float]:
     return [float(v) for v in np.asarray(a).ravel()]
-
-
-def _witness_payload(x, y, value) -> dict:
-    return {"x": _vec(x), "y": _vec(y), "value": float(value)}
 
 
 def _cert_payload(form, q=(), r=(), invalid: partsym.InvalidReduction | None = None) -> dict:
@@ -126,27 +105,28 @@ def _cert_payload(form, q=(), r=(), invalid: partsym.InvalidReduction | None = N
     }
     if invalid is not None:
         payload["verdict"] = "NotPSD"
-        payload["witness"] = _witness_payload(invalid.x, invalid.y, invalid.value)
+        payload["witness"] = {"x": _vec(invalid.x), "y": _vec(invalid.y), "value": float(invalid.value)}
         payload["reason"] = invalid.reason
     return payload
 
 
 def _load_and_detect(args):
-    """The steps check-psd, decompose and verify share: load the input
-    without densifying it (see ``_oriented``) and detect x-symmetry.
+    """The steps check-psd, decompose and verify share: load the input,
+    x and y swapped with ``--transpose``, and detect x-symmetry.
 
-    Returns ``(tol, source, data)``: ``source`` is the input as
-    ``_oriented`` gives it, (d, A, B) or canonical cells, and ``data`` the
-    form's x-symmetric (d, A, B), None when it is not x-symmetric.
-    """
+    Returns ``(tol, cells, data)``: a form file's canonical cells (None for
+    a data file, which stays as (d, A, B) or its ``transposed()``) and the
+    form's x-symmetric (d, A, B), None when it is not x-symmetric."""
     tol = _tolerances(args)
-    source = _oriented(_read_input(args.form), args.transpose, dense=False)
-    data = source if isinstance(source, partsym.XSymmetricData) else partsym.detect_x_symmetric(source)
-    return tol, source, data
+    source = _read_input(args.form)
+    if isinstance(source, partsym.XSymmetricData):
+        return tol, None, source.transposed() if args.transpose else source
+    cells = source.transpose() if args.transpose else source
+    return tol, cells, partsym.detect_x_symmetric(cells)
 
 
 def _not_xsym(command: str) -> CommandResult:
-    """check-psd's and decompose's exit 3 for a form that is not x-symmetric."""
+    """Exit 3 for a form, or a transposed data file, that is not x-symmetric."""
     return CommandResult(
         command,
         "error",
@@ -213,12 +193,15 @@ def cmd_decompose(args) -> CommandResult:
 def cmd_verify(args) -> CommandResult:
     """Check a decomposition file against a form loaded as ``decompose``
     loads it, with the bound ``decompose`` applies: an x-symmetric form
-    gets its PSD certificate's slack, any other form none; no dense tensor."""
-    tol, source, data = _load_and_detect(args)
+    gets its PSD certificate's slack, any other form file none, and a data
+    file whose transpose is not x-symmetric exits 3; no dense tensor."""
+    tol, cells, data = _load_and_detect(args)
     if data is not None:
         form, slack = data, partsym.check_psd_monic(data, tol).slack
+    elif cells is not None:
+        form, slack = cells, 0.0
     else:
-        form, slack = source, 0.0
+        return _not_xsym("verify")
     dec = forms.load_decomposition(args.dec)
     payload = {"verified": True, **_reverified(form, dec, "decomposition file", slack), "factor_count": len(dec)}
     return CommandResult(
@@ -445,11 +428,6 @@ _FAILURES = (
 _CAUGHT = tuple(kind for kinds, *_ in _FAILURES for kind in kinds)
 
 
-def _check_counts(args) -> None:
-    if getattr(args, "restarts", None) is not None:
-        require_count("--restarts", args.restarts)
-
-
 def _write_envelope(result: CommandResult) -> None:
     envelope = {"command": result.command, "status": result.status, "payload": result.payload}
     sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
@@ -471,7 +449,8 @@ def main(argv=None) -> int:
         return _EXIT_ERROR
     t0 = time.perf_counter()
     try:
-        _check_counts(args)
+        if getattr(args, "restarts", None) is not None:
+            require_count("--restarts", args.restarts)
         result = globals()["cmd_" + args.command.replace("-", "_")](args)
     except _CAUGHT as exc:
         status, code, prefix = next(row[1:] for row in _FAILURES if isinstance(exc, row[0]))

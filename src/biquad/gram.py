@@ -29,6 +29,7 @@ bound, never a claim of exactness.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,14 +237,13 @@ def _lm(residual, jacobian, x: np.ndarray, max_nfev: int, fits) -> tuple[np.ndar
     its residual.
     """
     f = residual(x)
-    cost = 0.5 * (f @ f)
+    cost = 0.5 * float(f @ f)
     jac = jacobian(x)
     normal, grad = jac.T @ jac, jac.T @ f
-    mu, nu = 1e-3 * normal.diagonal().max(), 2.0
-    diagonal = np.diag_indices_from(normal)
+    mu, nu = 1e-3 * float(normal.diagonal().max()), 2.0
     for _ in range(max_nfev - 1):
         damped = normal.copy()
-        damped[diagonal] += mu
+        damped.flat[:: len(x) + 1] += mu
         try:
             step = np.linalg.solve(damped, -grad)
         except np.linalg.LinAlgError:
@@ -253,12 +253,13 @@ def _lm(residual, jacobian, x: np.ndarray, max_nfev: int, fits) -> tuple[np.ndar
             continue
         x_new = x + step
         f_new = residual(x_new)
-        cost_new = 0.5 * (f_new @ f_new)
+        cost_new = 0.5 * float(f_new @ f_new)
         decrease = cost - cost_new
-        predicted = 0.5 * (step @ (mu * step - grad))
-        gain = decrease / predicted if predicted > 0.0 else 0.0
+        predicted = 0.5 * float(step @ (mu * step - grad))
+        # Both rules below treat a gain above 1 as 1; capped, its cube cannot overflow.
+        gain = min(decrease / predicted, 1.0) if predicted > 0.0 else 0.0
         stalled = (decrease < 1e-15 * cost and gain > 0.25) or (
-            np.sqrt(step @ step) < 1e-15 * (1e-15 + np.sqrt(x @ x))
+            math.sqrt(step @ step) < 1e-15 * (1e-15 + math.sqrt(x @ x))
         )
         if decrease > 0.0:
             x, f, cost = x_new, f_new, cost_new
@@ -269,7 +270,7 @@ def _lm(residual, jacobian, x: np.ndarray, max_nfev: int, fits) -> tuple[np.ndar
             if not fits(f):
                 # max_j |J_j'f| / (|J_j| |f|) < _GTOL; a zero column has J_j'f = 0.
                 columns = np.maximum(np.sqrt(normal.diagonal()), np.finfo(float).tiny)
-                if (np.abs(grad) / columns).max() < _GTOL * np.sqrt(f @ f):
+                if (np.abs(grad) / columns).max() < _GTOL * math.sqrt(f @ f):
                     break
         else:
             mu *= nu
@@ -294,27 +295,25 @@ def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> tuple[GramPo
     m, n = family.m, family.n
     r = start.shape[0]
     mn = m * n
-    # Cell e averages the Gram entries at (a, b) = (ij, kl) and (c, d) = (il, kj).
-    a, b, c, d = family.cells
+    # Cell e averages the Gram entries at (ij, kl) and (il, kj), the rows of
+    # family.cells.  d residual[e] / d W[p, entry] = weight[e] / 2 * W[p, partner]:
+    # the Jacobian, laid out (row e, factor p, column entry), is one bincount of
+    # these products, gathered from v and summed at indices fixed for the fit.
     _, (x_orbit, y_orbit) = FormCells.layout(m, n)
     weight = np.sqrt(x_orbit * y_orbit).ravel()
-    target = family.base[a, b]
+    target = family.base[family.cells[0], family.cells[1]]
     rows = target.size
-    # d residual[e] / d W[p, entry] = weight[e] / 2 * W[p, partner]: the
-    # Jacobian, laid out (row e, factor p, column entry), is one bincount
-    # of these products at positions fixed for the whole fit.
-    partner = family.cells[[1, 0, 3, 2]].T
-    slot = (np.arange(rows)[:, None, None] * (r * mn) + np.arange(r)[None, None, :] * mn
-            + family.cells.T[:, :, None]).ravel()
-    half_weight = (0.5 * weight)[:, None, None]
+    offset = np.arange(r) * mn
+    gather = (family.cells[[1, 0, 3, 2]].T[:, :, None] + offset).ravel()
+    slot = (np.arange(rows)[:, None, None] * (r * mn) + offset + family.cells.T[:, :, None]).ravel()
+    half_weight = np.repeat(0.5 * weight, 4 * r)
 
     def residual(v: np.ndarray) -> np.ndarray:
-        w = v.reshape(r, mn)
-        return weight * (0.5 * ((w[:, a] * w[:, b]).sum(axis=0) + (w[:, c] * w[:, d]).sum(axis=0)) - target)
+        g = v.reshape(r, mn)[:, family.cells]
+        return weight * (0.5 * ((g[:, 0] * g[:, 1]).sum(axis=0) + (g[:, 2] * g[:, 3]).sum(axis=0)) - target)
 
     def jacobian(v: np.ndarray) -> np.ndarray:
-        values = half_weight * v.reshape(r, mn).T[partner]
-        return np.bincount(slot, values.ravel(), minlength=rows * r * mn).reshape(rows, r * mn)
+        return np.bincount(slot, half_weight * v[gather], minlength=rows * r * mn).reshape(rows, r * mn)
 
     bound = _FIT_RTOL * float(np.abs(target).max())
 

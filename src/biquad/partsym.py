@@ -19,8 +19,9 @@ rank(R) + (m-1) rank(Q) bilinear squares.  Both the direct route (assemble
 the mn x mn Gram matrix and factor it) and the structured route (work on
 the n x n spectra of Q and R only) are implemented; the structured route
 never forms the big matrix.  x-symmetry is detected on a form's canonical
-cells, so a terms file reaches (d, A, B) without a dense tensor, and
-(d, A, B) reaches the dense tensor only through its cells.
+cells, so a terms file reaches (d, A, B) without a dense tensor, (d, A, B)
+reaches the dense tensor only through its cells, and the data of its
+transpose through the cells of two x variables (``transposed``).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .forms import (  # helmert_basis is re-exported for callers of partsym
     GroupedSOSDecomposition,
     SOSDecomposition,
     helmert_basis,
+    require_indexable,
 )
 from .linalg import COEFF_TOL, DEFAULT_TOL, SpectralDecomposition, Tolerances
 
@@ -99,6 +101,24 @@ class XSymmetricData:
         """The canonical cells of the form: D + B on the blocks i = k, A on
         the others, each entry copied verbatim."""
         return FormCells.x_symmetric(self.m, self.B + np.diag(self.d), self.A)
+
+    def transposed(self) -> XSymmetricData | None:
+        """The data of P'(y, x) = P(x, y), None when P' is not x-symmetric,
+        in O(m^2 + n^2): ``detect_x_symmetric`` on the transposed cells of
+        min(m, 2) x variables, which hold every distinct cell of P, widened
+        to m as d''[0] 1, A''[0, 0] I + A''[0, 1] (11' - I) and
+        B''[0, 1] (11' - I), each entry copied verbatim as from
+        ``detect_x_symmetric(self.cells().transpose())``."""
+        m = self.m
+        require_indexable(m, self.n, m * m, "entries of the transposed A and B")
+        two = detect_x_symmetric(FormCells.x_symmetric(min(m, 2), self.B + np.diag(self.d), self.A).transpose())
+        if two is None:
+            return None
+        # [0, -1] is the off-diagonal entry; with m = 1 there is none to fill.
+        a, b = np.full((m, m), two.A[0, -1]), np.full((m, m), two.B[0, -1])
+        np.fill_diagonal(a, two.A[0, 0])
+        np.fill_diagonal(b, 0.0)
+        return XSymmetricData(self.n, np.full(m, two.d[0]), a, b)
 
     def max_abs_coeff(self) -> float:
         """max|coeff| of the dense tensor, read off (d, A, B); A only enters

@@ -123,7 +123,8 @@ def lower_bound_certificate(support: SupportSet) -> LowerBoundCertificate:
 
 def exact_sos_rank_simple(support: SupportSet) -> int | None:
     """The exact SOS rank |support| of a rectangle-free support, else None:
-    |support| is then only an upper bound, for the Gram search to tighten."""
+    |support| is then only an upper bound, for the Gram search to tighten.
+    No command calls it; acceptance criterion 6 and tests/test_simple.py do."""
     return len(support) if lower_bound_certificate(support).applicable else None
 
 

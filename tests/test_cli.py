@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -591,27 +592,34 @@ class TestStructureNative:
 
     def test_data_file_never_builds_a_dense_tensor(self, capsys, monkeypatch, tmp_path):
         def densified(*args, **kwargs):
-            raise AssertionError("dense tensor built for a data file")
+            raise AssertionError("dense tensor or cells built for a data file")
 
         monkeypatch.setattr(partsym, "reconstruct", densified)
         monkeypatch.setattr(forms.BiquadraticForm, "__post_init__", densified)
+        monkeypatch.setattr(XSymmetricData, "cells", densified)
         path = write(tmp_path / "data.json", data_record(scaled_psd(22, 6, 4)))
         assert run_json(capsys, ["check-psd", path])[0] == 0
         code, out = run_json(capsys, ["decompose", path, str(tmp_path / "dec.json")])
         assert code == 0 and out["payload"]["factor_count"] > 0
         bad = write(tmp_path / "bad.json", data_record(KINDS["fail-q"]()))
         assert run_json(capsys, ["decompose", bad, str(tmp_path / "bad-dec.json")])[0] == 2
-        # With --transpose a data file goes through its canonical cells.  A
+        # With --transpose a data file stays as (d, A, B): its transpose is
+        # read off by XSymmetricData.transposed, without its cells.  A
         # y-symmetric one (constant d and off-diagonal B, A = a0 I + a1 (11' - I))
-        # is x-symmetric once transposed; the generic one above is not.
+        # is x-symmetric once transposed; the generic one above is not, and
+        # verify against the y-symmetric one's grouped file is exit 3 for it.
         n, off = 5, np.ones((5, 5)) - np.eye(5)
         ysym = write(tmp_path / "ysym.json", {"m": 3, "d": [2.0] * n, "A": (0.5 * np.eye(n) + 0.2 * off).tolist(),
                                                "B": (0.3 * off).tolist()})
         dec = str(tmp_path / "ysym-dec.json")
         for argv in (["check-psd", ysym], ["decompose", ysym, dec], ["verify", ysym, dec]):
             assert run_json(capsys, argv + ["--transpose"])[0] == 0
-        for argv in (["check-psd", path], ["decompose", path, str(tmp_path / "none.json")]):
-            assert run_json(capsys, argv + ["--transpose"])[0] == 3
+        assert json.loads((tmp_path / "ysym-dec.json").read_text()).get("format") == 2
+        none = str(tmp_path / "none.json")
+        for argv in (["check-psd", path], ["decompose", path, none], ["verify", path, dec]):
+            code, out = run_json(capsys, argv + ["--transpose"])
+            assert code == 3 and out["payload"]["error"].startswith("form is not x-symmetric")
+        assert not os.path.exists(none)
 
 
 class TestMalformedDataFiles:
@@ -881,6 +889,35 @@ class TestParseMemory:
         before, after = map(int, done.stdout.split())
         # The whole-file decode added about 8.5x the file size, the chunked one 3.5x.
         assert (after - before) * 1024 < 5 * os.path.getsize(path)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmSize from /proc")
+    @pytest.mark.parametrize("command", ["check-psd", "decompose", "verify"])
+    def test_transposed_2000x50_data_is_exit_3_at_once(self, tmp_path, command):
+        # Its 2.55e9 canonical cells would take 20 GB; its transpose is read
+        # off (d, A, B) and found not x-symmetric.  The child may map 1 GiB
+        # beyond its size after the import, so a cells detour fails at once.
+        rng = np.random.default_rng(7)
+        a, b = rng.uniform(-1.0, 1.0, (2, 50, 50))
+        b = b + b.T
+        np.fill_diagonal(b, 0.0)
+        path = write(tmp_path / "wide.json", {"m": 2000, "d": rng.uniform(1.0, 2.0, 50).tolist(),
+                                              "A": (a + a.T).tolist(), "B": b.tolist()})
+        code = (
+            "import resource, sys\n"
+            "from biquad.cli import main\n"
+            "size = next(int(v.split()[1]) for v in open('/proc/self/status') if v.startswith('VmSize'))\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "limit = (size << 10) + (1 << 30)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit if hard < 0 else min(limit, hard), hard))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        files = [] if command == "check-psd" else [str(tmp_path / "dec.json")]
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", code, command, path, *files, "--transpose", "--json"],
+                              env=_fresh_env(), capture_output=True, text=True, timeout=120)
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 3, done.stdout + done.stderr
+        assert not (tmp_path / "dec.json").exists()
 
 
 class TestGeneralWitnessProperty:

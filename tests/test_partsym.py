@@ -27,7 +27,7 @@ from biquad.partsym import (
     sos_decompose_naive,
     sos_decompose_structured,
 )
-from conftest import random_monic, sym_uniform, xsym_forms
+from conftest import WEIGHT, random_monic, sym_uniform, xsym_forms
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z2 = np.zeros((2, 2))
@@ -45,7 +45,49 @@ def decomposition_gram(dec):
     return stack.T @ stack
 
 
+@st.composite
+def ysym_forms(draw):
+    """Random y-symmetric (m, d, A, B), m in [1, 6], n in [1, 5]: constant
+    d, B constant off its diagonal, A constant on and off it."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    weight, b_off, a_on, a_off = (draw(WEIGHT) for _ in range(4))
+    off = np.ones((n, n)) - np.eye(n)
+    return XSymmetricData(m, np.full(n, weight), a_on * np.eye(n) + a_off * off, b_off * off)
+
+
+@st.composite
+def nudged(draw, datas):
+    """A drawn (m, d, A, B), as is or with one entry of d, A or B (mirrored)
+    moved by +-1e-11 or +-1e-9 of max|c|, either side of _DETECT_TOL."""
+    data = draw(datas)
+    if draw(st.booleans()):
+        return data
+    delta = draw(st.sampled_from([1e-11, -1e-11, 1e-9, -1e-9])) * data.max_abs_coeff()
+    d, a, b = data.d.copy(), data.A.copy(), data.B.copy()
+    j, l = draw(st.integers(0, data.n - 1)), draw(st.integers(0, data.n - 1))
+    field = draw(st.sampled_from("dAB"))
+    if field == "d":
+        d[j] += delta
+    elif field == "A" or j != l:
+        target = a if field == "A" else b
+        target[j, l] += delta
+        target[l, j] = target[j, l]
+    return XSymmetricData(data.m, d, a, b)
+
+
 class TestDetectReconstruct:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(data=nudged(xsym_forms() | ysym_forms()))
+    @example(data=XSymmetricData(1, np.array([1.0, 1.0]), np.zeros((2, 2)), 0.5 * SWAP))
+    @example(data=XSymmetricData(3, np.array([2.0]), np.array([[-0.25]]), np.zeros((1, 1))))
+    def test_transposed_is_detection_on_the_transposed_cells(self, data):
+        got, want = data.transposed(), detect_x_symmetric(data.cells().transpose())
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert (got.m, got.n) == (want.m, want.n) == (data.n, data.m)
+            for name in ("d", "A", "B"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
     def test_all_squares(self):
         p = reconstruct(XSymmetricData(2, np.ones(2), Z2, Z2))
         data = detect_x_symmetric(p)
