@@ -25,6 +25,7 @@ from .gram import (
     gram_at,
     min_rank_search,
     psd_point,
+    rank_floor,
     reduce_to_boundary,
 )
 from .linalg import (

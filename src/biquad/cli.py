@@ -248,17 +248,9 @@ def _no_gram_point(command: str, form, tol, payload: dict, summary: str, **probe
 def cmd_sos_rank(args) -> CommandResult:
     tol = _tolerances(args)
     form = _dense_input(args, gram.check_size)
-    support = simple.detect_simple(form)
-    lower = None
-    if support is not None:
-        cert = simple.lower_bound_certificate(support)
-        if cert.applicable:
-            lower = cert.bound
     family = gram.build_family(form)
     try:
-        point, rank = gram.min_rank_search(
-            family, restarts=args.restarts, seed=args.seed, tol=tol, floor=lower or 1
-        )
+        point, rank = gram.min_rank_search(family, restarts=args.restarts, seed=args.seed, tol=tol)
     except NoPSDPointFound:
         return _no_gram_point(
             "sos-rank", form, tol,
@@ -268,11 +260,12 @@ def cmd_sos_rank(args) -> CommandResult:
         )
     residual = _reverified(form, gram.factor_gram(point, tol), "Gram factorization")
     universal = _universal_bound(form.m, form.n)
+    lower = gram.rank_floor(family, tol)
     payload = {
         "upper_bound": rank,
         "gram_point": {"gamma": _vec(point.gamma), "rank": rank},
         "lower_bound": lower,
-        "exact": lower is not None and lower == rank,
+        "exact": lower == rank,
         "universal_bound": universal,
         **residual,
         "seed": args.seed,
@@ -281,9 +274,7 @@ def cmd_sos_rank(args) -> CommandResult:
     if payload["exact"]:
         summary = f"SOS rank exactly {rank} (lower bound meets heuristic upper bound)"
     else:
-        summary = f"SOS rank <= {rank} (heuristic upper bound; universal bound {universal})"
-        if lower is not None:
-            summary += f", >= {lower}"
+        summary = f"SOS rank <= {rank} (heuristic upper bound; universal bound {universal}), >= {lower}"
     return CommandResult("sos-rank", "ok", payload, _EXIT_OK, summary=summary + f"; seed {args.seed}")
 
 

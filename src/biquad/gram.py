@@ -21,9 +21,9 @@ loop in numpy, so this module (and the ``biquad`` command) never imports
 scipy.optimize.  A failing fit stops at its stationary point, where the
 residual is orthogonal to the Jacobian (MINPACK's gradient test), rather
 than when its cost stops decreasing; failing fits are most of a search's
-work.  ``min_rank_search`` lowers r one square at a time until no
-start fits or a proven lower bound is reached; its rank is a verified upper
-bound, never a claim of exactness.
+work.  Both searches start at ``rank_floor``, a proven lower bound, and
+``min_rank_search`` lowers r one square at a time until no start fits or
+it meets the floor; its rank is a verified upper bound, exact at the floor.
 """
 
 from __future__ import annotations
@@ -341,12 +341,42 @@ def _factors(point: GramPoint, tol: Tolerances) -> np.ndarray:
     return np.reshape(factor_gram(point, tol).factors, (-1, point.family.m, point.family.n))
 
 
+def rank_floor(family: GramFamily, tol: Tolerances = DEFAULT_TOL) -> int:
+    """A proven lower bound on the SOS rank: the largest count of eigenvalues
+    above eps * trace(base) in a Gram block shared by every PSD member.
+
+    Directions join rows ij and kl with i != k and j != l, so each x-line
+    {(i, .)} and y-line {(., j)} block is the base's.  A dead row (base
+    diagonal exactly 0) is zero in a PSD member, which pins each direction
+    reaching it: gamma_t = -base[ij, kl] if ij or kl is dead, else
+    base[il, kj].  When all are pinned (always if m = 1 or n = 1), the live
+    rows of G(gamma) are one more block.  Every member has trace(base), at
+    least its top eigenvalue when PSD, so by Cauchy interlacing each
+    eigenvalue counted is above the rank cutoff of every PSD member.
+    """
+    m, n, base = family.m, family.n, family.base
+    diag = base.diagonal()
+    dead = diag == 0.0
+    cells = base.reshape(m, n, m, n)
+    # The x-line blocks as one (m, n, n) stack, the y-line blocks as one (n, m, m).
+    stacks = [cells[range(m), :, range(m)], cells[:, range(n), :, range(n)]]
+    ij, kl, il, kj = family.swaps
+    near = dead[ij] | dead[kl]
+    if (near | dead[il] | dead[kj]).all():
+        live = np.flatnonzero(~dead)
+        pinned = family.matrix_at(np.where(near, -base[ij, kl], base[il, kj]))
+        stacks.append(pinned[np.ix_(live, live)][None])
+    cutoff = tol.eps * float(diag.sum())
+    return max(int((np.linalg.eigvalsh(stack) > cutoff).sum(axis=-1).max(initial=0)) for stack in stacks)
+
+
 def psd_point(family: GramFamily, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> GramPoint:
     """A PSD member of the family.
 
     The base itself when it is PSD; otherwise the Gram matrix of the first
-    r = 1, 2, ..., mn bilinear squares that fit the form from one seeded
-    random start each.
+    r = f, f + 1, ..., mn bilinear squares that fit the form from one seeded
+    random start each, where f is ``rank_floor`` (at least 1): no fit of
+    fewer squares can succeed.
 
     Raises:
         NoPSDPointFound: no start fitted; the form may still be PSD (or even
@@ -355,7 +385,7 @@ def psd_point(family: GramFamily, seed: int = 0, tol: Tolerances = DEFAULT_TOL) 
     base = gram_at(family, np.zeros(family.dim))
     if linalg.psd_from_decomposition(base.spectrum, tol)[0]:
         return base
-    for r in range(1, family.m * family.n + 1):
+    for r in range(max(rank_floor(family, tol), 1), family.m * family.n + 1):
         fitted = _fit(family, _random_start(family, r, np.random.default_rng([seed, r])), tol)
         if fitted is not None:
             return fitted[0]
@@ -367,18 +397,16 @@ def min_rank_search(
     restarts: int = 20,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
-    floor: int = 1,
 ) -> tuple[GramPoint, int]:
     """Seeded top-down search for a low-rank PSD member of the family.
 
     Starts from the spectral factors of ``psd_point`` and repeatedly tries
     one square fewer: the current factors without the smallest-norm one
     first, then ``restarts - 1`` seeded random starts.  The search stops at
-    the first square count that no start fits, or at ``floor`` squares: a
-    proven lower bound on the SOS rank (a nonzero form needs one square,
-    the default), below which no fit can succeed.  The returned rank is an
-    upper bound on the SOS rank, carried by a verified Gram point, never a
-    claim of exactness.
+    the first square count that no start fits, or at ``rank_floor``
+    squares, below which no fit can succeed.  The returned rank is an
+    upper bound on the SOS rank, carried by a verified Gram point; it is
+    exact when it meets the floor.
 
     Raises:
         InvalidInput: ``restarts`` is below 1.
@@ -388,6 +416,7 @@ def min_rank_search(
     require_count("restarts", restarts)
     point = psd_point(family, seed, tol)
     factors = _factors(point, tol)
+    floor = max(rank_floor(family, tol), 1)
     while len(factors) > floor:
         r = len(factors) - 1
         weakest = int(np.argmin(np.linalg.norm(factors.reshape(r + 1, -1), axis=1)))

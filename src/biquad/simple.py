@@ -14,6 +14,9 @@ contains a combinatorial rectangle {(p,r),(p,s),(q,r),(q,s)}, in which case
 only the sum of two products is constrained and the argument breaks.  A
 rectangle-free support of size s therefore needs at least s squares, and s
 squares always suffice, so the SOS rank is exactly the support size.
+
+``gen-simple`` states this rank from the support alone; ``sos-rank`` reaches
+it through ``gram.rank_floor``, whose dead rows are the absent pairs.
 """
 
 from __future__ import annotations
@@ -21,11 +24,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidInput
-from .forms import BiquadraticForm, FormCells, form_from_dict
-from .linalg import COEFF_TOL
+from .forms import BiquadraticForm, form_from_dict
 
 
 @dataclass(frozen=True)
@@ -126,29 +126,6 @@ def exact_sos_rank_simple(support: SupportSet) -> int | None:
     |support| is then only an upper bound, for the Gram search to tighten.
     No command calls it; acceptance criterion 6 and tests/test_simple.py do."""
     return len(support) if lower_bound_certificate(support).applicable else None
-
-
-def detect_simple(form: BiquadraticForm) -> SupportSet | None:
-    """Recognize a form with positive x_i^2 y_j^2 terms and nothing else.
-
-    Coefficient magnitudes are irrelevant to the support argument, so any
-    strictly positive diagonal entries qualify; returns None when any other
-    monomial is present (or a diagonal term is negative).  The form is read
-    through its canonical cells (``FormCells.of``): the cell of x_i^2 y_j^2
-    is the one with i = k and j = l, and every other cell must vanish.
-    """
-    c = FormCells.of(form).values
-    (i, j, k, l), _ = FormCells.layout(form.m, form.n)
-    squares = np.ix_((i == k).ravel(), j == l)
-    size = np.abs(c)
-    atol = COEFF_TOL * float(size.max())
-    diag = c[squares]
-    size[squares] = 0.0
-    if size.max() > atol:
-        return None
-    if diag.min(initial=0.0) < -atol:
-        return None
-    return SupportSet(form.m, form.n, np.argwhere(diag > atol) + 1)
 
 
 def support_to_dict(support: SupportSet) -> dict:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from biquad.forms import symmetrize
 from biquad.partsym import XSymmetricData
 
 
@@ -64,3 +65,25 @@ def xsym_forms(draw):
         a, b = a + a.T, b + b.T
         np.fill_diagonal(b, 0.0)
     return XSymmetricData(m, d, a if m >= 2 else np.zeros((n, n)), b)
+
+
+@st.composite
+def planted_sos_forms(draw):
+    """A sum of bilinear squares, m and n in [1, 4], returned with its
+    square count r, an upper bound on its SOS rank.  The r0 <= mn random
+    factors have entries zeroed at random (a pair zeroed in every factor is
+    a zero x_i^2 y_j^2 coefficient), and may leave one x-line to up to n
+    squares 1e-6 the size of the rest that live only on it; the form is
+    scaled by 10^U(-8, 8)."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.standard_normal((draw(st.integers(1, m * n)), m, n))
+    w[:, rng.random((m, n)) < draw(st.sampled_from([0.0, 0.3, 0.6]))] = 0.0
+    if draw(st.booleans()):
+        line = draw(st.integers(0, m - 1))
+        w[:, line] = 0.0
+        tiny = np.zeros((draw(st.integers(1, n)), m, n))
+        tiny[:, line] = 1e-6 * rng.standard_normal((len(tiny), n))
+        w = np.concatenate([w, tiny])
+    scale = 10.0 ** draw(st.floats(-8.0, 8.0))
+    return symmetrize(scale * np.einsum("pij,pkl->ijkl", w, w)), len(w)

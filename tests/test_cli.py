@@ -90,6 +90,19 @@ def choi_file(tmp_path):
 NOT_PSD_KEYS = {"m", "n", "verdict", "q_eigenvalues", "r_eigenvalues", "witness", "reason"}
 
 
+# sos-rank's exit-4 envelope for Choi's form at the default seed and restarts.
+CHOI_ENVELOPE = """{
+  "command": "sos-rank",
+  "payload": {
+    "note": "no PSD Gram point found; the form may be PSD but not SOS, or another seed may find one",
+    "restarts": 20,
+    "seed": 0
+  },
+  "status": "inconclusive"
+}
+"""
+
+
 def assert_not_psd_envelope(data, path):
     """check-psd's NotPSD envelope, with a witness negative on the form."""
     assert data["status"] == "not-psd"
@@ -262,8 +275,8 @@ class TestSosRank:
         code, data = run_json(capsys, ["sos-rank", p224_file, "--restarts", "5"])
         assert code == 0
         assert data["payload"]["upper_bound"] == 2
-        assert data["payload"]["lower_bound"] is None
-        assert data["payload"]["exact"] is False
+        assert data["payload"]["lower_bound"] == 2
+        assert data["payload"]["exact"] is True
         assert data["payload"]["universal_bound"] == 3
 
     def test_p336_exact(self, capsys, tmp_path):
@@ -282,6 +295,19 @@ class TestSosRank:
         assert code == 0
         assert data["payload"]["exact"] is True
         assert data["payload"]["upper_bound"] == 5
+
+    @pytest.mark.parametrize("m, s, upper", [(4, 10, 10), (5, 15, 15)])
+    def test_simple_form_with_rectangles_gets_a_lower_bound(self, capsys, tmp_path, m, s, upper):
+        # Rectangles leave swap directions free; the x- and y-lines still
+        # give a floor of 3 squares.
+        path = tmp_path / "simple.json"
+        forms.save_form(to_form(gen_simple(m, m, s)), str(path))
+        code, data = run_json(capsys, ["sos-rank", str(path), "--restarts", "1"])
+        assert code == 0
+        assert data["payload"]["lower_bound"] == 3 <= data["payload"]["upper_bound"] == upper
+        assert data["payload"]["exact"] is False
+        summary = [f"SOS rank <= {upper} (heuristic upper bound; universal bound {m * m - 1}), >= 3; seed 0"]
+        assert run_summary(capsys, ["sos-rank", str(path), "--restarts", "1"]) == (0, summary)
 
     def test_fitted_points_are_factored_once(self, capsys, monkeypatch, tmp_path):
         # The base is eigen-solved once for its PSD test and its factors, and
@@ -318,6 +344,12 @@ class TestSosRank:
         assert data["status"] == "inconclusive"
         summary = ["inconclusive: no PSD Gram point found"]
         assert run_summary(capsys, ["sos-rank", choi_file, "--restarts", "2"]) == (4, summary)
+
+    def test_inconclusive_payload_bytes(self, capsys, choi_file):
+        # Choi's form has no PSD Gram matrix: the search still ends in exit
+        # 4, and the payload carries no lower bound.
+        assert main(["sos-rank", choi_file, "--json"]) == 4
+        assert capsys.readouterr().out == CHOI_ENVELOPE
 
     def test_not_psd_exit_2_with_witness(self, capsys, x1sq_y1y2_file):
         code, data = run_json(capsys, ["sos-rank", x1sq_y1y2_file, "--restarts", "2"])

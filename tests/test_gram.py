@@ -15,10 +15,12 @@ from biquad.gram import (
     gram_at,
     min_rank_search,
     psd_point,
+    rank_floor,
     reduce_to_boundary,
 )
 from biquad.partsym import assemble_m_matrix, random_psd_instance, reconstruct
-from biquad.simple import gen_simple, to_form
+from biquad.simple import SupportSet, find_rectangle, gen_simple, to_form
+from conftest import planted_sos_forms
 
 
 def f_224():
@@ -373,6 +375,8 @@ class TestFactorSearch:
             assert outcomes() == shipped
 
     def test_floor_skips_fits_below_it(self, monkeypatch):
+        # P_(3,3,5) is rectangle-free: its dead rows pin every direction and
+        # the floor is 5, so the default search tries no fit of 4 squares.
         family = build_family(to_form(gen_simple(3, 3, 5)))
         squares = []
         fit = gram._fit
@@ -382,9 +386,10 @@ class TestFactorSearch:
             return fit(family, start, tol)
 
         monkeypatch.setattr(gram, "_fit", recording_fit)
-        point, rank = min_rank_search(family, seed=0, floor=5)
+        point, rank = min_rank_search(family, seed=0)
         assert rank == 5 and 4 not in squares
         squares.clear()
+        monkeypatch.setattr(gram, "rank_floor", lambda family, tol: 1)
         unfloored, _ = min_rank_search(family, seed=0)
         assert squares.count(4) == 20
         assert unfloored.gamma.tobytes() == point.gamma.tobytes()
@@ -406,6 +411,62 @@ class TestFactorSearch:
         raw[0, 0, 0, 1] = 1.0
         with pytest.raises(NoPSDPointFound):
             psd_point(build_family(symmetrize(raw)))
+
+
+class TestRankFloor:
+    def test_rectangle_free_supports_give_their_size(self):
+        # Criterion 6's supports and every rectangle-free subset of [3] x [3]:
+        # the dead rows pin every direction and leave the identity on the support.
+        supports = [gen_simple(m, 2, m + 1) for m in range(2, 7)] + [gen_simple(3, 3, 6)]
+        cells = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+        for bits in range(1, 512):
+            supports.append(SupportSet(3, 3, tuple(cells[k] for k in range(9) if bits >> k & 1)))
+        checked = 0
+        for support in supports:
+            if find_rectangle(support) is None:
+                assert rank_floor(build_family(to_form(support))) == len(support)
+                checked += 1
+        assert checked > 100
+
+    def test_p224_gives_two(self):
+        assert rank_floor(f_224()) == 2
+
+    @pytest.mark.parametrize("m, n", [(1, 5), (5, 1), (1, 1)])
+    def test_single_line_forms_give_rank_of_base(self, m, n):
+        rng = np.random.default_rng([m, n])
+        for r in range(1, m * n + 1):
+            w = rng.standard_normal((r, m, n))
+            family = build_family(symmetrize(np.einsum("pij,pkl->ijkl", w, w)))
+            assert family.dim == 0
+            assert rank_floor(family) == linalg.numerical_rank(family.base) == r
+
+    def test_badly_scaled_line_stays_below_the_search(self):
+        # One square zero on x-line 1, plus three squares 1e-6 its size that
+        # live only there: they sit below every rank cutoff, so the search
+        # finds one square, and a cutoff relative to the line's own block
+        # would count three.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            w = np.zeros((4, 3, 3))
+            w[0, 1:] = rng.standard_normal((2, 3))
+            w[1:, 0] = 1e-6 * rng.standard_normal((3, 3))
+            family = build_family(symmetrize(np.einsum("pij,pkl->ijkl", w, w)))
+            _, rank = min_rank_search(family, restarts=2, seed=0)
+            assert rank_floor(family) == rank == 1
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(planted=planted_sos_forms())
+    def test_never_above_a_rank_found(self, planted):
+        # The floor is at most the planted square count, the rank of
+        # psd_point's point, and the rank a search without it finds.
+        form, r = planted
+        family = build_family(form)
+        floor = rank_floor(family)
+        assert floor <= r
+        assert floor <= linalg.numerical_rank(psd_point(family, seed=0).matrix)
+        with mock.patch.object(gram, "rank_floor", lambda family, tol: 1):
+            _, rank = min_rank_search(family, restarts=2, seed=0)
+        assert floor <= rank
 
 
 class TestFactorGram:

@@ -7,11 +7,9 @@ import pytest
 from biquad.errors import InvalidInput
 from biquad.forms import BiquadraticForm, evaluate_batch, form_to_dict
 from biquad.gram import build_family, min_rank_search
-from biquad.linalg import COEFF_TOL
 from biquad.simple import (
     LowerBoundCertificate,
     SupportSet,
-    detect_simple,
     exact_sos_rank_simple,
     find_rectangle,
     form_record,
@@ -75,6 +73,12 @@ class TestToForm:
         form = to_form(gen_simple(2, 2, 3))
         terms = {(t["i"], t["k"], t["j"], t["l"]): t["c"] for t in form_to_dict(form)["terms"]}
         assert terms == {(1, 1, 1, 1): 1.0, (2, 2, 2, 2): 1.0, (1, 1, 2, 2): 1.0}
+
+    def test_matches_the_scattered_tensor(self):
+        for m, n in itertools.product(range(1, 5), repeat=2):
+            for s in range(1, m * n + 1) if m >= n else ():
+                support = gen_simple(m, n, s)
+                assert to_form(support).coeffs.tobytes() == scattered_form(support).coeffs.tobytes()
 
     def test_full_3_2(self):
         form = to_form(gen_simple(3, 2, 6))
@@ -187,48 +191,3 @@ def scattered_form(support):
     for i, j in support.pairs:
         a[i - 1, j - 1, i - 1, j - 1] = 1.0
     return BiquadraticForm(support.m, support.n, a)
-
-
-def masked_support(form):
-    """Reference for ``detect_simple``: a mask over the whole tensor."""
-    a = form.coeffs
-    atol = COEFF_TOL * float(np.abs(a).max())
-    mask = np.zeros_like(a, dtype=bool)
-    idx_m, idx_n = np.arange(form.m), np.arange(form.n)
-    mask[idx_m[:, None], idx_n[None, :], idx_m[:, None], idx_n[None, :]] = True
-    diag = a[idx_m[:, None], idx_n[None, :], idx_m[:, None], idx_n[None, :]]
-    if np.abs(a[~mask]).max(initial=0.0) > atol or diag.min(initial=0.0) < -atol:
-        return None
-    return SupportSet(form.m, form.n, tuple((i + 1, j + 1) for i, j in zip(*np.nonzero(diag > atol))))
-
-
-class TestDetectSimple:
-    def test_cells_route_matches_the_old_builders(self):
-        for m, n in itertools.product(range(1, 5), repeat=2):
-            for s in range(1, m * n + 1) if m >= n else ():
-                support = gen_simple(m, n, s)
-                form = to_form(support)
-                assert form.coeffs.tobytes() == scattered_form(support).coeffs.tobytes()
-                assert detect_simple(form) == masked_support(form)
-                assert sorted(detect_simple(form).pairs) == sorted(support.pairs)
-
-    def test_round_trip(self):
-        support = gen_simple(3, 2, 4)
-        detected = detect_simple(to_form(support))
-        assert detected is not None
-        assert sorted(detected.pairs) == sorted(support.pairs)
-
-    def test_cross_terms_rejected(self):
-        from conftest import random_monic
-
-        rng = np.random.default_rng(2)
-        from biquad.partsym import reconstruct
-
-        assert detect_simple(reconstruct(random_monic(rng, 2, 2))) is None
-
-    def test_negative_square_rejected(self):
-        raw = np.zeros((1, 1, 1, 1))
-        raw[0, 0, 0, 0] = -1.0
-        from biquad.forms import symmetrize
-
-        assert detect_simple(symmetrize(raw)) is None
