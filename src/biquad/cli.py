@@ -290,8 +290,9 @@ def cmd_reduce_rank(args) -> CommandResult:
             "no PSD starting point", seed=args.seed,
         )
     reduced = gram.reduce_to_boundary(family, start, seed=args.seed, tol=tol)
-    rank = linalg.rank_from_eigenvalues(reduced.spectrum.eigenvalues, tol)
-    residual = _reverified(form, gram.factor_gram(reduced, tol), "Gram factorization")
+    dec = gram.factor_gram(reduced, tol)
+    residual = _reverified(form, dec, "Gram factorization")
+    rank = len(dec)  # one factor per eigenvalue above the rank cutoff
     payload = {"gamma": _vec(reduced.gamma), "rank": rank, **residual, "seed": args.seed}
     if args.out:
         forms.dump_json({"gamma": payload["gamma"], "rank": rank}, args.out)

@@ -589,19 +589,20 @@ def dump_json(data: dict, path: str) -> None:
 
     No indent, so ``json.dumps`` runs its C encoder.  The temporary file is
     created with mode 0o666 so the kernel applies the process umask, as it
-    would to a plain ``open``; the rename keeps it.
+    would to a plain ``open``; the rename keeps it.  An error names ``path``.
     """
     text = json.dumps(data, sort_keys=True, separators=(",", ":"))
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w") as handle:
             handle.write(text + "\n")
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

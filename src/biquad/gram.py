@@ -21,14 +21,15 @@ loop in numpy, so this module (and the ``biquad`` command) never imports
 scipy.optimize.  A failing fit stops at its stationary point, where the
 residual is orthogonal to the Jacobian (MINPACK's gradient test), rather
 than when its cost stops decreasing; failing fits are most of a search's
-work.  Both searches start at ``rank_floor``, a proven lower bound, and
-``min_rank_search`` lowers r one square at a time until no start fits or
-it meets the floor; its rank is a verified upper bound, exact at the floor.
+work.  Both searches start at ``rank_floor``, a proven lower bound, and keep
+the first seeded start that fits (``_first_fit``); ``min_rank_search`` lowers
+r until no start fits or r meets the floor: a verified upper bound, exact there.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -109,23 +110,40 @@ class GramFamily:
         m[kj, il] -= gamma
         return m
 
-    def combine(self, coeffs: np.ndarray) -> np.ndarray:
-        """The dense combination of the swap directions, ``coeffs[t]`` at
-        (ij, kl) and -coeffs[t] at (il, kj) of swap t, mirrored, taken as
-        ``matrix_at(coeffs) - base`` (exact where those sums do not round)."""
-        return self.matrix_at(np.asarray(coeffs, dtype=float)) - self.base
+    @functools.cached_property
+    def shared_spectra(self) -> tuple[np.ndarray, ...]:
+        """Eigenvalues of the Gram blocks every PSD member shares, solved once
+        per family.  Directions join rows ij and kl with i != k and j != l, so
+        each x-line {(i, .)} and y-line {(., j)} block is the base's (one stack
+        each).  A dead row (base diagonal exactly 0) is zero in a PSD member,
+        which pins each direction reaching it: gamma_t = -base[ij, kl] if ij or
+        kl is dead, else base[il, kj].  When all are pinned (always if m = 1 or
+        n = 1), the live rows of the pinned member are one more block."""
+        m, n, base = self.m, self.n, self.base
+        dead = base.diagonal() == 0.0
+        cells = base.reshape(m, n, m, n)
+        stacks = [cells[range(m), :, range(m)], cells[:, range(n), :, range(n)]]
+        ij, kl, il, kj = self.swaps
+        near = dead[ij] | dead[kl]
+        if (near | dead[il] | dead[kj]).all():
+            live = np.flatnonzero(~dead)
+            pinned = self.matrix_at(np.where(near, -base[ij, kl], base[il, kj]))
+            stacks.append(pinned[np.ix_(live, live)][None])
+        return tuple(np.linalg.eigvalsh(stack) for stack in stacks)
 
 
 @dataclass(frozen=True)
 class GramPoint:
+    """The member at ``gamma``; its read-only matrix is ``family.matrix_at(gamma)``."""
+
     family: GramFamily
     gamma: np.ndarray
-    matrix: np.ndarray
+    matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
         gamma = np.asarray(self.gamma, dtype=float).copy()
         gamma.setflags(write=False)
-        matrix = np.asarray(self.matrix, dtype=float).copy()
+        matrix = self.family.matrix_at(gamma)
         matrix.setflags(write=False)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "matrix", matrix)
@@ -145,8 +163,8 @@ def build_family(form: BiquadraticForm) -> GramFamily:
 
 
 def gram_at(family: GramFamily, gamma) -> GramPoint:
-    gamma = np.asarray(gamma, dtype=float)
-    return GramPoint(family, gamma, family.matrix_at(gamma))
+    """``GramPoint(family, gamma)``; kept by name for criterion 8."""
+    return GramPoint(family, gamma)
 
 
 def gamma_of(family: GramFamily, matrix) -> np.ndarray:
@@ -212,8 +230,8 @@ def reduce_to_boundary(
     rng = np.random.default_rng(seed)
     for _ in range(retries):
         coeffs = rng.standard_normal(family.dim)
-        t = _boundary_step(point.matrix, family.combine(coeffs))
-        candidate = gram_at(family, point.gamma + t * coeffs)
+        t = _boundary_step(point.matrix, family.matrix_at(coeffs) - family.base)
+        candidate = GramPoint(family, point.gamma + t * coeffs)
         ok, _ = linalg.psd_from_decomposition(candidate.spectrum, tol)
         if ok and linalg.rank_from_eigenvalues(candidate.spectrum.eigenvalues, tol) <= mn - 1:
             return candidate
@@ -251,16 +269,17 @@ def _lm(residual, jacobian, x: np.ndarray, max_nfev: int, fits) -> tuple[np.ndar
             mu *= nu
             nu *= 2.0
             continue
-        x_new = x + step
-        f_new = residual(x_new)
-        cost_new = 0.5 * float(f_new @ f_new)
-        decrease = cost - cost_new
-        predicted = 0.5 * float(step @ (mu * step - grad))
-        # Both rules below treat a gain above 1 as 1; capped, its cube cannot overflow.
-        gain = min(decrease / predicted, 1.0) if predicted > 0.0 else 0.0
-        stalled = (decrease < 1e-15 * cost and gain > 0.25) or (
-            math.sqrt(step @ step) < 1e-15 * (1e-15 + math.sqrt(x @ x))
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan costs are rejected below
+            x_new = x + step
+            f_new = residual(x_new)
+            cost_new = 0.5 * float(f_new @ f_new)
+            decrease = cost - cost_new
+            predicted = 0.5 * float(step @ (mu * step - grad))
+            # Both rules below treat a gain above 1 as 1; capped, its cube cannot overflow.
+            gain = min(decrease / predicted, 1.0) if predicted > 0.0 else 0.0
+            stalled = (decrease < 1e-15 * cost and gain > 0.25) or (
+                math.sqrt(step @ step) < 1e-15 * (1e-15 + math.sqrt(x @ x))
+            )
         if decrease > 0.0:
             x, f, cost = x_new, f_new, cost_new
             jac = jacobian(x)
@@ -324,7 +343,7 @@ def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> tuple[GramPo
     if not fits(f):
         return None
     w = x.reshape(r, mn)
-    point = gram_at(family, gamma_of(family, w.T @ w))
+    point = GramPoint(family, gamma_of(family, w.T @ w))
     try:
         return point, _factors(point, tol)
     except NotPSD:
@@ -343,31 +362,16 @@ def _factors(point: GramPoint, tol: Tolerances) -> np.ndarray:
 
 def rank_floor(family: GramFamily, tol: Tolerances = DEFAULT_TOL) -> int:
     """A proven lower bound on the SOS rank: the largest count of eigenvalues
-    above eps * trace(base) in a Gram block shared by every PSD member.
+    above eps * trace(base) in one of ``family.shared_spectra``.  Every member
+    has trace(base), at least its top eigenvalue when PSD, so by Cauchy
+    interlacing each one counted is above every PSD member's rank cutoff."""
+    cutoff = tol.eps * float(family.base.diagonal().sum())
+    return max(int((w > cutoff).sum(axis=-1).max(initial=0)) for w in family.shared_spectra)
 
-    Directions join rows ij and kl with i != k and j != l, so each x-line
-    {(i, .)} and y-line {(., j)} block is the base's.  A dead row (base
-    diagonal exactly 0) is zero in a PSD member, which pins each direction
-    reaching it: gamma_t = -base[ij, kl] if ij or kl is dead, else
-    base[il, kj].  When all are pinned (always if m = 1 or n = 1), the live
-    rows of G(gamma) are one more block.  Every member has trace(base), at
-    least its top eigenvalue when PSD, so by Cauchy interlacing each
-    eigenvalue counted is above the rank cutoff of every PSD member.
-    """
-    m, n, base = family.m, family.n, family.base
-    diag = base.diagonal()
-    dead = diag == 0.0
-    cells = base.reshape(m, n, m, n)
-    # The x-line blocks as one (m, n, n) stack, the y-line blocks as one (n, m, m).
-    stacks = [cells[range(m), :, range(m)], cells[:, range(n), :, range(n)]]
-    ij, kl, il, kj = family.swaps
-    near = dead[ij] | dead[kl]
-    if (near | dead[il] | dead[kj]).all():
-        live = np.flatnonzero(~dead)
-        pinned = family.matrix_at(np.where(near, -base[ij, kl], base[il, kj]))
-        stacks.append(pinned[np.ix_(live, live)][None])
-    cutoff = tol.eps * float(diag.sum())
-    return max(int((np.linalg.eigvalsh(stack) > cutoff).sum(axis=-1).max(initial=0)) for stack in stacks)
+
+def _first_fit(family: GramFamily, starts, tol: Tolerances) -> tuple[GramPoint, np.ndarray] | None:
+    """``_fit`` of the first of ``starts`` that fits, or None; drawn one at a time."""
+    return next(filter(None, (_fit(family, start, tol) for start in starts)), None)
 
 
 def psd_point(family: GramFamily, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> GramPoint:
@@ -375,21 +379,22 @@ def psd_point(family: GramFamily, seed: int = 0, tol: Tolerances = DEFAULT_TOL) 
 
     The base itself when it is PSD; otherwise the Gram matrix of the first
     r = f, f + 1, ..., mn bilinear squares that fit the form from one seeded
-    random start each, where f is ``rank_floor`` (at least 1): no fit of
-    fewer squares can succeed.
+    random start each (``default_rng([seed, r])``), where f is ``rank_floor``
+    (at least 1): no fit of fewer squares can succeed.
 
     Raises:
         NoPSDPointFound: no start fitted; the form may still be PSD (or even
             SOS) - this outcome is inconclusive.
     """
-    base = gram_at(family, np.zeros(family.dim))
+    base = GramPoint(family, np.zeros(family.dim))
     if linalg.psd_from_decomposition(base.spectrum, tol)[0]:
         return base
-    for r in range(max(rank_floor(family, tol), 1), family.m * family.n + 1):
-        fitted = _fit(family, _random_start(family, r, np.random.default_rng([seed, r])), tol)
-        if fitted is not None:
-            return fitted[0]
-    raise NoPSDPointFound("no PSD representation found; result inconclusive")
+    squares = range(max(rank_floor(family, tol), 1), family.m * family.n + 1)
+    starts = (_random_start(family, r, np.random.default_rng([seed, r])) for r in squares)
+    fitted = _first_fit(family, starts, tol)
+    if fitted is None:
+        raise NoPSDPointFound("no PSD representation found; result inconclusive")
+    return fitted[0]
 
 
 def min_rank_search(
@@ -401,12 +406,11 @@ def min_rank_search(
     """Seeded top-down search for a low-rank PSD member of the family.
 
     Starts from the spectral factors of ``psd_point`` and repeatedly tries
-    one square fewer: the current factors without the smallest-norm one
-    first, then ``restarts - 1`` seeded random starts.  The search stops at
-    the first square count that no start fits, or at ``rank_floor``
-    squares, below which no fit can succeed.  The returned rank is an
-    upper bound on the SOS rank, carried by a verified Gram point; it is
-    exact when it meets the floor.
+    one square fewer: ``_first_fit`` of the current factors without the
+    smallest-norm one, then of ``restarts - 1`` seeded random starts.  It
+    stops at the first square count that no start fits, or at ``rank_floor``
+    squares, below which no fit can succeed.  The rank is an upper bound on
+    the SOS rank, carried by a verified Gram point; exact at the floor.
 
     Raises:
         InvalidInput: ``restarts`` is below 1.
@@ -420,15 +424,8 @@ def min_rank_search(
     while len(factors) > floor:
         r = len(factors) - 1
         weakest = int(np.argmin(np.linalg.norm(factors.reshape(r + 1, -1), axis=1)))
-        fitted = None
-        for attempt in range(restarts):
-            if attempt == 0:
-                start = np.delete(factors, weakest, axis=0)
-            else:
-                start = _random_start(family, r, np.random.default_rng([seed, r, attempt]))
-            fitted = _fit(family, start, tol)
-            if fitted is not None:
-                break
+        randoms = (_random_start(family, r, np.random.default_rng([seed, r, a])) for a in range(1, restarts))
+        fitted = _first_fit(family, itertools.chain([np.delete(factors, weakest, axis=0)], randoms), tol)
         if fitted is None:
             break
         point, factors = fitted

@@ -87,3 +87,17 @@ def planted_sos_forms(draw):
         w = np.concatenate([w, tiny])
     scale = 10.0 ** draw(st.floats(-8.0, 8.0))
     return symmetrize(scale * np.einsum("pij,pkl->ijkl", w, w)), len(w)
+
+
+def tiny_line_form(seed: int):
+    """``planted_sos_forms``' recipe at 4 x 2 with x-line 4 holding only
+    squares 1e-6 the size of the rest.  At seeds 723 and 997 failing fits
+    of its search try steps whose residual overflows float64."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((int(rng.integers(1, 9)), 4, 2))
+    w[:, rng.random((4, 2)) < rng.choice([0.0, 0.3, 0.6])] = 0.0
+    w[:, 3] = 0.0
+    tiny = np.zeros((int(rng.integers(1, 3)), 4, 2))
+    tiny[:, 3] = 1e-6 * rng.standard_normal((len(tiny), 2))
+    w = np.concatenate([w, tiny])
+    return symmetrize(10.0 ** rng.uniform(-8, 8) * np.einsum("pij,pkl->ijkl", w, w))

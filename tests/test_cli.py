@@ -20,7 +20,7 @@ from biquad.cli import main
 from biquad.errors import InvalidInput
 from biquad.partsym import XSymmetricData, random_psd_instance, reconstruct
 from biquad.simple import gen_simple, to_form
-from conftest import xsym_forms
+from conftest import tiny_line_form, xsym_forms
 
 
 def write(path, obj):
@@ -369,6 +369,19 @@ class TestSosRank:
             assert code == 0
             assert data["payload"]["universal_bound"] == 4
             assert data["payload"]["upper_bound"] <= 4
+
+    def test_overflowing_fits_leave_stderr_empty(self, tmp_path):
+        # Failing fits on this form try steps that overflow; with every
+        # RuntimeWarning an error, the command still ends in exit 0.
+        path = str(tmp_path / "tiny-line.json")
+        forms.save_form(tiny_line_form(723), path)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "biquad.cli", "sos-rank", path,
+             "--restarts", "2", "--json"],
+            env=_fresh_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["payload"]["upper_bound"] == 4
 
 
 class TestGramCap:
@@ -734,6 +747,26 @@ class TestFailureTable:
         path.write_bytes(b'{"m": 1, "n": 1, "terms": [], "note": "\xe9"}')
         code, out = run_json(capsys, ["check-psd", str(path)])
         assert code == 1 and out["status"] == "error"
+
+    @pytest.mark.parametrize("command", ["decompose", "gen-simple", "reduce-rank"])
+    def test_write_errors_name_the_destination(self, capsys, plain_xsym, p224_file, tmp_path, command):
+        # A missing directory and a directory as target: the error names the
+        # path asked for, never the temporary file, and repeats byte for byte.
+        argv = {
+            "decompose": ["decompose", plain_xsym, "OUT"],
+            "gen-simple": ["gen-simple", "2", "2", "3", "OUT"],
+            "reduce-rank": ["reduce-rank", p224_file, "--out", "OUT"],
+        }[command]
+        missing, directory = str(tmp_path / "missing" / "out.json"), str(tmp_path)
+        outputs = []
+        for out in (missing, missing, directory):
+            code = main([out if a == "OUT" else a for a in argv] + ["--json"])
+            outputs.append(capsys.readouterr().out)
+            message = json.loads(outputs[-1])["payload"]["error"]
+            assert code == 1 and repr(out) in message and ".tmp" not in message
+        assert outputs[0] == outputs[1]
+        assert "Is a directory" in json.loads(outputs[2])["payload"]["error"]
+        assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(p) for p in (plain_xsym, p224_file))
 
     def test_parse_failure_prefix(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from biquad import gram, linalg
 from biquad.errors import CannotReduce, InvalidInput, NoPSDPointFound, NotPSD
 from biquad.forms import symmetrize, evaluate, verify_sos
 from biquad.gram import (
+    GramPoint,
     build_family,
     factor_gram,
     gamma_of,
@@ -20,7 +22,7 @@ from biquad.gram import (
 )
 from biquad.partsym import assemble_m_matrix, random_psd_instance, reconstruct
 from biquad.simple import SupportSet, find_rectangle, gen_simple, to_form
-from conftest import planted_sos_forms
+from conftest import planted_sos_forms, tiny_line_form
 
 
 def f_224():
@@ -47,7 +49,7 @@ class TestBuildFamily:
     def test_2x2_single_direction(self):
         fam = f_224()
         assert fam.dim == 1
-        delta = fam.combine(np.eye(fam.dim)[0])
+        delta = fam.matrix_at(np.eye(fam.dim)[0]) - fam.base
         expected = np.zeros((4, 4))
         expected[0, 3] = expected[3, 0] = 1.0
         expected[1, 2] = expected[2, 1] = -1.0
@@ -61,7 +63,7 @@ class TestBuildFamily:
         rng = np.random.default_rng(0)
         fam = build_family(to_form(gen_simple(4, 3, 12)))
         for t in range(fam.dim):
-            delta = fam.combine(np.eye(fam.dim)[t])
+            delta = fam.matrix_at(np.eye(fam.dim)[t]) - fam.base
             for _ in range(20):
                 z = np.kron(sphere(rng, 4), sphere(rng, 3))
                 assert abs(z @ delta @ z) <= 1e-12
@@ -107,6 +109,18 @@ class TestGramAt:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInput):
             gram_at(f_224(), [1.0, 2.0])
+
+    def test_point_is_its_gamma(self):
+        # The matrix is built from gamma, read-only, and cannot be passed in.
+        fam = build_family(to_form(gen_simple(3, 3, 6)))
+        gamma = np.random.default_rng(8).standard_normal(fam.dim)
+        point = GramPoint(fam, gamma)
+        assert point.matrix.tobytes() == fam.matrix_at(gamma).tobytes()
+        assert not point.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            point.matrix[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            GramPoint(fam, gamma, fam.matrix_at(gamma))
 
 
 class TestGammaOf:
@@ -394,6 +408,46 @@ class TestFactorSearch:
         assert squares.count(4) == 20
         assert unfloored.gamma.tobytes() == point.gamma.tobytes()
 
+    def test_starts_are_drawn_lazily(self, monkeypatch):
+        # psd_point and the search build each random start only when the
+        # previous one failed: every start built is fitted next.
+        family = build_family(planted_form(3, 3, 6, seed=[3, 3, 6]))
+        events = []
+        random_start, fit = gram._random_start, gram._fit
+
+        def recording_start(family, r, rng):
+            start = random_start(family, r, rng)
+            events.append(("built", start))
+            return start
+
+        def recording_fit(family, start, tol):
+            events.append(("fit", start))
+            return fit(family, start, tol)
+
+        monkeypatch.setattr(gram, "_random_start", recording_start)
+        monkeypatch.setattr(gram, "_fit", recording_fit)
+        _, rank = min_rank_search(family, seed=0)
+        built = [k for k, (kind, _) in enumerate(events) if kind == "built"]
+        assert rank == 6 and len(built) > 20
+        for k in built:
+            assert events[k + 1][0] == "fit" and events[k + 1][1] is events[k][1]
+
+    @pytest.mark.parametrize("seed", [723, 997])
+    def test_overflowing_trials_are_rejected_silently(self, seed):
+        # Failing fits on this badly scaled form try steps whose residual
+        # overflows; _lm rejects them by their inf or nan cost, with no warning.
+        form = tiny_line_form(seed)
+        family = build_family(form)
+        found = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for restarts in (2, 20):
+                point, rank = min_rank_search(family, restarts=restarts, seed=0)
+                assert rank == 4
+                assert verify_sos(form, factor_gram(point))[0]
+                found.add(point.gamma.tobytes())
+        assert len(found) == 1
+
     def test_psd_point_is_base_when_base_is_psd(self):
         fam = f_224()
         np.testing.assert_array_equal(psd_point(fam).matrix, fam.base)
@@ -467,6 +521,19 @@ class TestRankFloor:
         with mock.patch.object(gram, "rank_floor", lambda family, tol: 1):
             _, rank = min_rank_search(family, restarts=2, seed=0)
         assert floor <= rank
+
+    def test_spectra_solved_once_per_family(self, monkeypatch):
+        # psd_point, the search and a later rank_floor at another tolerance
+        # all count the one set of block spectra.
+        family = build_family(planted_form(3, 3, 3, seed=7))
+        assert not linalg.is_psd(family.base)[0]
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        _, rank = min_rank_search(family, restarts=2, seed=0)
+        assert rank_floor(family) == rank_floor(family, linalg.Tolerances(1e-6)) == rank == 3
+        # The x-line and y-line stacks; no dead row, so no pinned block.
+        assert calls == [(3, 3, 3), (3, 3, 3)] and len(family.shared_spectra) == 2
 
 
 class TestFactorGram:
