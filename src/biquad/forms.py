@@ -596,7 +596,8 @@ def dump_json(data: dict, path: str) -> None:
     tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
     try:
         with os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w") as handle:
-            handle.write(text + "\n")
+            handle.write(text)
+            handle.write("\n")
         os.replace(tmp, path)
     except BaseException as exc:
         if os.path.exists(tmp):

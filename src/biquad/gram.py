@@ -40,8 +40,10 @@ from .errors import CannotReduce, InvalidInput, NoPSDPointFound, NotPSD, require
 from .forms import BiquadraticForm, FormCells, SOSDecomposition
 from .linalg import DEFAULT_TOL, Tolerances
 
+# gamma_of's bound on a member's rebuild error, relative to its max|entry|.
+_MEMBER_RTOL = 1e-9
 # Accepted fit residual, relative to max|c|.  The fitted Gram matrix lies
-# twice this far from the family, which must stay inside gamma_of's 1e-9.
+# twice this far from the family, which must stay inside _MEMBER_RTOL.
 _FIT_RTOL = 1e-10
 # A fit whose residual misses _FIT_RTOL stops once max_j |J_j'f| / (|J_j| |f|)
 # falls below this: f is then orthogonal to the Jacobian's range, a
@@ -176,7 +178,7 @@ def gamma_of(family: GramFamily, matrix) -> np.ndarray:
     ij, kl = family.swaps[:2]
     gamma = matrix[ij, kl] - family.base[ij, kl]
     rebuilt = family.matrix_at(gamma)
-    if not np.allclose(rebuilt, matrix, rtol=0.0, atol=1e-9 * float(np.abs(matrix).max())):
+    if not np.allclose(rebuilt, matrix, rtol=0.0, atol=_MEMBER_RTOL * float(np.abs(matrix).max())):
         raise InvalidInput("matrix does not represent the family's form")
     return gamma
 
@@ -309,7 +311,9 @@ def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> tuple[GramPo
     with the Jacobian in closed form, and ``fits`` is its acceptance test.
     Returns the fitted PSD Gram point and its ``_factors`` (one eigen-solve
     for the PSD test and the factors) when every coefficient is matched to
-    _FIT_RTOL * max|c|, else None.
+    _FIT_RTOL * max|c|, else None.  ``_lm`` fits the form times 4^-k, with 4^k
+    within a factor 4 of max|c|, from the start times 2^-k: exact, and no
+    square of the residual can overflow or underflow.
     """
     m, n = family.m, family.n
     r = start.shape[0]
@@ -321,6 +325,8 @@ def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> tuple[GramPo
     _, (x_orbit, y_orbit) = FormCells.layout(m, n)
     weight = np.sqrt(x_orbit * y_orbit).ravel()
     target = family.base[family.cells[0], family.cells[1]]
+    k = (math.frexp(float(np.abs(target).max()))[1] - 1) // 2
+    target = np.ldexp(target, -2 * k)
     rows = target.size
     offset = np.arange(r) * mn
     gather = (family.cells[[1, 0, 3, 2]].T[:, :, None] + offset).ravel()
@@ -339,10 +345,10 @@ def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> tuple[GramPo
     def fits(f: np.ndarray) -> bool:
         return bool(np.abs(f / weight).max() <= bound)
 
-    x, f = _lm(residual, jacobian, start.ravel(), 100 * r * mn, fits)
+    x, f = _lm(residual, jacobian, np.ldexp(start.ravel(), -k), 100 * r * mn, fits)
     if not fits(f):
         return None
-    w = x.reshape(r, mn)
+    w = np.ldexp(x, k).reshape(r, mn)
     point = GramPoint(family, gamma_of(family, w.T @ w))
     try:
         return point, _factors(point, tol)

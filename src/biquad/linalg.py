@@ -182,7 +182,9 @@ def psd_factor(s, tol: Tolerances = DEFAULT_TOL, dec: SpectralDecomposition | No
     if not ok:
         raise NotPSD("matrix has a significant negative eigenvalue", witness=witness)
     rows = factor_from_decomposition(dec, tol)
-    recon = np.linalg.norm(rows.T @ rows - s)
-    if recon > RECON_TOL * np.linalg.norm(s):
+    # Norms of (R'R - S) / max|S|, so entries near the float range cannot overflow.
+    unit = float(np.abs(s).max()) or 1.0
+    recon = np.linalg.norm((rows.T @ rows - s) / unit)
+    if recon > RECON_TOL * np.linalg.norm(s / unit):
         raise NumericalError(f"PSD factorization residual {recon:.3e} exceeds {RECON_TOL:.3e} * ||S||")
     return list(rows)

@@ -30,6 +30,7 @@ logger = logging.getLogger(__name__)
 
 # Default residual bound of meig_solve and min_probe, relative to max|c|.
 _TOL = 1e-10
+# meig_solve's duplicate test, in units of max|c| (see its docstring).
 _DEDUP_TOL = 1e-6
 # Alternating eigensteps before the Newton polish takes over, and the cap
 # on all steps of a start.
@@ -263,9 +264,9 @@ def _seeded_starts(form: BiquadraticForm, restarts: int, seed: int) -> np.ndarra
 
 
 def _normalized(form: BiquadraticForm) -> tuple[_Contractor, float]:
-    """Contractor of coeffs / max|c| (guarded by the smallest normal float),
-    so that every threshold of the search is relative to max|c|."""
-    scale = max(max_abs_coeff(form), np.finfo(float).tiny)
+    """Contractor of coeffs / max|c| (1 for the zero form), so that every
+    threshold of the search is relative to max|c|."""
+    scale = max_abs_coeff(form) or 1.0
     return _Contractor(form.coeffs / scale), scale
 
 
@@ -280,48 +281,36 @@ def meig_solve(form: BiquadraticForm, restarts: int = 20, seed: int = 0, tol: fl
     ``|G(y)x - lam x|`` and ``|H(x)y - lam y|`` are at most
     ``tol * max|c|``; a polished pair must also have lam as the targeted
     extreme eigenvalue of G(y) and H(x).  Starts that stall or
-    whose Newton system is singular are dropped (debug log).  Duplicates agree
-    on lambda within ``1e-6 * max|c|`` and on (x, y) up to simultaneous sign
-    flips within 1e-6.  The smallest value returned is an upper bound on the
-    true minimum M-eigenvalue; the list is not guaranteed complete.
+    whose Newton system is singular are dropped (debug log).  Two converged
+    starts are one pair when, in units of max|c|, their lambdas differ by at
+    most 1e-6 and min(|x_a'x_b|, |y_a'y_b|) >= 1 - 1e-6, so (x, y) and its
+    sign flips count once.  The smallest value returned is an upper bound on
+    the true minimum M-eigenvalue; the list is not guaranteed complete.
     """
     check_size(form.m, form.n)
     contractor, scale = _normalized(form)
     y0 = _seeded_starts(form, restarts, seed)
     pick = np.tile([0, -1], len(y0))
     starts = _search(contractor, np.repeat(y0, 2, axis=0), pick, tol)
-    pairs: list[MEigenpair] = []
+    kept: list[int] = []
     for b in range(len(pick)):
         if not starts.converged[b]:
             logger.debug("meig start %d (%s) did not converge", b // 2, "max" if pick[b] else "min")
-            continue
-        pair = MEigenpair(
+        elif not any(
+            abs(starts.lam[a] - starts.lam[b]) <= _DEDUP_TOL
+            and min(abs(starts.x[a] @ starts.x[b]), abs(starts.y[a] @ starts.y[b])) >= 1.0 - _DEDUP_TOL
+            for a in kept
+        ):
+            kept.append(b)
+    pairs = [
+        MEigenpair(
             float(scale * starts.lam[b]), starts.x[b].copy(), starts.y[b].copy(),
             float(scale * starts.rx[b]), float(scale * starts.ry[b]),
         )
-        if not _is_duplicate(pair, pairs, _DEDUP_TOL * scale):
-            pairs.append(pair)
+        for b in kept
+    ]
     pairs.sort(key=lambda p: p.eigenvalue)
     return pairs
-
-
-def _is_duplicate(pair: MEigenpair, known: list[MEigenpair], lam_tol: float) -> bool:
-    for other in known:
-        if abs(pair.eigenvalue - other.eigenvalue) > lam_tol:
-            continue
-        # Vectors are sign-canonicalized, but compare both orientations in
-        # case the pivot entry is near zero.
-        x_match = min(
-            float(np.abs(pair.x - other.x).max()),
-            float(np.abs(pair.x + other.x).max()),
-        )
-        y_match = min(
-            float(np.abs(pair.y - other.y).max()),
-            float(np.abs(pair.y + other.y).max()),
-        )
-        if x_match <= _DEDUP_TOL and y_match <= _DEDUP_TOL:
-            return True
-    return False
 
 
 def min_probe(

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from biquad.errors import InvalidInput, NotPSD
+from biquad import linalg
+from biquad.errors import InvalidInput, NotPSD, NumericalError
 from biquad.linalg import (
     RECON_TOL,
     Tolerances,
@@ -161,6 +162,14 @@ class TestPsdFactor:
             assert len(vectors) == 4
             recon = sum(np.outer(v, v) for v in vectors)
             assert np.linalg.norm(recon - s) <= RECON_TOL * np.linalg.norm(s)
+
+    def test_residual_check_holds_near_the_float_range(self, monkeypatch):
+        # ||1e200 S|| overflows to inf; the check works in units of max|S|
+        f = np.random.default_rng(8).standard_normal((4, 3))
+        real = linalg.factor_from_decomposition
+        monkeypatch.setattr(linalg, "factor_from_decomposition", lambda *a: real(*a) * (1.0 + 1e-6))
+        with pytest.raises(NumericalError):
+            psd_factor(1e200 * (f @ f.T))
 
     def test_boundary_negative_eigenvalue_clamped(self):
         s = np.array([[1.0, 0.0], [0.0, -1e-12]])

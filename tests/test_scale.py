@@ -1,4 +1,6 @@
-"""Scale invariance: P and s * P get the same answers for s in [1e-12, 1e12].
+"""Scale invariance: P and s * P get the same answers for s in [1e-12, 1e12],
+and the general forms' sos-rank, reduce-rank and meig answers also for s
+from 1e-300 to 1e300.
 
 Every cutoff in the package is relative to the object it judges, so exit
 codes, verdicts, ranks, pair counts and factor counts must not move when
@@ -9,6 +11,7 @@ import contextlib
 import functools
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +153,20 @@ class TestScaleInvariance:
         reference = xsym_answers(directory, "unscaled", data)
         assert [code for code, *_ in reference] == ([0, 0] if kind in PSD_KINDS else [2, 2])
         assert xsym_answers(directory, "scaled", scaled(data, s)) == reference
+
+    @pytest.mark.parametrize("e", [-300, -150, -100, -60, 160, 200, 300])
+    @pytest.mark.parametrize("name", sorted(GENERAL))
+    def test_general_forms_at_extreme_scales(self, tmp_path_factory, capsys, name, e):
+        # The fit scales the form by a power of four and meig deduplicates in
+        # units of max|c|, so neither underflows nor overflows out here.
+        directory = tmp_path_factory.getbasetemp()
+        reference = unscaled_answers(name, directory)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            answers = general_answers(write_form(directory, f"{name}-1e{e}", 10.0 ** e * GENERAL[name]()))
+        assert answers == reference
+        assert not caught
+        assert capsys.readouterr().err == ""
 
 
 class TestSmallScales:
