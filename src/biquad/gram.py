@@ -24,6 +24,10 @@ than when its cost stops decreasing; failing fits are most of a search's
 work.  Both searches start at ``rank_floor``, a proven lower bound, and keep
 the first seeded start that fits (``_first_fit``); ``min_rank_search`` lowers
 r until no start fits or r meets the floor: a verified upper bound, exact there.
+The floor counts eigenvalues of the Gram blocks every PSD member shares and,
+when the dead rows (zero x_i^2 y_j^2 coefficients) leave one free direction,
+as for every 2 x 2 form, of the two ends of the segment all PSD members lie
+on; the smaller end rank is the SOS rank, so the search there is exact.
 """
 
 from __future__ import annotations
@@ -54,6 +58,12 @@ _GTOL = 1e-4
 # The largest Gram order m * n check_size accepts, that of the 10 x 10 forms
 # the search is meant to reach; a far larger form's tensor exhausts memory.
 _ORDER_CAP = 100
+# A positive definite member found on a segment of PSD members must have its
+# smallest eigenvalue above this fraction of the trace, so that the boundary
+# steps to the segment's ends are well conditioned; ``_deepest`` halves its
+# bracket at most _SEGMENT_STEPS times.
+_SEGMENT_RTOL = 1e-6
+_SEGMENT_STEPS = 60
 
 
 def __getattr__(name: str):
@@ -113,25 +123,72 @@ class GramFamily:
         return m
 
     @functools.cached_property
+    def face(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(live rows, pinned gamma, free directions) of the face holding every
+        PSD member.  A dead row (base diagonal exactly 0) is zero in a PSD
+        member, which pins each direction reaching it: gamma_t = -base[ij, kl]
+        if ij or kl is dead, else base[il, kj].  The free directions reach no
+        dead row; their gamma_t is 0."""
+        base = self.base
+        dead = base.diagonal() == 0.0
+        ij, kl, il, kj = self.swaps
+        near = dead[ij] | dead[kl]
+        free = ~(near | dead[il] | dead[kj])
+        gamma = np.where(near, -base[ij, kl], np.where(free, 0.0, base[il, kj]))
+        return np.flatnonzero(~dead), gamma, free
+
+    @functools.cached_property
     def shared_spectra(self) -> tuple[np.ndarray, ...]:
         """Eigenvalues of the Gram blocks every PSD member shares, solved once
         per family.  Directions join rows ij and kl with i != k and j != l, so
         each x-line {(i, .)} and y-line {(., j)} block is the base's (one stack
-        each).  A dead row (base diagonal exactly 0) is zero in a PSD member,
-        which pins each direction reaching it: gamma_t = -base[ij, kl] if ij or
-        kl is dead, else base[il, kj].  When all are pinned (always if m = 1 or
-        n = 1), the live rows of the pinned member are one more block."""
+        each).  When ``face`` pins every direction (always if m = 1 or n = 1),
+        the live rows of the pinned member are one more block."""
         m, n, base = self.m, self.n, self.base
-        dead = base.diagonal() == 0.0
         cells = base.reshape(m, n, m, n)
         stacks = [cells[range(m), :, range(m)], cells[:, range(n), :, range(n)]]
-        ij, kl, il, kj = self.swaps
-        near = dead[ij] | dead[kl]
-        if (near | dead[il] | dead[kj]).all():
-            live = np.flatnonzero(~dead)
-            pinned = self.matrix_at(np.where(near, -base[ij, kl], base[il, kj]))
-            stacks.append(pinned[np.ix_(live, live)][None])
+        live, gamma, free = self.face
+        if not free.any():
+            stacks.append(self.matrix_at(gamma)[np.ix_(live, live)][None])
         return tuple(np.linalg.eigvalsh(stack) for stack in stacks)
+
+    @functools.cached_property
+    def segment_spectra(self) -> tuple[np.ndarray, ...]:
+        """Eigenvalues, in units of trace(base), of the two ends of the segment
+        of PSD members, solved once per family when ``face`` leaves exactly
+        one free direction D (every 2 x 2 form without a dead row); else ().
+
+        The live block of every PSD member is then G(t) = G + tD for t in one
+        interval, G the pinned member.  A member inside the interval is a
+        positive combination of its ends, so it holds both ends' kernels and
+        its rank is at least either end's: the SOS rank is the smaller end
+        rank.  ``_deepest`` finds a positive definite G(t) and
+        ``_boundary_step`` reaches each end from it, on the block scaled by a
+        power of four.  Without such a member the result is (), as it is
+        at once when a diagonal entry is negative."""
+        live, gamma, free = self.face
+        if np.count_nonzero(free) != 1 or (self.base.diagonal() < 0.0).any():
+            return ()
+        ij, kl, il, kj = self.swaps[:, free][:, 0]
+        k = _quarter_exponent(self.base)
+        g = np.ldexp(self.matrix_at(gamma), -2 * k)
+        direction = np.zeros_like(g)
+        direction[[ij, kl], [kl, ij]] = 1.0
+        direction[[il, kj], [kj, il]] = -1.0
+        # A PSD G(t) keeps |g[ij, kl] + t| and |g[il, kj] - t| within the
+        # geometric means of their diagonal entries.
+        diagonal = g.diagonal()
+        reach = np.sqrt(diagonal[[ij, il]] * diagonal[[kl, kj]])
+        lo = max(-g[ij, kl] - reach[0], g[il, kj] - reach[1])
+        hi = min(-g[ij, kl] + reach[0], g[il, kj] + reach[1])
+        block = np.ix_(live, live)
+        g, direction = g[block], direction[block]
+        t = _deepest(g, direction, lo, hi)
+        if t is None:
+            return ()
+        inner = g + t * direction
+        ends = [inner + _boundary_step(inner, s * direction) * s * direction for s in (1.0, -1.0)]
+        return tuple(np.linalg.eigvalsh(end) / float(g.trace()) for end in ends)
 
 
 @dataclass(frozen=True)
@@ -191,17 +248,62 @@ def factor_gram(point: GramPoint, tol: Tolerances = DEFAULT_TOL) -> SOSDecomposi
     return SOSDecomposition(family.m, family.n, factors)
 
 
+def _quarter_exponent(a: np.ndarray) -> int:
+    """k with 4^k within a factor 4 of max|a|: a times 4^-k is exact, and
+    neither it nor its square overflows or underflows."""
+    return (math.frexp(float(np.abs(a).max()))[1] - 1) // 2
+
+
 def _boundary_step(m0: np.ndarray, delta: np.ndarray) -> float:
     """Largest t with m0 + t * delta PSD, for positive definite m0.
 
     With m0 = LL', m0 + t delta = L (I + t S) L' where S = L^-1 delta L^-T,
     so the cone is left where I + tS turns singular: t = -1 / lambda_min(S)
     (Golub and Van Loan, Matrix Computations, 8.7).  S shares the inertia
-    of delta, so an indefinite delta gives a finite step.
+    of delta, so an indefinite delta gives a finite step.  It is solved on
+    m0 and delta each scaled by a power of four, which is exact, so S can
+    neither overflow nor underflow at any scale of the form.
     """
-    chol = np.linalg.cholesky(m0)
-    half = np.linalg.solve(chol, delta)
-    return -1.0 / float(np.linalg.eigvalsh(np.linalg.solve(chol, half.T))[0])
+    k, j = _quarter_exponent(m0), _quarter_exponent(delta)
+    chol = np.linalg.cholesky(np.ldexp(m0, -2 * k))
+    half = np.linalg.solve(chol, np.ldexp(delta, -2 * j))
+    return math.ldexp(-1.0 / float(np.linalg.eigvalsh(np.linalg.solve(chol, half.T))[0]), 2 * (k - j))
+
+
+def _deepest(g: np.ndarray, direction: np.ndarray, lo: float, hi: float) -> float | None:
+    """A t in [lo, hi] where lambda_min(g + t direction) is above half its
+    maximum there and above _SEGMENT_RTOL * trace(g), or None when the
+    maximum is not.
+
+    lambda_min is concave in t and u'Du, u its unit eigenvector, is a
+    supergradient, so bisecting on its sign keeps the maximum in [a, b], and
+    the tangents at a and b bound it from above.
+    """
+    if not lo < hi:
+        return None
+    floor = _SEGMENT_RTOL * float(g.trace())
+
+    def probe(t: float) -> tuple[float, float]:
+        w, u = np.linalg.eigh(g + t * direction)
+        return float(w[0]), float(u[:, 0] @ direction @ u[:, 0])
+
+    (a, (fa, sa)), (b, (fb, sb)) = (lo, probe(lo)), (hi, probe(hi))
+    for _ in range(_SEGMENT_STEPS):
+        if sa <= 0.0 or sb >= 0.0:
+            top = fa if sa <= 0.0 else fb
+        else:
+            top = fa + sa * (fb - fa + sb * (a - b)) / (sa - sb)
+        if top <= floor:
+            return None
+        t = 0.5 * (a + b)
+        f, slope = probe(t)
+        if f > max(floor, 0.5 * top):
+            return t
+        if slope > 0.0:
+            a, fa, sa = t, f, slope
+        else:
+            b, fb, sb = t, f, slope
+    return None
 
 
 def reduce_to_boundary(
@@ -325,7 +427,7 @@ def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> tuple[GramPo
     _, (x_orbit, y_orbit) = FormCells.layout(m, n)
     weight = np.sqrt(x_orbit * y_orbit).ravel()
     target = family.base[family.cells[0], family.cells[1]]
-    k = (math.frexp(float(np.abs(target).max()))[1] - 1) // 2
+    k = _quarter_exponent(target)
     target = np.ldexp(target, -2 * k)
     rows = target.size
     offset = np.arange(r) * mn
@@ -367,12 +469,18 @@ def _factors(point: GramPoint, tol: Tolerances) -> np.ndarray:
 
 
 def rank_floor(family: GramFamily, tol: Tolerances = DEFAULT_TOL) -> int:
-    """A proven lower bound on the SOS rank: the largest count of eigenvalues
-    above eps * trace(base) in one of ``family.shared_spectra``.  Every member
-    has trace(base), at least its top eigenvalue when PSD, so by Cauchy
-    interlacing each one counted is above every PSD member's rank cutoff."""
-    cutoff = tol.eps * float(family.base.diagonal().sum())
-    return max(int((w > cutoff).sum(axis=-1).max(initial=0)) for w in family.shared_spectra)
+    """A proven lower bound on the SOS rank, counting eigenvalues above
+    eps * trace(base): the largest count in one of ``family.shared_spectra``,
+    and the smaller count of the two ``family.segment_spectra`` ends (kept in
+    units of the trace), which is the SOS rank itself.  Every member has
+    trace(base), at least its top eigenvalue when PSD, so by Cauchy
+    interlacing each shared eigenvalue counted is above every PSD member's
+    rank cutoff.  The cutoff is summed as eps * diagonal, which cannot
+    overflow."""
+    cutoff = float((tol.eps * family.base.diagonal()).sum())
+    counts = [int((w > cutoff).sum(axis=-1).max(initial=0)) for w in family.shared_spectra]
+    ends = [int((w > tol.eps).sum()) for w in family.segment_spectra]
+    return max(counts + [min(ends, default=0)])
 
 
 def _first_fit(family: GramFamily, starts, tol: Tolerances) -> tuple[GramPoint, np.ndarray] | None:

@@ -68,14 +68,14 @@ def xsym_forms(draw):
 
 
 @st.composite
-def planted_sos_forms(draw):
-    """A sum of bilinear squares, m and n in [1, 4], returned with its
+def planted_sos_forms(draw, sides=(1, 4)):
+    """A sum of bilinear squares, m and n in ``sides``, returned with its
     square count r, an upper bound on its SOS rank.  The r0 <= mn random
     factors have entries zeroed at random (a pair zeroed in every factor is
     a zero x_i^2 y_j^2 coefficient), and may leave one x-line to up to n
     squares 1e-6 the size of the rest that live only on it; the form is
     scaled by 10^U(-8, 8)."""
-    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    m, n = draw(st.integers(*sides)), draw(st.integers(*sides))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     w = rng.standard_normal((draw(st.integers(1, m * n)), m, n))
     w[:, rng.random((m, n)) < draw(st.sampled_from([0.0, 0.3, 0.6]))] = 0.0

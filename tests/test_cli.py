@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -322,6 +323,36 @@ class TestSosRank:
         code, data = run_json(capsys, ["sos-rank", str(path)])
         assert code == 0 and data["payload"]["upper_bound"] == 4
         assert len(calls) <= 2
+
+    def test_p426_exact_without_a_fit_of_three(self, capsys, monkeypatch, tmp_path):
+        # P_(4,2,6)'s dead rows leave one free direction, and both ends of its
+        # segment of PSD Gram matrices have rank 4: the floor meets the
+        # search's rank, so no fit of 3 squares is tried.
+        squares = []
+        fit = gram._fit
+        monkeypatch.setattr(gram, "_fit", lambda family, start, tol: squares.append(len(start)) or fit(family, start, tol))
+        path = tmp_path / "p426.json"
+        forms.save_form(to_form(gen_simple(4, 2, 6)), str(path))
+        code, data = run_json(capsys, ["sos-rank", str(path)])
+        payload = data["payload"]
+        assert code == 0
+        assert (payload["lower_bound"], payload["upper_bound"], payload["exact"]) == (4, 4, True)
+        assert squares and 3 not in squares
+
+    def test_negative_2x2_diagonal_is_exit_2_without_warnings(self, capsys, tmp_path):
+        # -x1^2 y1^2 + x1^2 y2^2 + x2^2 y1^2 + x2^2 y2^2 + x1 x2 y1 y2: no PSD
+        # Gram matrix has a negative diagonal entry, so the one free
+        # direction's segment is not searched and nothing warns.
+        coeffs = np.zeros((2, 2, 2, 2))
+        coeffs[0, 0, 0, 0], coeffs[0, 1, 0, 1], coeffs[1, 0, 1, 0], coeffs[1, 1, 1, 1] = -1.0, 1.0, 1.0, 1.0
+        coeffs[0, 0, 1, 1] = 1.0
+        path = tmp_path / "negative.json"
+        forms.save_form(forms.symmetrize(coeffs), str(path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run_json(capsys, ["sos-rank", str(path), "--restarts", "2"])
+        assert code == 2
+        assert not caught
 
     def test_byte_identical_json(self, capsys, p224_file):
         code1 = main(["sos-rank", p224_file, "--restarts", "4", "--seed", "3", "--json"])

@@ -535,6 +535,45 @@ class TestRankFloor:
         # The x-line and y-line stacks; no dead row, so no pinned block.
         assert calls == [(3, 3, 3), (3, 3, 3)] and len(family.shared_spectra) == 2
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(planted=planted_sos_forms(sides=(2, 2)))
+    def test_segment_floor_is_the_rank_of_a_2x2_form(self, planted):
+        # A 2 x 2 form has one swap direction.  A dead row pins it, else the
+        # PSD members fill one segment; either way the floor is the SOS rank,
+        # at most 3 as the paper proves for every PSD 2 x 2 form.
+        form, _ = planted
+        family = build_family(form)
+        _, rank = min_rank_search(family, seed=0)
+        assert rank_floor(family) == rank <= 3
+
+    def test_segment_floor_is_the_smaller_end_rank(self):
+        # (x1y1 - x2y2)^2 + 2 (x1y2 + x2y1)^2: its squares span the free
+        # direction's negative eigenvectors, so its Gram matrix is one end of
+        # the segment, of rank 2, and the other end has rank 3.
+        w = np.zeros((2, 2, 2))
+        w[0] = [[1.0, 0.0], [0.0, -1.0]]
+        w[1] = [[0.0, np.sqrt(2.0)], [np.sqrt(2.0), 0.0]]
+        family = build_family(symmetrize(np.einsum("pij,pkl->ijkl", w, w)))
+        ranks = [linalg.rank_from_eigenvalues(end) for end in family.segment_spectra]
+        assert sorted(ranks) == [2, 3]
+        assert rank_floor(family) == min_rank_search(family, seed=0)[1] == 2
+
+    def test_segment_solved_once_per_family(self, monkeypatch):
+        # P_(4,2,6)'s dead rows leave one free direction.  The search from its
+        # PSD base and rank_floor at two tolerances share one bisection and
+        # one pair of end spectra.
+        family = build_family(to_form(gen_simple(4, 2, 6)))
+        calls = []
+        eigvalsh, deepest = np.linalg.eigvalsh, gram._deepest
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        monkeypatch.setattr(gram, "_deepest", lambda *args: calls.append("deepest") or deepest(*args))
+        _, rank = min_rank_search(family, seed=0)
+        assert rank_floor(family) == rank_floor(family, linalg.Tolerances(1e-6)) == rank == 4
+        # The x-line and y-line stacks, then two boundary steps on the 6 live
+        # rows and the spectra of the two ends.
+        assert calls == [(4, 2, 2), (2, 4, 4), "deepest"] + [(6, 6)] * 4
+        assert len(family.segment_spectra) == 2
+
 
 class TestFactorGram:
     def test_boundary_factorization(self):

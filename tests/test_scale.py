@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biquad import forms
+from biquad import forms, gram
 from biquad.cli import main
 from biquad.partsym import XSymmetricData, qr_pair, random_psd_instance, reconstruct
 from biquad.simple import gen_simple, to_form
@@ -46,6 +46,7 @@ def simple(m, n, s):
 # General forms: SOS by construction, small enough for a fast Gram search.
 GENERAL = {
     "planted-2x2-r2": lambda: planted(2, 2, 2, 2026),
+    "planted-2x2-r3": lambda: planted(2, 2, 3, 2026),
     "planted-3x2-r3": lambda: planted(3, 2, 3, 2026),
     "planted-2x3-r4": lambda: planted(2, 3, 4, 5),
     "simple-2x2-4": lambda: simple(2, 2, 4),
@@ -61,10 +62,10 @@ def write_form(directory, name, coeffs):
 
 
 def general_answers(path):
-    """(exit, upper_bound) of sos-rank, (exit, rank) of reduce-rank and the
-    pair count of meig."""
+    """(exit, lower_bound, upper_bound) of sos-rank, (exit, rank) of
+    reduce-rank and the pair count of meig."""
     code, payload = run(["sos-rank", path, "--restarts", "5"])
-    sos = (code, payload.get("upper_bound"))
+    sos = (code, payload.get("lower_bound"), payload.get("upper_bound"))
     code, payload = run(["reduce-rank", path])
     reduce = (code, payload.get("rank"))
     code, payload = run(["meig", path, "--restarts", "5"])
@@ -154,17 +155,41 @@ class TestScaleInvariance:
         assert [code for code, *_ in reference] == ([0, 0] if kind in PSD_KINDS else [2, 2])
         assert xsym_answers(directory, "scaled", scaled(data, s)) == reference
 
-    @pytest.mark.parametrize("e", [-300, -150, -100, -60, 160, 200, 300])
+    @pytest.mark.parametrize("e", [-310, -300, -150, -100, -60, 160, 200, 300])
     @pytest.mark.parametrize("name", sorted(GENERAL))
     def test_general_forms_at_extreme_scales(self, tmp_path_factory, capsys, name, e):
-        # The fit scales the form by a power of four and meig deduplicates in
-        # units of max|c|, so neither underflows nor overflows out here.
+        # The fit and the boundary step scale their matrices by powers of
+        # four and meig deduplicates in units of max|c|, so none of them
+        # underflows or overflows out here, subnormal coefficients included.
         directory = tmp_path_factory.getbasetemp()
         reference = unscaled_answers(name, directory)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             answers = general_answers(write_form(directory, f"{name}-1e{e}", 10.0 ** e * GENERAL[name]()))
         assert answers == reference
+        assert not caught
+        assert capsys.readouterr().err == ""
+
+    def test_rank_floor_near_the_float_range(self, tmp_path_factory, capsys):
+        # trace(base) of planted-2x3-r4 times 1e307 overflows; the floor's
+        # cutoff is summed as eps * diagonal, and simple-2x2-4's segment ends
+        # are kept in units of the trace, so nothing warns.  sos-rank keeps
+        # its exit 1 there (the factors' residual overflows).
+        directory = tmp_path_factory.getbasetemp()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in ("planted-2x3-r4", "simple-2x2-4"):
+                coeffs = GENERAL[name]()
+                m, n = coeffs.shape[:2]
+                floors = [gram.rank_floor(gram.build_family(forms.BiquadraticForm(m, n, s * coeffs)))
+                          for s in (1.0, 1e307)]
+                assert floors[0] == floors[1]
+        path = write_form(directory, "planted-2x3-r4-1e307", 1e307 * GENERAL["planted-2x3-r4"]())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["sos-rank", path, "--restarts", "5", "--json"])
+        assert code == 1
         assert not caught
         assert capsys.readouterr().err == ""
 
