@@ -235,12 +235,18 @@ def max_abs_coeff(form: BiquadraticForm) -> float:
     return float(np.abs(form.coeffs).max())
 
 
-def evaluate(form: BiquadraticForm, x, y) -> float:
-    """P(x, y).  Bihomogeneous: evaluate(s*x, t*y) == s^2 t^2 evaluate(x, y)."""
+def point_vectors(m: int, n: int, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float vectors; InvalidInput unless their lengths are m and n."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != (form.m,) or y.shape != (form.n,):
-        raise InvalidInput(f"expected vectors of lengths {form.m} and {form.n}")
+    if x.shape != (m,) or y.shape != (n,):
+        raise InvalidInput(f"expected vectors of lengths {m} and {n}")
+    return x, y
+
+
+def evaluate(form: BiquadraticForm, x, y) -> float:
+    """P(x, y).  Bihomogeneous: evaluate(s*x, t*y) == s^2 t^2 evaluate(x, y)."""
+    x, y = point_vectors(form.m, form.n, x, y)
     return float(evaluate_batch(form, x[None], y[None])[0])
 
 
@@ -258,10 +264,7 @@ def evaluate_sos(dec: SOSDecomposition | GroupedSOSDecomposition, x, y) -> float
     """sum_p (x' W_p y)^2; zero for an empty factor list.  A group adds
     |X_g x|^2 |Y_g y|^2, where the two bases give
     |x / sqrt(m)|^2 = (1'x)^2 / m and |Hx|^2 = |x|^2 - (1'x)^2 / m."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (dec.m,) or y.shape != (dec.n,):
-        raise InvalidInput(f"expected vectors of lengths {dec.m} and {dec.n}")
+    x, y = point_vectors(dec.m, dec.n, x, y)
     if isinstance(dec, GroupedSOSDecomposition):
         total = 0.0
         for xg, yg in dec.groups:

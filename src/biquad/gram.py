@@ -24,10 +24,10 @@ than when its cost stops decreasing; failing fits are most of a search's
 work.  Both searches start at ``rank_floor``, a proven lower bound, and keep
 the first seeded start that fits (``_first_fit``); ``min_rank_search`` lowers
 r until no start fits or r meets the floor: a verified upper bound, exact there.
-The floor counts eigenvalues of the Gram blocks every PSD member shares and,
-when the dead rows (zero x_i^2 y_j^2 coefficients) leave one free direction,
-as for every 2 x 2 form, of the two ends of the segment all PSD members lie
-on; the smaller end rank is the SOS rank, so the search there is exact.
+The floor counts eigenvalues of the Gram blocks every PSD member shares and of
+the ends of the segment of PSD members, a single point when the dead rows (zero
+x_i^2 y_j^2 coefficients) leave no direction free; with one free, as for every
+2 x 2 form, the smaller end rank is the SOS rank, so the search there is exact.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CannotReduce, InvalidInput, NoPSDPointFound, NotPSD, require_count
-from .forms import BiquadraticForm, FormCells, SOSDecomposition
+from .forms import BiquadraticForm, FormCells, SOSDecomposition, max_abs_coeff
 from .linalg import DEFAULT_TOL, Tolerances
 
 # gamma_of's bound on a member's rebuild error, relative to its max|entry|.
@@ -58,10 +58,9 @@ _GTOL = 1e-4
 # The largest Gram order m * n check_size accepts, that of the 10 x 10 forms
 # the search is meant to reach; a far larger form's tensor exhausts memory.
 _ORDER_CAP = 100
-# A positive definite member found on a segment of PSD members must have its
-# smallest eigenvalue above this fraction of the trace, so that the boundary
-# steps to the segment's ends are well conditioned; ``_deepest`` halves its
-# bracket at most _SEGMENT_STEPS times.
+# ``_deepest`` seeks a member with lambda_min above this fraction of the trace,
+# so that the steps to the segment's ends are well conditioned, in at most
+# _SEGMENT_STEPS halvings of its bracket.
 _SEGMENT_RTOL = 1e-6
 _SEGMENT_STEPS = 60
 
@@ -138,57 +137,42 @@ class GramFamily:
         return np.flatnonzero(~dead), gamma, free
 
     @functools.cached_property
-    def shared_spectra(self) -> tuple[np.ndarray, ...]:
-        """Eigenvalues of the Gram blocks every PSD member shares, solved once
-        per family.  Directions join rows ij and kl with i != k and j != l, so
-        each x-line {(i, .)} and y-line {(., j)} block is the base's (one stack
-        each).  When ``face`` pins every direction (always if m = 1 or n = 1),
-        the live rows of the pinned member are one more block."""
-        m, n, base = self.m, self.n, self.base
-        cells = base.reshape(m, n, m, n)
-        stacks = [cells[range(m), :, range(m)], cells[:, range(n), :, range(n)]]
+    def floor_spectra(self) -> tuple[float, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """(trace, shared, ends) of the pinned member G times 4^-k, 4^k from
+        ``_quarter_exponent`` of the base (exact), solved once per family: its
+        trace, its x-line and y-line blocks' eigenvalues (a stack each; no
+        direction reaches them), and those of the segment's ends.
+
+        The live blocks of the PSD members fill a segment: the point G when
+        ``face`` leaves no direction free (always if m = 1 or n = 1), G + tD on
+        one interval when it leaves one, D.  A member inside it holds both
+        ends' kernels, so the SOS rank is the smaller end rank.  ``_deepest``
+        finds a positive definite G + tD and ``_boundary_steps`` reaches both
+        ends from it; ends is () with more free directions, a negative
+        diagonal entry or no such member."""
+        m, n = self.m, self.n
         live, gamma, free = self.face
+        g = np.ldexp(self.matrix_at(gamma), -2 * _quarter_exponent(self.base))
+        lines = g.reshape(m, n, m, n)
+        shared = tuple(map(np.linalg.eigvalsh, (lines[range(m), :, range(m)], lines[:, range(n), :, range(n)])))
+        trace, block = float(g.trace()), np.ix_(live, live)
         if not free.any():
-            stacks.append(self.matrix_at(gamma)[np.ix_(live, live)][None])
-        return tuple(np.linalg.eigvalsh(stack) for stack in stacks)
-
-    @functools.cached_property
-    def segment_spectra(self) -> tuple[np.ndarray, ...]:
-        """Eigenvalues, in units of trace(base), of the two ends of the segment
-        of PSD members, solved once per family when ``face`` leaves exactly
-        one free direction D (every 2 x 2 form without a dead row); else ().
-
-        The live block of every PSD member is then G(t) = G + tD for t in one
-        interval, G the pinned member.  A member inside the interval is a
-        positive combination of its ends, so it holds both ends' kernels and
-        its rank is at least either end's: the SOS rank is the smaller end
-        rank.  ``_deepest`` finds a positive definite G(t) and
-        ``_boundary_step`` reaches each end from it, on the block scaled by a
-        power of four.  Without such a member the result is (), as it is
-        at once when a diagonal entry is negative."""
-        live, gamma, free = self.face
-        if np.count_nonzero(free) != 1 or (self.base.diagonal() < 0.0).any():
-            return ()
-        ij, kl, il, kj = self.swaps[:, free][:, 0]
-        k = _quarter_exponent(self.base)
-        g = np.ldexp(self.matrix_at(gamma), -2 * k)
-        direction = np.zeros_like(g)
-        direction[[ij, kl], [kl, ij]] = 1.0
-        direction[[il, kj], [kj, il]] = -1.0
-        # A PSD G(t) keeps |g[ij, kl] + t| and |g[il, kj] - t| within the
-        # geometric means of their diagonal entries.
+            return trace, shared, (np.linalg.eigvalsh(g[block]),)
         diagonal = g.diagonal()
-        reach = np.sqrt(diagonal[[ij, il]] * diagonal[[kl, kj]])
-        lo = max(-g[ij, kl] - reach[0], g[il, kj] - reach[1])
-        hi = min(-g[ij, kl] + reach[0], g[il, kj] + reach[1])
-        block = np.ix_(live, live)
+        if np.count_nonzero(free) != 1 or (diagonal < 0.0).any():
+            return trace, shared, ()
+        ij, kl, il, kj = self.swaps[:, free][:, 0]
+        direction = np.zeros_like(g)
+        direction[[ij, kl, il, kj], [kl, ij, kj, il]] = [1.0, 1.0, -1.0, -1.0]
+        # A PSD G + tD keeps |g[ij, kl] + t|, |g[il, kj] - t| within their diagonals' geometric means.
+        centre, reach = np.array([-g[ij, kl], g[il, kj]]), np.sqrt(diagonal[[ij, il]] * diagonal[[kl, kj]])
         g, direction = g[block], direction[block]
-        t = _deepest(g, direction, lo, hi)
+        t = _deepest(g, direction, (centre - reach).max(), (centre + reach).min())
         if t is None:
-            return ()
+            return trace, shared, ()
         inner = g + t * direction
-        ends = [inner + _boundary_step(inner, s * direction) * s * direction for s in (1.0, -1.0)]
-        return tuple(np.linalg.eigvalsh(end) / float(g.trace()) for end in ends)
+        ends = (inner + s * direction for s in _boundary_steps(inner, direction))
+        return trace, shared, tuple(map(np.linalg.eigvalsh, ends))
 
 
 @dataclass(frozen=True)
@@ -201,11 +185,9 @@ class GramPoint:
 
     def __post_init__(self):
         gamma = np.asarray(self.gamma, dtype=float).copy()
-        gamma.setflags(write=False)
-        matrix = self.family.matrix_at(gamma)
-        matrix.setflags(write=False)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "matrix", matrix)
+        for name, value in (("gamma", gamma), ("matrix", self.family.matrix_at(gamma))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @functools.cached_property
     def spectrum(self) -> linalg.SpectralDecomposition:
@@ -216,8 +198,13 @@ class GramPoint:
 
 def build_family(form: BiquadraticForm) -> GramFamily:
     """Family for a form: base is the (mn x mn) reshape of the coefficient
-    tensor, directions in layout order, lexicographic over i < k, j < l."""
+    tensor, directions in layout order, lexicographic over i < k, j < l.
+    InvalidInput when 0 < max|c| < 2^-1074 / _FIT_RTOL (about 4.9e-314), where
+    subnormals are spaced wider than the residual a fit may leave."""
     m, n = form.m, form.n
+    scale, limit = max_abs_coeff(form), math.ulp(0.0) / _FIT_RTOL
+    if 0.0 < scale < limit:
+        raise InvalidInput(f"max|c| = {scale:.2g} is below {limit:.2g}, the smallest scale the Gram search can fit")
     return GramFamily(m, n, linalg.as_sym_matrix(form.coeffs.reshape(m * n, m * n)))
 
 
@@ -254,20 +241,22 @@ def _quarter_exponent(a: np.ndarray) -> int:
     return (math.frexp(float(np.abs(a).max()))[1] - 1) // 2
 
 
-def _boundary_step(m0: np.ndarray, delta: np.ndarray) -> float:
-    """Largest t with m0 + t * delta PSD, for positive definite m0.
+def _boundary_steps(m0: np.ndarray, delta: np.ndarray) -> tuple[float, float]:
+    """(lo, hi), the smallest and largest t with m0 + t * delta PSD, for
+    positive definite m0 and indefinite delta.
 
-    With m0 = LL', m0 + t delta = L (I + t S) L' where S = L^-1 delta L^-T,
-    so the cone is left where I + tS turns singular: t = -1 / lambda_min(S)
-    (Golub and Van Loan, Matrix Computations, 8.7).  S shares the inertia
-    of delta, so an indefinite delta gives a finite step.  It is solved on
-    m0 and delta each scaled by a power of four, which is exact, so S can
-    neither overflow nor underflow at any scale of the form.
+    With m0 = LL', m0 + t delta = L (I + t S) L' where S = L^-1 delta L^-T
+    shares the inertia of delta, so the cone is left where I + tS turns
+    singular: lo = -1 / lambda_max(S), hi = -1 / lambda_min(S) (Golub and Van
+    Loan, Matrix Computations, 8.7).  One Cholesky factor and one eigen-solve
+    give both, on m0 and delta each scaled by a power of four (exact), so S
+    can neither overflow nor underflow at any scale of the form.
     """
     k, j = _quarter_exponent(m0), _quarter_exponent(delta)
     chol = np.linalg.cholesky(np.ldexp(m0, -2 * k))
     half = np.linalg.solve(chol, np.ldexp(delta, -2 * j))
-    return math.ldexp(-1.0 / float(np.linalg.eigvalsh(np.linalg.solve(chol, half.T))[0]), 2 * (k - j))
+    w = np.linalg.eigvalsh(np.linalg.solve(chol, half.T))
+    return math.ldexp(-1.0 / float(w[-1]), 2 * (k - j)), math.ldexp(-1.0 / float(w[0]), 2 * (k - j))
 
 
 def _deepest(g: np.ndarray, direction: np.ndarray, lo: float, hi: float) -> float | None:
@@ -318,7 +307,7 @@ def reduce_to_boundary(
     Rank-deficient input is returned unchanged.  The direction is a seeded
     random combination of the family basis; it has a zero diagonal, so it is
     traceless and indefinite, and the boundary step along it is computed in
-    closed form by ``_boundary_step``.  A new direction is drawn (up to
+    closed form by ``_boundary_steps``.  A new direction is drawn (up to
     ``retries`` draws) only when rounding leaves the end point failing the
     PSD or rank check.  Raises InvalidInput when ``retries`` is below 1.
     """
@@ -334,7 +323,7 @@ def reduce_to_boundary(
     rng = np.random.default_rng(seed)
     for _ in range(retries):
         coeffs = rng.standard_normal(family.dim)
-        t = _boundary_step(point.matrix, family.matrix_at(coeffs) - family.base)
+        _, t = _boundary_steps(point.matrix, family.matrix_at(coeffs) - family.base)
         candidate = GramPoint(family, point.gamma + t * coeffs)
         ok, _ = linalg.psd_from_decomposition(candidate.spectrum, tol)
         if ok and linalg.rank_from_eigenvalues(candidate.spectrum.eigenvalues, tol) <= mn - 1:
@@ -417,8 +406,7 @@ def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> tuple[GramPo
     within a factor 4 of max|c|, from the start times 2^-k: exact, and no
     square of the residual can overflow or underflow.
     """
-    m, n = family.m, family.n
-    r = start.shape[0]
+    r, m, n = start.shape
     mn = m * n
     # Cell e averages the Gram entries at (ij, kl) and (il, kj), the rows of
     # family.cells.  d residual[e] / d W[p, entry] = weight[e] / 2 * W[p, partner]:
@@ -469,18 +457,15 @@ def _factors(point: GramPoint, tol: Tolerances) -> np.ndarray:
 
 
 def rank_floor(family: GramFamily, tol: Tolerances = DEFAULT_TOL) -> int:
-    """A proven lower bound on the SOS rank, counting eigenvalues above
-    eps * trace(base): the largest count in one of ``family.shared_spectra``,
-    and the smaller count of the two ``family.segment_spectra`` ends (kept in
-    units of the trace), which is the SOS rank itself.  Every member has
-    trace(base), at least its top eigenvalue when PSD, so by Cauchy
-    interlacing each shared eigenvalue counted is above every PSD member's
-    rank cutoff.  The cutoff is summed as eps * diagonal, which cannot
-    overflow."""
-    cutoff = float((tol.eps * family.base.diagonal()).sum())
-    counts = [int((w > cutoff).sum(axis=-1).max(initial=0)) for w in family.shared_spectra]
-    ends = [int((w > tol.eps).sum()) for w in family.segment_spectra]
-    return max(counts + [min(ends, default=0)])
+    """A proven lower bound on the SOS rank from ``family.floor_spectra`` and
+    one cutoff, eps * trace: the largest count in one shared block or, if
+    larger, the smaller count of the segment's ends, the SOS rank itself.
+    Every member has that trace, at least its top eigenvalue when PSD, so by
+    Cauchy interlacing each one counted is above every PSD member's cutoff."""
+    trace, shared, ends = family.floor_spectra
+    cutoff = tol.eps * trace
+    counts = [int((w > cutoff).sum(axis=-1).max()) for w in shared]
+    return max(counts + [min((int((w > cutoff).sum()) for w in ends), default=0)])
 
 
 def _first_fit(family: GramFamily, starts, tol: Tolerances) -> tuple[GramPoint, np.ndarray] | None:
@@ -494,7 +479,8 @@ def psd_point(family: GramFamily, seed: int = 0, tol: Tolerances = DEFAULT_TOL) 
     The base itself when it is PSD; otherwise the Gram matrix of the first
     r = f, f + 1, ..., mn bilinear squares that fit the form from one seeded
     random start each (``default_rng([seed, r])``), where f is ``rank_floor``
-    (at least 1): no fit of fewer squares can succeed.
+    (at least 1): no fit of fewer squares can succeed.  Nothing is fitted when
+    ``face`` leaves no direction free and the pinned member is not PSD.
 
     Raises:
         NoPSDPointFound: no start fitted; the form may still be PSD (or even
@@ -503,12 +489,14 @@ def psd_point(family: GramFamily, seed: int = 0, tol: Tolerances = DEFAULT_TOL) 
     base = GramPoint(family, np.zeros(family.dim))
     if linalg.psd_from_decomposition(base.spectrum, tol)[0]:
         return base
-    squares = range(max(rank_floor(family, tol), 1), family.m * family.n + 1)
-    starts = (_random_start(family, r, np.random.default_rng([seed, r])) for r in squares)
-    fitted = _first_fit(family, starts, tol)
-    if fitted is None:
-        raise NoPSDPointFound("no PSD representation found; result inconclusive")
-    return fitted[0]
+    _, gamma, free = family.face
+    if free.any() or linalg.psd_from_decomposition(GramPoint(family, gamma).spectrum, tol)[0]:
+        squares = range(max(rank_floor(family, tol), 1), family.m * family.n + 1)
+        starts = (_random_start(family, r, np.random.default_rng([seed, r])) for r in squares)
+        fitted = _first_fit(family, starts, tol)
+        if fitted is not None:
+            return fitted[0]
+    raise NoPSDPointFound("no PSD representation found; result inconclusive")
 
 
 def min_rank_search(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, require_count
-from .forms import BiquadraticForm, evaluate_batch, max_abs_coeff
+from .forms import BiquadraticForm, evaluate_batch, max_abs_coeff, point_vectors
 
 logger = logging.getLogger(__name__)
 
@@ -72,24 +72,16 @@ class MEigenpair:
     residual_y: float
 
 
-def _check_lengths(form: BiquadraticForm, x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (form.m,) or y.shape != (form.n,):
-        raise InvalidInput("vector lengths do not match the form")
-    return x, y
-
-
 def contract_x(form: BiquadraticForm, x, y) -> np.ndarray:
     """Vector with components sum_jkl a_ijkl y_j x_k y_l; contracting it
     against x recovers P(x, y)."""
-    x, y = _check_lengths(form, x, y)
+    x, y = point_vectors(form.m, form.n, x, y)
     return _Contractor(form.coeffs).x_matrices(y[None])[0] @ x
 
 
 def contract_y(form: BiquadraticForm, x, y) -> np.ndarray:
     """Vector with components sum_ikl a_ijkl x_i x_k y_l."""
-    x, y = _check_lengths(form, x, y)
+    x, y = point_vectors(form.m, form.n, x, y)
     return _Contractor(form.coeffs).y_matrices(x[None])[0] @ y
 
 

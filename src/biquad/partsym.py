@@ -41,6 +41,7 @@ from .forms import (  # helmert_basis is re-exported for callers of partsym
     GroupedSOSDecomposition,
     SOSDecomposition,
     helmert_basis,
+    point_vectors,
     require_indexable,
 )
 from .linalg import COEFF_TOL, DEFAULT_TOL, SpectralDecomposition, Tolerances
@@ -186,10 +187,7 @@ def qr_pair(data: XSymmetricData) -> QRPair:
 
 def evaluate_xsym(data: XSymmetricData, x, y) -> float:
     """P(x, y) straight from (d, A, B), without a dense tensor."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (data.m,) or y.shape != (data.n,):
-        raise InvalidInput("vector lengths do not match the form")
+    x, y = point_vectors(data.m, data.n, x, y)
     return float(data.evaluate_batch(x[None, :], y[None, :])[0])
 
 

@@ -376,6 +376,17 @@ class TestSosRank:
         summary = ["inconclusive: no PSD Gram point found"]
         assert run_summary(capsys, ["sos-rank", choi_file, "--restarts", "2"]) == (4, summary)
 
+    def test_pinned_choi_form_fits_nothing(self, capsys, monkeypatch, choi_file):
+        # Choi's dead rows pin every swap direction, and the one member that
+        # could be PSD is not: sos-rank and reduce-rank reach exit 4 without
+        # a single fit.
+        fits = []
+        monkeypatch.setattr(gram, "_fit", lambda *args: fits.append(args))
+        assert main(["sos-rank", choi_file, "--json"]) == 4
+        assert main(["reduce-rank", choi_file, "--json"]) == 4
+        capsys.readouterr()
+        assert fits == []
+
     def test_inconclusive_payload_bytes(self, capsys, choi_file):
         # Choi's form has no PSD Gram matrix: the search still ends in exit
         # 4, and the payload carries no lower bound.

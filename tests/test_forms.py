@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biquad import forms
+from biquad import forms, meig, partsym
 from biquad.errors import InvalidInput
 from biquad.forms import (
     BiquadraticForm,
@@ -159,9 +159,22 @@ class TestEvaluate:
         assert abs(evaluate(p, s * x, t * y) - (s * t) ** 2 * evaluate(p, x, y)) <= bound
 
     def test_dimension_mismatch(self):
-        p = to_form(gen_simple(2, 2, 3))
-        with pytest.raises(InvalidInput):
-            evaluate(p, [1.0, 2.0, 3.0], [1.0, 1.0])
+        # evaluate, evaluate_sos, evaluate_xsym and meig's contractions share
+        # one length check and one message.
+        form = symmetrize(np.ones((2, 3, 2, 3)))
+        data = partsym.XSymmetricData(2, np.ones(3), np.zeros((3, 3)), np.zeros((3, 3)))
+        calls = [
+            lambda x, y: evaluate(form, x, y),
+            lambda x, y: evaluate_sos(SOSDecomposition(2, 3, ()), x, y),
+            lambda x, y: partsym.evaluate_xsym(data, x, y),
+            lambda x, y: meig.contract_x(form, x, y),
+            lambda x, y: meig.contract_y(form, x, y),
+        ]
+        for call in calls:
+            call(np.ones(2), np.ones(3))
+            for x, y in ((np.ones(3), np.ones(3)), (np.ones(2), np.ones((3, 1)))):
+                with pytest.raises(InvalidInput, match=r"^expected vectors of lengths 2 and 3$"):
+                    call(x, y)
 
 
 class TestEvaluateSos:

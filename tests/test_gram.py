@@ -200,6 +200,25 @@ class TestReduceToBoundary:
         assert linalg.numerical_rank(out.matrix) <= mn - 1
         assert verify_sos(form, factor_gram(out))[0]
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(k=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-100.0, 100.0))
+    def test_boundary_steps_reach_both_ends(self, k, seed, log_scale):
+        # A positive definite m0 and an indefinite (traceless) delta: one
+        # solve gives both ends, where lambda_min vanishes, with the positive
+        # definite members between them.
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((k, k))
+        m0 = 10.0**log_scale * (w @ w.T + 0.1 * np.eye(k))
+        delta = rng.standard_normal((k, k))
+        delta = delta + delta.T
+        np.fill_diagonal(delta, 0.0)
+        lo, hi = gram._boundary_steps(m0, delta)
+        assert lo < 0.0 < hi
+        for t in (lo, hi):
+            end = np.linalg.eigvalsh(m0 + t * delta)
+            assert abs(end[0]) <= 1e-9 * end[-1]
+        assert np.linalg.eigvalsh(m0 + 0.5 * (lo + hi) * delta)[0] > 0.0
+
     def test_not_psd_start_rejected(self):
         fam = f_224()
         with pytest.raises(NotPSD):
@@ -532,8 +551,8 @@ class TestRankFloor:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
         _, rank = min_rank_search(family, restarts=2, seed=0)
         assert rank_floor(family) == rank_floor(family, linalg.Tolerances(1e-6)) == rank == 3
-        # The x-line and y-line stacks; no dead row, so no pinned block.
-        assert calls == [(3, 3, 3), (3, 3, 3)] and len(family.shared_spectra) == 2
+        # The x-line and y-line stacks; nine free directions, so no segment.
+        assert calls == [(3, 3, 3), (3, 3, 3)] and family.floor_spectra[2] == ()
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(planted=planted_sos_forms(sides=(2, 2)))
@@ -554,14 +573,14 @@ class TestRankFloor:
         w[0] = [[1.0, 0.0], [0.0, -1.0]]
         w[1] = [[0.0, np.sqrt(2.0)], [np.sqrt(2.0), 0.0]]
         family = build_family(symmetrize(np.einsum("pij,pkl->ijkl", w, w)))
-        ranks = [linalg.rank_from_eigenvalues(end) for end in family.segment_spectra]
+        ranks = [linalg.rank_from_eigenvalues(end) for end in family.floor_spectra[2]]
         assert sorted(ranks) == [2, 3]
         assert rank_floor(family) == min_rank_search(family, seed=0)[1] == 2
 
     def test_segment_solved_once_per_family(self, monkeypatch):
         # P_(4,2,6)'s dead rows leave one free direction.  The search from its
-        # PSD base and rank_floor at two tolerances share one bisection and
-        # one pair of end spectra.
+        # PSD base and rank_floor at two tolerances share one bisection, one
+        # boundary solve and one pair of end spectra.
         family = build_family(to_form(gen_simple(4, 2, 6)))
         calls = []
         eigvalsh, deepest = np.linalg.eigvalsh, gram._deepest
@@ -569,10 +588,10 @@ class TestRankFloor:
         monkeypatch.setattr(gram, "_deepest", lambda *args: calls.append("deepest") or deepest(*args))
         _, rank = min_rank_search(family, seed=0)
         assert rank_floor(family) == rank_floor(family, linalg.Tolerances(1e-6)) == rank == 4
-        # The x-line and y-line stacks, then two boundary steps on the 6 live
-        # rows and the spectra of the two ends.
-        assert calls == [(4, 2, 2), (2, 4, 4), "deepest"] + [(6, 6)] * 4
-        assert len(family.segment_spectra) == 2
+        # The x-line and y-line stacks, then one solve for both boundary steps
+        # on the 6 live rows and the spectra of the two ends.
+        assert calls == [(4, 2, 2), (2, 4, 4), "deepest"] + [(6, 6)] * 3
+        assert len(family.floor_spectra[2]) == 2
 
 
 class TestFactorGram:

@@ -1,6 +1,7 @@
 """Scale invariance: P and s * P get the same answers for s in [1e-12, 1e12],
 and the general forms' sos-rank, reduce-rank and meig answers also for s
-from 1e-300 to 1e300.
+from 1e-310 to 1e300.  Below max|c| = 2^-1074 / 1e-10 the Gram commands
+exit 1, naming that limit.
 
 Every cutoff in the package is relative to the object it judges, so exit
 codes, verdicts, ranks, pair counts and factor counts must not move when
@@ -170,11 +171,26 @@ class TestScaleInvariance:
         assert not caught
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("e", [-315, -318])
+    @pytest.mark.parametrize("name", sorted(GENERAL))
+    def test_general_forms_below_the_fit_limit(self, tmp_path_factory, name, e):
+        # Below max|c| = 2^-1074 / 1e-10 subnormals are spaced wider than the
+        # residual a Gram fit may leave: sos-rank and reduce-rank exit 1 naming
+        # the limit, and meig keeps its pair count.
+        directory = tmp_path_factory.getbasetemp()
+        path = write_form(directory, f"{name}-1e{e}", 10.0 ** e * GENERAL[name]())
+        for argv in (["sos-rank", path, "--restarts", "5"], ["reduce-rank", path]):
+            code, payload = run(argv)
+            assert code == 1
+            assert "is below 4.9e-314, the smallest scale the Gram search can fit" in payload["error"]
+        code, payload = run(["meig", path, "--restarts", "5"])
+        assert (code, payload["count"]) == unscaled_answers(name, directory)[2]
+
     def test_rank_floor_near_the_float_range(self, tmp_path_factory, capsys):
         # trace(base) of planted-2x3-r4 times 1e307 overflows; the floor's
-        # cutoff is summed as eps * diagonal, and simple-2x2-4's segment ends
-        # are kept in units of the trace, so nothing warns.  sos-rank keeps
-        # its exit 1 there (the factors' residual overflows).
+        # spectra and cutoff are taken on the pinned member scaled by a power
+        # of four, so nothing warns.  sos-rank keeps its exit 1 there (the
+        # factors' residual overflows).
         directory = tmp_path_factory.getbasetemp()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
