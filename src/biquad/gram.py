@@ -21,13 +21,14 @@ loop in numpy, so this module (and the ``biquad`` command) never imports
 scipy.optimize.  A failing fit stops at its stationary point, where the
 residual is orthogonal to the Jacobian (MINPACK's gradient test), rather
 than when its cost stops decreasing; failing fits are most of a search's
-work.  Both searches start at ``rank_floor``, a proven lower bound, and keep
-the first seeded start that fits (``_first_fit``); ``min_rank_search`` lowers
-r until no start fits or r meets the floor: a verified upper bound, exact there.
-The floor counts eigenvalues of the Gram blocks every PSD member shares and of
-the ends of the segment of PSD members, a single point when the dead rows (zero
-x_i^2 y_j^2 coefficients) leave no direction free; with one free, as for every
-2 x 2 form, the smaller end rank is the SOS rank, so the search there is exact.
+work.  ``rank_floor``, a proven lower bound, counts eigenvalues of the Gram
+blocks every PSD member shares and of the ends of the segment of PSD members,
+one point when the dead rows (zero x_i^2 y_j^2 coefficients) leave no direction
+free; with one free, as for every 2 x 2 form, the smaller end rank is the SOS
+rank.  One rule starts both searches: the face's own member (that end, else the
+pinned member) when PSD, else, if a direction is free, the first seeded fit
+from the floor up; ``min_rank_search`` lowers r to the floor or the first
+square count no start fits: a verified upper bound, exact at the floor.
 """
 
 from __future__ import annotations
@@ -122,57 +123,50 @@ class GramFamily:
         return m
 
     @functools.cached_property
-    def face(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(live rows, pinned gamma, free directions) of the face holding every
-        PSD member.  A dead row (base diagonal exactly 0) is zero in a PSD
-        member, which pins each direction reaching it: gamma_t = -base[ij, kl]
-        if ij or kl is dead, else base[il, kj].  The free directions reach no
-        dead row; their gamma_t is 0."""
-        base = self.base
+    def floor_spectra(self) -> tuple[float, tuple, tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray, np.ndarray]:
+        """(trace, shared, ends, pinned, free) of the face holding every PSD
+        member, solved once per family.  A dead row (base diagonal exactly 0)
+        is zero in a PSD member, which pins each direction reaching it:
+        gamma_t = -base[ij, kl] if ij or kl is dead, else base[il, kj].  The
+        ``free`` directions reach no dead row; G, the pinned member, is at
+        ``pinned``: these gamma_t, with +0.0 on free ones and for every zero.
+
+        trace and shared are G's times 4^-k, 4^k from ``_quarter_exponent`` of
+        the base (exact); shared stacks the x-line and the y-line blocks'
+        eigenvalues (no direction reaches them).  The live blocks of the PSD
+        members fill a segment: the point G when no direction is free (always
+        if m = 1 or n = 1), G + tD on one interval when one is, D.  A member
+        inside it holds both ends' kernels, so the SOS rank is the smaller end
+        rank.  From ``_deepest``'s positive definite G + tD, ``_boundary_steps``
+        reaches both ends, each a member: its gamma (G's, but for the step times
+        4^k on D) and its live block's eigenvalues times 4^-k.  ends is () with
+        more free directions, a negative diagonal entry or no such member."""
+        m, n, base = self.m, self.n, self.base
         dead = base.diagonal() == 0.0
         ij, kl, il, kj = self.swaps
         near = dead[ij] | dead[kl]
         free = ~(near | dead[il] | dead[kj])
-        gamma = np.where(near, -base[ij, kl], np.where(free, 0.0, base[il, kj]))
-        return np.flatnonzero(~dead), gamma, free
-
-    @functools.cached_property
-    def floor_spectra(self) -> tuple[float, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """(trace, shared, ends) of the pinned member G times 4^-k, 4^k from
-        ``_quarter_exponent`` of the base (exact), solved once per family: its
-        trace, its x-line and y-line blocks' eigenvalues (a stack each; no
-        direction reaches them), and those of the segment's ends.
-
-        The live blocks of the PSD members fill a segment: the point G when
-        ``face`` leaves no direction free (always if m = 1 or n = 1), G + tD on
-        one interval when it leaves one, D.  A member inside it holds both
-        ends' kernels, so the SOS rank is the smaller end rank.  ``_deepest``
-        finds a positive definite G + tD and ``_boundary_steps`` reaches both
-        ends from it; ends is () with more free directions, a negative
-        diagonal entry or no such member."""
-        m, n = self.m, self.n
-        live, gamma, free = self.face
-        g = np.ldexp(self.matrix_at(gamma), -2 * _quarter_exponent(self.base))
+        gamma = np.where(near, -base[ij, kl], np.where(free, 0.0, base[il, kj])) + 0.0
+        k = _quarter_exponent(base)
+        g = np.ldexp(self.matrix_at(gamma), -2 * k)
         lines = g.reshape(m, n, m, n)
         shared = tuple(map(np.linalg.eigvalsh, (lines[range(m), :, range(m)], lines[:, range(n), :, range(n)])))
-        trace, block = float(g.trace()), np.ix_(live, live)
+        trace, block, diagonal, ends = float(g.trace()), np.ix_(~dead, ~dead), g.diagonal(), ()
         if not free.any():
-            return trace, shared, (np.linalg.eigvalsh(g[block]),)
-        diagonal = g.diagonal()
-        if np.count_nonzero(free) != 1 or (diagonal < 0.0).any():
-            return trace, shared, ()
-        ij, kl, il, kj = self.swaps[:, free][:, 0]
-        direction = np.zeros_like(g)
-        direction[[ij, kl, il, kj], [kl, ij, kj, il]] = [1.0, 1.0, -1.0, -1.0]
-        # A PSD G + tD keeps |g[ij, kl] + t|, |g[il, kj] - t| within their diagonals' geometric means.
-        centre, reach = np.array([-g[ij, kl], g[il, kj]]), np.sqrt(diagonal[[ij, il]] * diagonal[[kl, kj]])
-        g, direction = g[block], direction[block]
-        t = _deepest(g, direction, (centre - reach).max(), (centre + reach).min())
-        if t is None:
-            return trace, shared, ()
-        inner = g + t * direction
-        ends = (inner + s * direction for s in _boundary_steps(inner, direction))
-        return trace, shared, tuple(map(np.linalg.eigvalsh, ends))
+            ends = ((gamma, np.linalg.eigvalsh(g[block])),)
+        elif np.count_nonzero(free) == 1 and not (diagonal < 0.0).any():
+            ij, kl, il, kj = self.swaps[:, free][:, 0]
+            direction = np.zeros_like(g)
+            direction[[ij, kl, il, kj], [kl, ij, kj, il]] = [1.0, 1.0, -1.0, -1.0]
+            # A PSD G + tD keeps |g[ij, kl] + t|, |g[il, kj] - t| within their diagonals' geometric means.
+            centre, reach = np.array([-g[ij, kl], g[il, kj]]), np.sqrt(diagonal[[ij, il]] * diagonal[[kl, kj]])
+            g, direction = g[block], direction[block]
+            t = _deepest(g, direction, (centre - reach).max(), (centre + reach).min())
+            if t is not None:
+                inner = g + t * direction
+                ends = tuple((gamma + free * math.ldexp(t + s, 2 * k), np.linalg.eigvalsh(inner + s * direction))
+                             for s in _boundary_steps(inner, direction))
+        return trace, shared, ends, gamma, free
 
 
 @dataclass(frozen=True)
@@ -456,16 +450,22 @@ def _factors(point: GramPoint, tol: Tolerances) -> np.ndarray:
     return np.reshape(factor_gram(point, tol).factors, (-1, point.family.m, point.family.n))
 
 
+def _face_start(family: GramFamily, tol: Tolerances) -> tuple[int, np.ndarray]:
+    """(rank, gamma) of the lower-rank end in ``family.floor_spectra``, else (0, G)."""
+    trace, _, ends, pinned, _ = family.floor_spectra
+    ranks = [(int((w > tol.eps * trace).sum()), gamma) for gamma, w in ends]
+    return min(ranks, key=lambda end: end[0], default=(0, pinned))
+
+
 def rank_floor(family: GramFamily, tol: Tolerances = DEFAULT_TOL) -> int:
     """A proven lower bound on the SOS rank from ``family.floor_spectra`` and
     one cutoff, eps * trace: the largest count in one shared block or, if
     larger, the smaller count of the segment's ends, the SOS rank itself.
     Every member has that trace, at least its top eigenvalue when PSD, so by
     Cauchy interlacing each one counted is above every PSD member's cutoff."""
-    trace, shared, ends = family.floor_spectra
-    cutoff = tol.eps * trace
-    counts = [int((w > cutoff).sum(axis=-1).max()) for w in shared]
-    return max(counts + [min((int((w > cutoff).sum()) for w in ends), default=0)])
+    trace, shared, *_ = family.floor_spectra
+    counts = [int((w > tol.eps * trace).sum(axis=-1).max()) for w in shared]
+    return max(counts + [_face_start(family, tol)[0]])
 
 
 def _first_fit(family: GramFamily, starts, tol: Tolerances) -> tuple[GramPoint, np.ndarray] | None:
@@ -474,23 +474,22 @@ def _first_fit(family: GramFamily, starts, tol: Tolerances) -> tuple[GramPoint, 
 
 
 def psd_point(family: GramFamily, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> GramPoint:
-    """A PSD member of the family.
-
-    The base itself when it is PSD; otherwise the Gram matrix of the first
+    """A PSD member of the family, started at the face's own member: the end
+    of ``family.floor_spectra`` of smaller rank, else the pinned member (the
+    base when no row is dead).  That member when it passes the PSD test;
+    else, when a direction is free, the Gram matrix of the first
     r = f, f + 1, ..., mn bilinear squares that fit the form from one seeded
     random start each (``default_rng([seed, r])``), where f is ``rank_floor``
-    (at least 1): no fit of fewer squares can succeed.  Nothing is fitted when
-    ``face`` leaves no direction free and the pinned member is not PSD.
+    (at least 1): no fit of fewer squares can succeed.
 
     Raises:
-        NoPSDPointFound: no start fitted; the form may still be PSD (or even
-            SOS) - this outcome is inconclusive.
+        NoPSDPointFound: no start fitted, or none was tried as no direction
+            is free; the form may still be PSD (or even SOS) - inconclusive.
     """
-    base = GramPoint(family, np.zeros(family.dim))
-    if linalg.psd_from_decomposition(base.spectrum, tol)[0]:
-        return base
-    _, gamma, free = family.face
-    if free.any() or linalg.psd_from_decomposition(GramPoint(family, gamma).spectrum, tol)[0]:
+    point = GramPoint(family, _face_start(family, tol)[1])
+    if linalg.psd_from_decomposition(point.spectrum, tol)[0]:
+        return point
+    if family.floor_spectra[4].any():
         squares = range(max(rank_floor(family, tol), 1), family.m * family.n + 1)
         starts = (_random_start(family, r, np.random.default_rng([seed, r])) for r in squares)
         fitted = _first_fit(family, starts, tol)
@@ -507,12 +506,13 @@ def min_rank_search(
 ) -> tuple[GramPoint, int]:
     """Seeded top-down search for a low-rank PSD member of the family.
 
-    Starts from the spectral factors of ``psd_point`` and repeatedly tries
-    one square fewer: ``_first_fit`` of the current factors without the
-    smallest-norm one, then of ``restarts - 1`` seeded random starts.  It
-    stops at the first square count that no start fits, or at ``rank_floor``
-    squares, below which no fit can succeed.  The rank is an upper bound on
-    the SOS rank, carried by a verified Gram point; exact at the floor.
+    Starts from the spectral factors of ``psd_point``, the face's own member
+    when that is PSD, and repeatedly tries one square fewer: ``_first_fit`` of
+    the current factors without the smallest-norm one, then of ``restarts - 1``
+    seeded random starts.  It stops at the first square count that no start
+    fits, or at ``rank_floor`` squares, below which no fit can succeed: at once
+    when the start is a minimum-rank end.  The rank is an upper bound on the
+    SOS rank, carried by a verified Gram point; exact at the floor.
 
     Raises:
         InvalidInput: ``restarts`` is below 1.

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -311,23 +312,27 @@ class TestSosRank:
         assert run_summary(capsys, ["sos-rank", str(path), "--restarts", "1"]) == (0, summary)
 
     def test_fitted_points_are_factored_once(self, capsys, monkeypatch, tmp_path):
-        # The base is eigen-solved once for its PSD test and its factors, and
-        # the one fit that succeeds (5 squares, landing on rank 4) once for
-        # both and the emitted factorization; the rank is the fit's factor
-        # count.
+        # Three planted 3 x 2 squares: no dead row, so the start is the base,
+        # which is not PSD.  It is eigen-solved once for its PSD test, and
+        # the one fit that succeeds (3 squares, the floor) once for its test,
+        # its factors and the emitted factorization; the rank is the fit's
+        # factor count.
+        w = np.random.default_rng(0).standard_normal((3, 3, 2))
+        form = forms.symmetrize(np.einsum("pij,pkl->ijkl", w, w))
+        assert not linalg.is_psd(gram.build_family(form).base)[0]
         calls = []
         sym_eig = linalg.sym_eig
         monkeypatch.setattr(linalg, "sym_eig", lambda s: calls.append(np.shape(s)) or sym_eig(s))
-        path = tmp_path / "p426.json"
-        forms.save_form(to_form(gen_simple(4, 2, 6)), str(path))
+        path = tmp_path / "planted32.json"
+        forms.save_form(form, str(path))
         code, data = run_json(capsys, ["sos-rank", str(path)])
-        assert code == 0 and data["payload"]["upper_bound"] == 4
+        assert code == 0 and data["payload"]["upper_bound"] == 3
         assert len(calls) <= 2
 
     def test_p426_exact_without_a_fit_of_three(self, capsys, monkeypatch, tmp_path):
         # P_(4,2,6)'s dead rows leave one free direction, and both ends of its
-        # segment of PSD Gram matrices have rank 4: the floor meets the
-        # search's rank, so no fit of 3 squares is tried.
+        # segment of PSD Gram matrices have rank 4: the search starts at one,
+        # whose rank meets the floor, so no fit is tried at all.
         squares = []
         fit = gram._fit
         monkeypatch.setattr(gram, "_fit", lambda family, start, tol: squares.append(len(start)) or fit(family, start, tol))
@@ -337,7 +342,7 @@ class TestSosRank:
         payload = data["payload"]
         assert code == 0
         assert (payload["lower_bound"], payload["upper_bound"], payload["exact"]) == (4, 4, True)
-        assert squares and 3 not in squares
+        assert squares == []
 
     def test_negative_2x2_diagonal_is_exit_2_without_warnings(self, capsys, tmp_path):
         # -x1^2 y1^2 + x1^2 y2^2 + x2^2 y1^2 + x2^2 y2^2 + x1 x2 y1 y2: no PSD
@@ -354,13 +359,25 @@ class TestSosRank:
         assert code == 2
         assert not caught
 
-    def test_byte_identical_json(self, capsys, p224_file):
+    def test_byte_identical_json(self, capsys, p224_file, tmp_path):
         code1 = main(["sos-rank", p224_file, "--restarts", "4", "--seed", "3", "--json"])
         out1 = capsys.readouterr().out
         code2 = main(["sos-rank", p224_file, "--restarts", "4", "--seed", "3", "--json"])
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0
         assert out1 == out2
+        # Dead rows pin every direction of P_(3,3,5) and P_(6,2,7) to 0: the
+        # printed gamma is +0.0 throughout, never -0.0.
+        for m, n, s in [(3, 3, 5), (6, 2, 7)]:
+            path = tmp_path / f"p{m}{n}{s}.json"
+            forms.save_form(to_form(gen_simple(m, n, s)), str(path))
+            for command, key in [("sos-rank", "gram_point"), ("reduce-rank", None)]:
+                assert main([command, str(path), "--json"]) == 0
+                out = capsys.readouterr().out
+                payload = json.loads(out)["payload"]
+                gamma = (payload[key] if key else payload)["gamma"]
+                assert "-0.0" not in out and gamma == [0.0] * (m * (m - 1) // 2 * n * (n - 1) // 2)
+                assert all(math.copysign(1.0, g) == 1.0 for g in gamma)
 
     def test_zero_form_rank_zero(self, capsys, tmp_path):
         path = write(tmp_path / "zero.json", {"m": 2, "n": 3, "terms": []})
@@ -458,14 +475,15 @@ class TestReduceRank:
         assert set(saved) == {"gamma", "rank"}
 
     def test_eigen_solves_each_matrix_once(self, capsys, monkeypatch, p224_file):
-        # The PSD base is the start, eigen-solved once for its PSD test and
-        # rank; the boundary point once for its checks, rank and factors.
+        # The start is a rank-2 end of P_(2,2,4)'s segment of PSD members,
+        # eigen-solved once for its PSD test, its rank and its factors; being
+        # on the boundary already, it is the result.
         shapes = []
         sym_eig = linalg.sym_eig
         monkeypatch.setattr(linalg, "sym_eig", lambda s: shapes.append(np.shape(s)) or sym_eig(s))
         code, data = run_json(capsys, ["reduce-rank", p224_file])
-        assert code == 0 and data["payload"]["rank"] <= 3
-        assert shapes == [(4, 4), (4, 4)]
+        assert code == 0 and data["payload"]["rank"] == 2
+        assert shapes == [(4, 4)]
 
     def test_no_directions_is_error(self, capsys, tmp_path):
         raw = np.zeros((1, 2, 1, 2))

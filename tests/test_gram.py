@@ -293,6 +293,20 @@ class TestMinRankSearch:
         with pytest.raises(InvalidInput, match=f"restarts must be at least 1, got {restarts}"):
             min_rank_search(family, restarts=restarts, seed=0)
 
+    def test_pinned_psd_member_is_the_result_without_a_fit(self, monkeypatch):
+        # Three 2 x 2 squares all zero at W[0, 0]: the dead row of x1^2 y1^2
+        # pins the one swap direction, so the pinned member, PSD here, is the
+        # only PSD member.  The search returns it exactly, with no fit.
+        w = np.random.default_rng(3).standard_normal((3, 2, 2))
+        w[:, 0, 0] = 0.0
+        family = build_family(symmetrize(np.einsum("pij,pkl->ijkl", w, w)))
+        fits = []
+        fit = gram._fit
+        monkeypatch.setattr(gram, "_fit", lambda *args: fits.append(args) or fit(*args))
+        point, rank = min_rank_search(family, seed=0)
+        assert (len(fits), rank) == (0, 3)
+        assert point.gamma.tobytes() == family.floor_spectra[3].tobytes()
+
     def test_no_psd_point(self):
         # x1^2 y1 y2 alone cannot be PSD; its 1-d family has no PSD member
         raw = np.zeros((1, 2, 1, 2))
@@ -467,9 +481,13 @@ class TestFactorSearch:
                 found.add(point.gamma.tobytes())
         assert len(found) == 1
 
-    def test_psd_point_is_base_when_base_is_psd(self):
+    def test_psd_point_is_the_lower_rank_end_when_base_is_psd(self):
+        # P_(2,2,4)'s base, the identity, is PSD, but the start is an end of
+        # its segment of PSD members, I + tD for |t| <= 1: rank 2, exactly.
         fam = f_224()
-        np.testing.assert_array_equal(psd_point(fam).matrix, fam.base)
+        point = psd_point(fam)
+        assert abs(point.gamma[0]) == 1.0
+        assert linalg.rank_from_eigenvalues(point.spectrum.eigenvalues) == 2
 
     def test_psd_point_fits_when_base_is_not_psd(self):
         form = planted_form(3, 3, 3, seed=7)
@@ -562,8 +580,15 @@ class TestRankFloor:
         # at most 3 as the paper proves for every PSD 2 x 2 form.
         form, _ = planted
         family = build_family(form)
-        _, rank = min_rank_search(family, seed=0)
+        fits = []
+        fit = gram._fit
+        with mock.patch.object(gram, "_fit", lambda *args: fits.append(args) or fit(*args)):
+            _, rank = min_rank_search(family, seed=0)
         assert rank_floor(family) == rank <= 3
+        # Where the face's own member passes the PSD test, it is the result.
+        start = GramPoint(family, gram._face_start(family, linalg.DEFAULT_TOL)[1])
+        if linalg.psd_from_decomposition(start.spectrum, linalg.DEFAULT_TOL)[0]:
+            assert fits == []
 
     def test_segment_floor_is_the_smaller_end_rank(self):
         # (x1y1 - x2y2)^2 + 2 (x1y2 + x2y1)^2: its squares span the free
@@ -573,14 +598,16 @@ class TestRankFloor:
         w[0] = [[1.0, 0.0], [0.0, -1.0]]
         w[1] = [[0.0, np.sqrt(2.0)], [np.sqrt(2.0), 0.0]]
         family = build_family(symmetrize(np.einsum("pij,pkl->ijkl", w, w)))
-        ranks = [linalg.rank_from_eigenvalues(end) for end in family.floor_spectra[2]]
-        assert sorted(ranks) == [2, 3]
-        assert rank_floor(family) == min_rank_search(family, seed=0)[1] == 2
+        ends = {linalg.rank_from_eigenvalues(eigenvalues): gamma for gamma, eigenvalues in family.floor_spectra[2]}
+        assert sorted(ends) == [2, 3]
+        point, rank = min_rank_search(family, seed=0)
+        assert rank_floor(family) == rank == 2
+        assert point.gamma.tobytes() == ends[2].tobytes()
 
     def test_segment_solved_once_per_family(self, monkeypatch):
-        # P_(4,2,6)'s dead rows leave one free direction.  The search from its
-        # PSD base and rank_floor at two tolerances share one bisection, one
-        # boundary solve and one pair of end spectra.
+        # P_(4,2,6)'s dead rows leave one free direction.  The search from an
+        # end of its segment and rank_floor at two tolerances share one
+        # bisection, one boundary solve and one pair of end spectra.
         family = build_family(to_form(gen_simple(4, 2, 6)))
         calls = []
         eigvalsh, deepest = np.linalg.eigvalsh, gram._deepest

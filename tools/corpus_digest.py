@@ -1,6 +1,6 @@
 """Digest every benchmark corpus invocation of one checkout, for byte-identity checks.
 
-    python tools/corpus_digest.py --root CHECKOUT --seed S > digest.txt
+    python tools/corpus_digest.py --root CHECKOUT --seed S [--counts] > digest.txt
 
 imports ``biquad`` from ``CHECKOUT/src`` and ``workloads`` from
 ``CHECKOUT/benchmark``, writes each workload's corpus
@@ -9,7 +9,10 @@ item once through ``biquad.cli.main`` in process.  It prints one line per
 invocation: the workload, the item, the exit code, the sha256 of its
 ``--json`` stdout and the sha256 of the file it writes (``-`` when none).
 Two checkouts answer alike on the corpora exactly when their digests
-``diff`` clean.  Nothing under the checkout is written.
+``diff`` clean.  With ``--counts`` each line also ends in
+``fits=F eigs=E``: the calls that invocation made to ``gram._fit`` and to
+``np.linalg.eigh`` or ``np.linalg.eigvalsh``, deterministic work counters
+that a timing run cannot give.  Nothing under the checkout is written.
 """
 
 from __future__ import annotations
@@ -27,11 +30,29 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_lines(root: str, seed: int):
+def _count_calls(owner, name: str, tally: dict, key: str) -> None:
+    """Replace ``owner.name`` by a wrapper adding one to ``tally[key]`` per call."""
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        tally[key] += 1
+        return fn(*args, **kwargs)
+
+    setattr(owner, name, counted)
+
+
+def digest_lines(root: str, seed: int, counts: bool = False):
     root = os.path.abspath(root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "benchmark")]
     import biquad.cli
+    import biquad.gram
+    import numpy as np
     from workloads import WORKLOADS, build_corpus
+
+    tally = {"fits": 0, "eigs": 0}
+    counted = ((biquad.gram, "_fit", "fits"), (np.linalg, "eigh", "eigs"), (np.linalg, "eigvalsh", "eigs"))
+    for owner, name, key in counted if counts else ():
+        _count_calls(owner, name, tally, key)
 
     start = os.getcwd()
     for workload in WORKLOADS:
@@ -40,13 +61,15 @@ def digest_lines(root: str, seed: int):
             os.chdir(workdir)
             try:
                 for item in items:
+                    tally.update(fits=0, eigs=0)
                     with contextlib.redirect_stdout(io.StringIO()) as out:
                         code = biquad.cli.main(item.argv)
                     written = "-"
                     if item.out is not None and os.path.exists(item.out):
                         with open(item.out, "rb") as handle:
                             written = _sha(handle.read())
-                    yield f"{workload} {item.name} {code} {_sha(out.getvalue().encode())} {written}"
+                    line = f"{workload} {item.name} {code} {_sha(out.getvalue().encode())} {written}"
+                    yield line + (f" fits={tally['fits']} eigs={tally['eigs']}" if counts else "")
             finally:
                 os.chdir(start)
 
@@ -55,8 +78,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--root", required=True, help="checkout whose src/ and benchmark/ are used")
     parser.add_argument("--seed", type=int, required=True, help="corpus seed, as benchmark/run.py --seed")
+    parser.add_argument("--counts", action="store_true", help="end each line in its gram._fit and eigen-solve calls")
     args = parser.parse_args(argv)
-    for line in digest_lines(args.root, args.seed):
+    for line in digest_lines(args.root, args.seed, args.counts):
         print(line)
     return 0
 
