@@ -11,12 +11,12 @@ is scattered from them only when a caller asks for it, and x-symmetric data
 and grouped decompositions reach it through the same cells
 (``FormCells.x_symmetric``); every module reads the cells' order from
 ``FormCells.layout``.  A form file's terms array is decoded in chunks of
-about 64 KiB (``read_terms_cells``), each as a flat list of numbers without
-a dict per term, so no whole-file JSON document is built; a file with any
-chunk outside that one template is decoded whole, with the same cells and
-errors.  A decomposition is verified against its form's cells
-(``verify_sos``), never by sampling, and x-symmetric data against a grouped
-decomposition in O(n^2).
+about 64 KiB (``read_terms_cells``), each into five field arrays through a
+flat list of numbers, so no whole-file JSON document or Python list is
+built; a file with any chunk outside that one template is decoded whole,
+with the same cells and errors.  A decomposition is verified against its
+form's cells (``verify_sos``), never by sampling, and x-symmetric data
+against a grouped decomposition in O(n^2).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 import orjson
 
 from .errors import InvalidInput
-from .linalg import COEFF_TOL
+from .linalg import COEFF_TOL, quarter_exponent
 
 
 @dataclass(frozen=True)
@@ -348,14 +348,18 @@ def _grouped_blocks(dec: GroupedSOSDecomposition) -> tuple[np.ndarray, np.ndarra
 
 def _sos_cells(dec: SOSDecomposition | GroupedSOSDecomposition) -> np.ndarray:
     """The canonical cells of a decomposition's coefficients; a dense one's
-    are the entries of symmetrize(G), G = sum_p vec W_p vec W_p', taken
-    unchecked so that a G that overflows gives an infinite residual."""
+    are the entries of symmetrize(G), G = sum_p vec W_p vec W_p', formed
+    unchecked from the factors times 4^-e (``quarter_exponent``) and scaled
+    back by 16^e: exact, and only a cell beyond the float range overflows,
+    to an infinite residual."""
     if isinstance(dec, GroupedSOSDecomposition):
         return FormCells.x_symmetric(dec.m, *_grouped_blocks(dec)).values
     m, n = dec.m, dec.n
     flat = np.reshape(dec.factors, (len(dec), m * n))
+    e = quarter_exponent(flat)
+    flat = np.ldexp(flat, -2 * e)
     (i, j, k, l), _ = FormCells.layout(m, n)
-    return _orbit_mean((flat.T @ flat).reshape(m, n, m, n))[i, j, k, l]
+    return np.ldexp(_orbit_mean((flat.T @ flat).reshape(m, n, m, n))[i, j, k, l], 4 * e)
 
 
 # ---------------------------------------------------------------------------
@@ -381,22 +385,16 @@ def _term_arrays(m: int, n: int, terms: list) -> tuple[np.ndarray, ...] | None:
     """0-based i, j, k, l and float c of a term list, checked column by
     column; None unless every term is well formed, in range and finite."""
     try:
-        columns = [list(map(get, terms)) for get in _TERM_GETTERS]
-    except (KeyError, TypeError):
+        columns = [_column_array(list(map(get, terms))) for get in _TERM_GETTERS]
+    except (KeyError, TypeError, ValueError, OverflowError):
         return None
     return _checked_columns(m, n, columns)
 
 
-def _checked_columns(m: int, n: int, columns: list[list]) -> tuple[np.ndarray, ...] | None:
-    """``_term_arrays`` on the five field lists of a term list.  Each list
-    is replaced by its array in place, so it is freed as soon as that
-    exists."""
+def _checked_columns(m: int, n: int, columns: list[np.ndarray]) -> tuple[np.ndarray, ...] | None:
+    """``_term_arrays`` on the five field arrays of a term list, each
+    ``_column_array`` of a field's values or those of pieces joined."""
     count = len(columns[0])
-    try:
-        for field, col in enumerate(columns):
-            columns[field] = _column_array(col)
-    except (TypeError, ValueError, OverflowError):
-        return None
     if any(col.shape != (count,) for col in columns):
         return None
     *index, coeff = columns
@@ -643,9 +641,9 @@ _TERM_SEPARATOR = re.compile(rb"\}[ \t\n\r]*,")
 
 def read_terms_cells(path: str) -> FormCells | None:
     """The canonical cells of a form file, its terms array decoded in
-    pieces of about ``TERMS_CHUNK_BYTES``, each as a flat list of numbers
-    (``_flat_fields``), so neither orjson's document of the whole file nor
-    one dict per term of it is ever held at once.
+    pieces of about ``TERMS_CHUNK_BYTES``, each into field arrays through a
+    flat list of numbers (``_flat_fields``), so neither orjson's document of
+    the whole file nor an object per term or number of it is held at once.
 
     The span from the ``[`` after the first ``"terms":`` to the last ``]``
     of the file is set aside.  The rest, with a placeholder in its place,
@@ -655,10 +653,11 @@ def read_terms_cells(path: str) -> FormCells | None:
     ``}`` that whitespace and a comma follow, and every piece must be whole
     terms of the flat template, which holds no bracket and no string but a
     one-letter key.  So no cut falls inside a string, the pieces hold
-    exactly the elements of the whole array, and the field lists hold the
-    int and float objects the whole-file decode reads: they pass the checks
-    and the accumulation of ``cells_from_dict``, and every cell has the
-    same bits.
+    exactly the elements of the whole array, and each piece's fields are
+    the int and float objects the whole-file decode reads.  Joined by
+    numpy's dtype promotion, whatever the pieces' dtypes, their arrays pass
+    the checks into the arrays of the whole-file columns, bit for bit, so
+    every cell has the same bits.
 
     None for anything else: a data file, another record shape, an empty
     array, a piece outside the template, a bad field or term.  The caller
@@ -676,8 +675,8 @@ def read_terms_cells(path: str) -> FormCells | None:
     return FormCells(m, n, _accumulate_cells(m, n, *checked))
 
 
-def _streamed_fields(path: str) -> tuple[int, int, list[list]] | None:
-    """m, n and the five field lists of a form file for ``read_terms_cells``,
+def _streamed_fields(path: str) -> tuple[int, int, list[np.ndarray]] | None:
+    """m, n and the five field arrays of a form file for ``read_terms_cells``,
     or None; the file's bytes are freed when it returns."""
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -703,18 +702,17 @@ def _streamed_fields(path: str) -> tuple[int, int, list[list]] | None:
         return None
 
 
-def _streamed_columns(raw: bytes, start: int, stop: int) -> list[list]:
-    """The five field lists of the array whose elements span
-    ``raw[start:stop]``, decoded piece by piece by ``_flat_fields``, which
-    raises ValueError on a piece it declines."""
-    columns = [[] for _ in _TERM_FIELDS]
+def _streamed_columns(raw: bytes, start: int, stop: int) -> list[np.ndarray]:
+    """The five field arrays of the array whose elements span
+    ``raw[start:stop]``, each joined from its pieces' arrays, decoded by
+    ``_flat_fields``, which raises ValueError on a piece it declines."""
+    pieces = []
     while True:
         cut = _TERM_SEPARATOR.search(raw, min(start + TERMS_CHUNK_BYTES, stop), stop)
         end = stop if cut is None else cut.start() + 1
-        for column, values in zip(columns, _flat_fields(raw[start:end])):
-            column.extend(values)
+        pieces.append(_flat_fields(raw[start:end]))
         if cut is None:
-            return columns
+            return [np.concatenate(parts) for parts in zip(*pieces)]
         start = cut.end()
 
 
@@ -727,10 +725,10 @@ _TEMPLATE = re.compile(
 _COLON_TO_COMMA = bytes.maketrans(b":", b",")
 
 
-def _flat_fields(piece: bytes) -> list[list]:
-    """The five field lists of a piece of whole terms, decoded as one flat
-    list of numbers; ValueError unless the piece holds terms that all have
-    one layout.
+def _flat_fields(piece: bytes) -> list[np.ndarray]:
+    """The five field arrays (``_column_array``) of a piece of whole terms,
+    decoded as one flat list of numbers; ValueError unless the piece holds
+    terms that all have one layout.
 
     Three checks make the flat decode read what the whole-file decode reads:
 
@@ -763,7 +761,7 @@ def _flat_fields(piece: bytes) -> list[list]:
     keys = flat[::2]
     if keys.count("") != len(keys):
         raise ValueError("a number inside a key")
-    return [flat[2 * order.index(field.encode()) + 1 :: 2 * len(order)] for field in _TERM_FIELDS]
+    return [_column_array(flat[2 * order.index(field.encode()) + 1 :: 2 * len(order)]) for field in _TERM_FIELDS]
 
 
 def save_form(form: BiquadraticForm, path: str) -> None:

@@ -131,7 +131,7 @@ class GramFamily:
         ``free`` directions reach no dead row; G, the pinned member, is at
         ``pinned``: these gamma_t, with +0.0 on free ones and for every zero.
 
-        trace and shared are G's times 4^-k, 4^k from ``_quarter_exponent`` of
+        trace and shared are G's times 4^-k, 4^k from ``quarter_exponent`` of
         the base (exact); shared stacks the x-line and the y-line blocks'
         eigenvalues (no direction reaches them).  The live blocks of the PSD
         members fill a segment: the point G when no direction is free (always
@@ -147,7 +147,7 @@ class GramFamily:
         near = dead[ij] | dead[kl]
         free = ~(near | dead[il] | dead[kj])
         gamma = np.where(near, -base[ij, kl], np.where(free, 0.0, base[il, kj])) + 0.0
-        k = _quarter_exponent(base)
+        k = linalg.quarter_exponent(base)
         g = np.ldexp(self.matrix_at(gamma), -2 * k)
         lines = g.reshape(m, n, m, n)
         shared = tuple(map(np.linalg.eigvalsh, (lines[range(m), :, range(m)], lines[:, range(n), :, range(n)])))
@@ -229,12 +229,6 @@ def factor_gram(point: GramPoint, tol: Tolerances = DEFAULT_TOL) -> SOSDecomposi
     return SOSDecomposition(family.m, family.n, factors)
 
 
-def _quarter_exponent(a: np.ndarray) -> int:
-    """k with 4^k within a factor 4 of max|a|: a times 4^-k is exact, and
-    neither it nor its square overflows or underflows."""
-    return (math.frexp(float(np.abs(a).max()))[1] - 1) // 2
-
-
 def _boundary_steps(m0: np.ndarray, delta: np.ndarray) -> tuple[float, float]:
     """(lo, hi), the smallest and largest t with m0 + t * delta PSD, for
     positive definite m0 and indefinite delta.
@@ -246,7 +240,7 @@ def _boundary_steps(m0: np.ndarray, delta: np.ndarray) -> tuple[float, float]:
     give both, on m0 and delta each scaled by a power of four (exact), so S
     can neither overflow nor underflow at any scale of the form.
     """
-    k, j = _quarter_exponent(m0), _quarter_exponent(delta)
+    k, j = linalg.quarter_exponent(m0), linalg.quarter_exponent(delta)
     chol = np.linalg.cholesky(np.ldexp(m0, -2 * k))
     half = np.linalg.solve(chol, np.ldexp(delta, -2 * j))
     w = np.linalg.eigvalsh(np.linalg.solve(chol, half.T))
@@ -409,7 +403,7 @@ def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> tuple[GramPo
     _, (x_orbit, y_orbit) = FormCells.layout(m, n)
     weight = np.sqrt(x_orbit * y_orbit).ravel()
     target = family.base[family.cells[0], family.cells[1]]
-    k = _quarter_exponent(target)
+    k = linalg.quarter_exponent(target)
     target = np.ldexp(target, -2 * k)
     rows = target.size
     offset = np.arange(r) * mn

@@ -8,6 +8,7 @@ record, and every cutoff is relative to the matrix it judges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,13 @@ def _check_invariants(s: np.ndarray, dec: SpectralDecomposition) -> None:
     recon = np.linalg.norm((u * w) @ u.T - s)
     if recon > RECON_TOL * max(scale, np.finfo(float).tiny):
         raise NumericalError(f"eigendecomposition residual {recon:.3e} exceeds {RECON_TOL:.3e} * ||S||")
+
+
+def quarter_exponent(a: np.ndarray) -> int:
+    """k with 4^k within a factor 4 of max|a| (-1 for an empty or zero a):
+    a times 4^-k is exact, and neither it nor its square overflows or
+    underflows."""
+    return (math.frexp(float(np.abs(a).max(initial=0.0)))[1] - 1) // 2
 
 
 def spectral_scale(*spectra) -> float:

@@ -18,15 +18,12 @@ cross-check oracle, never as a PSD decision procedure.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput, require_count
 from .forms import BiquadraticForm, evaluate_batch, max_abs_coeff, point_vectors
-
-logger = logging.getLogger(__name__)
 
 # Default residual bound of meig_solve and min_probe, relative to max|c|.
 _TOL = 1e-10
@@ -273,7 +270,7 @@ def meig_solve(form: BiquadraticForm, restarts: int = 20, seed: int = 0, tol: fl
     ``|G(y)x - lam x|`` and ``|H(x)y - lam y|`` are at most
     ``tol * max|c|``; a polished pair must also have lam as the targeted
     extreme eigenvalue of G(y) and H(x).  Starts that stall or
-    whose Newton system is singular are dropped (debug log).  Two converged
+    whose Newton system is singular are dropped.  Two converged
     starts are one pair when, in units of max|c|, their lambdas differ by at
     most 1e-6 and min(|x_a'x_b|, |y_a'y_b|) >= 1 - 1e-6, so (x, y) and its
     sign flips count once.  The smallest value returned is an upper bound on
@@ -286,9 +283,7 @@ def meig_solve(form: BiquadraticForm, restarts: int = 20, seed: int = 0, tol: fl
     starts = _search(contractor, np.repeat(y0, 2, axis=0), pick, tol)
     kept: list[int] = []
     for b in range(len(pick)):
-        if not starts.converged[b]:
-            logger.debug("meig start %d (%s) did not converge", b // 2, "max" if pick[b] else "min")
-        elif not any(
+        if starts.converged[b] and not any(
             abs(starts.lam[a] - starts.lam[b]) <= _DEDUP_TOL
             and min(abs(starts.x[a] @ starts.x[b]), abs(starts.y[a] @ starts.y[b])) >= 1.0 - _DEDUP_TOL
             for a in kept

@@ -675,17 +675,29 @@ class TestStreamedTerms:
         layout=st.sampled_from(["dumps", "dump_json", "indent"]),
         order=st.permutations("ijklc"),
         special=st.lists(st.sampled_from([-0.0, 1e-300, -1e-300, 2**63, 2**64 - 1, 2**70]), max_size=3),
+        apart=st.booleans(),
         chunk=st.sampled_from([1, 100, forms.TERMS_CHUNK_BYTES]),
     )
-    def test_flat_columns_match_dict_columns(self, tmp_path_factory, record, layout, order, special, chunk):
-        # Each file's terms share one random key order; the flat decode must
-        # give the columns of the whole-file decode, the same types and bits,
-        # and decline only an empty array, a record the whole-file decode
-        # cannot read into columns, or a value that is not a number.
-        terms = [{f: t[f] for f in order if f in t} if isinstance(t, dict) else t for t in record["terms"]]
+    def test_flat_columns_match_dict_columns(self, tmp_path_factory, record, layout, order, special, apart, chunk):
+        # Each file's terms share one random key order; the pieces' arrays,
+        # joined by numpy's dtype promotion, must give the checked columns of
+        # the whole file's field lists, the same dtypes and bits, and the flat
+        # decode may decline only an empty array, a record the whole-file
+        # decode cannot read into columns, or a value that is not a number.
+        terms = list(record["terms"])
         for at, value in enumerate(special[: len(terms)]):
             if isinstance(terms[at], dict) and "c" in terms[at]:
-                terms[at]["c"] = value
+                terms[at] = dict(terms[at], c=value)
+        if apart:
+            # Values whose dtypes differ from their neighbours', each in a piece
+            # of its own at chunk 1 and 100, between pieces of integer
+            # coefficients, with an in-range index above 255 among them.
+            negative, ints = ([{"i": 1, "j": 1, "k": 1, "l": 1, "c": c} for c in cs] for cs in (range(-8, 0), range(8)))
+            odd = [{"i": 1, "j": 1, "k": 1, "l": 1, "c": c} for c in (2**63, 2**64 - 1, -0.0, 1e-300)]
+            odd.append({"i": 1, "j": 300, "k": 1, "l": 1, "c": 1})
+            terms = negative + [t for at in odd for t in (at, *ints)] + terms
+            record = dict(record, n=300)
+        terms = [{f: t[f] for f in order if f in t} if isinstance(t, dict) else t for t in terms]
         record = dict(record, terms=terms)
         path = tmp_path_factory.getbasetemp() / "flat.json"
         if layout == "dump_json":
@@ -693,15 +705,18 @@ class TestStreamedTerms:
         else:
             path.write_text(json.dumps(record, indent=2 if layout == "indent" else None))
 
-        def typed(fields):
-            return fields and (*fields[:2], [[(type(v), repr(v)) for v in col] for col in fields[2]])
+        def checked(m, n, columns):
+            arrays = forms._checked_columns(m, n, columns)
+            return arrays and [(col.dtype, col.tobytes()) for col in arrays]
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(forms, "TERMS_CHUNK_BYTES", chunk)
             flat = forms._streamed_fields(str(path))
         whole = _whole_file_columns(path)
         if flat is not None:
-            assert typed(flat) == typed(whole)
+            m, n, columns = whole
+            assert flat[:2] == (m, n)
+            assert checked(m, n, flat[2]) == checked(m, n, [forms._column_array(col) for col in columns])
         else:
             assert not terms or whole is None or not all(type(v) in (int, float) for col in whole[2] for v in col)
 

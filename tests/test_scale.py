@@ -1,7 +1,8 @@
 """Scale invariance: P and s * P get the same answers for s in [1e-12, 1e12],
 and the general forms' sos-rank, reduce-rank and meig answers also for s
-from 1e-310 to 1e300.  Below max|c| = 2^-1074 / 1e-10 the Gram commands
-exit 1, naming that limit.
+from 1e-310 to 1e300, and sos-rank's and reduce-rank's answers on two
+forms at s from 1e307 to 9e307, near the float maximum.  Below max|c| =
+2^-1074 / 1e-10 the Gram commands exit 1, naming that limit.
 
 Every cutoff in the package is relative to the object it judges, so exit
 codes, verdicts, ranks, pair counts and factor counts must not move when
@@ -62,13 +63,18 @@ def write_form(directory, name, coeffs):
     return str(path)
 
 
-def general_answers(path):
-    """(exit, lower_bound, upper_bound) of sos-rank, (exit, rank) of
-    reduce-rank and the pair count of meig."""
+def gram_answers(path):
+    """(exit, lower_bound, upper_bound) of sos-rank and (exit, rank) of
+    reduce-rank."""
     code, payload = run(["sos-rank", path, "--restarts", "5"])
     sos = (code, payload.get("lower_bound"), payload.get("upper_bound"))
     code, payload = run(["reduce-rank", path])
-    reduce = (code, payload.get("rank"))
+    return sos, (code, payload.get("rank"))
+
+
+def general_answers(path):
+    """``gram_answers`` and the (exit, pair count) of meig."""
+    sos, reduce = gram_answers(path)
     code, payload = run(["meig", path, "--restarts", "5"])
     return sos, reduce, (code, payload.get("count"))
 
@@ -189,8 +195,10 @@ class TestScaleInvariance:
     def test_rank_floor_near_the_float_range(self, tmp_path_factory, capsys):
         # trace(base) of planted-2x3-r4 times 1e307 overflows; the floor's
         # spectra and cutoff are taken on the pinned member scaled by a power
-        # of four, so nothing warns.  sos-rank keeps its exit 1 there (the
-        # factors' residual overflows).
+        # of four, so nothing warns.  sos-rank and reduce-rank give their
+        # unscaled answers there, as on c (x1^2 y1^2 + x2^2 y2^2 + x1 y1 x2 y2)
+        # at c = 6e307 and 9e307: the re-verification forms the factors' Gram
+        # matrix scaled by a power of four, so its products do not overflow.
         directory = tmp_path_factory.getbasetemp()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -200,13 +208,19 @@ class TestScaleInvariance:
                 floors = [gram.rank_floor(gram.build_family(forms.BiquadraticForm(m, n, s * coeffs)))
                           for s in (1.0, 1e307)]
                 assert floors[0] == floors[1]
-        path = write_form(directory, "planted-2x3-r4-1e307", 1e307 * GENERAL["planted-2x3-r4"]())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main(["sos-rank", path, "--restarts", "5", "--json"])
-        assert code == 1
-        assert not caught
+        terms = [{"i": i, "j": j, "k": k, "l": l, "c": 1.0} for i, j, k, l in ((1, 1, 1, 1), (2, 2, 2, 2), (1, 1, 2, 2))]
+        squares = forms.form_from_dict({"m": 2, "n": 2, "terms": terms}).coeffs
+        for name, coeffs, s in (
+            ("planted-2x3-r4", GENERAL["planted-2x3-r4"](), 1e307),
+            ("squares-2x2", squares, 6e307),
+            ("squares-2x2", squares, 9e307),
+        ):
+            reference = gram_answers(write_form(directory, f"{name}-unscaled", coeffs))
+            assert reference[0][0] == reference[1][0] == 0
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert gram_answers(write_form(directory, f"{name}-{s:g}", s * coeffs)) == reference
+            assert not caught
         assert capsys.readouterr().err == ""
 
 

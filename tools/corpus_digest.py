@@ -10,9 +10,10 @@ invocation: the workload, the item, the exit code, the sha256 of its
 ``--json`` stdout and the sha256 of the file it writes (``-`` when none).
 Two checkouts answer alike on the corpora exactly when their digests
 ``diff`` clean.  With ``--counts`` each line also ends in
-``fits=F eigs=E``: the calls that invocation made to ``gram._fit`` and to
-``np.linalg.eigh`` or ``np.linalg.eigvalsh``, deterministic work counters
-that a timing run cannot give.  Nothing under the checkout is written.
+``fits=F eigs=E lm=N``: the calls that invocation made to ``gram._fit`` and
+to ``np.linalg.eigh`` or ``np.linalg.eigvalsh``, and the residual
+evaluations inside ``gram._lm``, deterministic work counters that a timing
+run cannot give.  Nothing under the checkout is written.
 """
 
 from __future__ import annotations
@@ -41,6 +42,21 @@ def _count_calls(owner, name: str, tally: dict, key: str) -> None:
     setattr(owner, name, counted)
 
 
+def _count_residuals(gram, tally: dict) -> None:
+    """Replace ``gram._lm`` by a wrapper adding one to ``tally["lm"]`` per
+    evaluation of the residual it is handed."""
+    lm = gram._lm
+
+    def counted(residual, *args, **kwargs):
+        def residual_counted(x):
+            tally["lm"] += 1
+            return residual(x)
+
+        return lm(residual_counted, *args, **kwargs)
+
+    gram._lm = counted
+
+
 def digest_lines(root: str, seed: int, counts: bool = False):
     root = os.path.abspath(root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "benchmark")]
@@ -49,10 +65,12 @@ def digest_lines(root: str, seed: int, counts: bool = False):
     import numpy as np
     from workloads import WORKLOADS, build_corpus
 
-    tally = {"fits": 0, "eigs": 0}
+    tally = {"fits": 0, "eigs": 0, "lm": 0}
     counted = ((biquad.gram, "_fit", "fits"), (np.linalg, "eigh", "eigs"), (np.linalg, "eigvalsh", "eigs"))
     for owner, name, key in counted if counts else ():
         _count_calls(owner, name, tally, key)
+    if counts:
+        _count_residuals(biquad.gram, tally)
 
     start = os.getcwd()
     for workload in WORKLOADS:
@@ -61,7 +79,7 @@ def digest_lines(root: str, seed: int, counts: bool = False):
             os.chdir(workdir)
             try:
                 for item in items:
-                    tally.update(fits=0, eigs=0)
+                    tally.update(fits=0, eigs=0, lm=0)
                     with contextlib.redirect_stdout(io.StringIO()) as out:
                         code = biquad.cli.main(item.argv)
                     written = "-"
@@ -69,7 +87,7 @@ def digest_lines(root: str, seed: int, counts: bool = False):
                         with open(item.out, "rb") as handle:
                             written = _sha(handle.read())
                     line = f"{workload} {item.name} {code} {_sha(out.getvalue().encode())} {written}"
-                    yield line + (f" fits={tally['fits']} eigs={tally['eigs']}" if counts else "")
+                    yield line + (f" fits={tally['fits']} eigs={tally['eigs']} lm={tally['lm']}" if counts else "")
             finally:
                 os.chdir(start)
 
@@ -78,7 +96,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--root", required=True, help="checkout whose src/ and benchmark/ are used")
     parser.add_argument("--seed", type=int, required=True, help="corpus seed, as benchmark/run.py --seed")
-    parser.add_argument("--counts", action="store_true", help="end each line in its gram._fit and eigen-solve calls")
+    parser.add_argument("--counts", action="store_true", help="end each line in its gram._fit and eigen-solve calls and gram._lm residual evaluations")
     args = parser.parse_args(argv)
     for line in digest_lines(args.root, args.seed, args.counts):
         print(line)
