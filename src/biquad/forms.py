@@ -33,7 +33,7 @@ import numpy as np
 import orjson
 
 from .errors import InvalidInput
-from .linalg import COEFF_TOL, quarter_exponent
+from .linalg import COEFF_TOL, frozen, quarter_exponent
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,7 @@ class BiquadraticForm:
             and np.allclose(a, a.transpose(2, 3, 0, 1), rtol=0.0, atol=atol)
         ):
             raise InvalidInput("tensor is not partially symmetric; use symmetrize() on raw coefficients")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "coeffs", a)
+        object.__setattr__(self, "coeffs", frozen(a.copy()))
 
     def __eq__(self, other):
         if not isinstance(other, BiquadraticForm):
@@ -93,9 +91,7 @@ class FormCells:
         i, k = np.triu_indices(m)
         j, l = np.triu_indices(n)
         i, k = i[:, None], k[:, None]
-        arrays = (i, j, k, l, np.where(i < k, 2.0, 1.0), np.where(j < l, 2.0, 1.0))
-        for a in arrays:
-            a.flags.writeable = False
+        arrays = tuple(map(frozen, (i, j, k, l, np.where(i < k, 2.0, 1.0), np.where(j < l, 2.0, 1.0))))
         return arrays[:4], arrays[4:]
 
     @classmethod
@@ -137,18 +133,21 @@ class FormCells:
 
 @dataclass(frozen=True)
 class SOSDecomposition:
-    """Factors of a sum-of-squares representation sum_p (x' W_p y)^2."""
+    """Factors of a sum-of-squares representation sum_p (x' W_p y)^2, held as
+    one read-only float array of shape (p, m, n), (0, m, n) when p = 0."""
 
     m: int
     n: int
-    factors: tuple[np.ndarray, ...]
+    factors: np.ndarray
 
     def __post_init__(self):
-        factors = tuple(np.asarray(w, dtype=float) for w in self.factors)
-        for w in factors:
-            if w.shape != (self.m, self.n):
-                raise InvalidInput(f"factor has shape {w.shape}, expected {(self.m, self.n)}")
-        object.__setattr__(self, "factors", factors)
+        try:
+            factors = np.asarray(self.factors, dtype=float) if len(self.factors) else np.empty((0, self.m, self.n))
+        except ValueError as exc:  # factors of unequal shapes, or not numbers
+            raise InvalidInput(f"factors do not form one float array: {exc}") from exc
+        if factors.shape[1:] != (self.m, self.n):
+            raise InvalidInput(f"factors have shape {factors.shape}, expected (p, {self.m}, {self.n})")
+        object.__setattr__(self, "factors", frozen(factors.view()))
 
     def __len__(self):
         return len(self.factors)
@@ -206,9 +205,12 @@ class GroupedSOSDecomposition:
         return sum((1 if xg == ONES else self.m - 1) * yg.shape[0] for xg, yg in self.groups)
 
     @property
-    def factors(self) -> tuple[np.ndarray, ...]:
-        """The dense m x n factors, materialised y-major within each group."""
-        return tuple(np.outer(x, y) for xg, yg in self.groups for y in yg for x in x_rows(xg, self.m))
+    def factors(self) -> np.ndarray:
+        """The dense m x n factors ``outer(x, y)`` as one read-only (p, m, n)
+        array, materialised y-major within each group."""
+        m, n = self.m, self.n
+        blocks = [(yg[:, None, None, :] * x_rows(xg, m)[:, :, None]).reshape(-1, m, n) for xg, yg in self.groups]
+        return frozen(np.concatenate([np.empty((0, m, n)), *blocks]))
 
 
 def symmetrize(raw) -> BiquadraticForm:
@@ -266,16 +268,10 @@ def evaluate_sos(dec: SOSDecomposition | GroupedSOSDecomposition, x, y) -> float
     |x / sqrt(m)|^2 = (1'x)^2 / m and |Hx|^2 = |x|^2 - (1'x)^2 / m."""
     x, y = point_vectors(dec.m, dec.n, x, y)
     if isinstance(dec, GroupedSOSDecomposition):
-        total = 0.0
-        for xg, yg in dec.groups:
-            mean_part = x.sum() ** 2 / dec.m
-            x_part = mean_part if xg == ONES else x @ x - mean_part
-            py = yg @ y
-            total += x_part * (py @ py)
-        return float(total)
-    if not dec.factors:
-        return 0.0
-    t = np.einsum("pij,i,j->p", np.stack(dec.factors), x, y)
+        mean_part = x.sum() ** 2 / dec.m
+        x_part = {ONES: mean_part, HELMERT: x @ x - mean_part}
+        return float(sum(x_part[xg] * ((yg @ y) @ (yg @ y)) for xg, yg in dec.groups))
+    t = np.einsum("pij,i,j->p", dec.factors, x, y)
     return float(t @ t)
 
 
@@ -355,7 +351,7 @@ def _sos_cells(dec: SOSDecomposition | GroupedSOSDecomposition) -> np.ndarray:
     if isinstance(dec, GroupedSOSDecomposition):
         return FormCells.x_symmetric(dec.m, *_grouped_blocks(dec)).values
     m, n = dec.m, dec.n
-    flat = np.reshape(dec.factors, (len(dec), m * n))
+    flat = dec.factors.reshape(len(dec), m * n)
     e = quarter_exponent(flat)
     flat = np.ldexp(flat, -2 * e)
     (i, j, k, l), _ = FormCells.layout(m, n)
@@ -548,7 +544,7 @@ def decomposition_to_dict(dec: SOSDecomposition | GroupedSOSDecomposition) -> di
     return {
         "m": dec.m,
         "n": dec.n,
-        "factors": [w.ravel().tolist() for w in dec.factors],
+        "factors": dec.factors.reshape(len(dec), dec.m * dec.n).tolist(),
     }
 
 
@@ -567,7 +563,7 @@ def decomposition_from_dict(data: dict) -> SOSDecomposition | GroupedSOSDecompos
             if any(isinstance(xg, list) for xg, _ in groups):
                 raise ValueError(f"explicit X rows are no longer accepted; x must be one of the tags {X_TAGS}")
         elif version is None:
-            factors = tuple(_rows([row], m * n).reshape(m, n) for row in data["factors"])
+            factors = _rows(data["factors"], m * n).reshape(-1, m, n)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed decomposition record: {exc}") from exc
     if version == DECOMPOSITION_FORMAT:

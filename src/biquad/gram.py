@@ -1,34 +1,35 @@
 """The affine family of Gram matrices representing a biquadratic form.
 
-With z = x (x) y (row index i*n + j), every symmetric matrix M satisfying
-z'Mz = P(x, y) differs from the coefficient-tensor reshape by a combination
-of swap directions: for each i < k, j < l the matrix with +1 at entries
-((i,j),(k,l)) and -1 at ((i,l),(k,j)), mirrored symmetrically, annihilates
-every z because x_i y_j x_k y_l - x_i y_l x_k y_j = 0.  Those directions are
-linearly independent and count C(m,2) * C(n,2), the full kernel dimension,
-so the family sweeps out all symmetric representations of P.
+With z = x (x) y (row index i*n + j), every symmetric M with z'Mz = P(x, y)
+differs from the coefficient-tensor reshape by a combination of swap
+directions: for each i < k, j < l the matrix with +1 at ((i,j),(k,l)) and -1
+at ((i,l),(k,j)), mirrored, annihilates every z.  They are independent and
+count C(m,2) * C(n,2), the kernel dimension, so the family holds every
+symmetric representation of P, and an SOS form's SOS rank is the minimum
+rank of its PSD members.
 
-The SOS rank of an SOS form equals the minimum rank over the PSD members of
-this family.  ``reduce_to_boundary`` moves along a line from a positive
-definite member to the PSD-cone boundary (rank <= mn - 1) in one step, whose
-length is computed in closed form as an eigenvalue of a symmetric-definite
+``reduce_to_boundary`` steps from a positive definite member to the PSD-cone
+boundary (rank <= mn - 1), the step an eigenvalue of a symmetric-definite
 pencil.  ``psd_point`` and ``min_rank_search`` search the factors instead
-(Burer and Monteiro, 2003): a Gram matrix F'F of r stacked m x n factors
-W_p represents P exactly when sum_p (x'W_p y)^2 = P, so one seeded
-least-squares fit of the W_p to the coefficients either yields a PSD member
-of rank <= r or fails.  The fit runs on ``_lm``, a Levenberg-Marquardt
-loop in numpy, so this module (and the ``biquad`` command) never imports
-scipy.optimize.  A failing fit stops at its stationary point, where the
-residual is orthogonal to the Jacobian (MINPACK's gradient test), rather
-than when its cost stops decreasing; failing fits are most of a search's
-work.  ``rank_floor``, a proven lower bound, counts eigenvalues of the Gram
+(Burer and Monteiro, 2003): r stacked m x n factors W_p represent P exactly
+when sum_p (x'W_p y)^2 = P, so one seeded least-squares fit of the W_p
+yields a PSD member of rank <= r or fails.  The fit runs on ``_lm``, a
+Levenberg-Marquardt loop in numpy (no scipy.optimize), and a failing fit,
+most of a search's work, stops at its stationary point (MINPACK's gradient
+test).  ``rank_floor``, a proven lower bound, counts eigenvalues of the
 blocks every PSD member shares and of the ends of the segment of PSD members,
-one point when the dead rows (zero x_i^2 y_j^2 coefficients) leave no direction
-free; with one free, as for every 2 x 2 form, the smaller end rank is the SOS
-rank.  One rule starts both searches: the face's own member (that end, else the
-pinned member) when PSD, else, if a direction is free, the first seeded fit
-from the floor up; ``min_rank_search`` lowers r to the floor or the first
-square count no start fits: a verified upper bound, exact at the floor.
+one point when the dead rows (zero x_i^2 y_j^2 coefficients) leave no
+direction free; with one free, as for every 2 x 2 form, the smaller end rank
+is the SOS rank.  Both searches start at the face's own member (that end,
+else the pinned member) when PSD, else, if a direction is free, at the first
+seeded fit from the floor up; ``min_rank_search`` lowers r to the floor or
+the first square count no start fits: a verified upper bound, exact there.
+
+A family fixes one power of four, 4^k within a factor 4 of max|c|
+(``GramFamily.k``).  Spectra, fits and the factors the searches pass around
+are in family units, the form's times 4^-k (factors' times 2^-k; exact), so
+none overflows or underflows at any scale; ``factor_gram`` returns to the
+form's units.
 """
 
 from __future__ import annotations
@@ -88,20 +89,22 @@ class GramFamily:
     """Base matrix plus the swap directions spanning the representation
     freedom of one biquadratic form.  ``cells`` holds the Gram positions
     (ij, kl, il, kj), ij = i * n + j, of each cell of ``FormCells.layout``;
-    ``swaps`` those with i < k, j < l, direction t's +1 and -1 entries."""
+    ``swaps`` those with i < k, j < l, direction t's +1 and -1 entries.
+    ``k`` is ``linalg.quarter_exponent(base)``, fixed once: the family's
+    units are the form's times 4^-k, its factors' times 2^-k."""
 
     m: int
     n: int
     base: np.ndarray
     cells: np.ndarray = field(init=False, repr=False)
     swaps: np.ndarray = field(init=False, repr=False)
+    k: int = field(init=False, repr=False)
 
     def __post_init__(self):
         (i, j, k, l), _ = FormCells.layout(self.m, self.n)
         cells = np.stack([i * self.n + j, k * self.n + l, i * self.n + l, k * self.n + j]).reshape(4, -1)
-        base = self.base.copy()
-        base.setflags(write=False)
-        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "base", linalg.frozen(self.base.copy()))
+        object.__setattr__(self, "k", linalg.quarter_exponent(self.base))
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "swaps", cells[:, ((i < k) & (j < l)).ravel()])
 
@@ -131,24 +134,23 @@ class GramFamily:
         ``free`` directions reach no dead row; G, the pinned member, is at
         ``pinned``: these gamma_t, with +0.0 on free ones and for every zero.
 
-        trace and shared are G's times 4^-k, 4^k from ``quarter_exponent`` of
-        the base (exact); shared stacks the x-line and the y-line blocks'
-        eigenvalues (no direction reaches them).  The live blocks of the PSD
-        members fill a segment: the point G when no direction is free (always
-        if m = 1 or n = 1), G + tD on one interval when one is, D.  A member
-        inside it holds both ends' kernels, so the SOS rank is the smaller end
-        rank.  From ``_deepest``'s positive definite G + tD, ``_boundary_steps``
-        reaches both ends, each a member: its gamma (G's, but for the step times
-        4^k on D) and its live block's eigenvalues times 4^-k.  ends is () with
-        more free directions, a negative diagonal entry or no such member."""
+        trace and shared are G's in family units; shared stacks the x-line and
+        the y-line blocks' eigenvalues (no direction reaches them).  The live
+        blocks of the PSD members fill a segment: the point G when no direction
+        is free (always if m = 1 or n = 1), G + tD on one interval when one is,
+        D.  A member inside it holds both ends' kernels, so the SOS rank is the
+        smaller end rank.  From ``_deepest``'s positive definite G + tD,
+        ``_boundary_steps`` reaches both ends, each a member: its gamma (G's,
+        but for the step times 4^k on D) and its live block's eigenvalues in
+        family units.  ends is () with more free directions, a negative
+        diagonal entry or no such member."""
         m, n, base = self.m, self.n, self.base
         dead = base.diagonal() == 0.0
         ij, kl, il, kj = self.swaps
         near = dead[ij] | dead[kl]
         free = ~(near | dead[il] | dead[kj])
         gamma = np.where(near, -base[ij, kl], np.where(free, 0.0, base[il, kj])) + 0.0
-        k = linalg.quarter_exponent(base)
-        g = np.ldexp(self.matrix_at(gamma), -2 * k)
+        g = np.ldexp(self.matrix_at(gamma), -2 * self.k)
         lines = g.reshape(m, n, m, n)
         shared = tuple(map(np.linalg.eigvalsh, (lines[range(m), :, range(m)], lines[:, range(n), :, range(n)])))
         trace, block, diagonal, ends = float(g.trace()), np.ix_(~dead, ~dead), g.diagonal(), ()
@@ -164,7 +166,7 @@ class GramFamily:
             t = _deepest(g, direction, (centre - reach).max(), (centre + reach).min())
             if t is not None:
                 inner = g + t * direction
-                ends = tuple((gamma + free * math.ldexp(t + s, 2 * k), np.linalg.eigvalsh(inner + s * direction))
+                ends = tuple((gamma + free * math.ldexp(t + s, 2 * self.k), np.linalg.eigvalsh(inner + s * direction))
                              for s in _boundary_steps(inner, direction))
         return trace, shared, ends, gamma, free
 
@@ -178,16 +180,16 @@ class GramPoint:
     matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        gamma = np.asarray(self.gamma, dtype=float).copy()
-        for name, value in (("gamma", gamma), ("matrix", self.family.matrix_at(gamma))):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        gamma = linalg.frozen(np.asarray(self.gamma, dtype=float).copy())
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "matrix", linalg.frozen(self.family.matrix_at(gamma)))
 
     @functools.cached_property
     def spectrum(self) -> linalg.SpectralDecomposition:
-        """``linalg.sym_eig`` of the matrix, solved once per point: its PSD
-        test, its rank and its factors all read this one spectrum."""
-        return linalg.sym_eig(self.matrix)
+        """``linalg.sym_eig`` of the matrix in family units (times 4^-k, exact),
+        solved once per point: its PSD test, its rank and its factors all read
+        it, and their cutoffs are relative, so the units change no verdict."""
+        return linalg.sym_eig(np.ldexp(self.matrix, -2 * self.family.k))
 
 
 def build_family(form: BiquadraticForm) -> GramFamily:
@@ -222,11 +224,19 @@ def gamma_of(family: GramFamily, matrix) -> np.ndarray:
 
 
 def factor_gram(point: GramPoint, tol: Tolerances = DEFAULT_TOL) -> SOSDecomposition:
-    """PSD-factor the Gram matrix and reshape the vectors into m x n factors."""
+    """The point's decomposition in the form's units: ``_factors`` times 2^k
+    (exact), the one step back from family units.  Raises NotPSD when the
+    point fails the PSD test."""
     family = point.family
-    vectors = linalg.psd_factor(point.matrix, tol, point.spectrum)
-    factors = tuple(w.reshape(family.m, family.n) for w in vectors)
-    return SOSDecomposition(family.m, family.n, factors)
+    return SOSDecomposition(family.m, family.n, np.ldexp(_factors(point, tol), family.k))
+
+
+def _factors(point: GramPoint, tol: Tolerances) -> np.ndarray:
+    """The point's (p, m, n) factors in family units: the rows of
+    ``linalg.psd_factor`` of its matrix times 4^-k, read off its spectrum."""
+    family = point.family
+    rows = linalg.psd_factor(np.ldexp(point.matrix, -2 * family.k), tol, point.spectrum)
+    return rows.reshape(-1, family.m, family.n)
 
 
 def _boundary_steps(m0: np.ndarray, delta: np.ndarray) -> tuple[float, float]:
@@ -390,9 +400,8 @@ def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> tuple[GramPo
     with the Jacobian in closed form, and ``fits`` is its acceptance test.
     Returns the fitted PSD Gram point and its ``_factors`` (one eigen-solve
     for the PSD test and the factors) when every coefficient is matched to
-    _FIT_RTOL * max|c|, else None.  ``_lm`` fits the form times 4^-k, with 4^k
-    within a factor 4 of max|c|, from the start times 2^-k: exact, and no
-    square of the residual can overflow or underflow.
+    _FIT_RTOL * max|c|, else None.  ``start``, the fit and the factors are in
+    family units, so no square of the residual can overflow or underflow.
     """
     r, m, n = start.shape
     mn = m * n
@@ -402,9 +411,7 @@ def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> tuple[GramPo
     # these products, gathered from v and summed at indices fixed for the fit.
     _, (x_orbit, y_orbit) = FormCells.layout(m, n)
     weight = np.sqrt(x_orbit * y_orbit).ravel()
-    target = family.base[family.cells[0], family.cells[1]]
-    k = linalg.quarter_exponent(target)
-    target = np.ldexp(target, -2 * k)
+    target = np.ldexp(family.base[family.cells[0], family.cells[1]], -2 * family.k)
     rows = target.size
     offset = np.arange(r) * mn
     gather = (family.cells[[1, 0, 3, 2]].T[:, :, None] + offset).ravel()
@@ -423,11 +430,11 @@ def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> tuple[GramPo
     def fits(f: np.ndarray) -> bool:
         return bool(np.abs(f / weight).max() <= bound)
 
-    x, f = _lm(residual, jacobian, np.ldexp(start.ravel(), -k), 100 * r * mn, fits)
+    x, f = _lm(residual, jacobian, start.ravel(), 100 * r * mn, fits)
     if not fits(f):
         return None
-    w = np.ldexp(x, k).reshape(r, mn)
-    point = GramPoint(family, gamma_of(family, w.T @ w))
+    v = x.reshape(r, mn)
+    point = GramPoint(family, gamma_of(family, np.ldexp(v.T @ v, 2 * family.k)))
     try:
         return point, _factors(point, tol)
     except NotPSD:
@@ -435,13 +442,10 @@ def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> tuple[GramPo
 
 
 def _random_start(family: GramFamily, r: int, rng: np.random.Generator) -> np.ndarray:
-    """r random m x n factors whose squares sum to about the form's scale."""
-    scale = float(np.abs(family.base).max())
-    return rng.standard_normal((r, family.m, family.n)) * np.sqrt(scale / r)
-
-
-def _factors(point: GramPoint, tol: Tolerances) -> np.ndarray:
-    return np.reshape(factor_gram(point, tol).factors, (-1, point.family.m, point.family.n))
+    """r random m x n factors in family units whose squares sum to about
+    the form's scale."""
+    scale = math.ldexp(float(np.abs(family.base).max()), -2 * family.k)
+    return rng.standard_normal((r, family.m, family.n)) * math.sqrt(scale / r)
 
 
 def _face_start(family: GramFamily, tol: Tolerances) -> tuple[int, np.ndarray]:

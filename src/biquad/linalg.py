@@ -65,8 +65,8 @@ class SpectralDecomposition:
     """Eigenvalues sorted descending with matching orthonormal columns.
 
     ``eigenvectors[:, p]`` belongs to ``eigenvalues[p]``.  Each column is
-    sign-normalized so its largest-magnitude entry is positive, which makes
-    every decomposition in the package reproducible across runs.
+    sign-normalized by ``canonical_sign``, which makes every decomposition in
+    the package reproducible across runs.
     """
 
     eigenvalues: np.ndarray
@@ -78,37 +78,44 @@ def sym_eig(s) -> SpectralDecomposition:
 
     Raises:
         InvalidInput: non-finite entries or an asymmetric matrix.
-        NumericalError: the decomposition violates its residual invariants
-            (should not happen for well-scaled finite input).
+        NumericalError: an eigenvalue beyond the float range (checked
+            before any residual is formed), or the decomposition violates
+            its residual invariants (should not happen for well-scaled input).
     """
     s = as_sym_matrix(s)
     w, u = np.linalg.eigh(s)
-    w = w[::-1].copy()
-    u = np.ascontiguousarray(u[:, ::-1])
-
-    # Fix signs: largest-magnitude entry of each eigenvector positive.
-    pivots = np.argmax(np.abs(u), axis=0)
-    cols = np.arange(u.shape[1])
-    u[:, u[pivots, cols] < 0.0] *= -1.0
-
-    dec = SpectralDecomposition(w, u)
+    if not np.isfinite(w).all():
+        raise NumericalError(f"eigenvalue {w[~np.isfinite(w)][0]} beyond the float range")
+    dec = SpectralDecomposition(w[::-1].copy(), canonical_sign(np.ascontiguousarray(u[:, ::-1]), axis=0))
     _check_invariants(s, dec)
     return dec
 
 
+def canonical_sign(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """v with each vector along ``axis`` times -1.0 or 1.0 (exact), so that its
+    first largest-magnitude entry is positive: the package's one sign rule."""
+    pivot = np.take_along_axis(v, np.abs(v).argmax(axis=axis, keepdims=True), axis=axis)
+    return v * np.where(pivot < 0.0, -1.0, 1.0)
+
+
 def _check_invariants(s: np.ndarray, dec: SpectralDecomposition) -> None:
     u, w = dec.eigenvectors, dec.eigenvalues
-    n = s.shape[0]
-    orth = np.linalg.norm(u.T @ u - np.eye(n))
-    if orth > ORTH_TOL:
+    orth = np.linalg.norm(u.T @ u - np.eye(len(s)))
+    if not orth <= ORTH_TOL:  # written so that a nan residual fails, as below
         raise NumericalError(f"eigenvector orthogonality residual {orth:.3e} exceeds {ORTH_TOL:.3e}")
     # Norms of S / max|S|, so entries near the float range cannot overflow.
     unit = float(np.abs(s).max()) or 1.0
     s, w = s / unit, w / unit
     scale = np.linalg.norm(s)
     recon = np.linalg.norm((u * w) @ u.T - s)
-    if recon > RECON_TOL * max(scale, np.finfo(float).tiny):
+    if not recon <= RECON_TOL * max(scale, np.finfo(float).tiny):
         raise NumericalError(f"eigendecomposition residual {recon:.3e} exceeds {RECON_TOL:.3e} * ||S||")
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """a, flagged read-only: how a record holds each array it hands out."""
+    a.setflags(write=False)
+    return a
 
 
 def quarter_exponent(a: np.ndarray) -> int:
@@ -173,13 +180,13 @@ def factor_from_decomposition(
     return np.sqrt(dec.eigenvalues[keep])[:, None] * dec.eigenvectors[:, keep].T
 
 
-def psd_factor(s, tol: Tolerances = DEFAULT_TOL, dec: SpectralDecomposition | None = None) -> list[np.ndarray]:
-    """Spectral PSD factorization ``S = sum_p w_p w_p'``.
+def psd_factor(s, tol: Tolerances = DEFAULT_TOL, dec: SpectralDecomposition | None = None) -> np.ndarray:
+    """Spectral PSD factorization ``S = R'R``: the array of R's rows.
 
-    One vector ``sqrt(lam_p) * u_p`` per eigenvalue above the rank cutoff,
-    so ``len(result) == numerical_rank(S)``.  Eigenvalues that are negative
-    but within the PSD tolerance are clamped to zero (no vector emitted).
-    ``dec`` is ``sym_eig(S)`` when the caller already has it.
+    One row ``sqrt(lam_p) * u_p`` per eigenvalue above the rank cutoff, in
+    descending order, so ``len(result) == numerical_rank(S)``.  Eigenvalues
+    that are negative but within the PSD tolerance are clamped to zero (no
+    row emitted).  ``dec`` is ``sym_eig(S)`` when the caller already has it.
 
     Raises:
         NotPSD: with the negativity witness vector when S fails the PSD test.
@@ -193,6 +200,6 @@ def psd_factor(s, tol: Tolerances = DEFAULT_TOL, dec: SpectralDecomposition | No
     # Norms of (R'R - S) / max|S|, so entries near the float range cannot overflow.
     unit = float(np.abs(s).max()) or 1.0
     recon = np.linalg.norm((rows.T @ rows - s) / unit)
-    if recon > RECON_TOL * np.linalg.norm(s / unit):
+    if not recon <= RECON_TOL * np.linalg.norm(s / unit):  # a nan residual fails
         raise NumericalError(f"PSD factorization residual {recon:.3e} exceeds {RECON_TOL:.3e} * ||S||")
-    return list(rows)
+    return rows

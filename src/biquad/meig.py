@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import InvalidInput, require_count
 from .forms import BiquadraticForm, evaluate_batch, max_abs_coeff, point_vectors
+from .linalg import canonical_sign
 
 # Default residual bound of meig_solve and min_probe, relative to max|c|.
 _TOL = 1e-10
@@ -82,12 +83,6 @@ def contract_y(form: BiquadraticForm, x, y) -> np.ndarray:
     return _Contractor(form.coeffs).y_matrices(x[None])[0] @ y
 
 
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    """Flip each row of v so that its largest-magnitude entry is positive."""
-    pivot = np.abs(v).argmax(axis=1)
-    return v * np.where(v[np.arange(len(v)), pivot] < 0.0, -1.0, 1.0)[:, None]
-
-
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
@@ -129,9 +124,9 @@ def _eigenstep(contractor: _Contractor, g: np.ndarray, pick: np.ndarray):
     picked eigenvector of each G(y) (pick 0 the smallest, -1 the largest),
     then y that of H(x).  Returns x, y, H(x) and G(y) for the new y."""
     rows = np.arange(len(pick))
-    x = _canonical_sign(np.linalg.eigh(g)[1][rows, :, pick])
+    x = canonical_sign(np.linalg.eigh(g)[1][rows, :, pick])
     h = contractor.y_matrices(x)
-    y = _canonical_sign(np.linalg.eigh(h)[1][rows, :, pick])
+    y = canonical_sign(np.linalg.eigh(h)[1][rows, :, pick])
     return x, y, h, contractor.x_matrices(y)
 
 
@@ -221,8 +216,8 @@ def _polish(contractor: _Contractor, starts: _Starts, idx, pick, tol: float, ste
         step = np.linalg.solve(jac[keep], rhs[:, :, None])[:, :, 0]
         # the border rows make each step orthogonal to x and y, so no norm
         # falls below 1
-        x = _canonical_sign(_unit(x + step[:, :m]))
-        y = _canonical_sign(_unit(y + step[:, m:m + n]))
+        x = canonical_sign(_unit(x + step[:, :m]))
+        y = canonical_sign(_unit(y + step[:, m:m + n]))
     polished = np.concatenate(polished) if polished else np.zeros(0, dtype=int)
     if len(polished):
         g_eigs = np.linalg.eigvalsh(contractor.x_matrices(starts.y[polished]))

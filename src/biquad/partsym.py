@@ -79,9 +79,7 @@ class XSymmetricData:
         if np.abs(np.diag(b)).max() > 0.0:
             raise InvalidInput("B must have exactly zero diagonal")
         for name, arr in (("d", d), ("A", a), ("B", b)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, linalg.frozen(arr.copy()))
 
     @property
     def n(self) -> int:
@@ -312,9 +310,8 @@ def sos_decompose_naive(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> 
     reshape each factor vector into an m x n matrix (m blocks of length n)."""
     cert = check_psd_monic(data, tol)
     _require_psd(cert)
-    vectors = linalg.psd_factor(assemble_m_matrix(data), tol)
-    factors = tuple(w.reshape(data.m, data.n) for w in vectors)
-    return SOSDecomposition(data.m, data.n, factors)
+    rows = linalg.psd_factor(assemble_m_matrix(data), tol)
+    return SOSDecomposition(data.m, data.n, rows.reshape(-1, data.m, data.n))
 
 
 def sos_decompose_structured(

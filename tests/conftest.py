@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from biquad.forms import symmetrize
+from biquad.forms import BiquadraticForm, symmetrize
 from biquad.partsym import XSymmetricData
 
 
@@ -101,3 +101,35 @@ def tiny_line_form(seed: int):
     tiny[:, 3] = 1e-6 * rng.standard_normal((len(tiny), 2))
     w = np.concatenate([w, tiny])
     return symmetrize(10.0 ** rng.uniform(-8, 8) * np.einsum("pij,pkl->ijkl", w, w))
+
+
+BOUNDARY_MARGINS = (0.0, 1e-10, 1e-6)
+
+
+def boundary_form(seed: int, m: int, n: int, margin: float) -> BiquadraticForm:
+    """A PSD m x 2 form at or near the PSD boundary, or with m = 2 < n the
+    transpose of an n x 2 one: a random symmetrized tensor c minus
+    (mu - margin * max|c|) |x|^2 |y|^2, where mu is c's smallest M-eigenvalue,
+    scaled by 10^U(-8, 8).  At margin 0 the form has a zero.
+
+    With y = (cos t, sin t), P(x, y) = x'G(t)x, so mu is the minimum of
+    lambda_min(G(t)) over t in [0, pi): bracketed on a grid, then polished
+    by Brent's method.  The smallest eigenvalue of a symmetric family can
+    only kink upwards, so the minimum lies where it is smooth."""
+    from scipy.optimize import minimize_scalar
+
+    rng = np.random.default_rng(seed)
+    k = n if m == 2 < n else m
+    c = symmetrize(rng.standard_normal((k, 2, k, 2))).coeffs
+
+    def lowest(t: float) -> float:
+        y = np.array([np.cos(t), np.sin(t)])
+        return float(np.linalg.eigvalsh(np.einsum("ijkl,j,l->ik", c, y, y))[0])
+
+    grid = np.linspace(0.0, np.pi, 64, endpoint=False)
+    values = [lowest(t) for t in grid]
+    t, step = grid[int(np.argmin(values))], grid[1]
+    mu = min(min(values), minimize_scalar(lowest, bracket=(t - step, t, t + step), method="brent").fun)
+    c = c - (mu - margin * np.abs(c).max()) * np.einsum("ik,jl->ijkl", np.eye(k), np.eye(2))
+    c = 10.0 ** rng.uniform(-8.0, 8.0) * c
+    return BiquadraticForm(m, n, c.transpose(1, 0, 3, 2) if k != m else c)

@@ -22,7 +22,7 @@ from biquad.cli import main
 from biquad.errors import InvalidInput
 from biquad.partsym import XSymmetricData, random_psd_instance, reconstruct
 from biquad.simple import gen_simple, to_form
-from conftest import tiny_line_form, xsym_forms
+from conftest import BOUNDARY_MARGINS, boundary_form, tiny_line_form, xsym_forms
 
 
 def write(path, obj):
@@ -441,6 +441,21 @@ class TestSosRank:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout)["payload"]["upper_bound"] == 4
+
+    @pytest.mark.parametrize("seed, margin", enumerate(BOUNDARY_MARGINS))
+    @pytest.mark.parametrize("m, n, bound", [(2, 2, 3), (3, 2, 4), (2, 3, 4)])
+    def test_paper_bounds_at_the_psd_boundary(self, capsys, tmp_path, m, n, bound, seed, margin):
+        # A PSD m x 2 form is SOS (Calderon 1973), in at most 3 squares at
+        # 2 x 2 and 4 at 3 x 2 and 2 x 3, also with a zero, where the Gram
+        # spectrahedron has no interior: sos-rank must find it.
+        path = str(tmp_path / "boundary.json")
+        forms.save_form(boundary_form(seed, m, n, margin), path)
+        code, data = run_json(capsys, ["sos-rank", path])
+        payload = data["payload"]
+        assert code == 0 and payload["lower_bound"] <= payload["upper_bound"] <= bound
+        assert payload["max_residual"] <= payload["residual_bound"]
+        code, data = run_json(capsys, ["reduce-rank", path])
+        assert code == 0 and data["payload"]["max_residual"] <= data["payload"]["residual_bound"]
 
 
 class TestGramCap:

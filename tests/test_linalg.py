@@ -62,6 +62,23 @@ class TestSymEig:
         with pytest.raises(InvalidInput, match="not symmetric"):
             as_sym_matrix(1e-13 * np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_eigenvalue_beyond_the_float_range_fails_closed(self):
+        # The Gram base of c (x1^2 y1^2 + x2^2 y2^2 + x1 y1 x2 y2) at c = 1.7e308:
+        # eigh returns inf for its eigenvalue 1.25 c.  No residual is formed
+        # (0 * inf would warn), and the spectrum is never called PSD.
+        c, q = 1.7e308, 1.7e308 / 4
+        s = np.array([[c, 0.0, 0.0, q], [0.0, 0.0, q, 0.0], [0.0, q, 0.0, 0.0], [q, 0.0, 0.0, c]])
+        for decompose in (sym_eig, is_psd, psd_factor):
+            with pytest.raises(NumericalError, match="beyond the float range"):
+                decompose(s)
+        # Scaled by a power of four, the same matrix has its four eigenvalues.
+        assert numerical_rank(np.ldexp(s, -2 * linalg.quarter_exponent(s))) == 4
+
+    def test_nan_residual_fails_closed(self):
+        dec = linalg.SpectralDecomposition(np.array([1.0, np.nan]), np.eye(2))
+        with pytest.raises(NumericalError, match="eigendecomposition residual nan"):
+            linalg._check_invariants(np.eye(2), dec)
+
     def test_trace_equals_eigenvalue_sum(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -170,6 +187,11 @@ class TestPsdFactor:
         monkeypatch.setattr(linalg, "factor_from_decomposition", lambda *a: real(*a) * (1.0 + 1e-6))
         with pytest.raises(NumericalError):
             psd_factor(1e200 * (f @ f.T))
+
+    def test_nan_residual_fails_closed(self, monkeypatch):
+        monkeypatch.setattr(linalg, "factor_from_decomposition", lambda *a: np.full((1, 2), np.nan))
+        with pytest.raises(NumericalError, match="PSD factorization residual nan"):
+            psd_factor(np.eye(2))
 
     def test_boundary_negative_eigenvalue_clamped(self):
         s = np.array([[1.0, 0.0], [0.0, -1e-12]])

@@ -39,9 +39,7 @@ def monic(m, A, B=None):
 
 
 def decomposition_gram(dec):
-    if not dec.factors:
-        return np.zeros((dec.m * dec.n, dec.m * dec.n))
-    stack = np.stack([w.ravel() for w in dec.factors])
+    stack = dec.factors.reshape(len(dec), dec.m * dec.n)
     return stack.T @ stack
 
 

@@ -1,7 +1,7 @@
 """Scale invariance: P and s * P get the same answers for s in [1e-12, 1e12],
 and the general forms' sos-rank, reduce-rank and meig answers also for s
-from 1e-310 to 1e300, and sos-rank's and reduce-rank's answers on two
-forms at s from 1e307 to 9e307, near the float maximum.  Below max|c| =
+from 1e-310 to 1e300, and sos-rank's and reduce-rank's answers on three
+forms near the float maximum, up to max|c| = 1.7e308.  Below max|c| =
 2^-1074 / 1e-10 the Gram commands exit 1, naming that limit.
 
 Every cutoff in the package is relative to the object it judges, so exit
@@ -197,7 +197,8 @@ class TestScaleInvariance:
         # spectra and cutoff are taken on the pinned member scaled by a power
         # of four, so nothing warns.  sos-rank and reduce-rank give their
         # unscaled answers there, as on c (x1^2 y1^2 + x2^2 y2^2 + x1 y1 x2 y2)
-        # at c = 6e307 and 9e307: the re-verification forms the factors' Gram
+        # at c = 6e307, 9e307 and 1.7e308, and on planted-3x2-r3 scaled to
+        # max|c| = 1.7e308: the re-verification forms the factors' Gram
         # matrix scaled by a power of four, so its products do not overflow.
         directory = tmp_path_factory.getbasetemp()
         with warnings.catch_warnings():
@@ -210,10 +211,17 @@ class TestScaleInvariance:
                 assert floors[0] == floors[1]
         terms = [{"i": i, "j": j, "k": k, "l": l, "c": 1.0} for i, j, k, l in ((1, 1, 1, 1), (2, 2, 2, 2), (1, 1, 2, 2))]
         squares = forms.form_from_dict({"m": 2, "n": 2, "terms": terms}).coeffs
+        # At max|c| = 1.7e308 the Gram matrices' largest eigenvalues pass the
+        # float maximum: every spectrum, fit and factor is taken in the
+        # family's units, 4^-k times the form's.
+        planted = GENERAL["planted-3x2-r3"]()
+        top = max(abs(term["c"]) for term in forms.form_to_dict(forms.BiquadraticForm(3, 2, planted))["terms"])
         for name, coeffs, s in (
             ("planted-2x3-r4", GENERAL["planted-2x3-r4"](), 1e307),
             ("squares-2x2", squares, 6e307),
             ("squares-2x2", squares, 9e307),
+            ("squares-2x2", squares, 1.7e308),
+            ("planted-3x2-r3", planted, 1.7e308 / top),
         ):
             reference = gram_answers(write_form(directory, f"{name}-unscaled", coeffs))
             assert reference[0][0] == reference[1][0] == 0
