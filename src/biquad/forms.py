@@ -33,7 +33,7 @@ import numpy as np
 import orjson
 
 from .errors import InvalidInput
-from .linalg import COEFF_TOL, frozen, quarter_exponent
+from .linalg import COEFF_TOL, quarter_exponent
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,9 @@ class BiquadraticForm:
             and np.allclose(a, a.transpose(2, 3, 0, 1), rtol=0.0, atol=atol)
         ):
             raise InvalidInput("tensor is not partially symmetric; use symmetrize() on raw coefficients")
-        object.__setattr__(self, "coeffs", frozen(a.copy()))
+        a = a.copy()
+        a.setflags(write=False)
+        object.__setattr__(self, "coeffs", a)
 
     def __eq__(self, other):
         if not isinstance(other, BiquadraticForm):
@@ -91,7 +93,9 @@ class FormCells:
         i, k = np.triu_indices(m)
         j, l = np.triu_indices(n)
         i, k = i[:, None], k[:, None]
-        arrays = tuple(map(frozen, (i, j, k, l, np.where(i < k, 2.0, 1.0), np.where(j < l, 2.0, 1.0))))
+        arrays = (i, j, k, l, np.where(i < k, 2.0, 1.0), np.where(j < l, 2.0, 1.0))
+        for a in arrays:
+            a.flags.writeable = False
         return arrays[:4], arrays[4:]
 
     @classmethod
@@ -147,7 +151,9 @@ class SOSDecomposition:
             raise InvalidInput(f"factors do not form one float array: {exc}") from exc
         if factors.shape[1:] != (self.m, self.n):
             raise InvalidInput(f"factors have shape {factors.shape}, expected (p, {self.m}, {self.n})")
-        object.__setattr__(self, "factors", frozen(factors.view()))
+        factors = factors.view()  # read-only without freezing the caller's array
+        factors.setflags(write=False)
+        object.__setattr__(self, "factors", factors)
 
     def __len__(self):
         return len(self.factors)
@@ -210,7 +216,9 @@ class GroupedSOSDecomposition:
         array, materialised y-major within each group."""
         m, n = self.m, self.n
         blocks = [(yg[:, None, None, :] * x_rows(xg, m)[:, :, None]).reshape(-1, m, n) for xg, yg in self.groups]
-        return frozen(np.concatenate([np.empty((0, m, n)), *blocks]))
+        factors = np.concatenate([np.empty((0, m, n)), *blocks])
+        factors.setflags(write=False)
+        return factors
 
 
 def symmetrize(raw) -> BiquadraticForm:
@@ -268,9 +276,13 @@ def evaluate_sos(dec: SOSDecomposition | GroupedSOSDecomposition, x, y) -> float
     |x / sqrt(m)|^2 = (1'x)^2 / m and |Hx|^2 = |x|^2 - (1'x)^2 / m."""
     x, y = point_vectors(dec.m, dec.n, x, y)
     if isinstance(dec, GroupedSOSDecomposition):
-        mean_part = x.sum() ** 2 / dec.m
-        x_part = {ONES: mean_part, HELMERT: x @ x - mean_part}
-        return float(sum(x_part[xg] * ((yg @ y) @ (yg @ y)) for xg, yg in dec.groups))
+        total = 0.0
+        for xg, yg in dec.groups:
+            mean_part = x.sum() ** 2 / dec.m
+            x_part = mean_part if xg == ONES else x @ x - mean_part
+            py = yg @ y
+            total += x_part * (py @ py)
+        return float(total)
     t = np.einsum("pij,i,j->p", dec.factors, x, y)
     return float(t @ t)
 

@@ -1,35 +1,38 @@
 """The affine family of Gram matrices representing a biquadratic form.
 
-With z = x (x) y (row index i*n + j), every symmetric M with z'Mz = P(x, y)
-differs from the coefficient-tensor reshape by a combination of swap
-directions: for each i < k, j < l the matrix with +1 at ((i,j),(k,l)) and -1
-at ((i,l),(k,j)), mirrored, annihilates every z.  They are independent and
-count C(m,2) * C(n,2), the kernel dimension, so the family holds every
-symmetric representation of P, and an SOS form's SOS rank is the minimum
-rank of its PSD members.
+With z = x (x) y (row index i*n + j), every symmetric matrix M satisfying
+z'Mz = P(x, y) differs from the coefficient-tensor reshape by a combination
+of swap directions: for each i < k, j < l the matrix with +1 at entries
+((i,j),(k,l)) and -1 at ((i,l),(k,j)), mirrored symmetrically, annihilates
+every z because x_i y_j x_k y_l - x_i y_l x_k y_j = 0.  Those directions are
+linearly independent and count C(m,2) * C(n,2), the full kernel dimension,
+so the family sweeps out all symmetric representations of P.
 
-``reduce_to_boundary`` steps from a positive definite member to the PSD-cone
-boundary (rank <= mn - 1), the step an eigenvalue of a symmetric-definite
+The SOS rank of an SOS form equals the minimum rank over the PSD members of
+this family.  ``reduce_to_boundary`` moves along a line from a positive
+definite member to the PSD-cone boundary (rank <= mn - 1) in one step, whose
+length is computed in closed form as an eigenvalue of a symmetric-definite
 pencil.  ``psd_point`` and ``min_rank_search`` search the factors instead
-(Burer and Monteiro, 2003): r stacked m x n factors W_p represent P exactly
-when sum_p (x'W_p y)^2 = P, so one seeded least-squares fit of the W_p
-yields a PSD member of rank <= r or fails.  The fit runs on ``_lm``, a
-Levenberg-Marquardt loop in numpy (no scipy.optimize), and a failing fit,
-most of a search's work, stops at its stationary point (MINPACK's gradient
-test).  ``rank_floor``, a proven lower bound, counts eigenvalues of the
+(Burer and Monteiro, 2003): a Gram matrix F'F of r stacked m x n factors
+W_p represents P exactly when sum_p (x'W_p y)^2 = P, so one seeded
+least-squares fit of the W_p to the coefficients either yields a PSD member
+of rank <= r or fails.  The fit runs on ``_lm``, a Levenberg-Marquardt
+loop in numpy, so this module (and the ``biquad`` command) never imports
+scipy.optimize.  A failing fit stops at its stationary point, where the
+residual is orthogonal to the Jacobian (MINPACK's gradient test), rather
+than when its cost stops decreasing; failing fits are most of a search's
+work.  ``rank_floor``, a proven lower bound, counts eigenvalues of the Gram
 blocks every PSD member shares and of the ends of the segment of PSD members,
-one point when the dead rows (zero x_i^2 y_j^2 coefficients) leave no
-direction free; with one free, as for every 2 x 2 form, the smaller end rank
-is the SOS rank.  Both searches start at the face's own member (that end,
-else the pinned member) when PSD, else, if a direction is free, at the first
-seeded fit from the floor up; ``min_rank_search`` lowers r to the floor or
-the first square count no start fits: a verified upper bound, exact there.
+one point when the dead rows (zero x_i^2 y_j^2 coefficients) leave no direction
+free; with one free, as for every 2 x 2 form, the smaller end rank is the SOS
+rank.  One rule starts both searches: the face's own member (that end, else the
+pinned member) when PSD, else, if a direction is free, the first seeded fit
+from the floor up; ``min_rank_search`` lowers r to the floor or the first
+square count no start fits: a verified upper bound, exact at the floor.
 
-A family fixes one power of four, 4^k within a factor 4 of max|c|
-(``GramFamily.k``).  Spectra, fits and the factors the searches pass around
-are in family units, the form's times 4^-k (factors' times 2^-k; exact), so
-none overflows or underflows at any scale; ``factor_gram`` returns to the
-form's units.
+A family fixes one power of four, 4^k near max|c|: spectra, fits and the
+searches' factors are taken on its ``scaled`` members, the form's times 4^-k
+(exact), and only gamma and ``factor_gram`` return to the form's units.
 """
 
 from __future__ import annotations
@@ -90,8 +93,8 @@ class GramFamily:
     freedom of one biquadratic form.  ``cells`` holds the Gram positions
     (ij, kl, il, kj), ij = i * n + j, of each cell of ``FormCells.layout``;
     ``swaps`` those with i < k, j < l, direction t's +1 and -1 entries.
-    ``k`` is ``linalg.quarter_exponent(base)``, fixed once: the family's
-    units are the form's times 4^-k, its factors' times 2^-k."""
+    ``scaled`` is the base in family units, times 4^-k (exact), where k is
+    ``linalg.quarter_exponent(base)``, fixed once."""
 
     m: int
     n: int
@@ -99,12 +102,16 @@ class GramFamily:
     cells: np.ndarray = field(init=False, repr=False)
     swaps: np.ndarray = field(init=False, repr=False)
     k: int = field(init=False, repr=False)
+    scaled: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         (i, j, k, l), _ = FormCells.layout(self.m, self.n)
         cells = np.stack([i * self.n + j, k * self.n + l, i * self.n + l, k * self.n + j]).reshape(4, -1)
-        object.__setattr__(self, "base", linalg.frozen(self.base.copy()))
-        object.__setattr__(self, "k", linalg.quarter_exponent(self.base))
+        base = self.base.copy()
+        object.__setattr__(self, "k", linalg.quarter_exponent(base))
+        for name, value in (("base", base), ("scaled", np.ldexp(base, -2 * self.k))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "swaps", cells[:, ((i < k) & (j < l)).ravel()])
 
@@ -112,11 +119,12 @@ class GramFamily:
     def dim(self) -> int:
         return self.swaps.shape[1]
 
-    def matrix_at(self, gamma: np.ndarray) -> np.ndarray:
+    def matrix_at(self, gamma: np.ndarray, scaled: bool = False) -> np.ndarray:
+        """The member at gamma; with ``scaled``, both in family units."""
         gamma = np.asarray(gamma, dtype=float)
         if gamma.shape != (self.dim,):
             raise InvalidInput(f"gamma must have length {self.dim}, got shape {gamma.shape}")
-        m = self.base.copy()
+        m = (self.scaled if scaled else self.base).copy()
         ij, kl, il, kj = self.swaps
         # Supports of distinct directions are disjoint, so fancy updates are safe.
         m[ij, kl] += gamma
@@ -150,7 +158,7 @@ class GramFamily:
         near = dead[ij] | dead[kl]
         free = ~(near | dead[il] | dead[kj])
         gamma = np.where(near, -base[ij, kl], np.where(free, 0.0, base[il, kj])) + 0.0
-        g = np.ldexp(self.matrix_at(gamma), -2 * self.k)
+        g = self.matrix_at(np.ldexp(gamma, -2 * self.k), scaled=True)
         lines = g.reshape(m, n, m, n)
         shared = tuple(map(np.linalg.eigvalsh, (lines[range(m), :, range(m)], lines[:, range(n), :, range(n)])))
         trace, block, diagonal, ends = float(g.trace()), np.ix_(~dead, ~dead), g.diagonal(), ()
@@ -180,16 +188,21 @@ class GramPoint:
     matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        gamma = linalg.frozen(np.asarray(self.gamma, dtype=float).copy())
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "matrix", linalg.frozen(self.family.matrix_at(gamma)))
+        gamma = np.asarray(self.gamma, dtype=float).copy()
+        for name, value in (("gamma", gamma), ("matrix", self.family.matrix_at(gamma))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def scaled(self) -> np.ndarray:
+        """The member in family units, which its spectrum, factors and boundary step read."""
+        return self.family.matrix_at(np.ldexp(self.gamma, -2 * self.family.k), scaled=True)
 
     @functools.cached_property
     def spectrum(self) -> linalg.SpectralDecomposition:
-        """``linalg.sym_eig`` of the matrix in family units (times 4^-k, exact),
-        solved once per point: its PSD test, its rank and its factors all read
-        it, and their cutoffs are relative, so the units change no verdict."""
-        return linalg.sym_eig(np.ldexp(self.matrix, -2 * self.family.k))
+        """``linalg.sym_eig`` of ``scaled``, solved once per point: its PSD
+        test, its rank and its factors all read this one spectrum."""
+        return linalg.sym_eig(self.scaled)
 
 
 def build_family(form: BiquadraticForm) -> GramFamily:
@@ -209,34 +222,31 @@ def gram_at(family: GramFamily, gamma) -> GramPoint:
     return GramPoint(family, gamma)
 
 
-def gamma_of(family: GramFamily, matrix) -> np.ndarray:
-    """Coordinates of a symmetric representation of the same form.
+def gamma_of(family: GramFamily, matrix, scaled: bool = False) -> np.ndarray:
+    """Coordinates of a symmetric representation of the same form (with
+    ``scaled``, both in family units).
 
     Raises InvalidInput when the matrix is not in the family.
     """
     matrix = linalg.as_sym_matrix(matrix)
     ij, kl = family.swaps[:2]
-    gamma = matrix[ij, kl] - family.base[ij, kl]
-    rebuilt = family.matrix_at(gamma)
+    gamma = matrix[ij, kl] - (family.scaled if scaled else family.base)[ij, kl]
+    rebuilt = family.matrix_at(gamma, scaled)
     if not np.allclose(rebuilt, matrix, rtol=0.0, atol=_MEMBER_RTOL * float(np.abs(matrix).max())):
         raise InvalidInput("matrix does not represent the family's form")
     return gamma
 
 
 def factor_gram(point: GramPoint, tol: Tolerances = DEFAULT_TOL) -> SOSDecomposition:
-    """The point's decomposition in the form's units: ``_factors`` times 2^k
-    (exact), the one step back from family units.  Raises NotPSD when the
-    point fails the PSD test."""
+    """``_factors`` back in the form's units, times 2^k (exact)."""
     family = point.family
     return SOSDecomposition(family.m, family.n, np.ldexp(_factors(point, tol), family.k))
 
 
 def _factors(point: GramPoint, tol: Tolerances) -> np.ndarray:
-    """The point's (p, m, n) factors in family units: the rows of
-    ``linalg.psd_factor`` of its matrix times 4^-k, read off its spectrum."""
-    family = point.family
-    rows = linalg.psd_factor(np.ldexp(point.matrix, -2 * family.k), tol, point.spectrum)
-    return rows.reshape(-1, family.m, family.n)
+    """The (p, m, n) factors of ``linalg.psd_factor`` of ``point.scaled``."""
+    rows = linalg.psd_factor(point.scaled, tol, point.spectrum)
+    return rows.reshape(-1, point.family.m, point.family.n)
 
 
 def _boundary_steps(m0: np.ndarray, delta: np.ndarray) -> tuple[float, float]:
@@ -321,8 +331,8 @@ def reduce_to_boundary(
     rng = np.random.default_rng(seed)
     for _ in range(retries):
         coeffs = rng.standard_normal(family.dim)
-        _, t = _boundary_steps(point.matrix, family.matrix_at(coeffs) - family.base)
-        candidate = GramPoint(family, point.gamma + t * coeffs)
+        _, t = _boundary_steps(point.scaled, family.matrix_at(coeffs) - family.base)
+        candidate = GramPoint(family, point.gamma + math.ldexp(t, 2 * family.k) * coeffs)
         ok, _ = linalg.psd_from_decomposition(candidate.spectrum, tol)
         if ok and linalg.rank_from_eigenvalues(candidate.spectrum.eigenvalues, tol) <= mn - 1:
             return candidate
@@ -411,7 +421,7 @@ def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> tuple[GramPo
     # these products, gathered from v and summed at indices fixed for the fit.
     _, (x_orbit, y_orbit) = FormCells.layout(m, n)
     weight = np.sqrt(x_orbit * y_orbit).ravel()
-    target = np.ldexp(family.base[family.cells[0], family.cells[1]], -2 * family.k)
+    target = family.scaled[family.cells[0], family.cells[1]]
     rows = target.size
     offset = np.arange(r) * mn
     gather = (family.cells[[1, 0, 3, 2]].T[:, :, None] + offset).ravel()
@@ -434,7 +444,7 @@ def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> tuple[GramPo
     if not fits(f):
         return None
     v = x.reshape(r, mn)
-    point = GramPoint(family, gamma_of(family, np.ldexp(v.T @ v, 2 * family.k)))
+    point = GramPoint(family, np.ldexp(gamma_of(family, v.T @ v, scaled=True), 2 * family.k))
     try:
         return point, _factors(point, tol)
     except NotPSD:
@@ -442,10 +452,9 @@ def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> tuple[GramPo
 
 
 def _random_start(family: GramFamily, r: int, rng: np.random.Generator) -> np.ndarray:
-    """r random m x n factors in family units whose squares sum to about
-    the form's scale."""
-    scale = math.ldexp(float(np.abs(family.base).max()), -2 * family.k)
-    return rng.standard_normal((r, family.m, family.n)) * math.sqrt(scale / r)
+    """r random m x n factors whose squares sum to about the form's scale, in family units."""
+    scale = float(np.abs(family.scaled).max())
+    return rng.standard_normal((r, family.m, family.n)) * np.sqrt(scale / r)
 
 
 def _face_start(family: GramFamily, tol: Tolerances) -> tuple[int, np.ndarray]:

@@ -100,7 +100,8 @@ def canonical_sign(v: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def _check_invariants(s: np.ndarray, dec: SpectralDecomposition) -> None:
     u, w = dec.eigenvectors, dec.eigenvalues
-    orth = np.linalg.norm(u.T @ u - np.eye(len(s)))
+    n = s.shape[0]
+    orth = np.linalg.norm(u.T @ u - np.eye(n))
     if not orth <= ORTH_TOL:  # written so that a nan residual fails, as below
         raise NumericalError(f"eigenvector orthogonality residual {orth:.3e} exceeds {ORTH_TOL:.3e}")
     # Norms of S / max|S|, so entries near the float range cannot overflow.
@@ -110,12 +111,6 @@ def _check_invariants(s: np.ndarray, dec: SpectralDecomposition) -> None:
     recon = np.linalg.norm((u * w) @ u.T - s)
     if not recon <= RECON_TOL * max(scale, np.finfo(float).tiny):
         raise NumericalError(f"eigendecomposition residual {recon:.3e} exceeds {RECON_TOL:.3e} * ||S||")
-
-
-def frozen(a: np.ndarray) -> np.ndarray:
-    """a, flagged read-only: how a record holds each array it hands out."""
-    a.setflags(write=False)
-    return a
 
 
 def quarter_exponent(a: np.ndarray) -> int:

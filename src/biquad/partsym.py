@@ -79,7 +79,9 @@ class XSymmetricData:
         if np.abs(np.diag(b)).max() > 0.0:
             raise InvalidInput("B must have exactly zero diagonal")
         for name, arr in (("d", d), ("A", a), ("B", b)):
-            object.__setattr__(self, name, linalg.frozen(arr.copy()))
+            arr = arr.copy()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
