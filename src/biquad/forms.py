@@ -327,16 +327,16 @@ def verify_sos(
     # Factors too large to square give an infinite residual, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(form, BiquadraticForm):
-            diffs = (_sos_cells(dec) - FormCells.of(form).values,)
+            diffs = (_sos_cells(dec, FormCells.of(form).values),)
         elif isinstance(form, FormCells):
-            diffs = (_sos_cells(dec) - form.values,)
+            diffs = (_sos_cells(dec, form.values),)
         elif isinstance(dec, GroupedSOSDecomposition):
             same, cross = _grouped_blocks(dec)
             same_x = same - form.B
             same_x.flat[:: form.n + 1] -= form.d
             diffs = (same_x,) if form.m == 1 else (same_x, cross - form.A)
         else:
-            diffs = (_sos_cells(dec) - form.cells().values,)
+            diffs = (_sos_cells(dec, form.cells().values),)
     resid = max(float(np.abs(diff).max(initial=0.0)) for diff in diffs)
     return resid <= residual_bound(form, slack), resid
 
@@ -354,20 +354,21 @@ def _grouped_blocks(dec: GroupedSOSDecomposition) -> tuple[np.ndarray, np.ndarra
     return q + cross, cross
 
 
-def _sos_cells(dec: SOSDecomposition | GroupedSOSDecomposition) -> np.ndarray:
-    """The canonical cells of a decomposition's coefficients; a dense one's
-    are the entries of symmetrize(G), G = sum_p vec W_p vec W_p', formed
-    unchecked from the factors times 4^-e (``quarter_exponent``) and scaled
-    back by 16^e: exact, and only a cell beyond the float range overflows,
-    to an infinite residual."""
+def _sos_cells(dec: SOSDecomposition | GroupedSOSDecomposition, values=0.0) -> np.ndarray:
+    """The canonical cells of a decomposition's coefficients minus ``values``;
+    a dense one's are symmetrize(G)'s entries, G = sum_p vec W_p vec W_p',
+    formed unchecked from the factors times 4^-e (``quarter_exponent``), less
+    ``values`` times 16^-e, and scaled back by 16^e (exact scalings): only a
+    difference beyond the float range overflows, to an infinite residual."""
     if isinstance(dec, GroupedSOSDecomposition):
-        return FormCells.x_symmetric(dec.m, *_grouped_blocks(dec)).values
+        return FormCells.x_symmetric(dec.m, *_grouped_blocks(dec)).values - values
     m, n = dec.m, dec.n
     flat = dec.factors.reshape(len(dec), m * n)
     e = quarter_exponent(flat)
     flat = np.ldexp(flat, -2 * e)
     (i, j, k, l), _ = FormCells.layout(m, n)
-    return np.ldexp(_orbit_mean((flat.T @ flat).reshape(m, n, m, n))[i, j, k, l], 4 * e)
+    cells = _orbit_mean((flat.T @ flat).reshape(m, n, m, n))[i, j, k, l]
+    return np.ldexp(cells - np.ldexp(values, -4 * e), 4 * e)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ pencil.  ``psd_point`` and ``min_rank_search`` search the factors instead
 W_p represents P exactly when sum_p (x'W_p y)^2 = P, so one seeded
 least-squares fit of the W_p to the coefficients either yields a PSD member
 of rank <= r or fails.  The fit runs on ``_lm``, a Levenberg-Marquardt
-loop in numpy, so this module (and the ``biquad`` command) never imports
-scipy.optimize.  A failing fit stops at its stationary point, where the
-residual is orthogonal to the Jacobian (MINPACK's gradient test), rather
-than when its cost stops decreasing; failing fits are most of a search's
-work.  ``rank_floor``, a proven lower bound, counts eigenvalues of the Gram
+loop in numpy (no scipy.optimize) on the cost's exact Hessian: the residual
+is quadratic in the W_p, so it and its curvature come from the Jacobian.
+Failing fits, most of a search's work, end at a nonzero residual, where
+Gauss-Newton converges only linearly; MINPACK's gradient test stops them.
+``rank_floor``, a proven lower bound, counts eigenvalues of the Gram
 blocks every PSD member shares and of the ends of the segment of PSD members,
 one point when the dead rows (zero x_i^2 y_j^2 coefficients) leave no direction
 free; with one free, as for every 2 x 2 form, the smaller end rank is the SOS
@@ -55,10 +55,9 @@ _MEMBER_RTOL = 1e-9
 # twice this far from the family, which must stay inside _MEMBER_RTOL.
 _FIT_RTOL = 1e-10
 # A fit whose residual misses _FIT_RTOL stops once max_j |J_j'f| / (|J_j| |f|)
-# falls below this: f is then orthogonal to the Jacobian's range, a
-# stationary point of nonzero cost.  On the general-rank benchmark forms and
-# a 45-form planted sweep, failing fits left to run end near 3e-9 (4e-8 at
-# most); fits that succeed never went below 2.8e-3 on their way in.
+# falls below this, at a stationary point of nonzero cost.  On the general-rank
+# benchmark forms and a 42-form planted sweep, fits that succeed never went below
+# 7.6e-4 on their way in (2.9e-3 on the former); failing ones left to run end near 1e-12.
 _GTOL = 1e-4
 # The largest Gram order m * n check_size accepts, that of the 10 x 10 forms
 # the search is meant to reach; a far larger form's tensor exhausts memory.
@@ -339,40 +338,40 @@ def reduce_to_boundary(
     raise CannotReduce("no boundary point passed the PSD and rank checks within the retry budget")
 
 
-def _lm(residual, jacobian, x: np.ndarray, max_nfev: int, fits) -> tuple[np.ndarray, np.ndarray]:
-    """Levenberg-Marquardt minimization of |residual(x)|^2 / 2 from x.
-
-    Each step solves (J'J + mu I) h = -J'f, and mu follows Nielsen's
-    gain-ratio rule (Madsen, Nielsen and Tingleff, 2004, Algorithm 3.16).
-    Three rules stop it.  Two are trf's: a step lowering the cost by less
-    than 1e-15 of it with gain ratio above 1/4, and a step shorter than
-    1e-15 |x|.  The third is MINPACK's gradient test (More, 1978), applied
-    after each accepted step to a residual that ``fits(f)`` rejects: f is
-    then nearly orthogonal to every Jacobian column, max_j |J_j'f| /
-    (|J_j| |f|) < _GTOL, so the fit sits at a stationary point of nonzero
-    cost and cannot succeed.  A fit that converges to zero residual keeps f
-    in the range of J and is stopped only by trf's rules.  Besides these,
-    at most max_nfev residual evaluations.  Returns the last accepted x and
-    its residual.
-    """
-    f = residual(x)
-    cost = 0.5 * float(f @ f)
+def _lm(jacobian, shift, model, x: np.ndarray, max_nfev: int, fits) -> tuple[np.ndarray, np.ndarray]:
+    """Levenberg-Marquardt minimization of |f|^2 / 2 from x on its exact
+    Hessian, for f = J x / 2 - shift, J = ``jacobian(x)`` linear in x (Euler's
+    identity for a homogeneous quadratic less a constant): one ``jacobian``
+    call per trial point; on acceptance ``model(J, f)`` gives H = J'J + sum_e
+    f_e Hessian(f_e), J'f and J's column norms (0 floored to tiny).  Each
+    step solves (H + mu I) h = -J'f; mu starts at 1e-3 max diag J'J and
+    follows Nielsen's rule (Madsen, Nielsen and Tingleff, 2004, Algorithm
+    3.16) on the predicted decrease h'(mu h - J'f) / 2, true for any
+    symmetric H.  Three rules stop it: trf's two, a step lowering the cost by
+    less than 1e-15 of it with gain ratio above 1/4 and a step shorter than
+    1e-15 |x|, and MINPACK's gradient test (More, 1978) once an accepted f
+    that ``fits`` rejects has max_j |J_j'f| / (|J_j| |f|) < _GTOL: a
+    stationary point of nonzero cost, which a fit converging to zero residual
+    never reaches.  At most max_nfev evaluations; returns the last accepted
+    x and its residual."""
     jac = jacobian(x)
-    normal, grad = jac.T @ jac, jac.T @ f
-    mu, nu = 1e-3 * float(normal.diagonal().max()), 2.0
+    f = 0.5 * (jac @ x) - shift
+    hessian, grad, norms = model(jac, f)
+    cost, mu, nu = 0.5 * float(f @ f), 1e-3 * float(norms.max()) ** 2, 2.0
     for _ in range(max_nfev - 1):
-        damped = normal.copy()
+        damped = hessian.copy()
         damped.flat[:: len(x) + 1] += mu
         try:
             step = np.linalg.solve(damped, -grad)
         except np.linalg.LinAlgError:
-            # mu fell below the rounding of a singular J'J: damp harder.
+            # mu fell below the rounding of a singular H: damp harder.
             mu *= nu
             nu *= 2.0
             continue
         with np.errstate(over="ignore", invalid="ignore"):  # inf or nan costs are rejected below
             x_new = x + step
-            f_new = residual(x_new)
+            jac_new = jacobian(x_new)
+            f_new = 0.5 * (jac_new @ x_new) - shift
             cost_new = 0.5 * float(f_new @ f_new)
             decrease = cost - cost_new
             predicted = 0.5 * float(step @ (mu * step - grad))
@@ -383,15 +382,11 @@ def _lm(residual, jacobian, x: np.ndarray, max_nfev: int, fits) -> tuple[np.ndar
             )
         if decrease > 0.0:
             x, f, cost = x_new, f_new, cost_new
-            jac = jacobian(x)
-            normal, grad = jac.T @ jac, jac.T @ f
+            hessian, grad, norms = model(jac_new, f)
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             nu = 2.0
-            if not fits(f):
-                # max_j |J_j'f| / (|J_j| |f|) < _GTOL; a zero column has J_j'f = 0.
-                columns = np.maximum(np.sqrt(normal.diagonal()), np.finfo(float).tiny)
-                if (np.abs(grad) / columns).max() < _GTOL * math.sqrt(f @ f):
-                    break
+            if not fits(f) and (np.abs(grad) / norms).max() < _GTOL * math.sqrt(f @ f):
+                break
         else:
             mu *= nu
             nu *= 2.0
@@ -407,7 +402,7 @@ def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> tuple[GramPo
     symmetrize(sum_p W_p (x) W_p) - coeffs, taken once per cell of
     ``family.cells`` and weighted by the square root of its orbit size, so
     its sum of squares is that over the whole tensor; ``_lm`` minimizes it
-    with the Jacobian in closed form, and ``fits`` is its acceptance test.
+    with the Jacobian and Hessian in closed form, and ``fits`` is its test.
     Returns the fitted PSD Gram point and its ``_factors`` (one eigen-solve
     for the PSD test and the factors) when every coefficient is matched to
     _FIT_RTOL * max|c|, else None.  ``start``, the fit and the factors are in
@@ -419,6 +414,7 @@ def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> tuple[GramPo
     # family.cells.  d residual[e] / d W[p, entry] = weight[e] / 2 * W[p, partner]:
     # the Jacobian, laid out (row e, factor p, column entry), is one bincount of
     # these products, gathered from v and summed at indices fixed for the fit.
+    # The curvature I_r (x) M(f) puts 2 f[e] / weight[e] at each Gram position of cell e.
     _, (x_orbit, y_orbit) = FormCells.layout(m, n)
     weight = np.sqrt(x_orbit * y_orbit).ravel()
     target = family.scaled[family.cells[0], family.cells[1]]
@@ -427,20 +423,24 @@ def _fit(family: GramFamily, start: np.ndarray, tol: Tolerances) -> tuple[GramPo
     gather = (family.cells[[1, 0, 3, 2]].T[:, :, None] + offset).ravel()
     slot = (np.arange(rows)[:, None, None] * (r * mn) + offset + family.cells.T[:, :, None]).ravel()
     half_weight = np.repeat(0.5 * weight, 4 * r)
-
-    def residual(v: np.ndarray) -> np.ndarray:
-        g = v.reshape(r, mn)[:, family.cells]
-        return weight * (0.5 * ((g[:, 0] * g[:, 1]).sum(axis=0) + (g[:, 2] * g[:, 3]).sum(axis=0)) - target)
+    position, factors = np.empty((mn, mn), dtype=np.intp), np.arange(r)
+    position[family.cells, family.cells[[1, 0, 3, 2]]] = np.arange(rows)
 
     def jacobian(v: np.ndarray) -> np.ndarray:
         return np.bincount(slot, half_weight * v[gather], minlength=rows * r * mn).reshape(rows, r * mn)
+
+    def model(jac: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        hessian = jac.T @ jac
+        norms = np.maximum(np.sqrt(hessian.diagonal()), np.finfo(float).tiny)
+        hessian.reshape(r, mn, r, mn)[factors, :, factors] += (f / (0.5 * weight))[position]
+        return hessian, jac.T @ f, norms
 
     bound = _FIT_RTOL * float(np.abs(target).max())
 
     def fits(f: np.ndarray) -> bool:
         return bool(np.abs(f / weight).max() <= bound)
 
-    x, f = _lm(residual, jacobian, start.ravel(), 100 * r * mn, fits)
+    x, f = _lm(jacobian, weight * target, model, start.ravel(), 100 * r * mn, fits)
     if not fits(f):
         return None
     v = x.reshape(r, mn)

@@ -443,11 +443,13 @@ class TestSosRank:
         assert json.loads(proc.stdout)["payload"]["upper_bound"] == 4
 
     @pytest.mark.parametrize("seed, margin", enumerate(BOUNDARY_MARGINS))
-    @pytest.mark.parametrize("m, n, bound", [(2, 2, 3), (3, 2, 4), (2, 3, 4)])
+    @pytest.mark.parametrize("m, n, bound", [(2, 2, 3), (3, 2, 4), (2, 3, 4), (4, 2, 5)])
     def test_paper_bounds_at_the_psd_boundary(self, capsys, tmp_path, m, n, bound, seed, margin):
         # A PSD m x 2 form is SOS (Calderon 1973), in at most 3 squares at
         # 2 x 2 and 4 at 3 x 2 and 2 x 3, also with a zero, where the Gram
-        # spectrahedron has no interior: sos-rank must find it.
+        # spectrahedron has no interior: sos-rank must find it.  At 4 x 2 the
+        # search finds m + 1 = 5 squares: evidence, not a theorem, so the
+        # universal bound stays mn - 1.
         path = str(tmp_path / "boundary.json")
         forms.save_form(boundary_form(seed, m, n, margin), path)
         code, data = run_json(capsys, ["sos-rank", path])

@@ -1,8 +1,8 @@
 """Scale invariance: P and s * P get the same answers for s in [1e-12, 1e12],
 and the general forms' sos-rank, reduce-rank and meig answers also for s
-from 1e-310 to 1e300, and sos-rank's and reduce-rank's answers on three
-forms near the float maximum, up to max|c| = 1.7e308.  Below max|c| =
-2^-1074 / 1e-10 the Gram commands exit 1, naming that limit.
+from 1e-310 to 1e300, and sos-rank's and reduce-rank's answers on four
+forms near the float maximum, up to max|c| at the float maximum itself.
+Below max|c| = 2^-1074 / 1e-10 the Gram commands exit 1, naming that limit.
 
 Every cutoff in the package is relative to the object it judges, so exit
 codes, verdicts, ranks, pair counts and factor counts must not move when
@@ -13,6 +13,7 @@ import contextlib
 import functools
 import io
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -198,8 +199,10 @@ class TestScaleInvariance:
         # of four, so nothing warns.  sos-rank and reduce-rank give their
         # unscaled answers there, as on c (x1^2 y1^2 + x2^2 y2^2 + x1 y1 x2 y2)
         # at c = 6e307, 9e307 and 1.7e308, and on planted-3x2-r3 scaled to
-        # max|c| = 1.7e308: the re-verification forms the factors' Gram
-        # matrix scaled by a power of four, so its products do not overflow.
+        # max|c| = 1.7e308, and on P_(3,3,9) with every coefficient at the
+        # float maximum: the re-verification forms the factors' Gram matrix
+        # scaled by a power of four and compares it with the form's cells
+        # scaled alike, so neither its products nor its cells overflow.
         directory = tmp_path_factory.getbasetemp()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -222,6 +225,7 @@ class TestScaleInvariance:
             ("squares-2x2", squares, 9e307),
             ("squares-2x2", squares, 1.7e308),
             ("planted-3x2-r3", planted, 1.7e308 / top),
+            ("simple-3x3-9", GENERAL["simple-3x3-9"](), sys.float_info.max),
         ):
             reference = gram_answers(write_form(directory, f"{name}-unscaled", coeffs))
             assert reference[0][0] == reference[1][0] == 0

@@ -11,9 +11,13 @@ invocation: the workload, the item, the exit code, the sha256 of its
 Two checkouts answer alike on the corpora exactly when their digests
 ``diff`` clean.  With ``--counts`` each line also ends in
 ``fits=F eigs=E lm=N``: the calls that invocation made to ``gram._fit`` and
-to ``np.linalg.eigh`` or ``np.linalg.eigvalsh``, and the residual
-evaluations inside ``gram._lm``, deterministic work counters that a timing
-run cannot give.  Nothing under the checkout is written.
+to ``np.linalg.eigh`` or ``np.linalg.eigvalsh``, and the points ``gram._lm``
+evaluated, deterministic work counters that a timing run cannot give.
+``lm`` counts calls to ``_lm``'s first argument, the callable it evaluates
+once at its start and once per trial point: the residual in an ``_lm`` that
+takes one, the Jacobian it reads the residual from in one that does not, so
+checkouts on either side of that change compare.  Nothing under the checkout
+is written.
 """
 
 from __future__ import annotations
@@ -42,17 +46,17 @@ def _count_calls(owner, name: str, tally: dict, key: str) -> None:
     setattr(owner, name, counted)
 
 
-def _count_residuals(gram, tally: dict) -> None:
+def _count_points(gram, tally: dict) -> None:
     """Replace ``gram._lm`` by a wrapper adding one to ``tally["lm"]`` per
-    evaluation of the residual it is handed."""
+    call of its first argument, the callable it evaluates per point."""
     lm = gram._lm
 
-    def counted(residual, *args, **kwargs):
-        def residual_counted(x):
+    def counted(evaluate, *args, **kwargs):
+        def evaluate_counted(x):
             tally["lm"] += 1
-            return residual(x)
+            return evaluate(x)
 
-        return lm(residual_counted, *args, **kwargs)
+        return lm(evaluate_counted, *args, **kwargs)
 
     gram._lm = counted
 
@@ -70,7 +74,7 @@ def digest_lines(root: str, seed: int, counts: bool = False):
     for owner, name, key in counted if counts else ():
         _count_calls(owner, name, tally, key)
     if counts:
-        _count_residuals(biquad.gram, tally)
+        _count_points(biquad.gram, tally)
 
     start = os.getcwd()
     for workload in WORKLOADS:
@@ -96,7 +100,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--root", required=True, help="checkout whose src/ and benchmark/ are used")
     parser.add_argument("--seed", type=int, required=True, help="corpus seed, as benchmark/run.py --seed")
-    parser.add_argument("--counts", action="store_true", help="end each line in its gram._fit and eigen-solve calls and gram._lm residual evaluations")
+    parser.add_argument("--counts", action="store_true", help="end each line in its gram._fit and eigen-solve calls and gram._lm point evaluations")
     args = parser.parse_args(argv)
     for line in digest_lines(args.root, args.seed, args.counts):
         print(line)
