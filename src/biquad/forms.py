@@ -2,7 +2,7 @@
 
 A biquadratic form P(x, y) = sum a_ijkl x_i y_j x_k y_l (x in R^m, y in R^n)
 is stored through its unique partially symmetric coefficient tensor, i.e.
-``a[i,j,k,l] == a[k,j,i,l] == a[k,l,i,j]``.  Files store polynomial monomial
+``a[i,j,k,l] == a[k,j,i,l] == a[k,l,i,j]`` bit for bit.  Files store polynomial monomial
 coefficients instead (one entry per distinct monomial x_i x_k y_j y_l), which
 is the convention people actually write forms in; conversion between the two
 views lives here.  A terms file is accumulated once, into its canonical
@@ -39,7 +39,7 @@ from .linalg import COEFF_TOL, quarter_exponent
 @dataclass(frozen=True)
 class BiquadraticForm:
     """Coefficient tensor of shape (m, n, m, n); ``coeffs[i, j, k, l]``
-    multiplies the product x_i y_j x_k y_l."""
+    multiplies x_i y_j x_k y_l, stored as the ``_orbit_mean`` of the tensor given."""
 
     m: int
     n: int
@@ -59,7 +59,7 @@ class BiquadraticForm:
             and np.allclose(a, a.transpose(2, 3, 0, 1), rtol=0.0, atol=atol)
         ):
             raise InvalidInput("tensor is not partially symmetric; use symmetrize() on raw coefficients")
-        a = a.copy()
+        a = _orbit_mean(a)
         a.setflags(write=False)
         object.__setattr__(self, "coeffs", a)
 
@@ -100,12 +100,10 @@ class FormCells:
 
     @classmethod
     def of(cls, form: BiquadraticForm) -> FormCells:
-        """The cells of a dense form, each the mean of its entry and the
-        y-swapped one, as a form may be off partial symmetry by COEFF_TOL
-        (taken as a + (b - a) / 2, which cannot overflow)."""
+        """The cells of a dense form, gathered: its tensor is exactly
+        partially symmetric, so every entry of an orbit is the cell."""
         (i, j, k, l), _ = cls.layout(form.m, form.n)
-        entry = form.coeffs[i, j, k, l]
-        return cls(form.m, form.n, entry + 0.5 * (form.coeffs[i, l, k, j] - entry))
+        return cls(form.m, form.n, form.coeffs[i, j, k, l])
 
     @classmethod
     def x_symmetric(cls, m: int, same: np.ndarray, cross: np.ndarray) -> FormCells:
@@ -227,7 +225,7 @@ def symmetrize(raw) -> BiquadraticForm:
     The result defines the same polynomial and is the canonical carrier.
     The mean over the swaps i <-> k and j <-> l pairs its sums so that it is
     bitwise invariant under both (float addition is commutative): an
-    already-symmetric tensor passes through bit-identically.
+    already-symmetric tensor keeps its bits; any finite one has a finite mean.
     """
     a = np.asarray(raw, dtype=float)
     if a.ndim != 4 or a.shape[0] != a.shape[2] or a.shape[1] != a.shape[3]:
@@ -236,9 +234,12 @@ def symmetrize(raw) -> BiquadraticForm:
 
 
 def _orbit_mean(a: np.ndarray) -> np.ndarray:
-    """``symmetrize``'s mean of an (m, n, m, n) array, unchecked."""
-    sym = a + a.transpose(2, 1, 0, 3)
-    return (sym + sym.transpose(0, 3, 2, 1)) * 0.25
+    """``symmetrize``'s mean, unchecked; entries are taken times 1/4 (exact) before
+    the sums only from max|a| = 2^1022 on, where four could overflow."""
+    scale = 0.25 if np.abs(a).max(initial=0.0) >= 2.0**1022 else 1.0
+    sym = a * scale
+    sym = sym + sym.transpose(2, 1, 0, 3)
+    return (sym + sym.transpose(0, 3, 2, 1)) * (0.25 / scale)
 
 
 def max_abs_coeff(form: BiquadraticForm) -> float:
@@ -331,43 +332,48 @@ def verify_sos(
         elif isinstance(form, FormCells):
             diffs = (_sos_cells(dec, form.values),)
         elif isinstance(dec, GroupedSOSDecomposition):
-            same, cross = _grouped_blocks(dec)
-            same_x = same - form.B
-            same_x.flat[:: form.n + 1] -= form.d
-            diffs = (same_x,) if form.m == 1 else (same_x, cross - form.A)
+            same, cross, e = _grouped_blocks(dec)
+            same_x = same - np.ldexp(form.B, -4 * e)
+            same_x.flat[:: form.n + 1] -= np.ldexp(form.d, -4 * e)
+            pairs = (same_x,) if form.m == 1 else (same_x, cross - np.ldexp(form.A, -4 * e))
+            diffs = tuple(np.ldexp(diff, 4 * e) for diff in pairs)
         else:
             diffs = (_sos_cells(dec, form.cells().values),)
     resid = max(float(np.abs(diff).max(initial=0.0)) for diff in diffs)
     return resid <= residual_bound(form, slack), resid
 
 
-def _grouped_blocks(dec: GroupedSOSDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """The n x n blocks of sum_g X_g'X_g (x) Y_g'Y_g: with X'X = 11'/m
-    (ONES) and I - 11'/m (HELMERT) they are Q' + (R' - Q')/m when i = k and
-    (R' - Q')/m otherwise, where Q' and R' sum Y'Y over the HELMERT and the
-    ONES groups; with m = 1 only the first kind exists."""
+def _grouped_blocks(dec: GroupedSOSDecomposition) -> tuple[np.ndarray, np.ndarray, int]:
+    """(same, cross, e): the n x n blocks of sum_g X_g'X_g (x) Y_g'Y_g times
+    16^-e, formed from the Y rows times 4^-e (exact, e their ``quarter_exponent``).
+    With X'X = 11'/m (ONES) and I - 11'/m (HELMERT) they are Q' + (R' - Q')/m
+    when i = k and (R' - Q')/m otherwise, where Q' and R' sum Y'Y over the
+    HELMERT and the ONES groups; with m = 1 only the first kind exists."""
+    e = max((quarter_exponent(yg) for _, yg in dec.groups), default=-1)
     q, r = np.zeros((dec.n, dec.n)), np.zeros((dec.n, dec.n))
     for xg, yg in dec.groups:
         gram = q if xg == HELMERT else r
+        yg = np.ldexp(yg, -2 * e)
         gram += yg.T @ yg
     cross = (r - q) / dec.m
-    return q + cross, cross
+    return q + cross, cross, e
 
 
 def _sos_cells(dec: SOSDecomposition | GroupedSOSDecomposition, values=0.0) -> np.ndarray:
     """The canonical cells of a decomposition's coefficients minus ``values``;
     a dense one's are symmetrize(G)'s entries, G = sum_p vec W_p vec W_p',
-    formed unchecked from the factors times 4^-e (``quarter_exponent``), less
-    ``values`` times 16^-e, and scaled back by 16^e (exact scalings): only a
-    difference beyond the float range overflows, to an infinite residual."""
+    formed unchecked from the factors times 4^-e (``quarter_exponent``), a grouped
+    one's by ``_grouped_blocks``, less ``values`` times 16^-e, and scaled back
+    by 16^e (exact scalings): only a difference beyond the float range overflows."""
     if isinstance(dec, GroupedSOSDecomposition):
-        return FormCells.x_symmetric(dec.m, *_grouped_blocks(dec)).values - values
-    m, n = dec.m, dec.n
-    flat = dec.factors.reshape(len(dec), m * n)
-    e = quarter_exponent(flat)
-    flat = np.ldexp(flat, -2 * e)
-    (i, j, k, l), _ = FormCells.layout(m, n)
-    cells = _orbit_mean((flat.T @ flat).reshape(m, n, m, n))[i, j, k, l]
+        same, cross, e = _grouped_blocks(dec)
+        cells = FormCells.x_symmetric(dec.m, same, cross).values
+    else:
+        flat = dec.factors.reshape(len(dec), dec.m * dec.n)
+        e = quarter_exponent(flat)
+        flat = np.ldexp(flat, -2 * e)
+        (i, j, k, l), _ = FormCells.layout(dec.m, dec.n)
+        cells = _orbit_mean((flat.T @ flat).reshape(dec.m, dec.n, dec.m, dec.n))[i, j, k, l]
     return np.ldexp(cells - np.ldexp(values, -4 * e), 4 * e)
 
 
@@ -382,7 +388,8 @@ def _term_columns(form: BiquadraticForm) -> tuple[np.ndarray, ...]:
     """1-based i, j, k, l and the polynomial coefficient c of every nonzero
     monomial, sorted by (i, k, j, l)."""
     (i, j, k, l), (x_orbit, y_orbit) = FormCells.layout(form.m, form.n)
-    c = x_orbit * y_orbit * form.coeffs[i, j, k, l]
+    with np.errstate(over="ignore"):
+        c = x_orbit * y_orbit * form.coeffs[i, j, k, l]
     x_pair, y_pair = np.nonzero(c)
     return i[x_pair, 0] + 1, j[y_pair] + 1, k[x_pair, 0] + 1, l[y_pair] + 1, c[x_pair, y_pair]
 
@@ -502,7 +509,11 @@ def require_indexable(m: int, n: int, count: int, what: str) -> None:
 
 
 def form_to_dict(form: BiquadraticForm) -> dict:
-    rows = zip(*(col.tolist() for col in _term_columns(form)))
+    """The terms record; InvalidInput if a monomial coefficient overflows."""
+    columns = _term_columns(form)
+    if not np.isfinite(columns[-1]).all():
+        raise InvalidInput("a monomial coefficient overflows the float range; the form has no terms record")
+    rows = zip(*(col.tolist() for col in columns))
     return {"m": form.m, "n": form.n, "terms": [dict(zip(_TERM_FIELDS, row)) for row in rows]}
 
 

@@ -87,17 +87,14 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.transpose(0, 2, 1))
-
-
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, :, None] * v[:, None, :]).reshape(len(u), -1)
 
 
 class _Contractor:
     """Unfoldings of an (m, n, m, n) tensor, so that contracting a stack of
-    starts is one matmul."""
+    starts is one matmul.  A form's unfolding rows (i, k) and (k, i) are
+    equal, so G(y) and H(x) need no symmetrizing: ``eigh`` reads one triangle."""
 
     def __init__(self, coeffs: np.ndarray):
         m, n = coeffs.shape[:2]
@@ -108,11 +105,11 @@ class _Contractor:
 
     def x_matrices(self, y: np.ndarray) -> np.ndarray:
         """G(y) for each row of y: (b, n) -> (b, m, m)."""
-        return _sym((_outer(y, y) @ self.x_unfold.T).reshape(-1, self.m, self.m))
+        return (_outer(y, y) @ self.x_unfold.T).reshape(-1, self.m, self.m)
 
     def y_matrices(self, x: np.ndarray) -> np.ndarray:
         """H(x) for each row of x: (b, m) -> (b, n, n)."""
-        return _sym((_outer(x, x) @ self.y_unfold.T).reshape(-1, self.n, self.n))
+        return (_outer(x, x) @ self.y_unfold.T).reshape(-1, self.n, self.n)
 
     def cross(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """C_ij = sum_kl a_ijkl x_k y_l for each row pair: (b, m, n)."""

@@ -181,8 +181,14 @@ class PSDCertificate:
 
 
 def qr_pair(data: XSymmetricData) -> QRPair:
-    base = np.diag(data.d) + data.B
-    return QRPair(Q=base - data.A, R=base + (data.m - 1) * data.A)
+    return QRPair(*_qr_scaled(data, 0))
+
+
+def _qr_scaled(data: XSymmetricData, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Q and R formed from (d, A, B) times 4^-k (exact)."""
+    d, a, b = (np.ldexp(v, -2 * k) for v in (data.d, data.A, data.B))
+    base = np.diag(d) + b
+    return base - a, base + (data.m - 1) * a
 
 
 def evaluate_xsym(data: XSymmetricData, x, y) -> float:
@@ -237,11 +243,12 @@ def check_psd_monic(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> PSDC
     Q and R are judged as S Q S and S R S with S = ``_jacobi_scaling(d)``, a
     congruence that keeps their inertia, after dropping every y index whose
     row of both scaled matrices (of R alone when m = 1) is exactly zero.
-    A failing verdict carries a concrete witness: if Q has a negative
-    eigenvalue with eigenvector u, then x orthogonal to the all-ones vector
-    and y = S u give P(x, y) = u'SQSu < 0; if only R fails, x = 1/sqrt(m)
-    and y = S times the offending eigenvector work the same way.  Witnesses
-    are verified numerically before being returned.
+    Both are formed as (2^k S) (4^-k Q) (2^k S), 4^k near max|coeff|, so no
+    step overflows.  A failing verdict carries a concrete witness: if Q has
+    a negative eigenvalue with eigenvector u, then x orthogonal to the
+    all-ones vector and y = S u give P(x, y) = u'SQSu < 0; if only R fails,
+    x = 1/sqrt(m) and y = S times the offending eigenvector work the same
+    way.  Witnesses are verified numerically before being returned.
 
     A PSD verdict lets the decomposition drop every eigenvalue with
     |lam| <= eps * scale, so the scaled Q and R it rebuilds are off by a
@@ -254,9 +261,9 @@ def check_psd_monic(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> PSDC
     """
     m, n = data.m, data.n
     s = _jacobi_scaling(data.d)
-    pair = qr_pair(data)
-    q = pair.Q * np.outer(s, s)
-    r = pair.R * np.outer(s, s)
+    k = linalg.quarter_exponent(np.array(data.max_abs_coeff()))
+    unit_s = np.ldexp(s, k)
+    q, r = (matrix * np.outer(unit_s, unit_s) for matrix in _qr_scaled(data, k))
     live = np.any(r, axis=1)
     if m >= 2:
         live |= np.any(q, axis=1)

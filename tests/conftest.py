@@ -133,3 +133,13 @@ def boundary_form(seed: int, m: int, n: int, margin: float) -> BiquadraticForm:
     c = c - (mu - margin * np.abs(c).max()) * np.einsum("ik,jl->ijkl", np.eye(k), np.eye(2))
     c = 10.0 ** rng.uniform(-8.0, 8.0) * c
     return BiquadraticForm(m, n, c.transpose(1, 0, 3, 2) if k != m else c)
+
+
+@st.composite
+def boundary_forms(draw):
+    """``boundary_form`` at 2 x 2, 3 x 2 or 2 x 3, with a drawn seed and
+    margin, returned with the paper's bound on its SOS rank: 3 at 2 x 2,
+    4 at 3 x 2 and 2 x 3."""
+    m, n = draw(st.sampled_from([(2, 2), (3, 2), (2, 3)]))
+    seed, margin = draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from(BOUNDARY_MARGINS))
+    return boundary_form(seed, m, n, margin), m * n - 1

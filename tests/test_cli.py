@@ -22,7 +22,7 @@ from biquad.cli import main
 from biquad.errors import InvalidInput
 from biquad.partsym import XSymmetricData, random_psd_instance, reconstruct
 from biquad.simple import gen_simple, to_form
-from conftest import BOUNDARY_MARGINS, boundary_form, tiny_line_form, xsym_forms
+from conftest import BOUNDARY_MARGINS, boundary_form, boundary_forms, tiny_line_form, xsym_forms
 
 
 def write(path, obj):
@@ -458,6 +458,23 @@ class TestSosRank:
         assert payload["max_residual"] <= payload["residual_bound"]
         code, data = run_json(capsys, ["reduce-rank", path])
         assert code == 0 and data["payload"]["max_residual"] <= data["payload"]["residual_bound"]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(case=boundary_forms())
+    def test_paper_bounds_over_boundary_forms(self, tmp_path_factory, case):
+        # The property form of the test above, over seeds, margins and
+        # scales 10^U(-8, 8).
+        form, bound = case
+        path = str(tmp_path_factory.getbasetemp() / "boundary-property.json")
+        forms.save_form(form, path)
+        payloads = []
+        for command in ("sos-rank", "reduce-rank"):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main([command, path, "--json"]) == 0
+            payloads.append(json.loads(out.getvalue())["payload"])
+        assert payloads[0]["lower_bound"] <= payloads[0]["upper_bound"] <= bound
+        for payload in payloads:
+            assert payload["max_residual"] <= payload["residual_bound"]
 
 
 class TestGramCap:

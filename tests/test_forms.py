@@ -2,6 +2,8 @@ import json
 import math
 import os
 import stat
+import sys
+import warnings
 
 import numpy as np
 import orjson
@@ -135,6 +137,23 @@ class TestSymmetrize:
     def test_bad_shape(self):
         with pytest.raises(InvalidInput):
             symmetrize(np.zeros((2, 2, 3, 2)))
+
+    def test_finite_up_to_the_float_maximum(self):
+        # Four entries near the maximum are summed after a prescale by 1/4.
+        raw = np.random.default_rng(3).standard_normal((2, 3, 2, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top = symmetrize(np.full((2, 2, 2, 2), sys.float_info.max))
+            big = symmetrize(1e308 / np.abs(raw).max() * raw)
+        assert (top.coeffs == sys.float_info.max).all()
+        assert np.isfinite(big.coeffs).all()
+        np.testing.assert_allclose(big.coeffs, 1e308 / np.abs(raw).max() * symmetrize(raw).coeffs, rtol=1e-15)
+
+    def test_symmetric_tensor_with_subnormals_keeps_its_bits(self):
+        # Below 2^1022 no prescale runs, so a 5e-324 entry is not flushed.
+        p = symmetrize(np.random.default_rng(4).standard_normal((2, 2, 2, 2)))
+        coeffs = np.where(np.abs(p.coeffs) > 1.0, 1e300 * p.coeffs, 5e-324 * np.sign(p.coeffs))
+        assert symmetrize(coeffs).coeffs.tobytes() == coeffs.tobytes()
 
 
 class TestEvaluate:
@@ -279,8 +298,7 @@ class TestTransposeXY:
         p, x, y = case
         twice = _swapped(_swapped(p))
         assert (twice.m, twice.n) == (p.m, p.n)
-        # The cells' mean turns a -0.0 entry into 0.0.
-        assert twice.coeffs.tobytes() == (p.coeffs + 0.0).tobytes()
+        assert twice.coeffs.tobytes() == p.coeffs.tobytes()
         assert abs(evaluate(_swapped(p), y, x) - evaluate(p, x, y)) <= _rounding_bound(p, x, y)
 
     def test_single_monomial_swap(self):
@@ -392,6 +410,16 @@ class TestSerialization:
                 for _ in range(count)
             ]
             np.testing.assert_array_equal(form_from_dict(_record(m, n, *terms)).coeffs, _add_terms_loop(m, n, terms))
+
+    def test_overflowing_monomial_is_not_written(self, tmp_path):
+        # Every off-diagonal orbit cell at M / 2: its monomial, 4 x M / 2, overflows.
+        p = FormCells(2, 2, np.full((3, 3), 0.5 * sys.float_info.max)).to_form()
+        path = tmp_path / "form.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="overflows the float range"):
+                save_form(p, str(path))
+        assert not path.exists()
 
     def test_dict_round_trip(self):
         p = to_form(gen_simple(3, 3, 6))
@@ -893,6 +921,14 @@ class TestConstruction:
         coeffs[0, 0, 0, 0] = value
         with pytest.raises(InvalidInput, match="finite"):
             BiquadraticForm(2, 2, coeffs)
+
+    def test_stored_tensor_is_exactly_partially_symmetric(self):
+        coeffs = symmetrize(np.random.default_rng(5).standard_normal((3, 2, 3, 2))).coeffs.copy()
+        coeffs[0, 1, 2, 0] += 1e-13 * np.abs(coeffs).max()
+        stored = BiquadraticForm(3, 2, coeffs).coeffs
+        assert not np.array_equal(stored, coeffs)
+        assert stored.tobytes() == stored.transpose(2, 1, 0, 3).tobytes()
+        assert stored.tobytes() == stored.transpose(2, 3, 0, 1).tobytes()
 
     def test_coeffs_read_only(self):
         p = to_form(gen_simple(2, 2, 2))

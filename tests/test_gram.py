@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from biquad import gram, linalg
 from biquad.errors import CannotReduce, InvalidInput, NoPSDPointFound, NotPSD
-from biquad.forms import FormCells, symmetrize, evaluate, verify_sos
+from biquad.forms import BiquadraticForm, FormCells, symmetrize, evaluate, verify_sos
 from biquad.gram import (
     GramPoint,
     build_family,
@@ -54,6 +54,26 @@ class TestBuildFamily:
         expected[0, 3] = expected[3, 0] = 1.0
         expected[1, 2] = expected[2, 1] = -1.0
         np.testing.assert_array_equal(delta, expected)
+
+    def test_base_is_the_stored_tensor(self):
+        # The form stores its tensor exactly symmetric, so the base is its
+        # reshape, with no mirroring, even for input off symmetry by 1e-13.
+        coeffs = symmetrize(np.random.default_rng(6).standard_normal((3, 2, 3, 2))).coeffs.copy()
+        coeffs[0, 1, 2, 0] += 1e-13
+        form = BiquadraticForm(3, 2, coeffs)
+        base = build_family(form).base
+        assert base.tobytes() == form.coeffs.reshape(6, 6).tobytes() == base.T.tobytes()
+
+    def test_direction_scatters_each_gamma(self):
+        fam = build_family(to_form(gen_simple(3, 3, 6)))
+        gamma = np.random.default_rng(7).standard_normal(fam.dim)
+        expected = np.zeros((9, 9))
+        for t, (ij, kl, il, kj) in enumerate(fam.swaps.T):
+            expected[ij, kl] = expected[kl, ij] = gamma[t]
+            expected[il, kj] = expected[kj, il] = -gamma[t]
+        assert fam.direction(gamma).tobytes() == expected.tobytes()
+        with pytest.raises(InvalidInput):
+            fam.direction(gamma[1:])
 
     def test_3x2_three_directions(self):
         fam = build_family(to_form(gen_simple(3, 2, 6)))
@@ -109,6 +129,16 @@ class TestGramAt:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInput):
             gram_at(f_224(), [1.0, 2.0])
+
+    def test_matrix_is_base_plus_direction(self):
+        # The member less the base rounds where the base is large; the
+        # direction itself is exact, as reduce_to_boundary steps along it.
+        rng = np.random.default_rng(8)
+        fam = build_family(symmetrize(rng.standard_normal((3, 3, 3, 3))))
+        gamma = 1e-3 * rng.standard_normal(fam.dim)
+        point = gram_at(fam, gamma)
+        assert point.matrix.tobytes() == (fam.base + fam.direction(gamma)).tobytes()
+        assert not np.array_equal(point.matrix - fam.base, fam.direction(gamma))
 
     def test_point_is_its_gamma(self):
         # The matrix is built from gamma, read-only, and cannot be passed in.

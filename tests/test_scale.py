@@ -1,7 +1,8 @@
 """Scale invariance: P and s * P get the same answers for s in [1e-12, 1e12],
 and the general forms' sos-rank, reduce-rank and meig answers also for s
 from 1e-310 to 1e300, and sos-rank's and reduce-rank's answers on four
-forms near the float maximum, up to max|c| at the float maximum itself.
+forms near the float maximum, up to max|c| at the float maximum itself, as
+check-psd's, decompose's and verify's on one x-symmetric form.
 Below max|c| = 2^-1074 / 1e-10 the Gram commands exit 1, naming that limit.
 
 Every cutoff in the package is relative to the object it judges, so exit
@@ -192,6 +193,26 @@ class TestScaleInvariance:
             assert "is below 4.9e-314, the smallest scale the Gram search can fit" in payload["error"]
         code, payload = run(["meig", path, "--restarts", "5"])
         assert (code, payload["count"]) == unscaled_answers(name, directory)[2]
+
+    @pytest.mark.parametrize("s", [sys.float_info.max / 2, sys.float_info.max])
+    def test_xsym_commands_at_the_float_maximum(self, tmp_path, capsys, s):
+        # d = (s, s), A = -sI, B = 0: Q = D + B - A = 2sI passes the float
+        # maximum in the form's units.  check-psd forms S Q S from (d, A, B)
+        # times 4^-k and S times 2^k, and verify compares the Y rows' Y'Y
+        # with (d, A, B) in the rows' power-of-sixteen units.
+        def answers(name, scale):
+            data = XSymmetricData(2, np.full(2, scale), -scale * np.eye(2), np.zeros((2, 2)))
+            found = xsym_answers(tmp_path, name, data)
+            code, payload = run(["verify", str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}.dec.json")])
+            return found + [(code, payload.get("factor_count"))]
+
+        reference = answers("unit", 1.0)
+        assert reference == [(0, "PSD", None), (0, None, 2), (0, 2)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert answers(f"{s:g}", s) == reference
+        assert not caught
+        assert capsys.readouterr().err == ""
 
     def test_rank_floor_near_the_float_range(self, tmp_path_factory, capsys):
         # trace(base) of planted-2x3-r4 times 1e307 overflows; the floor's

@@ -16,8 +16,11 @@ evaluated, deterministic work counters that a timing run cannot give.
 ``lm`` counts calls to ``_lm``'s first argument, the callable it evaluates
 once at its start and once per trial point: the residual in an ``_lm`` that
 takes one, the Jacobian it reads the residual from in one that does not, so
-checkouts on either side of that change compare.  Nothing under the checkout
-is written.
+checkouts on either side of that change compare.  After the last of those
+lines ``--counts`` also prints one ``total WORKLOAD COMMAND fits=F eigs=E
+lm=N`` line per workload and command (``Item.command``), in the order they
+first ran: the sums over that command's invocations, so per-pass counts
+need no hand sum.  Nothing under the checkout is written.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ def digest_lines(root: str, seed: int, counts: bool = False):
     if counts:
         _count_points(biquad.gram, tally)
 
+    totals = {}
     start = os.getcwd()
     for workload in WORKLOADS:
         with tempfile.TemporaryDirectory() as workdir:
@@ -91,16 +95,27 @@ def digest_lines(root: str, seed: int, counts: bool = False):
                         with open(item.out, "rb") as handle:
                             written = _sha(handle.read())
                     line = f"{workload} {item.name} {code} {_sha(out.getvalue().encode())} {written}"
-                    yield line + (f" fits={tally['fits']} eigs={tally['eigs']} lm={tally['lm']}" if counts else "")
+                    yield line + (f" {_counted(tally)}" if counts else "")
+                    total = totals.setdefault((workload, item.command), dict.fromkeys(tally, 0))
+                    for key in tally:
+                        total[key] += tally[key]
             finally:
                 os.chdir(start)
+    for (workload, command), total in totals.items() if counts else ():
+        yield f"total {workload} {command} {_counted(total)}"
+
+
+def _counted(tally: dict) -> str:
+    return f"fits={tally['fits']} eigs={tally['eigs']} lm={tally['lm']}"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--root", required=True, help="checkout whose src/ and benchmark/ are used")
     parser.add_argument("--seed", type=int, required=True, help="corpus seed, as benchmark/run.py --seed")
-    parser.add_argument("--counts", action="store_true", help="end each line in its gram._fit and eigen-solve calls and gram._lm point evaluations")
+    parser.add_argument("--counts", action="store_true",
+                        help="end each line in its gram._fit and eigen-solve calls and gram._lm point evaluations, "
+                        "then print their totals per workload and command")
     args = parser.parse_args(argv)
     for line in digest_lines(args.root, args.seed, args.counts):
         print(line)
