@@ -24,11 +24,12 @@ Gauss-Newton converges only linearly; MINPACK's gradient test stops them.
 ``rank_floor``, a proven lower bound, counts eigenvalues of the Gram
 blocks every PSD member shares and of the ends of the segment of PSD members,
 one point when the dead rows (zero x_i^2 y_j^2 coefficients) leave no direction
-free; with one free, as for every 2 x 2 form, the smaller end rank is the SOS
-rank.  One rule starts both searches: the face's own member (that end, else the
-pinned member) when PSD, else, if a direction is free, the first seeded fit
-from the floor up; ``min_rank_search`` lowers r to the floor or the first
-square count no start fits: a verified upper bound, exact at the floor.
+free; with one free the smaller end rank is the SOS rank, and on four live rows
+a segment with no positive definite member is one point: the face decides every
+SOS 2 x 2 form.  One rule starts both searches: the face's own member (that
+end, else the pinned member) when PSD, else, if a direction is free, the first
+seeded fit from the floor up; ``min_rank_search`` lowers r to the floor or the
+first square count no start fits: a verified upper bound, exact at the floor.
 
 A family fixes one power of four, 4^k near max|c|: spectra, fits and the
 searches' factors are taken on its ``scaled`` members, the form's times 4^-k
@@ -62,14 +63,8 @@ _GTOL = 1e-4
 # The largest Gram order m * n check_size accepts, that of the 10 x 10 forms
 # the search is meant to reach; a far larger form's tensor exhausts memory.
 _ORDER_CAP = 100
-# ``_deepest`` seeks a member with lambda_min above this fraction of the trace,
-# so that the steps to the segment's ends are well conditioned, in at most
-# _SEGMENT_STEPS halvings of its bracket.
-_SEGMENT_RTOL = 1e-6
+# The halvings of ``_deepest``'s bracket.
 _SEGMENT_STEPS = 60
-# psd_point's sweeps of one seeded start per square count: on 2,100 2 x 2
-# boundary forms (tests/conftest.py) one left 84 unfitted, two 3, three none.
-_PSD_SWEEPS = 3
 
 
 def __getattr__(name: str):
@@ -150,11 +145,17 @@ class GramFamily:
         blocks of the PSD members fill a segment: the point G when no direction
         is free (always if m = 1 or n = 1), G + tD on one interval when one is,
         D.  A member inside it holds both ends' kernels, so the SOS rank is the
-        smaller end rank.  From ``_deepest``'s positive definite G + tD,
-        ``_boundary_steps`` reaches both ends, each a member: its gamma (G's,
-        but for the step times 4^k on D) and its live block's eigenvalues in
-        family units.  ends is () with more free directions, a negative
-        diagonal entry or no such member."""
+        smaller end rank.  Each end is a member: its gamma (G's, but for the
+        step times 4^k on D) and its live block's eigenvalues in family units.
+        ``_boundary_steps`` reaches both from ``_deepest``'s G + tD when its
+        Cholesky factor exists.  Else, when the live rows are the four D
+        reaches, G + tD is the one end: D^2 = I there, so no nonzero vector
+        is in two members' kernels, and a segment with no positive definite
+        member is at most one point, the maximiser of lambda_min(G + tD).  On
+        more live rows a vector zero on those four can lie in every kernel,
+        and the segment can be an interval whose ends have lower rank than its
+        maximiser: ends is (), as with more free directions or a negative
+        diagonal entry."""
         m, n, base = self.m, self.n, self.base
         dead = base.diagonal() == 0.0
         ij, kl, il, kj = self.swaps
@@ -164,20 +165,21 @@ class GramFamily:
         g = self.matrix_at(np.ldexp(gamma, -2 * self.k), scaled=True)
         lines = g.reshape(m, n, m, n)
         shared = tuple(map(np.linalg.eigvalsh, (lines[range(m), :, range(m)], lines[:, range(n), :, range(n)])))
-        trace, block, diagonal, ends = float(g.trace()), np.ix_(~dead, ~dead), g.diagonal(), ()
-        if not free.any():
-            ends = ((gamma, np.linalg.eigvalsh(g[block])),)
-        elif np.count_nonzero(free) == 1 and not (diagonal < 0.0).any():
+        trace, block, diagonal = float(g.trace()), np.ix_(~dead, ~dead), g.diagonal()
+        # Each end is G + (t + s) D for a step s; with no direction free, G itself.
+        t, steps, direction = 0.0, () if free.any() else (0.0,), self.direction(free)[block]
+        if np.count_nonzero(free) == 1 and not (diagonal < 0.0).any():
             ij, kl, il, kj = self.swaps[:, free][:, 0]
-            direction = self.direction(free)
             # A PSD G + tD keeps |g[ij, kl] + t|, |g[il, kj] - t| within their diagonals' geometric means.
             centre, reach = np.array([-g[ij, kl], g[il, kj]]), np.sqrt(diagonal[[ij, il]] * diagonal[[kl, kj]])
-            g, direction = g[block], direction[block]
-            t = _deepest(g, direction, (centre - reach).max(), (centre + reach).min())
-            if t is not None:
-                inner = g + t * direction
-                ends = tuple((gamma + free * math.ldexp(t + s, 2 * self.k), np.linalg.eigvalsh(inner + s * direction))
-                             for s in _boundary_steps(inner, direction))
+            t = _deepest(g[block], direction, (centre - reach).max(), (centre + reach).min())
+            try:
+                steps = _boundary_steps(g[block] + t * direction, direction)
+            except np.linalg.LinAlgError:
+                steps = (0.0,) if len(direction) == 4 else ()
+        inner = g[block] + t * direction
+        ends = tuple((gamma + free * math.ldexp(t + s, 2 * self.k), np.linalg.eigvalsh(inner + s * direction))
+                     for s in steps)
         return trace, shared, ends, gamma, free
 
 
@@ -269,18 +271,18 @@ def _boundary_steps(m0: np.ndarray, delta: np.ndarray) -> tuple[float, float]:
     return math.ldexp(-1.0 / float(w[-1]), 2 * (k - j)), math.ldexp(-1.0 / float(w[0]), 2 * (k - j))
 
 
-def _deepest(g: np.ndarray, direction: np.ndarray, lo: float, hi: float) -> float | None:
-    """A t in [lo, hi] where lambda_min(g + t direction) is above half its
-    maximum there and above _SEGMENT_RTOL * trace(g), or None when the
-    maximum is not.
+def _deepest(g: np.ndarray, direction: np.ndarray, lo: float, hi: float) -> float:
+    """The first t bisection meets in [lo, hi] with lambda_min(g + t direction)
+    positive and above half its maximum there, else the maximiser after
+    _SEGMENT_STEPS halvings: the midpoint of an empty bracket (lo >= hi, as a
+    rank-one member gives up to rounding).
 
     lambda_min is concave in t and u'Du, u its unit eigenvector, is a
     supergradient, so bisecting on its sign keeps the maximum in [a, b], and
     the tangents at a and b bound it from above.
     """
     if not lo < hi:
-        return None
-    floor = _SEGMENT_RTOL * float(g.trace())
+        return 0.5 * (lo + hi)
 
     def probe(t: float) -> tuple[float, float]:
         w, u = np.linalg.eigh(g + t * direction)
@@ -288,21 +290,16 @@ def _deepest(g: np.ndarray, direction: np.ndarray, lo: float, hi: float) -> floa
 
     (a, (fa, sa)), (b, (fb, sb)) = (lo, probe(lo)), (hi, probe(hi))
     for _ in range(_SEGMENT_STEPS):
-        if sa <= 0.0 or sb >= 0.0:
-            top = fa if sa <= 0.0 else fb
-        else:
-            top = fa + sa * (fb - fa + sb * (a - b)) / (sa - sb)
-        if top <= floor:
-            return None
+        top = fa if sa <= 0.0 else fb if sb >= 0.0 else fa + sa * (fb - fa + sb * (a - b)) / (sa - sb)
         t = 0.5 * (a + b)
         f, slope = probe(t)
-        if f > max(floor, 0.5 * top):
+        if f > max(0.0, 0.5 * top):
             return t
         if slope > 0.0:
             a, fa, sa = t, f, slope
         else:
             b, fb, sb = t, f, slope
-    return None
+    return 0.5 * (a + b)
 
 
 def reduce_to_boundary(
@@ -461,9 +458,10 @@ def _random_start(family: GramFamily, r: int, rng: np.random.Generator) -> np.nd
 
 
 def _face_start(family: GramFamily, tol: Tolerances) -> tuple[int, np.ndarray]:
-    """(rank, gamma) of the lower-rank end in ``family.floor_spectra``, else (0, G)."""
+    """(rank, gamma) of the lower-rank end in ``family.floor_spectra`` passing the PSD
+    test at eps * trace, else (0, G): a form that is not PSD never sets the floor."""
     trace, _, ends, pinned, _ = family.floor_spectra
-    ranks = [(int((w > tol.eps * trace).sum()), gamma) for gamma, w in ends]
+    ranks = [(int((w > tol.eps * trace).sum()), gamma) for gamma, w in ends if (w >= -tol.eps * trace).all()]
     return min(ranks, key=lambda end: end[0], default=(0, pinned))
 
 
@@ -490,8 +488,7 @@ def psd_point(family: GramFamily, seed: int = 0, tol: Tolerances = DEFAULT_TOL) 
     else, when a direction is free, the Gram matrix of the first
     r = f, f + 1, ..., mn bilinear squares that fit the form from one seeded
     random start each (``default_rng([seed, r])``), where f is ``rank_floor``
-    (at least 1): no fit of fewer squares can succeed; then _PSD_SWEEPS - 1
-    more sweeps from ``default_rng([seed, r, 0, s])``, which nothing else draws.
+    (at least 1): no fit of fewer squares can succeed; no SOS 2 x 2 form needs one.
 
     Raises:
         NoPSDPointFound: no start fitted, or none was tried as no direction
@@ -502,8 +499,7 @@ def psd_point(family: GramFamily, seed: int = 0, tol: Tolerances = DEFAULT_TOL) 
         return point
     if family.floor_spectra[4].any():
         squares = range(max(rank_floor(family, tol), 1), family.m * family.n + 1)
-        tags = [()] + [(0, sweep) for sweep in range(1, _PSD_SWEEPS)]
-        starts = (_random_start(family, r, np.random.default_rng([seed, r, *tag])) for tag in tags for r in squares)
+        starts = (_random_start(family, r, np.random.default_rng([seed, r])) for r in squares)
         fitted = _first_fit(family, starts, tol)
         if fitted is not None:
             return fitted[0]

@@ -303,9 +303,13 @@ def check_psd_monic(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> PSDC
 def assemble_m_matrix(data: XSymmetricData) -> np.ndarray:
     """The mn x mn matrix I_m (x) Q + (1/m) 11' (x) (R - Q) with
     z' M z = P(x, y) for z = x (x) y."""
-    pair = qr_pair(data)
-    m = data.m
-    return np.kron(np.eye(m), pair.Q) + np.kron(np.full((m, m), 1.0 / m), pair.R - pair.Q)
+    return _m_scaled(data, 0)
+
+
+def _m_scaled(data: XSymmetricData, k: int) -> np.ndarray:
+    """``assemble_m_matrix`` formed from (d, A, B) times 4^-k (exact)."""
+    q, r = _qr_scaled(data, k)
+    return np.kron(np.eye(data.m), q) + np.kron(np.full((data.m, data.m), 1.0 / data.m), r - q)
 
 
 def _require_psd(cert: PSDCertificate) -> None:
@@ -315,11 +319,12 @@ def _require_psd(cert: PSDCertificate) -> None:
 
 
 def sos_decompose_naive(data: XSymmetricData, tol: Tolerances = DEFAULT_TOL) -> SOSDecomposition:
-    """SOS decomposition via the full Gram matrix: assemble M, factor it,
-    reshape each factor vector into an m x n matrix (m blocks of length n)."""
+    """SOS decomposition via the full Gram matrix: assemble M times 4^-k, 4^k near max|coeff|, factor it,
+    scale the rows by 2^k (exact), reshape each into an m x n matrix (m blocks of length n)."""
     cert = check_psd_monic(data, tol)
     _require_psd(cert)
-    rows = linalg.psd_factor(assemble_m_matrix(data), tol)
+    k = linalg.quarter_exponent(np.array(data.max_abs_coeff()))
+    rows = np.ldexp(linalg.psd_factor(_m_scaled(data, k), tol), k)
     return SOSDecomposition(data.m, data.n, rows.reshape(-1, data.m, data.n))
 
 

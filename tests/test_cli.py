@@ -447,14 +447,16 @@ class TestSosRank:
     def test_paper_bounds_at_the_psd_boundary(self, capsys, tmp_path, m, n, bound, seed, margin):
         # A PSD m x 2 form is SOS (Calderon 1973), in at most 3 squares at
         # 2 x 2 and 4 at 3 x 2 and 2 x 3, also with a zero, where the Gram
-        # spectrahedron has no interior: sos-rank must find it.  At 4 x 2 the
-        # search finds m + 1 = 5 squares: evidence, not a theorem, so the
-        # universal bound stays mn - 1.
+        # spectrahedron has no interior: sos-rank must find it, and at 2 x 2
+        # the face decides the rank.  At 4 x 2 the search finds m + 1 = 5
+        # squares: evidence, not a theorem, so the universal bound stays mn - 1.
         path = str(tmp_path / "boundary.json")
         forms.save_form(boundary_form(seed, m, n, margin), path)
         code, data = run_json(capsys, ["sos-rank", path])
         payload = data["payload"]
         assert code == 0 and payload["lower_bound"] <= payload["upper_bound"] <= bound
+        if (m, n) == (2, 2):
+            assert payload["exact"] and payload["lower_bound"] == payload["upper_bound"] == 3
         assert payload["max_residual"] <= payload["residual_bound"]
         code, data = run_json(capsys, ["reduce-rank", path])
         assert code == 0 and data["payload"]["max_residual"] <= data["payload"]["residual_bound"]
@@ -463,7 +465,7 @@ class TestSosRank:
     @given(case=boundary_forms())
     def test_paper_bounds_over_boundary_forms(self, tmp_path_factory, case):
         # The property form of the test above, over seeds, margins and
-        # scales 10^U(-8, 8).
+        # scales 10^U(-8, 8), exact at 2 x 2.
         form, bound = case
         path = str(tmp_path_factory.getbasetemp() / "boundary-property.json")
         forms.save_form(form, path)
@@ -473,6 +475,8 @@ class TestSosRank:
                 assert main([command, path, "--json"]) == 0
             payloads.append(json.loads(out.getvalue())["payload"])
         assert payloads[0]["lower_bound"] <= payloads[0]["upper_bound"] <= bound
+        if (form.m, form.n) == (2, 2):
+            assert payloads[0]["exact"] and payloads[0]["lower_bound"] == payloads[0]["upper_bound"] == 3
         for payload in payloads:
             assert payload["max_residual"] <= payload["residual_bound"]
 

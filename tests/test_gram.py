@@ -22,7 +22,7 @@ from biquad.gram import (
 )
 from biquad.partsym import assemble_m_matrix, random_psd_instance, reconstruct
 from biquad.simple import SupportSet, find_rectangle, gen_simple, to_form
-from conftest import planted_sos_forms, tiny_line_form
+from conftest import boundary_form, planted_sos_forms, tiny_line_form
 
 
 def f_224():
@@ -650,10 +650,39 @@ class TestRankFloor:
         with mock.patch.object(gram, "_fit", lambda *args: fits.append(args) or fit(*args)):
             _, rank = min_rank_search(family, seed=0)
         assert rank_floor(family) == rank <= 3
-        # Where the face's own member passes the PSD test, it is the result.
-        start = GramPoint(family, gram._face_start(family, linalg.DEFAULT_TOL)[1])
-        if linalg.psd_from_decomposition(start.spectrum, linalg.DEFAULT_TOL)[0]:
-            assert fits == []
+        # The face's own member is the result: no form needs a fit.
+        assert fits == []
+
+    @pytest.mark.parametrize("seed, margin, ends", [(493, 1e-6, 2), (0, 0.0, 1)])
+    def test_boundary_2x2_forms_are_decided_on_the_face(self, seed, margin, ends):
+        # At margin 1e-6 the deepest member has lambda_min 1.8e-7 of the
+        # trace, at margin 0 the form has a zero and no member is positive
+        # definite: the segment is the one member there.
+        family = build_family(boundary_form(seed, 2, 2, margin))
+        fits = []
+        fit = gram._fit
+        with mock.patch.object(gram, "_fit", lambda *args: fits.append(args) or fit(*args)):
+            _, rank = min_rank_search(family, seed=0)
+        assert rank_floor(family) == rank == 3 and fits == []
+        assert len(family.floor_spectra[2]) == ends
+
+    def test_one_point_rule_needs_four_live_rows(self):
+        # A 3 x 2 form with row (2, 0) dead and every square zero at one
+        # generic (x0, y0): one free direction, 5 live rows, and x0 (x) y0 in
+        # every member's kernel, so no member is positive definite.  A vector
+        # zero on the four rows the direction reaches could lie in every
+        # kernel, so the face keeps no end.
+        rng = np.random.default_rng(0)
+        x0, y0 = rng.standard_normal(3), rng.standard_normal(2)
+        w = rng.standard_normal((4, 3, 2))
+        w[:, 2, 0] = 0.0
+        w[:, 0, 0] -= np.einsum("i,pij,j->p", x0, w, y0) / (x0[0] * y0[0])
+        family = build_family(symmetrize(np.einsum("pij,pkl->ijkl", w, w)))
+        assert np.count_nonzero(family.floor_spectra[4]) == 1
+        assert np.count_nonzero(family.base.diagonal()) == 5
+        assert family.floor_spectra[2] == ()
+        _, rank = min_rank_search(family, seed=0)
+        assert rank_floor(family) <= rank
 
     def test_segment_floor_is_the_smaller_end_rank(self):
         # (x1y1 - x2y2)^2 + 2 (x1y2 + x2y1)^2: its squares span the free

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +285,17 @@ class TestDecompositions:
         assert len(sos_decompose_structured(data)) == 1
         dec = sos_decompose_general(data)
         assert len(dec) == 1 and verify_sos(reconstruct(data), dec)[0]
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0])
+    def test_naive_route_at_the_float_maximum(self, scale):
+        # M (x1 - x2)^2 |y|^2: Q = D + B - A = 2M I overflows in the form's
+        # units; the naive route assembles M in units of 4^k near max|c|.
+        big = scale * np.finfo(float).max
+        data = XSymmetricData(2, np.full(2, big), -big * np.eye(2), Z2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = sos_decompose_naive(data)
+            assert len(dec) == 2 and verify_sos(data, dec)[0]
 
     def test_not_psd_raises(self):
         data = monic(2, 2.0 * SWAP)
