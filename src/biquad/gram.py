@@ -24,9 +24,9 @@ Gauss-Newton converges only linearly; MINPACK's gradient test stops them.
 ``rank_floor``, a proven lower bound, counts eigenvalues of the Gram
 blocks every PSD member shares and of the ends of the segment of PSD members,
 one point when the dead rows (zero x_i^2 y_j^2 coefficients) leave no direction
-free; with one free the smaller end rank is the SOS rank, and on four live rows
-a segment with no positive definite member is one point: the face decides every
-SOS 2 x 2 form.  One rule starts both searches: the face's own member (that
+free; with one free the smaller end rank is the SOS rank, and one Schur
+complement gives both ends as roots of a 4 x 4 eigenproblem: the face decides
+every SOS 2 x 2 form.  One rule starts both searches: the face's own member (that
 end, else the pinned member) when PSD, else, if a direction is free, the first
 seeded fit from the floor up; ``min_rank_search`` lowers r to the floor or the
 first square count no start fits: a verified upper bound, exact at the floor.
@@ -63,8 +63,6 @@ _GTOL = 1e-4
 # The largest Gram order m * n check_size accepts, that of the 10 x 10 forms
 # the search is meant to reach; a far larger form's tensor exhausts memory.
 _ORDER_CAP = 100
-# The halvings of ``_deepest``'s bracket.
-_SEGMENT_STEPS = 60
 
 
 def __getattr__(name: str):
@@ -145,17 +143,12 @@ class GramFamily:
         blocks of the PSD members fill a segment: the point G when no direction
         is free (always if m = 1 or n = 1), G + tD on one interval when one is,
         D.  A member inside it holds both ends' kernels, so the SOS rank is the
-        smaller end rank.  Each end is a member: its gamma (G's, but for the
-        step times 4^k on D) and its live block's eigenvalues in family units.
-        ``_boundary_steps`` reaches both from ``_deepest``'s G + tD when its
-        Cholesky factor exists.  Else, when the live rows are the four D
-        reaches, G + tD is the one end: D^2 = I there, so no nonzero vector
-        is in two members' kernels, and a segment with no positive definite
-        member is at most one point, the maximiser of lambda_min(G + tD).  On
-        more live rows a vector zero on those four can lie in every kernel,
-        and the segment can be an interval whose ends have lower rank than its
-        maximiser: ends is (), as with more free directions or a negative
-        diagonal entry."""
+        smaller end rank.  Each end is a member: its gamma (G's, but for its t
+        times 4^k on D) and its live block's eigenvalues in family units.
+        ``_segment_ends`` gives their t from one Schur complement onto the four
+        rows D reaches, on any number of live rows, when the other live rows'
+        block has a Cholesky factor; else, as with more free directions, ends
+        is ().  Ends that fail the PSD test are the caller's to drop."""
         m, n, base = self.m, self.n, self.base
         dead = base.diagonal() == 0.0
         ij, kl, il, kj = self.swaps
@@ -165,21 +158,13 @@ class GramFamily:
         g = self.matrix_at(np.ldexp(gamma, -2 * self.k), scaled=True)
         lines = g.reshape(m, n, m, n)
         shared = tuple(map(np.linalg.eigvalsh, (lines[range(m), :, range(m)], lines[:, range(n), :, range(n)])))
-        trace, block, diagonal = float(g.trace()), np.ix_(~dead, ~dead), g.diagonal()
-        # Each end is G + (t + s) D for a step s; with no direction free, G itself.
-        t, steps, direction = 0.0, () if free.any() else (0.0,), self.direction(free)[block]
-        if np.count_nonzero(free) == 1 and not (diagonal < 0.0).any():
-            ij, kl, il, kj = self.swaps[:, free][:, 0]
-            # A PSD G + tD keeps |g[ij, kl] + t|, |g[il, kj] - t| within their diagonals' geometric means.
-            centre, reach = np.array([-g[ij, kl], g[il, kj]]), np.sqrt(diagonal[[ij, il]] * diagonal[[kl, kj]])
-            t = _deepest(g[block], direction, (centre - reach).max(), (centre + reach).min())
-            try:
-                steps = _boundary_steps(g[block] + t * direction, direction)
-            except np.linalg.LinAlgError:
-                steps = (0.0,) if len(direction) == 4 else ()
-        inner = g[block] + t * direction
-        ends = tuple((gamma + free * math.ldexp(t + s, 2 * self.k), np.linalg.eigvalsh(inner + s * direction))
-                     for s in steps)
+        trace, block = float(g.trace()), np.ix_(~dead, ~dead)
+        # Each end is G + tD; with no direction free, G itself.
+        steps, direction = () if free.any() else (0.0,), self.direction(free)[block]
+        if np.count_nonzero(free) == 1:
+            steps = _segment_ends(g[block], direction)
+        ends = tuple((gamma + free * math.ldexp(t, 2 * self.k), np.linalg.eigvalsh(g[block] + t * direction))
+                     for t in steps)
         return trace, shared, ends, gamma, free
 
 
@@ -271,35 +256,32 @@ def _boundary_steps(m0: np.ndarray, delta: np.ndarray) -> tuple[float, float]:
     return math.ldexp(-1.0 / float(w[-1]), 2 * (k - j)), math.ldexp(-1.0 / float(w[0]), 2 * (k - j))
 
 
-def _deepest(g: np.ndarray, direction: np.ndarray, lo: float, hi: float) -> float:
-    """The first t bisection meets in [lo, hi] with lambda_min(g + t direction)
-    positive and above half its maximum there, else the maximiser after
-    _SEGMENT_STEPS halvings: the midpoint of an empty bracket (lo >= hi, as a
-    rank-one member gives up to rounding).
+def _segment_ends(g: np.ndarray, direction: np.ndarray) -> tuple[float, ...]:
+    """The t of the ends of the segment of PSD g + t direction, for a
+    direction with +1 and -1 on two disjoint pairs of the rows F it reaches:
+    (t2, t3), one (t,) when the middle roots came out a complex pair, or ()
+    when g's block on the other rows, c, has no Cholesky factor or the Schur
+    complement overflows, which no PSD g's can: g_Fc g_cc^-1 g_cF <= g_FF.
 
-    lambda_min is concave in t and u'Du, u its unit eigenvector, is a
-    supergradient, so bisecting on its sign keeps the maximum in [a, b], and
-    the tangents at a and b bound it from above.
-    """
-    if not lo < hi:
-        return 0.5 * (lo + hi)
-
-    def probe(t: float) -> tuple[float, float]:
-        w, u = np.linalg.eigh(g + t * direction)
-        return float(w[0]), float(u[:, 0] @ direction @ u[:, 0])
-
-    (a, (fa, sa)), (b, (fb, sb)) = (lo, probe(lo)), (hi, probe(hi))
-    for _ in range(_SEGMENT_STEPS):
-        top = fa if sa <= 0.0 else fb if sb >= 0.0 else fa + sa * (fb - fa + sb * (a - b)) / (sa - sb)
-        t = 0.5 * (a + b)
-        f, slope = probe(t)
-        if f > max(0.0, 0.5 * top):
-            return t
-        if slope > 0.0:
-            a, fa, sa = t, f, slope
-        else:
-            b, fb, sb = t, f, slope
-    return 0.5 * (a + b)
+    With g_cc positive definite, g + tD is PSD exactly when the Schur
+    complement S + tD_FF is, S = g_FF - g_Fc g_cc^-1 g_cF (Haynsworth's
+    inertia additivity), and D_FF^2 = I, so S + tD_FF = D_FF (D_FF S + tI) is
+    singular at the eigenvalues t1 <= t2 <= t3 <= t4 of -D_FF S (Golub and Van
+    Loan, Matrix Computations, 8.7).  As t -> +-inf, S + tD_FF has the two
+    negative eigenvalues of +-D_FF, so a nonempty PSD set is [t2, t3].  No
+    nonzero vector lies in two members' kernels, as D_FF is invertible, so a
+    segment with no positive definite member is one point, a double root that
+    rounding may split into a complex pair.  The caller's PSD test drops the
+    ends of an empty segment."""
+    reach = (direction != 0.0).any(axis=0)
+    f, c = np.ix_(reach, reach), np.ix_(~reach, ~reach)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # eigvals refuses a complement that overflowed
+            half = np.linalg.solve(np.linalg.cholesky(g[c]), g[np.ix_(~reach, reach)])
+            roots = np.sort_complex(np.linalg.eigvals(-direction[f] @ (g[f] - half.T @ half)))[1:3]
+    except np.linalg.LinAlgError:
+        return ()
+    return (float(roots.real.mean()),) if roots.imag.any() else tuple(map(float, roots.real))
 
 
 def reduce_to_boundary(

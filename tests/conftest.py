@@ -135,6 +135,22 @@ def boundary_form(seed: int, m: int, n: int, margin: float) -> BiquadraticForm:
     return BiquadraticForm(m, n, c.transpose(1, 0, 3, 2) if k != m else c)
 
 
+def dead_row_form(seed: int, m: int, n: int) -> tuple[BiquadraticForm, int]:
+    """A 3 x 2 form with row (2, 0) dead, or a 2 x 3 one with row (0, 2)
+    dead, returned with its square count r, an upper bound on its SOS rank:
+    one free swap direction and 5 live Gram rows.  The r <= mn random factors
+    are zero at the dead entry; at seeds divisible by 3 every one of them
+    also vanishes at one generic (x0, y0), so no member is positive definite.
+    The form is scaled by 10^U(-8, 8)."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((int(rng.integers(1, m * n + 1)), m, n))
+    w[:, 2 if m == 3 else 0, 0 if m == 3 else 2] = 0.0
+    if seed % 3 == 0:
+        x0, y0 = rng.standard_normal(m), rng.standard_normal(n)
+        w[:, 0, 0] -= np.einsum("i,pij,j->p", x0, w, y0) / (x0[0] * y0[0])
+    return symmetrize(10.0 ** rng.uniform(-8.0, 8.0) * np.einsum("pij,pkl->ijkl", w, w)), len(w)
+
+
 @st.composite
 def boundary_forms(draw):
     """``boundary_form`` at 2 x 2, 3 x 2 or 2 x 3, with a drawn seed and

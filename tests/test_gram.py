@@ -22,7 +22,7 @@ from biquad.gram import (
 )
 from biquad.partsym import assemble_m_matrix, random_psd_instance, reconstruct
 from biquad.simple import SupportSet, find_rectangle, gen_simple, to_form
-from conftest import boundary_form, planted_sos_forms, tiny_line_form
+from conftest import boundary_form, dead_row_form, planted_sos_forms, tiny_line_form
 
 
 def f_224():
@@ -666,12 +666,12 @@ class TestRankFloor:
         assert rank_floor(family) == rank == 3 and fits == []
         assert len(family.floor_spectra[2]) == ends
 
-    def test_one_point_rule_needs_four_live_rows(self):
+    def test_one_point_segment_on_five_live_rows(self):
         # A 3 x 2 form with row (2, 0) dead and every square zero at one
         # generic (x0, y0): one free direction, 5 live rows, and x0 (x) y0 in
-        # every member's kernel, so no member is positive definite.  A vector
-        # zero on the four rows the direction reaches could lie in every
-        # kernel, so the face keeps no end.
+        # every member's kernel, so no member is positive definite.  The Schur
+        # complement onto the four rows the direction reaches still makes the
+        # segment one point, near t = 14.80, of rank 4: the face decides it.
         rng = np.random.default_rng(0)
         x0, y0 = rng.standard_normal(3), rng.standard_normal(2)
         w = rng.standard_normal((4, 3, 2))
@@ -680,9 +680,43 @@ class TestRankFloor:
         family = build_family(symmetrize(np.einsum("pij,pkl->ijkl", w, w)))
         assert np.count_nonzero(family.floor_spectra[4]) == 1
         assert np.count_nonzero(family.base.diagonal()) == 5
-        assert family.floor_spectra[2] == ()
-        _, rank = min_rank_search(family, seed=0)
-        assert rank_floor(family) <= rank
+        (gamma, _), = family.floor_spectra[2]
+        assert gamma[family.floor_spectra[4]] == pytest.approx(14.80, abs=0.01)
+        fits = []
+        fit = gram._fit
+        with mock.patch.object(gram, "_fit", lambda *args: fits.append(args) or fit(*args)):
+            _, rank = min_rank_search(family, seed=0)
+        assert rank_floor(family) == rank == 4 and fits == []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(3, 2), (2, 3)]))
+    def test_segment_floor_on_five_live_rows(self, seed, shape):
+        # One free direction on 5 live rows, a third of them with no positive
+        # definite member: the Schur complement onto the four rows it reaches
+        # gives the ends, so the floor is the SOS rank and no form needs a fit.
+        form, r = dead_row_form(seed, *shape)
+        family = build_family(form)
+        fits = []
+        fit = gram._fit
+        with mock.patch.object(gram, "_fit", lambda *args: fits.append(args) or fit(*args)):
+            _, rank = min_rank_search(family, seed=0)
+        assert rank_floor(family) == rank <= r and fits == []
+
+    def test_overflowing_schur_complement_keeps_no_end(self):
+        # A 3 x 2 form with row (2, 0) dead whose row (2, 1) has diagonal
+        # 1e-320 but entry 1 with row (1, 1): not PSD, and the Schur
+        # complement onto the free direction's four rows overflows.  The face
+        # keeps no end, without a warning.
+        w = np.random.default_rng(1).standard_normal((4, 3, 2))
+        w[:, 2] = 0.0
+        c = np.einsum("pij,pkl->ijkl", w, w)
+        c[2, 1, 2, 1], c[2, 1, 1, 1], c[1, 1, 2, 1] = 1e-320, 1.0, 1.0
+        family = build_family(symmetrize(c))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, ends, _, free = family.floor_spectra
+        assert np.count_nonzero(free) == 1 and np.count_nonzero(family.base.diagonal()) == 5
+        assert ends == ()
 
     def test_segment_floor_is_the_smaller_end_rank(self):
         # (x1y1 - x2y2)^2 + 2 (x1y2 + x2y1)^2: its squares span the free
@@ -701,17 +735,17 @@ class TestRankFloor:
     def test_segment_solved_once_per_family(self, monkeypatch):
         # P_(4,2,6)'s dead rows leave one free direction.  The search from an
         # end of its segment and rank_floor at two tolerances share one
-        # bisection, one boundary solve and one pair of end spectra.
+        # 4 x 4 eigen-solve for both ends and one pair of end spectra.
         family = build_family(to_form(gen_simple(4, 2, 6)))
         calls = []
-        eigvalsh, deepest = np.linalg.eigvalsh, gram._deepest
+        eigvalsh, eigvals = np.linalg.eigvalsh, np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-        monkeypatch.setattr(gram, "_deepest", lambda *args: calls.append("deepest") or deepest(*args))
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(("eigvals", a.shape)) or eigvals(a))
         _, rank = min_rank_search(family, seed=0)
         assert rank_floor(family) == rank_floor(family, linalg.Tolerances(1e-6)) == rank == 4
-        # The x-line and y-line stacks, then one solve for both boundary steps
-        # on the 6 live rows and the spectra of the two ends.
-        assert calls == [(4, 2, 2), (2, 4, 4), "deepest"] + [(6, 6)] * 3
+        # The x-line and y-line stacks, then the Schur complement's roots on
+        # the four rows the direction reaches and the spectra of the two ends.
+        assert calls == [(4, 2, 2), (2, 4, 4), ("eigvals", (4, 4))] + [(6, 6)] * 2
         assert len(family.floor_spectra[2]) == 2
 
 

@@ -1,15 +1,18 @@
-"""Decide the PSD-boundary test forms of one checkout in bulk, as ``sos-rank`` does.
+"""Decide the PSD-boundary and dead-row test forms of one checkout in bulk, as ``sos-rank`` does.
 
     python tools/boundary_sweep.py --root CHECKOUT --seeds A:B [--shapes 2x2,3x2,2x3,4x2] [--forms]
 
-imports ``biquad`` from ``CHECKOUT/src`` and ``boundary_form`` and
-``BOUNDARY_MARGINS`` from ``CHECKOUT/tests/conftest.py``.  For each shape,
-each seed in [A, B) and each margin it takes ``boundary_form(seed, m, n,
-margin)``, a PSD (so SOS) m x 2 or 2 x n form at or near the PSD boundary,
-round-trips it through ``form_to_dict`` and ``cells_from_dict`` (the form
-``sos-rank`` reads from its terms file) and runs ``sos-rank``'s defaults on
-it: ``min_rank_search(family, seed=0)``, ``rank_floor(family)`` and
-``verify_sos(form, factor_gram(point))``.  It prints one line per shape::
+imports ``biquad`` from ``CHECKOUT/src`` and ``boundary_form``,
+``dead_row_form`` and ``BOUNDARY_MARGINS`` from ``CHECKOUT/tests/conftest.py``.
+For each shape, each seed in [A, B) and each margin it takes
+``boundary_form(seed, m, n, margin)``, a PSD (so SOS) m x 2 or 2 x n form at
+or near the PSD boundary; then, for each seed, ``dead_row_form(seed, 3, 2)``
+and ``dead_row_form(seed, 2, 3)``, planted forms whose one free swap direction
+leaves 5 live Gram rows.  It round-trips each form through ``form_to_dict``
+and ``cells_from_dict`` (the form ``sos-rank`` reads from its terms file) and
+runs ``sos-rank``'s defaults on it: ``min_rank_search(family, seed=0)``,
+``rank_floor(family)`` and ``verify_sos(form, factor_gram(point))``.  It
+prints one line per shape, then ``3x2-dead`` and ``2x3-dead``::
 
     SHAPE forms=N inconclusive=I exact=E fits=F
 
@@ -17,9 +20,10 @@ where an inconclusive form is one ``min_rank_search`` raises
 ``NoPSDPointFound`` on, an exact one has ``rank_floor`` equal to the rank,
 and F counts the calls to ``gram._fit``.  Below it comes one ``bad`` line per
 form whose lower bound is above its rank, whose rank is above the universal
-bound mn - 1 (3 at 2 x 2) or whose factors fail re-verification.  With
-``--forms`` each form also gets a line ``SHAPE SEED MARGIN RANK LOWER`` (``-
--`` when inconclusive), so two checkouts' ranks compare by ``diff``.
+bound mn - 1 (3 at 2 x 2) or a dead-row form's square count, or whose factors
+fail re-verification.  With ``--forms`` each form also gets a line ``SHAPE
+SEED MARGIN RANK LOWER`` (``SHAPE-dead SEED RANK LOWER`` for a dead-row form,
+``- -`` when inconclusive), so two checkouts' ranks compare by ``diff``.
 Nothing is written.
 """
 
@@ -36,7 +40,7 @@ def sweep(root: str, seeds: range, shapes: list[tuple[int, int]], forms: bool = 
     from biquad import gram
     from biquad.errors import NoPSDPointFound
     from biquad.forms import cells_from_dict, form_to_dict, verify_sos
-    from conftest import BOUNDARY_MARGINS, boundary_form
+    from conftest import BOUNDARY_MARGINS, boundary_form, dead_row_form
 
     fits = [0]
     fit = gram._fit
@@ -45,29 +49,35 @@ def sweep(root: str, seeds: range, shapes: list[tuple[int, int]], forms: bool = 
         fits[0] += 1
         return fit(*args)
 
-    gram._fit = counted
-    for m, n in shapes:
+    def decide(name: str, cases):
+        """The summary line of ``(case, form, bound)`` cases, then their bad lines and, with ``forms``, each case."""
         fits[0] = inconclusive = exact = 0
         bad, lines = [], []
-        for seed in seeds:
-            for margin in BOUNDARY_MARGINS:
-                form = cells_from_dict(form_to_dict(boundary_form(seed, m, n, margin))).to_form()
-                family = gram.build_family(form)
-                case = f"{m}x{n} {seed} {margin:g}"
-                try:
-                    point, rank = gram.min_rank_search(family, seed=0)
-                except NoPSDPointFound:
-                    inconclusive += 1
-                    lines.append(f"{case} - -")
-                    continue
-                lower = gram.rank_floor(family)
-                exact += lower == rank
-                lines.append(f"{case} {rank} {lower}")
-                if lower > rank or rank > m * n - 1 or not verify_sos(form, gram.factor_gram(point))[0]:
-                    bad.append(f"bad {case} rank={rank} lower={lower}")
-        yield f"{m}x{n} forms={3 * len(seeds)} inconclusive={inconclusive} exact={exact} fits={fits[0]}"
+        for case, form, bound in cases:
+            form = cells_from_dict(form_to_dict(form)).to_form()
+            family = gram.build_family(form)
+            try:
+                point, rank = gram.min_rank_search(family, seed=0)
+            except NoPSDPointFound:
+                inconclusive += 1
+                lines.append(f"{case} - -")
+                continue
+            lower = gram.rank_floor(family)
+            exact += lower == rank
+            lines.append(f"{case} {rank} {lower}")
+            if lower > rank or rank > bound or not verify_sos(form, gram.factor_gram(point))[0]:
+                bad.append(f"bad {case} rank={rank} lower={lower}")
+        yield f"{name} forms={len(lines)} inconclusive={inconclusive} exact={exact} fits={fits[0]}"
         yield from bad
         yield from lines if forms else ()
+
+    gram._fit = counted
+    for m, n in shapes:
+        cases = ((f"{m}x{n} {seed} {margin:g}", boundary_form(seed, m, n, margin), m * n - 1)
+                 for seed in seeds for margin in BOUNDARY_MARGINS)
+        yield from decide(f"{m}x{n}", cases)
+    for m, n in ((3, 2), (2, 3)):
+        yield from decide(f"{m}x{n}-dead", ((f"{m}x{n}-dead {seed}", *dead_row_form(seed, m, n)) for seed in seeds))
 
 
 def main(argv=None) -> int:

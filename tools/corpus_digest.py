@@ -11,7 +11,8 @@ invocation: the workload, the item, the exit code, the sha256 of its
 Two checkouts answer alike on the corpora exactly when their digests
 ``diff`` clean.  With ``--counts`` each line also ends in
 ``fits=F eigs=E lm=N``: the calls that invocation made to ``gram._fit`` and
-to ``np.linalg.eigh`` or ``np.linalg.eigvalsh``, and the points ``gram._lm``
+to ``np.linalg.eigh``, ``np.linalg.eigvalsh`` or ``np.linalg.eigvals`` (the
+Gram face's nonsymmetric solve), and the points ``gram._lm``
 evaluated, deterministic work counters that a timing run cannot give.
 ``lm`` counts calls to ``_lm``'s first argument, the callable it evaluates
 once at its start and once per trial point: the residual in an ``_lm`` that
@@ -73,7 +74,7 @@ def digest_lines(root: str, seed: int, counts: bool = False):
     from workloads import WORKLOADS, build_corpus
 
     tally = {"fits": 0, "eigs": 0, "lm": 0}
-    counted = ((biquad.gram, "_fit", "fits"), (np.linalg, "eigh", "eigs"), (np.linalg, "eigvalsh", "eigs"))
+    counted = [(biquad.gram, "_fit", "fits")] + [(np.linalg, name, "eigs") for name in ("eigh", "eigvalsh", "eigvals")]
     for owner, name, key in counted if counts else ():
         _count_calls(owner, name, tally, key)
     if counts:
